@@ -27,8 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import poly
-from .errors import FieldTooLargeForBrute, NotFlat, RangeError
-from .exactnum import PrimeField, make_field
+from .errors import FieldTooLargeForBrute, G2FrobError, NotFlat, RangeError
+from .exactnum import PrimeField, make_field, raw_to_json
 from .funcfield import (
     Curve,
     Differential,
@@ -58,7 +58,7 @@ class CartierManinMatrix:
         return not self.field.is_zero(self.det())
 
     def to_jsonable(self):
-        return [[_jsonable(e) for e in row] for row in self.matrix]
+        return [[raw_to_json(e) for e in row] for row in self.matrix]
 
 
 def cartier_manin(curve: Curve) -> CartierManinMatrix:
@@ -159,7 +159,7 @@ class TorsionSet:
         return True
 
     def to_jsonable(self):
-        return [[_jsonable(a), _jsonable(b)] for a, b in self.forms]
+        return [[raw_to_json(a), raw_to_json(b)] for a, b in self.forms]
 
 
 def _flat_form_data(curve: Curve):
@@ -219,34 +219,52 @@ def _torsion_brute(curve: Curve):
                 found.append((a, b))
                 if spot < 4:  # weld the factored evaluation to the closed form
                     T = curve.constant(a) + curve.constant(b) * curve.x()
-                    assert p_curvature_rank1(T, theta0, omega0).is_zero()
+                    if not p_curvature_rank1(T, theta0, omega0).is_zero():
+                        raise G2FrobError("factored psi disagrees with p_curvature_rank1")
                     spot += 1
-    return _sort_forms(found)
+    return tuple(sorted(found))
 
 
 def _torsion_semilinear(curve: Curve):
-    F = curve.field
-    omega0, theta0, xp, h, c0 = _flat_form_data(curve)
-    k = F.degree
-    if isinstance(F, PrimeField):
-        unknowns = [(F.one(), F.zero()), (F.zero(), F.one())]
-    else:
-        unknowns = [(F.monomial(i), F.zero()) for i in range(k)] + [
-            (F.zero(), F.monomial(i)) for i in range(k)
-        ]
-    images = [_psi_of_pair(curve, a, b, xp, h, c0) for a, b in unknowns]
-    rows = _k_elements_to_fp_rows(curve, images)
-    basis = kernel_basis_mod_p(rows, len(unknowns), curve.p)
-    found = []
-    for v in enumerate_span_mod_p(basis, len(unknowns), curve.p):
-        a, b = F.zero(), F.zero()
-        for coeff, (ua, ub) in zip(v, unknowns):
-            if coeff:
-                s = F.from_int(coeff)
-                a = F.add(a, F.mul(s, ua))
-                b = F.add(b, F.mul(s, ub))
-        found.append((a, b))
-    return _sort_forms(found)
+    _, _, xp, h, c0 = _flat_form_data(curve)
+    unknowns = plane_basis(curve.field)
+    images = [(_psi_of_pair(curve, a, b, xp, h, c0),) for a, b in unknowns]
+    basis = fp_kernel(curve, images)
+    return tuple(sorted(
+        fp_combination(curve.field, v, unknowns)
+        for v in enumerate_span_mod_p(basis, len(unknowns), curve.p)
+    ))
+
+
+# ---------------------------------------------------------------------------
+# F_p-linear maps into K: the solve shared by flat forms and rigidity
+# ---------------------------------------------------------------------------
+
+def plane_basis(F):
+    """F_p-basis of the (a, b) plane of global forms: (e, 0), then (0, e),
+    for e running over F.basis()."""
+    z, basis = F.zero(), F.basis()
+    return [(e, z) for e in basis] + [(z, e) for e in basis]
+
+
+def fp_kernel(curve: Curve, images):
+    """F_p-basis of the kernel of the F_p-linear map sending unknown j to
+    images[j], a tuple of K elements (the same length for every j)."""
+    rows = []
+    for entry in zip(*images):
+        rows.extend(_k_elements_to_fp_rows(curve, entry))
+    return kernel_basis_mod_p(rows, len(images), curve.p)
+
+
+def fp_combination(F, v, unknowns):
+    """sum_j v[j] * unknowns[j], componentwise, for unknowns that are tuples
+    of raw field values and v a vector of ints mod p."""
+    acc = [F.zero()] * len(unknowns[0])
+    for coeff, u in zip(v, unknowns):
+        if coeff:
+            s = F.from_int(coeff)
+            acc = [F.add(x, F.mul(s, y)) for x, y in zip(acc, u)]
+    return tuple(acc)
 
 
 def _k_elements_to_fp_rows(curve: Curve, els):
@@ -257,42 +275,22 @@ def _k_elements_to_fp_rows(curve: Curve, els):
     for e in els:
         g = poly.gcd(F, common, e.D)
         common = poly.mul(F, common, poly.divmod_(F, e.D, g)[0])
-    numerators = []
-    for e in els:
-        scaled = e * curve.from_poly(common)
-        assert poly.degree(scaled.D) == 0
-        numerators.append((scaled.A, scaled.B))
-    max_a = max((len(n[0]) for n in numerators), default=0)
-    max_b = max((len(n[1]) for n in numerators), default=0)
-    k = F.degree
-    nrows = (max_a + max_b) * k
-    rows = [[0] * len(els) for _ in range(nrows)]
-    for j, (A, B) in enumerate(numerators):
-        for i in range(max_a):
-            c = poly.coefficient(F, A, i)
-            for comp in range(k):
-                rows[i * k + comp][j] = _component(c, comp)
-        for i in range(max_b):
-            c = poly.coefficient(F, B, i)
-            for comp in range(k):
-                rows[(max_a + i) * k + comp][j] = _component(c, comp)
-    return rows
+    scaled = [e * curve.from_poly(common) for e in els]
+    if any(poly.degree(u.D) != 0 for u in scaled):
+        raise G2FrobError("the common denominator did not clear a denominator")
+    na = max(len(u.A) for u in scaled)
+    nb = max(len(u.B) for u in scaled)
+    cols = []
+    for u in scaled:
+        coeffs = [poly.coefficient(F, u.A, i) for i in range(na)]
+        coeffs += [poly.coefficient(F, u.B, i) for i in range(nb)]
+        cols.append([x for c in coeffs for x in _coords(c)])
+    return list(zip(*cols))
 
 
-def _component(raw, i):
-    return raw[i] if isinstance(raw, tuple) else (raw if i == 0 else 0)
-
-
-def _sort_forms(found):
-    return tuple(sorted(found, key=lambda ab: (_sort_key(ab[0]), _sort_key(ab[1]))))
-
-
-def _sort_key(raw):
-    return tuple(raw) if isinstance(raw, tuple) else (raw,)
-
-
-def _jsonable(raw):
-    return list(raw) if isinstance(raw, tuple) else raw
+def _coords(raw):
+    """F_p coordinates of a raw field value in the field's basis()."""
+    return raw if isinstance(raw, tuple) else (raw,)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from fractions import Fraction
 from . import __version__
 from .cartier import cartier_manin, enumerate_p_torsion, p_rank
 from .errors import InputError, RangeError, ResourceGuardError
-from .exactnum import ExtField, find_irreducible, make_field
+from .exactnum import make_field
 from .formulas import counts
 from .funcfield import Curve, curve_from_spec, curve_id, curve_spec, random_curve
 from .verify import check_offdiag_closed_forms, check_two_sums, rigidity_scan
@@ -44,28 +44,20 @@ def _emit(obj, out_path):
         print(text)
 
 
-def _parse_f(s: str):
+def _parse_ints(flag: str, s: str):
     try:
-        coeffs = [int(tok) for tok in s.split(",")]
+        return [int(tok) for tok in s.split(",")]
     except ValueError:
-        raise RangeError(f"--f expects comma-separated integers, got {s!r}")
-    if len(coeffs) != 6:
-        raise RangeError("--f expects exactly six coefficients c0,...,c5")
-    return coeffs
+        raise RangeError(f"{flag} expects comma-separated integers, got {s!r}")
 
 
 def _build_curve(args) -> Curve:
-    if args.ext_k and args.ext_k > 1:
-        modulus = (
-            tuple(int(t) for t in args.ext_modulus.split(","))
-            if args.ext_modulus
-            else find_irreducible(args.p, args.ext_k, seed=args.seed or 0)
-        )
-        field = ExtField(args.p, modulus)
-    else:
-        field = make_field(args.p)
-    coeffs = [field.from_int(c) for c in _parse_f(args.f)]
-    return Curve(field, coeffs)
+    modulus = _parse_ints("--ext-modulus", args.ext_modulus) if args.ext_modulus else None
+    field = make_field(args.p, args.ext_k, modulus, seed=args.seed)
+    coeffs = _parse_ints("--f", args.f)
+    if len(coeffs) != 6:
+        raise RangeError("--f expects exactly six coefficients c0,...,c5")
+    return Curve(field, [field.from_int(c) for c in coeffs])
 
 
 def _curve_payload(curve: Curve) -> dict:
@@ -232,19 +224,30 @@ def _scan_specs(args):
     return specs
 
 
+def _resume_ids(path) -> set:
+    """Curve ids already in the JSONL sink.  An unterminated final line is
+    what an interrupted write leaves: it is cut off, so its curve is redone."""
+    try:
+        with open(path, "rb+") as fh:
+            data = fh.read()
+            end = data.rfind(b"\n") + 1
+            fh.truncate(end)
+    except FileNotFoundError:
+        return set()
+    ids = set()
+    for n, line in enumerate(data[:end].decode("utf-8", "replace").splitlines(), 1):
+        if line.strip():
+            try:
+                ids.add(json.loads(line).get("curveId"))
+            except (ValueError, AttributeError):
+                raise RangeError(f"{path} line {n} is not a scan row") from None
+    return ids
+
+
 def cmd_scan(args) -> int:
     t0 = time.perf_counter()
     specs = _scan_specs(args)
-    done_ids = set()
-    if args.out:
-        try:
-            with open(args.out, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        done_ids.add(json.loads(line).get("curveId"))
-        except FileNotFoundError:
-            pass
+    done_ids = _resume_ids(args.out) if args.out else set()
     jobs = []
     for i, spec in enumerate(specs):
         cid = curve_id(curve_from_spec(spec))
@@ -308,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--ext-k", type=int, default=1,
                         help="work over F_{p^k} (modulus searched deterministically)")
         sp.add_argument("--ext-modulus", type=str, default=None,
-                        help="explicit modulus coefficients for the extension")
+                        help="explicit modulus coefficients c0,...,ck of degree --ext-k")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", type=str, default=None)
 

@@ -15,6 +15,15 @@ safe to share across threads and processes.  Contexts compare equal when they
 describe the same ring, which lets curves and higher layers check operand
 compatibility cheaply.
 
+Both field contexts share one interface, so callers never branch on the field
+type: `char`, `size`, `degree`, `zero()`, `one()`, `from_int(n)`,
+`from_coeffs(cs)` (at most `degree` ints in the basis below), `add`, `sub`,
+`neg`, `mul`, `inv`, `div`, `pow`, `frobenius`, `is_zero`, `eq`,
+`elements()`, `random(rng)`, `describe()`, and `basis()`, the F_p-basis
+1, t, ..., t^(k-1) as raw values (just (1,) on F_p).  Raw values of any
+field go to JSON and back through `raw_to_json` / `raw_from_json`, and raws
+of one field sort in the order of their JSON form.
+
 The Frobenius x -> x^p is exposed on the two fields (it is the identity on
 F_p).  On dual numbers it is rejected: eps^p = 0 collapses the slope, so a
 blanket Frobenius would silently destroy first-order data; callers that want
@@ -81,6 +90,14 @@ class PrimeField:
 
     def from_int(self, n: int):
         return n % self.p
+
+    def from_coeffs(self, coeffs):
+        if len(coeffs) > 1:
+            raise RangeError("too many coefficients for a prime field")
+        return coeffs[0] % self.p if coeffs else 0
+
+    def basis(self):
+        return (1,)
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -269,13 +286,12 @@ class ExtField:
 
     def frobenius_matrix(self):
         """Columns are t^(i*p) in the t-power basis (F_p-linear Frobenius)."""
-        cols = [self.frobenius(self.monomial(i)) for i in range(self.k)]
+        cols = [self.frobenius(e) for e in self.basis()]
         return [[cols[j][i] for j in range(self.k)] for i in range(self.k)]
 
-    def monomial(self, i: int):
-        if i == 0:
-            return self.one()
-        return self.pow(self.gen(), i)
+    def basis(self):
+        """1, t, ..., t^(k-1): the F_p-basis the raw tuples are coordinates in."""
+        return tuple(self.pow(self.gen(), i) for i in range(self.k))
 
     def __eq__(self, other):
         return (
@@ -407,6 +423,16 @@ def frobenius(ring, a):
     return ring.frobenius(a)
 
 
+def raw_to_json(raw):
+    """A raw field value as JSON: an int on F_p, a list of k ints on F_{p^k}."""
+    return list(raw) if isinstance(raw, tuple) else raw
+
+
+def raw_from_json(value):
+    """Inverse of `raw_to_json`."""
+    return tuple(value) if isinstance(value, list) else value
+
+
 # ---------------------------------------------------------------------------
 # irreducibility over F_p and deterministic modulus search
 # ---------------------------------------------------------------------------
@@ -519,12 +545,13 @@ def find_irreducible(p: int, k: int, seed: int = 0):
 
 
 def make_field(p: int, k: int = 1, modulus=None, seed: int = 0):
-    """Build F_p (k=1) or F_{p^k} with a caller-supplied or seeded modulus."""
-    if k == 1 and modulus is None:
-        return PrimeField(p)
+    """Build F_p (k=1 without a modulus) or F_{p^k} with a caller-supplied or
+    seeded modulus, whose degree must be k."""
     if modulus is None:
+        if k == 1:
+            return PrimeField(p)
         modulus = find_irreducible(p, k, seed)
     f = ExtField(p, modulus)
-    if k not in (1, f.k):
+    if f.k != k:
         raise RangeError(f"modulus degree {f.k} does not match requested k={k}")
     return f

@@ -33,7 +33,7 @@ from .errors import (
     RangeError,
     ZeroDifferential,
 )
-from .exactnum import ExtField, PrimeField, make_field
+from .exactnum import ExtField, make_field, raw_to_json
 
 
 class Curve:
@@ -221,7 +221,7 @@ class Curve:
 
     def describe(self) -> dict:
         desc = self.field.describe()
-        desc["f"] = [_raw_to_jsonable(c) for c in _padded(self.field, self.f, 6)]
+        desc["f"] = _f_json(self)
         return desc
 
     def __repr__(self):
@@ -255,20 +255,11 @@ class FunctionFieldElement:
     def is_constant(self) -> bool:
         return not self.B and len(self.A) <= 1 and len(self.D) == 1
 
-    def constant_value(self):
-        """The raw field value, if this element is a constant."""
-        if not self.is_constant():
-            raise RangeError("element is not constant")
-        return self.A[0] if self.A else self.curve.field.zero()
-
     def inverse(self) -> "FunctionFieldElement":
         return self.curve.inv(self)
 
     def deriv(self, theta: "Derivation") -> "FunctionFieldElement":
         return theta.apply(self)
-
-    def max_degree(self) -> int:
-        return max(poly.degree(self.A), poly.degree(self.B), poly.degree(self.D))
 
     def __add__(self, other):
         return self.curve.add(self, _coerce(self.curve, other))
@@ -396,10 +387,6 @@ def make_curve(field, f_coeffs, degree_cap: int | None = None) -> Curve:
     return Curve(field, f_coeffs, degree_cap)
 
 
-def make_curve_from_ints(field, ints, degree_cap: int | None = None) -> Curve:
-    return Curve(field, poly.from_ints(field, ints), degree_cap)
-
-
 def k_arith(u: FunctionFieldElement, v: FunctionFieldElement, op: str) -> FunctionFieldElement:
     cv = u.curve
     try:
@@ -444,28 +431,30 @@ def hyperelliptic_involution(v):
 # ---------------------------------------------------------------------------
 
 def curve_from_spec(spec: dict, degree_cap: int | None = None) -> Curve:
-    """Build a curve from its catalog record."""
-    if "p" not in spec or "f" not in spec:
-        raise RangeError("curve record needs at least 'p' and 'f'")
-    p = spec["p"]
+    """Build a curve from its catalog record.  A coefficient is an int, or a
+    list of at most k ints in the basis 1, t, ..., t^(k-1) of F_{p^k}."""
+    if not isinstance(spec, dict) or "p" not in spec or "f" not in spec:
+        raise RangeError("curve record must be an object with at least 'p' and 'f'")
     ext = spec.get("ext")
-    field = make_field(p) if not ext else ExtField(p, tuple(ext))
+    if ext and not _is_int_list(ext):
+        raise RangeError("'ext' must list the integer modulus coefficients")
+    field = make_field(spec["p"]) if not ext else ExtField(spec["p"], ext)
     f = spec["f"]
-    if len(f) != 6:
+    if not isinstance(f, list) or len(f) != 6:
         raise DegreeNotFive("'f' must list the six coefficients c0..c5")
-    if isinstance(field, PrimeField):
-        coeffs = [field.from_int(c) for c in f]
-    else:
-        coeffs = [
-            field.from_int(c) if isinstance(c, int) else field.from_coeffs(c)
-            for c in f
-        ]
+    if not all(isinstance(c, int) or _is_int_list(c) for c in f):
+        raise RangeError("each coefficient of 'f' must be an int or a list of ints")
+    coeffs = [field.from_coeffs(c if isinstance(c, list) else [c]) for c in f]
     return Curve(field, coeffs, degree_cap)
+
+
+def _is_int_list(v) -> bool:
+    return isinstance(v, list) and all(isinstance(c, int) for c in v)
 
 
 def curve_spec(curve: Curve) -> dict:
     """The catalog record for a curve (inverse of curve_from_spec)."""
-    spec = {"p": curve.p, "f": [_raw_to_jsonable(c) for c in _padded(curve.field, curve.f, 6)]}
+    spec = {"p": curve.p, "f": _f_json(curve)}
     if isinstance(curve.field, ExtField):
         spec["ext"] = list(curve.field.modulus)
     return spec
@@ -478,7 +467,7 @@ def curve_id(curve: Curve) -> str:
         "p": curve.p,
         "k": getattr(field, "k", 1),
         "modulus": list(getattr(field, "modulus", [])),
-        "f": [_raw_to_jsonable(c) for c in _padded(field, curve.f, 6)],
+        "f": _f_json(curve),
     }
     blob = json.dumps(key, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -494,9 +483,6 @@ def random_curve(field, rng, degree_cap: int | None = None) -> Curve:
             continue
 
 
-def _padded(F, a, n):
-    return list(a) + [F.zero()] * (n - len(a))
-
-
-def _raw_to_jsonable(c):
-    return list(c) if isinstance(c, tuple) else c
+def _f_json(curve: Curve):
+    """The six coefficients c0..c5 of f as JSON values."""
+    return [raw_to_json(poly.coefficient(curve.field, curve.f, i)) for i in range(6)]

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from .errors import ResourceGuardError
+
+_SPAN_LIMIT = 1 << 16
+
 
 def rref_mod_p(rows, ncols: int, p: int):
     """Row-reduce in place; returns (reduced_rows, pivot_columns)."""
@@ -45,14 +49,17 @@ def kernel_basis_mod_p(rows, ncols: int, p: int):
     return basis
 
 
-def rank_mod_p(rows, ncols: int, p: int) -> int:
-    return len(rref_mod_p(rows, ncols, p)[1])
-
-
 def enumerate_span_mod_p(basis, ncols: int, p: int):
-    """All F_p-combinations of the basis vectors (p^len(basis) of them)."""
+    """All F_p-combinations of the basis vectors (p^len(basis) of them).
+
+    Raises ResourceGuardError, before listing any, if there are more than
+    _SPAN_LIMIT."""
     from itertools import product
 
+    if p ** len(basis) > _SPAN_LIMIT:
+        raise ResourceGuardError(
+            f"{p}^{len(basis)} vectors exceed the span guard {_SPAN_LIMIT}"
+        )
     if not basis:
         yield [0] * ncols
         return

@@ -129,13 +129,6 @@ class ConnectionMatrix:
             t = t + self.entries[i][i]
         return t
 
-    def map_entries(self, fn) -> "ConnectionMatrix":
-        return ConnectionMatrix(
-            self.curve,
-            tuple(tuple(fn(e) for e in row) for row in self.entries),
-            self.chart,
-        )
-
     def __repr__(self):
         return f"ConnectionMatrix(rank={self.rank}, chart={self.chart!r})"
 

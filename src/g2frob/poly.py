@@ -27,10 +27,6 @@ def from_ints(F, ints):
     return normalize(F, [F.from_int(n) for n in ints])
 
 
-def zero():
-    return ()
-
-
 def one(F):
     return (F.one(),)
 
@@ -90,13 +86,6 @@ def mul(F, a, b):
     return normalize(F, out)
 
 
-def mul_xn(a, F, n: int):
-    """a * x^n."""
-    if not a:
-        return ()
-    return (F.zero(),) * n + tuple(a)
-
-
 def pow(F, a, n: int):  # noqa: A001 - deliberate, mirrors the ring interface
     r = one(F)
     while n:
@@ -123,10 +112,6 @@ def divmod_(F, a, b):
         while a and F.is_zero(a[-1]):
             a.pop()
     return normalize(F, q), normalize(F, a)
-
-
-def mod(F, a, b):
-    return divmod_(F, a, b)[1]
 
 
 def monic(F, a):

@@ -40,7 +40,10 @@ import time
 from dataclasses import dataclass
 from math import comb
 
+from . import poly
+from .cartier import fp_combination, fp_kernel, plane_basis
 from .errors import FieldTooLargeForBrute, NotTorsion, RangeError
+from .exactnum import raw_from_json, raw_to_json
 from .funcfield import (
     Curve,
     Derivation,
@@ -49,7 +52,7 @@ from .funcfield import (
     curve_id,
     dual_derivation,
 )
-from .linalg import enumerate_span_mod_p, kernel_basis_mod_p
+from .linalg import enumerate_span_mod_p
 from .pcurvature import (
     ConnectionMatrix,
     DualFunctionElement,
@@ -90,7 +93,7 @@ class RigiditySolutionSet:
 
     def to_jsonable(self):
         return [
-            [[_jsonable(a), _jsonable(b)] for a, b in triple]
+            [[raw_to_json(a), raw_to_json(b)] for a, b in triple]
             for triple in self.solutions
         ]
 
@@ -201,25 +204,14 @@ def check_offdiag_closed_forms(curve: Curve, omega_L, omega) -> LemmaReport:
 # ---------------------------------------------------------------------------
 
 def _deformation_psi(curve: Curve, theta_L: Derivation, chart: Differential,
-                     f11, f12, f21):
-    """psi of diag(0,1) + eps [[f11, f12], [f21, -f11]] against theta_L."""
+                     g11, f12, f21, g22):
+    """psi of diag(0,1) + eps [[g11, f12], [f21, g22]] against theta_L: the
+    traceless deformation has (g11, g22) = (f11, -f11), its companion
+    (2 f11, 0)."""
     inf = DualFunctionElement.infinitesimal
     M = (
-        (inf(f11), inf(f12)),
-        (inf(f21), DualFunctionElement(curve.one(), -f11)),
-    )
-    conn = ConnectionMatrix(curve, M, chart)
-    return p_curvature_matrix(conn, theta_L)
-
-
-def _companion_psi(curve: Curve, theta_L: Derivation, chart: Differential,
-                   f11, f12, f21):
-    """psi of diag(0,1) + eps [[2 f11, f12], [f21, 0]] against theta_L."""
-    two = curve.constant(curve.field.from_int(2))
-    inf = DualFunctionElement.infinitesimal
-    M = (
-        (inf(two * f11), inf(f12)),
-        (inf(f21), DualFunctionElement(curve.one(), curve.zero())),
+        (inf(g11), inf(f12)),
+        (inf(f21), DualFunctionElement(curve.one(), g22)),
     )
     conn = ConnectionMatrix(curve, M, chart)
     return p_curvature_matrix(conn, theta_L)
@@ -301,7 +293,6 @@ def rigidity_scan(
     t0 = time.perf_counter()
     omega_L, ab_L = _as_global_form(curve, omega_L)
     theta_L = require_torsion(curve, omega_L)
-    F = curve.field
     if mode == "brute":
         sols, identity_ok, identity_total, closed_ok = _rigidity_brute(
             curve, theta_L, omega_L, closed_form_samples
@@ -345,7 +336,6 @@ def _global_pairs(curve: Curve):
 
 
 def _rigidity_brute(curve, theta_L, omega_L, closed_form_samples):
-    F = curve.field
     pairs = _global_pairs(curve)
     if len(pairs) ** 3 > _BRUTE_TRIPLE_LIMIT:
         raise FieldTooLargeForBrute(
@@ -354,6 +344,7 @@ def _rigidity_brute(curve, theta_L, omega_L, closed_form_samples):
     ratios = {
         ab: curve.global_form(*ab).ratio(omega_L) for ab in pairs
     }
+    two = curve.constant(curve.field.from_int(2))
     sols = []
     identity_ok = identity_total = 0
     closed_ok = True
@@ -363,10 +354,11 @@ def _rigidity_brute(curve, theta_L, omega_L, closed_form_samples):
         for ab12 in pairs:
             for ab21 in pairs:
                 f11, f12, f21 = ratios[ab11], ratios[ab12], ratios[ab21]
-                psi = _deformation_psi(curve, theta_L, omega_L, f11, f12, f21)
+                psi = _deformation_psi(curve, theta_L, omega_L, f11, f12, f21, -f11)
                 if psi.is_zero():
                     sols.append((ab11, ab12, ab21))
-                psi_c = _companion_psi(curve, theta_L, omega_L, f11, f12, f21)
+                psi_c = _deformation_psi(curve, theta_L, omega_L, two * f11, f12, f21,
+                                         curve.zero())
                 identity_total += 1
                 if scalar_shift_identity_holds(curve, theta_L, psi, psi_c, f11):
                     identity_ok += 1
@@ -374,7 +366,7 @@ def _rigidity_brute(curve, theta_L, omega_L, closed_form_samples):
                     if not _closed_forms_match(curve, theta_L, psi_c, f11, f12, f21):
                         closed_ok = False
                 idx += 1
-    return _sort_triples(sols), identity_ok, identity_total, closed_ok
+    return tuple(sorted(set(sols))), identity_ok, identity_total, closed_ok
 
 
 def _closed_forms_match(curve, theta_L, psi_companion, f11, f12, f21) -> bool:
@@ -402,64 +394,23 @@ def _closed_forms_match(curve, theta_L, psi_companion, f11, f12, f21) -> bool:
 def _rigidity_linear(curve, theta_L, omega_L):
     """Kernel of the F_p-linear map (w11, w12, w21) -> psi(deformation)."""
     F = curve.field
-    k = F.degree
-    gens = (
-        [(F.monomial(i), F.zero()) for i in range(k)]
-        if k > 1
-        else [(F.one(), F.zero())]
-    )
-    if k > 1:
-        gens += [(F.zero(), F.monomial(i)) for i in range(k)]
-    else:
-        gens += [(F.zero(), F.one())]
-    unknown_forms = []  # one (slot, a, b) unknown per basis deformation
+    unknowns, images = [], []  # unknowns flatten (a11, b11, a12, b12, a21, b21)
     for slot in range(3):
-        for a, b in gens:
-            unknown_forms.append((slot, a, b))
-    images = []
-    zero = curve.zero()
-    for slot, a, b in unknown_forms:
-        f = curve.global_form(a, b).ratio(omega_L)
-        fs = [zero, zero, zero]
-        fs[slot] = f
-        psi = _deformation_psi(curve, theta_L, omega_L, *fs)
-        images.append(psi)
-    rows = _psi_list_to_rows(curve, images)
-    basis = kernel_basis_mod_p(rows, len(unknown_forms), curve.p)
-    sols = []
-    for v in enumerate_span_mod_p(basis, len(unknown_forms), curve.p):
-        triple = []
-        for slot in range(3):
-            a_acc, b_acc = F.zero(), F.zero()
-            for col, (s, a, b) in enumerate(unknown_forms):
-                if s == slot and v[col]:
-                    sc = F.from_int(v[col])
-                    a_acc = F.add(a_acc, F.mul(sc, a))
-                    b_acc = F.add(b_acc, F.mul(sc, b))
-            triple.append((a_acc, b_acc))
-        sols.append(tuple(triple))
-    return _sort_triples(sols)
-
-
-def _psi_list_to_rows(curve, psis):
-    """Flatten dual-valued psi matrices into F_p rows (column per unknown)."""
-    from .cartier import _k_elements_to_fp_rows
-
-    els = []
-    for psi in psis:
-        col = []
-        for i in range(2):
-            for j in range(2):
-                e = psi[i, j]
-                col.append(e.body)
-                col.append(e.slope)
-        els.append(col)
-    # transpose into per-entry K-element lists and stack their rows
-    rows = []
-    for pos in range(8):
-        entry_list = [col[pos] for col in els]
-        rows.extend(_k_elements_to_fp_rows(curve, entry_list))
-    return rows
+        for a, b in plane_basis(F):
+            raws, fs = [F.zero()] * 6, [curve.zero()] * 3
+            raws[2 * slot], raws[2 * slot + 1] = a, b
+            fs[slot] = curve.global_form(a, b).ratio(omega_L)
+            psi = _deformation_psi(curve, theta_L, omega_L, *fs, -fs[0])
+            unknowns.append(tuple(raws))
+            images.append(tuple(
+                e for i in range(2) for j in range(2) for e in (psi[i, j].body, psi[i, j].slope)
+            ))
+    basis = fp_kernel(curve, images)
+    sols = set()
+    for v in enumerate_span_mod_p(basis, len(unknowns), curve.p):
+        w = fp_combination(F, v, unknowns)
+        sols.add(((w[0], w[1]), (w[2], w[3]), (w[4], w[5])))
+    return tuple(sorted(sols))
 
 
 def _trivial_family(curve: Curve, ab_L, omega_L: Differential):
@@ -469,11 +420,7 @@ def _trivial_family(curve: Curve, ab_L, omega_L: Differential):
         gy = omega_L.g * curve.y()
         if gy.B != () or len(gy.D) != 1 or len(gy.A) > 2:
             raise RangeError("omega_L is not a global form")
-        from . import poly as _poly
-
-        a = _poly.coefficient(F, gy.A, 0)
-        b = _poly.coefficient(F, gy.A, 1)
-        ab_L = (a, b)
+        ab_L = (poly.coefficient(F, gy.A, 0), poly.coefficient(F, gy.A, 1))
     aL, bL = ab_L
     zero = (F.zero(), F.zero())
     fam = []
@@ -482,37 +429,20 @@ def _trivial_family(curve: Curve, ab_L, omega_L: Differential):
             fam.append(
                 (zero, (F.mul(c1, aL), F.mul(c1, bL)), (F.mul(c2, aL), F.mul(c2, bL)))
             )
-    return _sort_triples(fam)
-
-
-def _sort_triples(triples):
-    def key(t):
-        return tuple(
-            (_key(a), _key(b)) for a, b in t
-        )
-
-    return tuple(sorted(set(triples), key=key))
-
-
-def _key(raw):
-    return tuple(raw) if isinstance(raw, tuple) else (raw,)
-
-
-def _jsonable(raw):
-    return list(raw) if isinstance(raw, tuple) else raw
+    return tuple(sorted(set(fam)))
 
 
 def _ffe_witness(u: FunctionFieldElement):
     return {
-        "A": [_jsonable(c) for c in u.A],
-        "B": [_jsonable(c) for c in u.B],
-        "D": [_jsonable(c) for c in u.D],
+        "A": [raw_to_json(c) for c in u.A],
+        "B": [raw_to_json(c) for c in u.B],
+        "D": [raw_to_json(c) for c in u.D],
     }
 
 
 def _form_witness(ab, omega: Differential):
     if ab is not None:
-        return {"a": _jsonable(ab[0]), "b": _jsonable(ab[1])}
+        return {"a": raw_to_json(ab[0]), "b": raw_to_json(ab[1])}
     return {"g": _ffe_witness(omega.g)}
 
 
@@ -538,16 +468,7 @@ def recheck(curve: Curve, report: LemmaReport) -> bool:
 
 
 def _witness_form(curve: Curve, wf: dict):
-    F = curve.field
     if "a" in wf:
-        return (_unjson(F, wf["a"]), _unjson(F, wf["b"]))
-    g = curve.element(
-        tuple(_unjson(F, c) for c in wf["g"]["A"]),
-        tuple(_unjson(F, c) for c in wf["g"]["B"]),
-        tuple(_unjson(F, c) for c in wf["g"]["D"]),
-    )
+        return (raw_from_json(wf["a"]), raw_from_json(wf["b"]))
+    g = curve.element(*(tuple(raw_from_json(c) for c in wf["g"][k]) for k in "ABD"))
     return Differential(curve, g)
-
-
-def _unjson(F, v):
-    return tuple(v) if isinstance(v, list) else v

@@ -6,6 +6,7 @@ from g2frob import (
     FieldTooLargeForBrute,
     NotFlat,
     PrimeField,
+    ResourceGuardError,
     canonical_connection,
     cartier_manin,
     dual_derivation,
@@ -19,7 +20,7 @@ from g2frob import (
     rational_flat_dimension,
     stabilization_degree,
 )
-from g2frob.linalg import kernel_basis_mod_p
+from g2frob.linalg import enumerate_span_mod_p, kernel_basis_mod_p
 
 from conftest import CERTIFIED, NON_ORDINARY_3, rng_for
 
@@ -204,3 +205,10 @@ def test_torsion_set_differentials_are_flat(curve5):
     for omega in ts.differentials(cv):
         T = cv.mul(omega.g, theta0.value_on_x)
         assert p_curvature_rank1(T, theta0, omega0).is_zero()
+
+
+def test_span_listing_is_guarded():
+    # 2^17 vectors: refused before the first one is listed
+    basis = [[int(i == j) for j in range(17)] for i in range(17)]
+    with pytest.raises(ResourceGuardError):
+        next(enumerate_span_mod_p(basis, 17, 2))

@@ -1,6 +1,9 @@
 """CLI contract: exit codes, JSON payloads, determinism, resumability."""
 
+import hashlib
 import json
+
+import pytest
 
 from g2frob.cli import main
 
@@ -198,3 +201,87 @@ def test_out_file_writing(tmp_path, capsys):
     assert code == 0 and out == ""
     payload = json.loads(path.read_text())
     assert payload["ordinary"] is True
+
+
+def test_extension_options_build_the_field_asked_for(capsys):
+    base = ["curve", "--p", "3", "--f", "2,0,1,1,1,1"]
+    # a degree-2 modulus cannot present F_27
+    code, out = run(capsys, *base, "--ext-k", "3", "--ext-modulus", "1,0,1")
+    assert code == 2 and json.loads(out)["kind"] == "RangeError"
+    code, out = run(capsys, *base, "--ext-modulus", "a,b")
+    assert code == 2 and json.loads(out)["kind"] == "RangeError"
+    # no field of degree 0: rejected, not read as F_p
+    code, out = run(capsys, *base, "--ext-k", "0")
+    assert code == 2 and json.loads(out)["kind"] == "RangeError"
+    code, out = run(capsys, *base, "--ext-k", "2", "--ext-modulus", "1,0,1")
+    assert code == 0 and json.loads(out)["curve"]["ext"] == [1, 0, 1]
+
+
+def test_scan_rejects_malformed_catalog_entries(tmp_path, capsys):
+    good = CERTIFIED[3][0]
+    for entry in (5, {"p": 3, "f": good[:5] + [1.5]}, {"p": 3, "f": ["3"] + good[1:]},
+                  {"p": 3, "ext": [1, 0, 1], "f": [[1, 2, 0]] + good[1:]}):
+        cat = tmp_path / "cat.json"
+        cat.write_text(json.dumps([entry]))
+        code, out = run(capsys, "scan", "--catalog", str(cat))
+        assert code == 2, entry
+        assert json.loads(out)["kind"] == "RangeError"
+    # over F_9 a coefficient may be a list of at most two ints (c0 + c1 t)
+    cat = tmp_path / "cat.json"
+    cat.write_text(json.dumps([{"p": 3, "ext": [1, 0, 1], "f": [[2, 1], 0, 1, [1], 1, 1]}]))
+    path = tmp_path / "rows.jsonl"
+    code, _ = run(capsys, "scan", "--catalog", str(cat), "--out", str(path))
+    assert code == 0
+    row = json.loads(_stripped_lines(path)[0])
+    assert row["curve"]["f"] == [[2, 1], [0, 0], [1, 0], [1, 0], [1, 0], [1, 0]]
+
+
+def test_scan_resume_recomputes_a_torn_final_line(tmp_path, capsys):
+    path = tmp_path / "scan.jsonl"
+    args = ["scan", "--p", "3", "--count", "3", "--seed", "7", "--out", str(path)]
+    code, _ = run(capsys, *args)
+    assert code == 0
+    whole = _stripped_lines(path)
+    text = path.read_text()
+    last = text.rstrip("\n").rfind("\n") + 1
+    path.write_text(text[: last + 20])  # an interrupted write of the last row
+    code, agg = run(capsys, *args)
+    assert code == 0
+    assert json.loads(agg)["aggregate"]["skippedExisting"] == len(whole) - 1
+    assert _stripped_lines(path) == whole
+
+
+# sha256 of the timing-stripped stdout of each command (one sorted-key JSON
+# document per line).  Refactors must leave every payload byte-identical.
+GOLDEN = {
+    "curve --p 7 --f 5,0,0,5,1,1":
+        "1eed2585cd8f6bfe45013fc52beec329a3445d8f3d561bd40064f31151ab1351",
+    "curve --p 3 --ext-k 3 --f 2,0,1,1,1,1":
+        "369b6ec95c42a12f732d18c3e850efc89406b2e19ff8bff514a5092543ed6b60",
+    "torsion --p 5 --f 1,0,4,0,4,1 --crosscheck":
+        "ccfae76dc16784659163e3f2aefd56a1190ee1136140be97d0662c952273317f",
+    "torsion --p 5 --ext-k 2 --f 1,0,4,0,4,1 --method semilinear":
+        "96b567b8f2ccdc8cac3d097738bc479066314430ed81753e354d35063b063e23",
+    "verify --p 7 --f 5,0,0,5,1,1":
+        "19fc555216e02ab573681caa2c9ecc7c3ab193558e124bd9ea2fecf363a1a0f0",
+    # the only extension-field run of the linear rigidity solve
+    "verify --p 3 --ext-k 2 --f 2,0,1,1,1,1":
+        "ef530375e93075ef44d0abf4b89c42407554d31f8a31872eeef69466553ab01c",
+    "scan --p 5 --count 6 --seed 1":
+        "3ba5deb845906a466b3ca09c503988171acc987d4f5c421776d00285829ba7c5",
+    "formulas --p 7":
+        "2bf6b2fcda3f3dc7dc6a6e57899e695da36a4284d72f316fee8915225ec4aa26",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_output(capsys, command):
+    code, out = run(capsys, *command.split())
+    assert code == 0
+    lines = [
+        json.dumps(_strip_timing(json.loads(line)), sort_keys=True)
+        for line in out.splitlines()
+        if line.strip()
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == GOLDEN[command]

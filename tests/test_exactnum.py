@@ -1,5 +1,7 @@
 """Field axioms, Frobenius, and dual-number arithmetic."""
 
+import json
+
 import pytest
 
 from g2frob import (
@@ -15,7 +17,7 @@ from g2frob import (
     frobenius,
     make_field,
 )
-from g2frob.exactnum import is_prime
+from g2frob.exactnum import is_prime, raw_from_json, raw_to_json
 
 from conftest import rng_for
 
@@ -157,3 +159,30 @@ def test_ext_field_size_and_elements():
     assert f9.from_coeffs([2, 1]) == (2, 1)
     with pytest.raises(RangeError):
         f9.from_coeffs([1, 2, 3])
+
+
+def test_field_basis_coordinates_and_raw_codec():
+    f5, f9 = PrimeField(5), ExtField(3, (1, 0, 1))
+    assert f5.basis() == (1,)
+    assert f9.basis() == ((1, 0), (0, 1))
+    for F in (f5, f9, make_field(5, 3)):
+        assert F.basis()[0] == F.one() and len(F.basis()) == F.degree
+        raws = list(F.elements())
+        for a in raws:
+            js = json.loads(json.dumps(raw_to_json(a)))
+            assert raw_from_json(js) == a
+            assert F.from_coeffs(js if isinstance(js, list) else [js]) == a
+        # raws sort in the order of their JSON form
+        assert [raw_to_json(a) for a in sorted(raws)] == sorted(raw_to_json(a) for a in raws)
+    with pytest.raises(RangeError):
+        f5.from_coeffs([1, 2])
+
+
+def test_make_field_checks_the_modulus_degree():
+    assert make_field(3, 2, (1, 0, 1)) == ExtField(3, (1, 0, 1))
+    with pytest.raises(RangeError):
+        make_field(3, 1, (1, 0, 1))
+    with pytest.raises(RangeError):
+        make_field(3, 3, (1, 0, 1))
+    with pytest.raises(RangeError):
+        make_field(3, 0)
