@@ -21,6 +21,7 @@ from .errors import (
     NotFlat,
     NotSquarefree,
     NotTorsion,
+    PrimeTooLarge,
     RangeError,
     ResourceGuardError,
     UnsupportedRing,

@@ -1,9 +1,26 @@
 """Cartier-Manin matrix, ordinarity, and the flat global differential forms.
 
 The Cartier-Manin matrix of y^2 = f(x) is read off the expansion of
-f^((p-1)/2): A[i][j] is the coefficient of x^(i*p - j), indices i, j in
-{1, 2}.  The curve is ordinary exactly when det A != 0, and the p-rank is
-the stable rank of the associated semilinear operator.
+h = f^n, n = (p-1)/2: A[i][j] is the coefficient of x^(i*p - j), indices
+i, j in {1, 2}.  The curve is ordinary exactly when det A != 0, and the
+p-rank is the stable rank of the associated semilinear operator.
+
+The four coefficients come from a linear recurrence in O(p) field
+operations rather than from expanding f^n (Bostan-Gaudry-Schost, SIAM J.
+Comput. 2007).  If g(0) = g0 != 0, the coefficients h_k of h = g^n satisfy
+g h' = n g' h, that is
+
+    g0 k h_k = sum_{j >= 1} g_j (n j - (k - j)) h_{k-j},    h_0 = g0^n.
+
+Row 1 (x^(p-1), x^(p-2)) comes from a forward run on g = f / x^v, where
+v = 1 if f(0) = 0 and v = 0 otherwise; f is squarefree, so x^2 does not
+divide it and g(0) != 0.  The run stops at index p - 1 - v n.  Row 2
+(x^(2p-1), x^(2p-2)) comes from a run on the reversed polynomial
+x^5 f(1/x), whose constant term is 1 because f is monic of degree 5: its
+n-th power holds the coefficient of x^m of f^n at index 5n - m, so the row
+is read at indices (p-3)/2 and (p-1)/2.  Both runs divide only by k <= p-1,
+never by the singular k = p, where the recurrence would lose h_p.
+`poly.pow` stays as the oracle the tests compare against.
 
 A global form omega = (a + b x) dx/y defines the connection d + omega on the
 structure sheaf; its p-curvature against the standard chart (omega0 = dx/y,
@@ -27,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import poly
-from .errors import FieldTooLargeForBrute, G2FrobError, NotFlat, RangeError
+from .errors import FieldTooLargeForBrute, G2FrobError, NotFlat, PrimeTooLarge, RangeError
 from .exactnum import PrimeField, make_field, raw_to_json
 from .funcfield import (
     Curve,
@@ -40,6 +57,12 @@ from .linalg import enumerate_span_mod_p, kernel_basis_mod_p
 from .pcurvature import ConnectionMatrix, chart_constant, p_curvature_rank1
 
 _BRUTE_FIELD_LIMIT = 1 << 14
+# cartier_manin runs about 1.5 p recurrence steps, 7.8 s at p = 10^6 under
+# CPython 3.11 on a 2-vCPU VM; the limit keeps one matrix near half a minute
+_CARTIER_P_LIMIT = 1 << 22
+# the flat-form data (x^p and p - 1 derivation steps) grow like p^2, 0.56 s
+# at p = 151 on the same VM; the limit keeps them near half a minute
+_FLAT_FORM_P_LIMIT = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -57,19 +80,69 @@ class CartierManinMatrix:
     def is_invertible(self) -> bool:
         return not self.field.is_zero(self.det())
 
+    def p_rank(self) -> int:
+        """Stable rank of the semilinear Cartier operator (0, 1 or 2)."""
+        F, A = self.field, self.matrix
+        # N picks up the twisted factors A^(Frob^j) A^(Frob^(j-1)) ... A; the
+        # image chain of a rank <= 2 operator stabilizes well within these steps
+        N = Aj = A
+        for _ in range(max(4, 2 * F.degree + 2)):
+            Aj = tuple(tuple(F.frobenius(e) for e in row) for row in Aj)
+            N = _mat2_mul(F, Aj, N)
+        return _rank2(F, N)
+
     def to_jsonable(self):
         return [[raw_to_json(e) for e in row] for row in self.matrix]
 
 
 def cartier_manin(curve: Curve) -> CartierManinMatrix:
-    """Expand f^((p-1)/2) and read off the four coefficients."""
-    F = curve.field
-    g = poly.pow(F, curve.f, (curve.p - 1) // 2)
-    m = tuple(
-        tuple(poly.coefficient(F, g, i * curve.p - j) for j in (1, 2))
-        for i in (1, 2)
+    """The coefficients of x^(p-1), x^(p-2), x^(2p-1), x^(2p-2) in f^((p-1)/2).
+
+    Two runs of the recurrence in the module docstring: a forward run on
+    f / x^v (v = 1 exactly when f(0) = 0) for row 1, and a run on the
+    reversed polynomial for row 2.  Neither reaches the singular step k = p.
+    Raises PrimeTooLarge before any work when p > _CARTIER_P_LIMIT.
+    """
+    F, f, p = curve.field, curve.f, curve.p
+    if p > _CARTIER_P_LIMIT:
+        raise PrimeTooLarge(
+            f"p = {p} exceeds the Cartier-Manin limit {_CARTIER_P_LIMIT}"
+        )
+    n = (p - 1) // 2
+    v = 1 if F.is_zero(f[0]) else 0
+    row1 = _top_two_coefficients(F, f[v:], n, p - 1 - v * n)
+    # x^(2p-1) and x^(2p-2) of f^n sit at (p-3)/2 and (p-1)/2 of the reversal
+    top, below = _top_two_coefficients(F, f[::-1], n, (p - 1) // 2)
+    return CartierManinMatrix(
+        curve_id=curve_id(curve), matrix=(row1, (below, top)), field=F
     )
-    return CartierManinMatrix(curve_id=curve_id(curve), matrix=m, field=F)
+
+
+def _top_two_coefficients(F, g, n: int, top: int):
+    """The coefficients of x^top and x^(top-1) in g^n, for 1 <= top < p.
+
+    g is a coefficient tuple of degree >= 2 with g[0] != 0.  With d_j =
+    g_j / g0 the recurrence reads h_k = k^(-1) s1 - s2, where s1 = sum_j
+    (n + 1) j d_j h_{k-j} and s2 = sum_j d_j h_{k-j}; only the last deg g
+    values are kept.
+    """
+    p = F.char
+    g0_inv = F.inv(g[0])
+    terms = []
+    for j in range(1, len(g)):
+        if not F.is_zero(g[j]):
+            d = F.mul(g[j], g0_inv)
+            terms.append((j, d, F.mul(F.from_int((n + 1) * j), d)))
+    window = [F.zero()] * (len(g) - 2) + [F.pow(g[0], n)]  # ..., h_0
+    for k in range(1, top + 1):
+        s1 = s2 = F.zero()
+        for j, d, e in terms:
+            h = window[-j]
+            s1 = F.add(s1, F.mul(e, h))
+            s2 = F.add(s2, F.mul(d, h))
+        window.append(F.sub(F.mul(F.from_int(pow(k, -1, p)), s1), s2))
+        del window[0]
+    return window[-1], window[-2]
 
 
 def is_ordinary(curve: Curve) -> bool:
@@ -78,16 +151,7 @@ def is_ordinary(curve: Curve) -> bool:
 
 def p_rank(curve: Curve) -> int:
     """Stable rank of the semilinear Cartier operator (0, 1 or 2)."""
-    F = curve.field
-    A = cartier_manin(curve).matrix
-    # N picks up the twisted factors A^(Frob^j) A^(Frob^(j-1)) ... A; the
-    # image chain of a rank <= 2 operator stabilizes well within these steps
-    N = A
-    Aj = A
-    for _ in range(max(4, 2 * F.degree + 2)):
-        Aj = tuple(tuple(F.frobenius(e) for e in row) for row in Aj)
-        N = _mat2_mul(F, Aj, N)
-    return _rank2(F, N)
+    return cartier_manin(curve).p_rank()
 
 
 def _mat2_mul(F, X, Y):
@@ -163,7 +227,14 @@ class TorsionSet:
 
 
 def _flat_form_data(curve: Curve):
-    """Shared precomputation: x^p, theta0^(p-1)(x), <omega0, theta0^p>."""
+    """Shared precomputation: x^p, theta0^(p-1)(x), <omega0, theta0^p>.
+
+    Raises PrimeTooLarge when p > _FLAT_FORM_P_LIMIT.
+    """
+    if curve.p > _FLAT_FORM_P_LIMIT:
+        raise PrimeTooLarge(
+            f"p = {curve.p} exceeds the flat-form limit {_FLAT_FORM_P_LIMIT}"
+        )
     omega0 = curve.basis_forms()[0]
     theta0 = dual_derivation(omega0)
     xe = curve.x()
@@ -342,10 +413,11 @@ def stabilization_degree(curve: Curve, k_max: int = 20000) -> int:
     if not isinstance(curve.field, PrimeField):
         raise RangeError("stabilization_degree expects a prime-field curve")
     F = curve.field
-    rank = p_rank(curve)
+    cm = cartier_manin(curve)
+    rank = cm.p_rank()
     if rank == 0:
         return 1
-    A = cartier_manin(curve).matrix
+    A = cm.matrix
     if rank == 2:
         k = _matrix_order(F, A, k_max)
     else:

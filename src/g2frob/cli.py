@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .cartier import cartier_manin, enumerate_p_torsion, p_rank
+from .cartier import _BRUTE_FIELD_LIMIT, cartier_manin, enumerate_p_torsion
 from .errors import InputError, RangeError, ResourceGuardError
 from .exactnum import make_field
 from .formulas import counts
@@ -67,7 +67,7 @@ def _curve_payload(curve: Curve) -> dict:
         "curveId": curve_id(curve),
         "A": A.to_jsonable(),
         "ordinary": A.is_invertible(),
-        "pRank": p_rank(curve),
+        "pRank": A.p_rank(),
         "version": __version__,
     }
 
@@ -108,7 +108,8 @@ def cmd_torsion(args) -> int:
 
 def _verify_payload(curve: Curve, rigidity_mode: str | None) -> dict:
     F = curve.field
-    ts = enumerate_p_torsion(curve, method="brute")
+    method = "brute" if F.size <= _BRUTE_FIELD_LIMIT else "semilinear"
+    ts = enumerate_p_torsion(curve, method=method)
     payload = _curve_payload(curve)
     payload["torsionCount"] = len(ts)
     lemmas = []
@@ -142,16 +143,11 @@ def _verify_payload(curve: Curve, rigidity_mode: str | None) -> dict:
 
 
 def _line_key(F, ab):
-    """Canonical representative of the F_p-line through ab (prime fields)."""
-    a, b = ab
-    if F.degree != 1:
-        return (a, b)
-    p = F.char
-    for s in range(1, p):
-        sa, sb = (s * a) % p, (s * b) % p
-        if (sb if sb else sa) == 1:
-            return (sa, sb)
-    return (a, b)
+    """Canonical representative of the F_p-line through the nonzero pair ab:
+    its least F_p-multiple."""
+    return min(
+        tuple(F.mul(F.from_int(s), c) for c in ab) for s in range(1, F.char)
+    )
 
 
 def cmd_verify(args) -> int:

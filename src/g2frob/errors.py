@@ -74,3 +74,8 @@ class DegreeOverflow(ResourceGuardError):
 
 class FieldTooLargeForBrute(ResourceGuardError):
     """A brute-force enumeration was refused because the field is too large."""
+
+
+class PrimeTooLarge(ResourceGuardError):
+    """A computation whose cost grows with p was refused because p exceeds
+    its documented limit."""

@@ -5,7 +5,9 @@ import pytest
 from g2frob import (
     FieldTooLargeForBrute,
     NotFlat,
+    NotSquarefree,
     PrimeField,
+    PrimeTooLarge,
     ResourceGuardError,
     canonical_connection,
     cartier_manin,
@@ -20,6 +22,7 @@ from g2frob import (
     rational_flat_dimension,
     stabilization_degree,
 )
+from g2frob import poly
 from g2frob.linalg import enumerate_span_mod_p, kernel_basis_mod_p
 
 from conftest import CERTIFIED, NON_ORDINARY_3, rng_for
@@ -58,6 +61,51 @@ def test_cartier_manin_against_convolution_oracle():
         cv = make_curve(PrimeField(p), f)
         got = cartier_manin(cv).to_jsonable()
         assert got == _oracle_matrix(f, p)
+
+
+def _pow_oracle(cv):
+    """The matrix from the expansion of f^((p-1)/2) by poly.pow."""
+    F, p = cv.field, cv.p
+    h = poly.pow(F, cv.f, (p - 1) // 2)
+    return tuple(
+        tuple(poly.coefficient(F, h, i * p - j) for j in (1, 2)) for i in (1, 2)
+    )
+
+
+def _random_curve_through_origin(F, rng):
+    """A random squarefree monic quintic with f(0) = 0."""
+    while True:
+        f = [F.zero()] + [F.random(rng) for _ in range(4)] + [F.one()]
+        try:
+            return make_curve(F, f)
+        except NotSquarefree:
+            continue
+
+
+def test_cartier_manin_recurrence_against_pow_oracle():
+    cases = [(PrimeField(p), 30) for p in (3, 5, 7, 11, 13, 31, 101, 211, 401)]
+    cases += [(PrimeField(1009), 1), (make_field(3, 3), 6), (make_field(5, 2), 6),
+              (make_field(31, 3), 6)]
+    for F, count in cases:
+        rng = rng_for(f"cartier-recurrence-{F!r}")
+        for i in range(count):
+            # every third curve has f(0) = 0, the x-shifted forward run
+            cv = _random_curve_through_origin(F, rng) if i % 3 == 0 else random_curve(F, rng)
+            A = cartier_manin(cv)
+            assert A.matrix == _pow_oracle(cv), (F, cv.f)
+            assert p_rank(cv) == A.p_rank()
+
+
+def test_large_p_guards():
+    F = PrimeField(2305843009213693951)  # 2^61 - 1
+    cv = make_curve(F, [1, 0, 0, 0, 0, 1])
+    with pytest.raises(PrimeTooLarge):
+        cartier_manin(cv)
+    # the flat-form data refuse p above 2^10 before any work
+    cv = make_curve(PrimeField(1031), [1, 0, 0, 0, 0, 1])
+    for method in ("brute", "semilinear"):
+        with pytest.raises(PrimeTooLarge):
+            enumerate_p_torsion(cv, method)
 
 
 def test_coefficient_extraction_on_invalid_curve_input():

@@ -99,6 +99,49 @@ def test_verify_command(capsys):
     assert payload["rigidity"][0]["status"] == "holds"
 
 
+def test_verify_one_rigidity_report_per_fp_line(capsys):
+    # over F_9 this curve has nine flat forms: eight nonzero ones on four
+    # F_3-lines, so four rigidity scans, not eight
+    code, out = run(capsys, "verify", "--p", "3", "--ext-k", "2", "--f", "1,0,1,2,2,1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["torsionCount"] == 9
+    forms = [(tuple(r["witness"]["omegaL"]["a"]), tuple(r["witness"]["omegaL"]["b"]))
+             for r in payload["rigidity"]]
+    assert len(forms) == 4
+
+    def multiples(ab):
+        return {tuple(tuple(s * c % 3 for c in v) for v in ab) for s in (1, 2)}
+
+    assert len(set().union(*map(multiples, forms))) == 8
+
+
+def test_verify_above_the_brute_limit_uses_the_solver(capsys):
+    # |F_{3^10}| = 59049 is above the brute guard; the flat forms come from
+    # the semilinear solver, one F_3-line of them
+    argv = ["verify", "--p", "3", "--ext-k", "10", "--f", "2,0,1,1,1,1"]
+    code, out = run(capsys, *argv, "--rigidity", "off")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["torsionCount"] == 3
+    assert len(payload["lemmas"]) == 8
+    # the linear rigidity scan would list 3^20 vectors: the span guard
+    code, out = run(capsys, *argv)
+    assert code == 3
+    assert json.loads(out)["kind"] == "ResourceGuardError"
+
+
+def test_huge_prime_exits_with_the_guard(capsys):
+    # 2^61 - 1 is prime and accepted by the field, but Cartier-Manin refuses it
+    code, out = run(capsys, "curve", "--p", "2305843009213693951", "--f", "1,0,0,0,0,1")
+    assert code == 3
+    assert json.loads(out)["kind"] == "PrimeTooLarge"
+    # the flat-form data refuse a p far below that
+    code, out = run(capsys, "verify", "--p", "20011", "--f", "1,0,0,0,1,1")
+    assert code == 3
+    assert json.loads(out)["kind"] == "PrimeTooLarge"
+
+
 def test_verify_no_torsion_note(capsys):
     # ordinary curve whose rational flat forms reduce to zero
     code, out = run(capsys, "verify", "--p", "3", "--f", "2,2,0,2,1,1")
@@ -264,9 +307,10 @@ GOLDEN = {
         "96b567b8f2ccdc8cac3d097738bc479066314430ed81753e354d35063b063e23",
     "verify --p 7 --f 5,0,0,5,1,1":
         "19fc555216e02ab573681caa2c9ecc7c3ab193558e124bd9ea2fecf363a1a0f0",
-    # the only extension-field run of the linear rigidity solve
+    # the only extension-field run of the linear rigidity solve; one report
+    # for the one F_3-line of flat forms (b = 1 and b = 2 lie on it)
     "verify --p 3 --ext-k 2 --f 2,0,1,1,1,1":
-        "ef530375e93075ef44d0abf4b89c42407554d31f8a31872eeef69466553ab01c",
+        "ddfb82222ff721f1d61270c18d55740c5f2699e389b094a4c40d93a566d0d9ed",
     "scan --p 5 --count 6 --seed 1":
         "3ba5deb845906a466b3ca09c503988171acc987d4f5c421776d00285829ba7c5",
     "formulas --p 7":

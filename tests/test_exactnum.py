@@ -152,6 +152,21 @@ def test_is_prime_small():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
+def test_is_prime_matches_a_sieve_and_rejects_strong_pseudoprimes():
+    n = 10 ** 5
+    sieve = bytearray([1]) * n
+    sieve[0] = sieve[1] = 0
+    for d in range(2, int(n ** 0.5) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = bytearray(len(range(d * d, n, d)))
+    assert all(is_prime(m) == bool(sieve[m]) for m in range(n))
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the bases 2, ..., 23
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert is_prime((1 << 61) - 1)
+    assert not is_prime(((1 << 31) - 1) * ((1 << 61) - 1))
+
+
 def test_ext_field_size_and_elements():
     f9 = ExtField(3, (1, 0, 1))
     assert f9.size == 9
