@@ -60,9 +60,6 @@ _BRUTE_FIELD_LIMIT = 1 << 14
 # cartier_manin runs about 1.5 p recurrence steps, 7.8 s at p = 10^6 under
 # CPython 3.11 on a 2-vCPU VM; the limit keeps one matrix near half a minute
 _CARTIER_P_LIMIT = 1 << 22
-# the flat-form data (x^p and p - 1 derivation steps) grow like p^2, 0.56 s
-# at p = 151 on the same VM; the limit keeps them near half a minute
-_FLAT_FORM_P_LIMIT = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -229,11 +226,12 @@ class TorsionSet:
 def _flat_form_data(curve: Curve):
     """Shared precomputation: x^p, theta0^(p-1)(x), <omega0, theta0^p>.
 
-    Raises PrimeTooLarge when p > _FLAT_FORM_P_LIMIT.
+    Their cost grows like p^2, so p > _BRUTE_FIELD_LIMIT, which the brute
+    guard already refuses on prime fields, raises PrimeTooLarge.
     """
-    if curve.p > _FLAT_FORM_P_LIMIT:
+    if curve.p > _BRUTE_FIELD_LIMIT:
         raise PrimeTooLarge(
-            f"p = {curve.p} exceeds the flat-form limit {_FLAT_FORM_P_LIMIT}"
+            f"p = {curve.p} exceeds the flat-form limit {_BRUTE_FIELD_LIMIT}"
         )
     omega0 = curve.basis_forms()[0]
     theta0 = dual_derivation(omega0)

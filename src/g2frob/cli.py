@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .cartier import _BRUTE_FIELD_LIMIT, cartier_manin, enumerate_p_torsion
+from .cartier import cartier_manin, enumerate_p_torsion
 from .errors import InputError, RangeError, ResourceGuardError
 from .exactnum import make_field
 from .formulas import counts
@@ -108,8 +108,7 @@ def cmd_torsion(args) -> int:
 
 def _verify_payload(curve: Curve, rigidity_mode: str | None) -> dict:
     F = curve.field
-    method = "brute" if F.size <= _BRUTE_FIELD_LIMIT else "semilinear"
-    ts = enumerate_p_torsion(curve, method=method)
+    ts = enumerate_p_torsion(curve, method="semilinear")
     payload = _curve_payload(curve)
     payload["torsionCount"] = len(ts)
     lemmas = []

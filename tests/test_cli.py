@@ -116,9 +116,9 @@ def test_verify_one_rigidity_report_per_fp_line(capsys):
     assert len(set().union(*map(multiples, forms))) == 8
 
 
-def test_verify_above_the_brute_limit_uses_the_solver(capsys):
-    # |F_{3^10}| = 59049 is above the brute guard; the flat forms come from
-    # the semilinear solver, one F_3-line of them
+def test_verify_on_a_field_above_the_brute_limit(capsys):
+    # |F_{3^10}| = 59049 is above the brute guard; verify's semilinear solver
+    # finds the flat forms, one F_3-line of them
     argv = ["verify", "--p", "3", "--ext-k", "10", "--f", "2,0,1,1,1,1"]
     code, out = run(capsys, *argv, "--rigidity", "off")
     assert code == 0
@@ -136,10 +136,11 @@ def test_huge_prime_exits_with_the_guard(capsys):
     code, out = run(capsys, "curve", "--p", "2305843009213693951", "--f", "1,0,0,0,0,1")
     assert code == 3
     assert json.loads(out)["kind"] == "PrimeTooLarge"
-    # the flat-form data refuse a p far below that
-    code, out = run(capsys, "verify", "--p", "20011", "--f", "1,0,0,0,1,1")
-    assert code == 3
-    assert json.loads(out)["kind"] == "PrimeTooLarge"
+    # the flat-form data, about p^2 work, refuse p above 2^14 before any work
+    for argv in (["verify", "--p", "20011"], ["torsion", "--method", "semilinear", "--p", "16411"]):
+        code, out = run(capsys, *argv, "--f", "1,0,0,0,1,1")
+        assert code == 3
+        assert json.loads(out)["kind"] == "PrimeTooLarge"
 
 
 def test_verify_no_torsion_note(capsys):
