@@ -54,7 +54,7 @@ from .funcfield import (
     dual_derivation,
 )
 from .linalg import enumerate_span_mod_p, kernel_basis_mod_p
-from .pcurvature import ConnectionMatrix, chart_constant, p_curvature_rank1
+from .pcurvature import ConnectionMatrix, p_curvature_rank1
 
 _BRUTE_FIELD_LIMIT = 1 << 14
 # cartier_manin runs about 1.5 p recurrence steps, 7.8 s at p = 10^6 under
@@ -224,22 +224,29 @@ class TorsionSet:
 
 
 def _flat_form_data(curve: Curve):
-    """Shared precomputation: x^p, theta0^(p-1)(x), <omega0, theta0^p>.
+    """Shared precomputation, once per curve (the curve's memo): omega0 =
+    dx/y, theta0 dual, x^p, h = theta0^(p-1)(x) and c0 = <omega0, theta0^p>
+    = omega0.g theta0(h), which is chart_constant(omega0, theta0).
 
-    Their cost grows like p^2, so p > _BRUTE_FIELD_LIMIT, which the brute
-    guard already refuses on prime fields, raises PrimeTooLarge.
+    h takes p - 1 derivation steps, whose cost grows like p^2, so p >
+    _BRUTE_FIELD_LIMIT, which the brute guard already refuses on prime
+    fields, raises PrimeTooLarge.
     """
     if curve.p > _BRUTE_FIELD_LIMIT:
         raise PrimeTooLarge(
             f"p = {curve.p} exceeds the flat-form limit {_BRUTE_FIELD_LIMIT}"
         )
-    omega0 = curve.basis_forms()[0]
-    theta0 = dual_derivation(omega0)
-    xe = curve.x()
-    xp = curve.pow(xe, curve.p)
-    h = theta0.apply_n(xe, curve.p - 1)
-    c0 = chart_constant(omega0, theta0)
-    return omega0, theta0, xp, h, c0
+
+    def compute():
+        F = curve.field
+        omega0 = curve.basis_forms()[0]
+        theta0 = dual_derivation(omega0)
+        xp = curve.from_poly((F.zero(),) * curve.p + (F.one(),))
+        h = theta0.apply_n(curve.x(), curve.p - 1)
+        c0 = curve.mul(omega0.g, theta0.apply(h))
+        return omega0, theta0, xp, h, c0
+
+    return curve.memo(("flat_form_data",), compute)
 
 
 def _psi_of_pair(curve: Curve, a, b, xp, h, c0) -> FunctionFieldElement:

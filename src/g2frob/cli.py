@@ -5,15 +5,18 @@ sorted keys; wall-clock measurements live only under the "timing" key so that
 two runs with the same configuration produce byte-identical payloads once
 "timing" is dropped.  Exit codes: 0 ok, 2 invalid input, 3 resource guard.
 
-scan writes JSON lines, one record per curve, ordered by generation index;
-rerunning with the same --out skips curve ids that are already present, so an
-interrupted scan can be resumed.
+scan writes JSON lines, one record per curve, ordered by generation index,
+and flushes each as soon as it is computed; rerunning with the same --out
+skips curve ids that are already present, so an interrupted scan can be
+resumed.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -239,42 +242,49 @@ def _resume_ids(path) -> set:
     return ids
 
 
+def _scan_job(job) -> dict:
+    return _scan_row(*job)
+
+
 def cmd_scan(args) -> int:
     t0 = time.perf_counter()
+    if args.workers < 1:
+        raise RangeError(f"--workers must be at least 1, got {args.workers}")
     specs = _scan_specs(args)
     done_ids = _resume_ids(args.out) if args.out else set()
     jobs = []
     for i, spec in enumerate(specs):
         cid = curve_id(curve_from_spec(spec))
         if cid not in done_ids:
-            jobs.append((spec, i))
-    if args.workers > 1 and len(jobs) > 1:
-        import multiprocessing as mp
+            jobs.append((spec, i, args.lemmas))
+    procs = min(args.workers, len(jobs), os.cpu_count() or 1)
+    curves = ordinary = violations = 0
+    matches = True
+    with contextlib.ExitStack() as stack:
+        if procs > 1:
+            import multiprocessing as mp
 
-        with mp.Pool(args.workers) as pool:
-            rows = pool.starmap(
-                _scan_row, [(spec, i, args.lemmas) for spec, i in jobs]
-            )
-    else:
-        rows = [_scan_row(spec, i, args.lemmas) for spec, i in jobs]
-    rows.sort(key=lambda r: r["index"])
-    sink = open(args.out, "a", encoding="utf-8") if args.out else sys.stdout
-    try:
+            rows = stack.enter_context(mp.Pool(procs)).imap(_scan_job, jobs)
+        else:
+            rows = map(_scan_job, jobs)
+        sink = sys.stdout
+        if args.out:
+            sink = stack.enter_context(open(args.out, "a", encoding="utf-8"))
+        # rows arrive in job order; each is on disk before the next is awaited
         for row in rows:
             sink.write(_dump(row) + "\n")
-    finally:
-        if args.out:
-            sink.close()
-    ordinary = sum(1 for r in rows if r["ordinary"])
+            sink.flush()
+            curves += 1
+            ordinary += row["ordinary"]
+            violations += row.get("lemmaViolations", 0)
+            matches = matches and (row["pRank"] == 2) == row["ordinary"]
     aggregate = {
         "aggregate": {
-            "curves": len(rows),
+            "curves": curves,
             "skippedExisting": len(specs) - len(jobs),
-            "ordinaryFraction": str(Fraction(ordinary, len(rows))) if rows else "0",
-            "lemmaViolations": sum(r.get("lemmaViolations", 0) for r in rows),
-            "torsionMatchesOrdinarity": all(
-                (r["pRank"] == 2) == r["ordinary"] for r in rows
-            ),
+            "ordinaryFraction": str(Fraction(ordinary, curves)) if curves else "0",
+            "lemmaViolations": violations,
+            "torsionMatchesOrdinarity": matches,
         },
         "timing": {"seconds": time.perf_counter() - t0},
         "version": __version__,

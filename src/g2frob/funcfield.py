@@ -9,6 +9,20 @@ polynomials in x, D monic, and gcd(gcd(A, B), D) = 1.  Two elements are
 equal iff their normal forms are identical, which makes equality testing
 and zero testing trivial.
 
+Every normal form is built by `Curve._make`, which divides out the common
+factor of A, B and D.  Its cost is that gcd, so the arithmetic keeps the
+candidates small:
+
+* Sums follow Henrici (J. ACM 3, 1956).  With g = gcd(uD, vD), u + v is
+  (uN vD/g + vN uD/g) / (uD vD/g), N the numerator A + B y.  A prime pi
+  that divides uD/g but not vD/g leaves the numerator congruent to
+  uN vD/g mod pi, so it would divide uA, uB and uD, against the normal form
+  of u; symmetrically for vD/g.  Any common factor therefore divides g, and
+  `_make` takes its gcd against g alone (none at all when g = 1).
+* A derivative is put over the one denominator D^2 f: du = g dx with
+  g = (f (A'D - AD') + (f (B'D - BD') + B f' D / 2) y) / (D^2 f), from the
+  quotient rule and dy = f'/(2y) dx = f' y/(2f) dx, and reduced once.
+
 Differentials are represented on the affine chart as g dx with g in K.
 A derivation theta is determined by theta(x) (the chain rule extends it to
 all of K, with theta(y) = theta(x) f'(x) / (2y)), and <g dx, theta> =
@@ -44,9 +58,16 @@ class Curve:
     bounds the polynomial degrees appearing in normal forms; derivation
     towers grow degrees steadily and the cap turns a blowup into an explicit
     DegreeOverflow instead of a memory grab.
+
+    The curve also owns a memo (`memo`) of the results that the lemma checks
+    ask for again and again: the chart constant <omega0, theta0^p> of each
+    chart, the flatness of each form with its dual derivation, the two sums
+    of each pair of forms and the flat-form data.  Each value is a few
+    function field elements, never a derivation tower, and the memo lives
+    exactly as long as the curve: one CLI call, or one scan row.
     """
 
-    __slots__ = ("field", "f", "fprime", "degree_cap", "_half")
+    __slots__ = ("field", "f", "fprime", "degree_cap", "_half_fprime", "_memo")
 
     def __init__(self, field, f_coeffs, degree_cap: int | None = None):
         if field.char == 2:
@@ -62,7 +83,8 @@ class Curve:
         self.f = f
         self.fprime = poly.derivative(field, f)
         self.degree_cap = degree_cap if degree_cap is not None else 64 * field.char + 400
-        self._half = field.inv(field.from_int(2))
+        self._half_fprime = poly.scale(field, self.fprime, field.inv(field.from_int(2)))
+        self._memo = {}
 
     @property
     def p(self) -> int:
@@ -71,6 +93,13 @@ class Curve:
     @property
     def genus(self) -> int:
         return 2
+
+    def memo(self, key, compute):
+        """The value stored under `key` in this curve's memo; `compute()`
+        supplies it on first use."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
 
     # -- element constructors ----------------------------------------------
     def element(self, A, B=(), D=None) -> "FunctionFieldElement":
@@ -104,17 +133,23 @@ class Curve:
     def y(self) -> "FunctionFieldElement":
         return FunctionFieldElement(self, (), poly.one(self.field), poly.one(self.field))
 
-    def _make(self, A, B, D) -> "FunctionFieldElement":
+    def _make(self, A, B, D, *, bound=None) -> "FunctionFieldElement":
+        """The normal form of (A + B y) / D.  `bound`, when given, is a
+        polynomial that every common factor of A, B and D divides; the gcd is
+        then taken against it instead of D."""
         F = self.field
         if poly.is_zero(D):
             raise DivisionByZero("zero denominator in function field element")
         if poly.is_zero(A) and poly.is_zero(B):
             return FunctionFieldElement(self, (), (), poly.one(F))
-        g = poly.gcd(F, poly.gcd(F, A, B), D)
-        if poly.degree(g) > 0:
-            A = poly.divmod_(F, A, g)[0]
-            B = poly.divmod_(F, B, g)[0]
-            D = poly.divmod_(F, D, g)[0]
+        if bound is None:
+            bound = D
+        if poly.degree(bound) > 0:
+            g = poly.gcd(F, B, poly.gcd(F, A, bound))
+            if poly.degree(g) > 0:
+                A = poly.divmod_(F, A, g)[0]
+                B = poly.divmod_(F, B, g)[0]
+                D = poly.divmod_(F, D, g)[0]
         if not F.eq(D[-1], F.one()):
             s = F.inv(D[-1])
             A = poly.scale(F, A, s)
@@ -129,10 +164,20 @@ class Curve:
 
     # -- arithmetic (operands assumed to be elements of this curve's K) -----
     def add(self, u, v):
+        """Henrici's sum (module docstring): the reduction gcd runs against
+        g = gcd(uD, vD) only."""
+        if u.is_zero():
+            return v
+        if v.is_zero():
+            return u
         F = self.field
-        A = poly.add(F, poly.mul(F, u.A, v.D), poly.mul(F, v.A, u.D))
-        B = poly.add(F, poly.mul(F, u.B, v.D), poly.mul(F, v.B, u.D))
-        return self._make(A, B, poly.mul(F, u.D, v.D))
+        g = poly.gcd(F, u.D, v.D) if len(u.D) > 1 and len(v.D) > 1 else poly.one(F)
+        ud, vd = u.D, v.D
+        if len(g) > 1:
+            ud, vd = poly.divmod_(F, ud, g)[0], poly.divmod_(F, vd, g)[0]
+        A = poly.add(F, poly.mul(F, u.A, vd), poly.mul(F, v.A, ud))
+        B = poly.add(F, poly.mul(F, u.B, vd), poly.mul(F, v.B, ud))
+        return self._make(A, B, poly.mul(F, u.D, vd), bound=g)
 
     def neg(self, u):
         return FunctionFieldElement(
@@ -143,6 +188,8 @@ class Curve:
         return self.add(u, self.neg(v))
 
     def mul(self, u, v):
+        if u.is_zero() or v.is_zero():
+            return self.zero()
         F = self.field
         A = poly.add(
             F,
@@ -182,28 +229,19 @@ class Curve:
 
     # -- the canonical derivation d ----------------------------------------
     def d_coefficient(self, u) -> "FunctionFieldElement":
-        """g such that du = g dx, via the quotient rule and dy = f'/(2y) dx."""
-        F = self.field
-        Dp = poly.derivative(F, u.D)
-        DD = poly.mul(F, u.D, u.D)
-        # d(A/D) and the dx-part of d(B/D) y
-        ratA = self._make(
-            poly.sub(F, poly.mul(F, poly.derivative(F, u.A), u.D), poly.mul(F, u.A, Dp)),
-            (),
-            DD,
+        """g such that du = g dx: the quotient rule and dy = f'/(2y) dx over
+        the one denominator D^2 f, reduced once (module docstring)."""
+        F, f, D = self.field, self.f, u.D
+        Dp = poly.derivative(F, D)
+        A = poly.mul(F, f, poly.sub(
+            F, poly.mul(F, poly.derivative(F, u.A), D), poly.mul(F, u.A, Dp)))
+        B = poly.add(
+            F,
+            poly.mul(F, f, poly.sub(
+                F, poly.mul(F, poly.derivative(F, u.B), D), poly.mul(F, u.B, Dp))),
+            poly.mul(F, poly.mul(F, u.B, self._half_fprime), D),
         )
-        ratB = self._make(
-            (),
-            poly.sub(F, poly.mul(F, poly.derivative(F, u.B), u.D), poly.mul(F, u.B, Dp)),
-            DD,
-        )
-        # (B/D) dy = (B/D) f'/(2y) dx = B f' y / (2 D f) dx
-        chain = self._make(
-            (),
-            poly.scale(F, poly.mul(F, u.B, self.fprime), self._half),
-            poly.mul(F, u.D, self.f),
-        )
-        return self.add(self.add(ratA, ratB), chain)
+        return self._make(A, B, poly.mul(F, poly.mul(F, D, D), f))
 
     # -- global regular differentials ---------------------------------------
     def basis_forms(self):

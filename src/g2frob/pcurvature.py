@@ -167,9 +167,15 @@ def _check_duality(omega0: Differential, theta0: Derivation):
 
 
 def chart_constant(omega0: Differential, theta0: Derivation) -> FunctionFieldElement:
-    """<omega0, theta0^p>, the scalar the recursion subtracts against T."""
+    """<omega0, theta0^p>, the scalar the recursion subtracts against T.
+
+    p derivation steps, taken once per curve and chart (the curve's memo).
+    """
     cv = omega0.curve
-    return cv.mul(omega0.g, theta0.apply_n(cv.x(), cv.p))
+    return cv.memo(
+        ("chart_constant", omega0.g, theta0.value_on_x),
+        lambda: cv.mul(omega0.g, theta0.apply_n(cv.x(), cv.p)),
+    )
 
 
 def p_curvature_rank1(

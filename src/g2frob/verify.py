@@ -108,27 +108,41 @@ def _as_global_form(curve: Curve, omega):
 
 
 def require_torsion(curve: Curve, omega_L: Differential) -> Derivation:
-    """Check omega_L is a nonzero flat form; return its dual derivation."""
+    """Check omega_L is a nonzero flat form; return its dual derivation.
+
+    The check runs once per curve and form (the curve's memo)."""
     if omega_L.is_zero():
         raise NotTorsion("omega_L must be nonzero")
-    omega0 = curve.basis_forms()[0]
-    theta0 = dual_derivation(omega0)
-    T = curve.mul(omega_L.g, theta0.value_on_x)
-    if not p_curvature_rank1(T, theta0, omega0).is_zero():
+
+    def dual_if_flat():
+        omega0 = curve.basis_forms()[0]
+        theta0 = dual_derivation(omega0)
+        T = curve.mul(omega_L.g, theta0.value_on_x)
+        if not p_curvature_rank1(T, theta0, omega0).is_zero():
+            return None
+        return dual_derivation(omega_L)
+
+    theta_L = curve.memo(("dual_if_flat", omega_L.g), dual_if_flat)
+    if theta_L is None:
         raise NotTorsion("d + omega_L does not have vanishing p-curvature")
-    return dual_derivation(omega_L)
+    return theta_L
 
 
 def two_sums(curve: Curve, theta_L: Derivation, x: FunctionFieldElement):
-    """S1 = sum theta_L^k(x), S2 = sum C(p-1,k) theta_L^k(x), k = 1..p-1."""
-    p = curve.p
-    S1, S2 = curve.zero(), curve.zero()
-    cur = x
-    for k in range(1, p):
-        cur = theta_L.apply(cur)
-        S1 = S1 + cur
-        S2 = S2 + curve.constant(curve.field.from_int(comb(p - 1, k))) * cur
-    return S1, S2
+    """S1 = sum theta_L^k(x), S2 = sum C(p-1,k) theta_L^k(x), k = 1..p-1;
+    computed once per curve, theta_L and x (the curve's memo)."""
+
+    def sums():
+        p = curve.p
+        S1, S2 = curve.zero(), curve.zero()
+        cur = x
+        for k in range(1, p):
+            cur = theta_L.apply(cur)
+            S1 = S1 + cur
+            S2 = S2 + curve.constant(curve.field.from_int(comb(p - 1, k))) * cur
+        return S1, S2
+
+    return curve.memo(("two_sums", theta_L.value_on_x, x), sums)
 
 
 def check_two_sums(curve: Curve, omega_L, omega) -> LemmaReport:

@@ -7,6 +7,7 @@ from g2frob import (
     NotFlat,
     NotSquarefree,
     PrimeField,
+    PrimeTooLarge,
     ResourceGuardError,
     canonical_connection,
     cartier_manin,
@@ -22,7 +23,9 @@ from g2frob import (
     stabilization_degree,
 )
 from g2frob import poly
+from g2frob.cartier import _flat_form_data
 from g2frob.linalg import enumerate_span_mod_p, kernel_basis_mod_p
+from g2frob.pcurvature import chart_constant
 
 from conftest import CERTIFIED, NON_ORDINARY_3, rng_for
 
@@ -247,3 +250,49 @@ def test_span_listing_is_guarded():
     basis = [[int(i == j) for j in range(17)] for i in range(17)]
     with pytest.raises(ResourceGuardError):
         next(enumerate_span_mod_p(basis, 17, 2))
+
+
+def _flat_data_curves():
+    F27 = make_field(3, 3)
+    return [
+        make_curve(PrimeField(3), CERTIFIED[3][0]),
+        make_curve(PrimeField(13), [8, 2, 3, 8, 11, 1]),
+        make_curve(F27, [F27.from_int(c) for c in CERTIFIED[3][0]]),
+    ]
+
+
+@pytest.mark.parametrize("curve", _flat_data_curves(), ids=["F3", "F13", "F27"])
+def test_flat_form_data_against_pow_and_derivation_steps(curve):
+    omega0, theta0, xp, h, c0 = _flat_form_data(curve)
+    x = curve.x()
+    assert xp == curve.pow(x, curve.p)
+    assert h == theta0.apply_n(x, curve.p - 1)
+    assert c0 == chart_constant(omega0, theta0)
+    assert c0 == curve.mul(omega0.g, theta0.apply_n(x, curve.p))
+
+
+def test_flat_form_data_guard():
+    curve = make_curve(PrimeField(16411), [1, 0, 0, 0, 1, 1])
+    with pytest.raises(PrimeTooLarge):
+        _flat_form_data(curve)
+
+
+@pytest.mark.parametrize("p,f", [(3, CERTIFIED[3][0]), (7, CERTIFIED[7][0]),
+                                 (13, [8, 2, 3, 8, 11, 1])])
+def test_flat_form_is_its_own_chart_constant(p, f):
+    # the p-curvature of d + omega_L in the chart omega_L is
+    # 1 - <omega_L, theta_L^p>, so a flat omega_L has <omega_L, theta_L^p> = 1
+    curve = make_curve(PrimeField(p), f)
+    nonzero = enumerate_p_torsion(curve, method="semilinear").nonzero(curve.field)
+    assert len(nonzero) == p - 1
+    for a, b in nonzero:
+        omega_L = curve.global_form(a, b)
+        assert chart_constant(omega_L, dual_derivation(omega_L)) == curve.one()
+    # a form off the flat line is not its own chart constant; the flat forms
+    # fill one line, so at least one of dx/y, x dx/y is off it
+    F = curve.field
+    outside = [ab for ab in ((F.one(), F.zero()), (F.zero(), F.one())) if ab not in nonzero]
+    assert outside
+    for a, b in outside:
+        omega = curve.global_form(a, b)
+        assert chart_constant(omega, dual_derivation(omega)) != curve.one()

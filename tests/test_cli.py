@@ -295,6 +295,73 @@ def test_scan_resume_recomputes_a_torn_final_line(tmp_path, capsys):
     assert _stripped_lines(path) == whole
 
 
+def test_scan_interrupted_run_keeps_its_rows_and_resumes(tmp_path, capsys, monkeypatch):
+    from g2frob import cli
+
+    args = ["scan", "--p", "5", "--count", "5", "--seed", "11", "--workers", "1"]
+    whole, part = tmp_path / "whole.jsonl", tmp_path / "part.jsonl"
+    code, _ = run(capsys, *args, "--out", str(whole))
+    assert code == 0
+    real_row, jobs = cli._scan_row, []
+
+    def interrupted_on_the_third_job(*job):
+        jobs.append(job)
+        if len(jobs) == 3:
+            raise RuntimeError("interrupted")
+        return real_row(*job)
+
+    monkeypatch.setattr(cli, "_scan_row", interrupted_on_the_third_job)
+    with pytest.raises(RuntimeError):
+        main([*args, "--out", str(part)])
+    monkeypatch.undo()
+    capsys.readouterr()
+    rows = whole.read_text().splitlines(keepends=True)
+    assert part.read_text() == "".join(rows[:2])
+    code, agg = run(capsys, *args, "--out", str(part))
+    assert code == 0
+    assert json.loads(agg)["aggregate"]["skippedExisting"] == 2
+    assert part.read_text() == whole.read_text()
+
+
+def test_scan_pool_size_is_bounded(capsys, monkeypatch):
+    import multiprocessing
+    import os
+
+    sizes = []
+
+    class InlinePool:
+        """Records the requested size and runs the jobs in this process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    # (workers, jobs) -> the pool sizes asked for: min(workers, jobs, cpus),
+    # and no pool at all for one process
+    for workers, count, want in ((8, 3, [3]), (1000, 6, [4]), (2, 6, [2]),
+                                 (1, 6, []), (8, 1, [])):
+        sizes.clear()
+        code, agg = run(capsys, "scan", "--p", "3", "--count", str(count),
+                        "--workers", str(workers), "--no-lemmas")
+        assert code == 0
+        assert json.loads(agg.splitlines()[-1])["aggregate"]["curves"] == count
+        assert sizes == want, (workers, count)
+    for workers in ("0", "-2"):
+        code, out = run(capsys, "scan", "--p", "3", "--count", "2", "--workers", workers)
+        assert code == 2 and json.loads(out)["kind"] == "RangeError"
+    assert sizes == []
+
+
 # sha256 of the timing-stripped stdout of each command (one sorted-key JSON
 # document per line).  Refactors must leave every payload byte-identical.
 GOLDEN = {

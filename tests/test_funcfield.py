@@ -220,3 +220,129 @@ def test_random_curve_deterministic():
     b = random_curve(F, rng_for("rc"))
     assert a == b
     assert poly.is_squarefree(F, a.f)
+
+
+# ---------------------------------------------------------------------------
+# the fast sum and derivative against the plain compositions they replace
+# ---------------------------------------------------------------------------
+
+def _curve_through_origin(field, rng):
+    """A random curve with f(0) = 0, so x and f/x are factors of f."""
+    while True:
+        c1 = field.random(rng)
+        coeffs = [field.zero(), c1] + [field.random(rng) for _ in range(3)] + [field.one()]
+        if field.is_zero(c1):
+            continue
+        try:
+            return make_curve(field, coeffs)
+        except NotSquarefree:
+            continue
+
+
+def _hard_element(cv, rng):
+    """A random element whose denominator mixes repeated factors, factors
+    shared with f (x, f/x, f itself) and a p-th power, whose derivative
+    vanishes in characteristic p."""
+    F = cv.field
+    x = poly.x(F)
+    pieces = [
+        x,
+        poly.divmod_(F, cv.f, x)[0],
+        cv.f,
+        poly.pow(F, (F.random(rng), F.one()), 2),
+        poly.pow(F, (F.random(rng), F.random(rng), F.one()), 3),
+        poly.pow(F, (F.random(rng), F.one()), cv.p),
+        (F.random(rng), F.one()),
+    ]
+    D = poly.one(F)
+    for _ in range(rng.randrange(0, 4)):
+        D = poly.mul(F, D, rng.choice(pieces))
+    while True:
+        A = tuple(F.random(rng) for _ in range(rng.randrange(0, 5)))
+        B = tuple(F.random(rng) for _ in range(rng.randrange(0, 4)))
+        if rng.random() < 0.3:  # a numerator sharing a piece with D
+            share = rng.choice(pieces)
+            A, B = poly.mul(F, A, share), poly.mul(F, B, share)
+        u = cv.element(A, B, D)
+        if not u.is_zero():
+            return u
+
+
+def _plain_sum(cv, u, v):
+    """The cross-multiplied sum, reduced against the whole uD vD."""
+    F = cv.field
+    return cv._make(
+        poly.add(F, poly.mul(F, u.A, v.D), poly.mul(F, v.A, u.D)),
+        poly.add(F, poly.mul(F, u.B, v.D), poly.mul(F, v.B, u.D)),
+        poly.mul(F, u.D, v.D),
+    )
+
+
+def _quotient_rule_d(cv, u):
+    """du/dx as d(A/D) + d(B/D) y + (B/D) f'/(2y), three normal forms and two
+    plain sums."""
+    F = cv.field
+    Dp = poly.derivative(F, u.D)
+    DD = poly.mul(F, u.D, u.D)
+    ratA = cv._make(
+        poly.sub(F, poly.mul(F, poly.derivative(F, u.A), u.D), poly.mul(F, u.A, Dp)),
+        (),
+        DD,
+    )
+    ratB = cv._make(
+        (),
+        poly.sub(F, poly.mul(F, poly.derivative(F, u.B), u.D), poly.mul(F, u.B, Dp)),
+        DD,
+    )
+    half = F.inv(F.from_int(2))
+    chain = cv._make(
+        (),
+        poly.scale(F, poly.mul(F, u.B, cv.fprime), half),
+        poly.mul(F, u.D, cv.f),
+    )
+    return _plain_sum(cv, _plain_sum(cv, ratA, ratB), chain)
+
+
+_ORACLE_FIELDS = ((PrimeField(3), 150), (PrimeField(13), 150), (ExtField(3, [1, 2, 0, 1]), 60))
+
+
+@pytest.mark.parametrize("field,rounds", _ORACLE_FIELDS, ids=["F3", "F13", "F27"])
+def test_henrici_add_against_plain_sum(field, rounds):
+    rng = rng_for(f"ff-henrici-{field!r}")
+    cv = _curve_through_origin(field, rng)
+    for _ in range(rounds):
+        u, v, w = (_hard_element(cv, rng) for _ in range(3))
+        assert cv.add(u, v) == _plain_sum(cv, u, v)
+        # v' = w - u shares denominator factors with u that cancel in u + v'
+        v2 = _plain_sum(cv, w, cv.neg(u))
+        assert cv.add(u, v2) == w
+        assert cv.add(u, cv.neg(u)) == cv.zero()
+        assert cv.add(cv.zero(), u) == u == cv.add(u, cv.zero())
+
+
+@pytest.mark.parametrize("field,rounds", _ORACLE_FIELDS, ids=["F3", "F13", "F27"])
+def test_one_reduction_derivative_against_quotient_rule(field, rounds):
+    rng = rng_for(f"ff-dcoef-{field!r}")
+    cv = _curve_through_origin(field, rng)
+    for _ in range(rounds):
+        u = _hard_element(cv, rng)
+        assert cv.d_coefficient(u) == _quotient_rule_d(cv, u)
+    for u in (cv.zero(), cv.one(), cv.x(), cv.y(), cv.inv(cv.y())):
+        assert cv.d_coefficient(u) == _quotient_rule_d(cv, u)
+
+
+def test_curve_memo_computes_once_per_curve(curve3):
+    calls = []
+
+    def compute():
+        calls.append(1)
+        return curve3.one()
+
+    key = ("test-memo", curve3.x())
+    assert curve3.memo(key, compute) == curve3.one()
+    assert curve3.memo(key, compute) == curve3.one()
+    assert len(calls) == 1
+    twin = Curve(curve3.field, curve3.f)
+    assert twin == curve3
+    twin.memo(key, compute)  # an equal curve keeps its own memo
+    assert len(calls) == 2

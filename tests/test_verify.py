@@ -178,3 +178,35 @@ def test_report_jsonable_shape(curve3):
     import json
 
     json.dumps(d)  # round-trippable
+
+
+def test_lemma_data_is_computed_once_per_curve(monkeypatch):
+    from g2frob import verify
+
+    p, f = 7, CERTIFIED[7][0]
+    cv = make_curve(make_field(p), f)
+    F = cv.field
+    ab_L, ab = _flat_pair(cv), (F.one(), F.zero())
+    rank1 = []
+    real_rank1 = verify.p_curvature_rank1
+
+    def counting_rank1(*args):
+        rank1.append(args)
+        return real_rank1(*args)
+
+    monkeypatch.setattr(verify, "p_curvature_rank1", counting_rank1)
+    first = check_two_sums(cv, ab_L, ab)
+    second = check_offdiag_closed_forms(cv, ab_L, ab)
+    assert len(rank1) == 1  # one torsion check of omega_L for both reports
+    omega_L = cv.global_form(*ab_L)
+    theta_L = verify.require_torsion(cv, omega_L)
+    x = cv.global_form(*ab).ratio(omega_L)
+    S = two_sums(cv, theta_L, x)
+    assert two_sums(cv, theta_L, x)[0] is S[0]  # a memo hit, not a recomputation
+    assert len(rank1) == 1
+    # a fresh curve recomputes everything and agrees
+    fresh = make_curve(make_field(p), f)
+    for check, report in ((check_two_sums, first), (check_offdiag_closed_forms, second)):
+        again = check(fresh, ab_L, ab)
+        assert (again.status, again.witness) == (report.status, report.witness)
+    assert len(rank1) == 2
