@@ -4,7 +4,7 @@ Everything here is phrased as a *report*, not an assertion: the statements
 being checked hold for sufficiently general curves, and a small-field curve
 is allowed to be special.  A report carries its witness data, so a violated
 status can be re-verified independently by re-running the stated computation
-on the witness (see `recheck`).
+on the witness, on a fresh copy of the curve (see `recheck`).
 
 The three checks:
 
@@ -462,7 +462,11 @@ def _form_witness(ab, omega: Differential):
 
 def recheck(curve: Curve, report: LemmaReport) -> bool:
     """Re-run the stated computation on the report's witness; True iff the
-    stored status (and the S1/S2 values, where present) reproduce exactly."""
+    stored status (and the S1/S2 values, where present) reproduce exactly.
+
+    The computation runs on a fresh copy of the curve, so nothing comes from
+    the memo of the curve that produced the report."""
+    curve = Curve(curve.field, curve.f, curve.degree_cap)
     w = report.witness
     if report.lemma_id == "two-sums-nonvanishing":
         fresh = check_two_sums(curve, _witness_form(curve, w["omegaL"]),

@@ -4,6 +4,10 @@ The pinned curves were certified by brute force: each is ordinary, carries a
 nonzero rational flat form, and its two characteristic sums are nonzero for
 every independent pairing (see test_acceptance for the checks that keep the
 certification honest).
+
+The curve fixtures are built afresh for every test: a curve owns the memo of
+its lemma data, and a shared curve would let one test's results stand in for
+another test's computation.
 """
 
 import random
@@ -22,22 +26,22 @@ CERTIFIED = {
 NON_ORDINARY_3 = [1, 0, 0, 0, 0, 1]  # x^5 + 1 over F_3
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def curve3():
     return make_curve(PrimeField(3), CERTIFIED[3][0])
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def curve5():
     return make_curve(PrimeField(5), CERTIFIED[5][0])
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def curve7():
     return make_curve(PrimeField(7), CERTIFIED[7][0])
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def flat3(curve3):
     a, b = CERTIFIED[3][1]
     F = curve3.field

@@ -170,6 +170,38 @@ def test_reports_recheck(curve3):
     assert recheck(cv, r3)
 
 
+def test_recheck_recomputes_on_a_fresh_curve(monkeypatch):
+    from g2frob import verify
+
+    cv = make_curve(make_field(3), CERTIFIED[3][0])
+    F = cv.field
+    ab_L = _flat_pair(cv)
+    r1 = check_two_sums(cv, ab_L, (F.one(), F.zero()))
+    r2 = check_offdiag_closed_forms(cv, ab_L, (F.one(), F.zero()))
+    _, r3 = rigidity_scan(cv, ab_L, mode="linear")
+    rank1 = []
+    real_rank1 = verify.p_curvature_rank1
+
+    def counting_rank1(*args):
+        rank1.append(args)
+        return real_rank1(*args)
+
+    monkeypatch.setattr(verify, "p_curvature_rank1", counting_rank1)
+    for report in (r1, r2, r3):
+        before = len(rank1)
+        assert recheck(cv, report)
+        assert len(rank1) > before  # the torsion check ran again
+    # a faulty two_sums is caught, although cv's memo holds the right sums
+    real_two_sums = verify.two_sums
+
+    def off_by_one(curve, theta_L, x):
+        S1, S2 = real_two_sums(curve, theta_L, x)
+        return S1 + curve.constant(curve.field.one()), S2
+
+    monkeypatch.setattr(verify, "two_sums", off_by_one)
+    assert not recheck(cv, r1)
+
+
 def test_report_jsonable_shape(curve3):
     cv, F = curve3, curve3.field
     rep = check_two_sums(cv, _flat_pair(cv), (F.one(), F.zero()))
