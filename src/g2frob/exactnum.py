@@ -19,8 +19,12 @@ Both field contexts share one interface, so callers never branch on the field
 type: `char`, `size`, `degree`, `zero()`, `one()`, `from_int(n)`,
 `from_coeffs(cs)` (at most `degree` ints in the basis below), `add`, `sub`,
 `neg`, `mul`, `inv`, `div`, `pow`, `frobenius`, `is_zero`, `eq`,
-`elements()`, `random(rng)`, `describe()`, and `basis()`, the F_p-basis
-1, t, ..., t^(k-1) as raw values (just (1,) on F_p).  Raw values of any
+`elements()`, `random(rng)`, `describe()`, `basis()`, the F_p-basis
+1, t, ..., t^(k-1) as raw values (just (1,) on F_p), and the polynomial
+kernels `poly_mul(a, b)`, `poly_divmod(a, b)` and `poly_gcd(a, b)` behind
+`poly.mul`, `poly.divmod_` and `poly.gcd`.  F_p runs them as loops on the
+int coefficients with inline reduction mod p; F_{p^k} uses `poly`'s generic
+loops, one field method call per coefficient operation.  Raw values of any
 field go to JSON and back through `raw_to_json` / `raw_from_json`, and raws
 of one field sort in the order of their JSON form.
 
@@ -34,7 +38,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import EvenCharacteristic, NonUnitError, RangeError, UnsupportedRing
+from . import poly
+from .errors import (
+    DivisionByZero,
+    EvenCharacteristic,
+    NonUnitError,
+    RangeError,
+    UnsupportedRing,
+)
 
 _MAX_P = 1 << 61  # machine-word guard; everything here targets small p anyway
 
@@ -147,6 +158,28 @@ class PrimeField:
     def eq(self, a, b) -> bool:
         return (a - b) % self.p == 0
 
+    # -- polynomial kernels (see `poly`): int loops, reduced mod p ---------
+    def poly_mul(self, a, b):
+        p = self.p
+        return tuple([c % p for c in _int_mul(a, b)])
+
+    def poly_divmod(self, a, b):
+        if not b:
+            raise DivisionByZero("polynomial division by zero")
+        q = [0] * max(0, len(a) - len(b) + 1)
+        r = _int_rem(self.p, list(a), b, q)
+        return tuple(q), tuple(r)
+
+    def poly_gcd(self, a, b):
+        p = self.p
+        a, b = list(a), list(b)
+        while b:
+            a, b = b, _int_rem(p, a, b)
+        if not a:
+            return ()
+        inv = pow(a[-1], -1, p)
+        return tuple([c * inv % p for c in a])
+
     # -- enumeration / sampling -------------------------------------------
     def elements(self):
         return range(self.p)
@@ -188,7 +221,7 @@ class ExtField:
             raise RangeError("modulus must be monic")
         self.k = len(mod) - 1
         self.modulus = mod
-        if not _poly_is_irreducible(p, mod):
+        if not _poly_is_irreducible(base, mod):
             raise RangeError(f"modulus {mod} is reducible over F_{p}")
         # _red[i] = t^(k+i) reduced mod the modulus, enough for deg < k products
         self._red = []
@@ -288,6 +321,11 @@ class ExtField:
 
     def eq(self, a, b) -> bool:
         return self.is_zero(self.sub(a, b))
+
+    # -- polynomial kernels (see `poly`): the generic loops ----------------
+    poly_mul = poly.mul_generic
+    poly_divmod = poly.divmod_generic
+    poly_gcd = poly.gcd_generic
 
     def elements(self):
         from itertools import product
@@ -448,82 +486,69 @@ def raw_from_json(value):
 
 
 # ---------------------------------------------------------------------------
+# F_p polynomial arithmetic on int coefficient lists
+# ---------------------------------------------------------------------------
+
+def _int_mul(a, b):
+    """Schoolbook product of int coefficient sequences, not reduced."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b, i):
+                out[j] += c * d
+    return out
+
+
+def _int_rem(p, r, b, q=None):
+    """The remainder of the int list r (consumed; its entries need not lie in
+    [0, p)) modulo the nonzero F_p polynomial b, as a list reduced into
+    [0, p) with no trailing zeros.  Quotient coefficients go into q if given."""
+    n = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    low = b[:-1]
+    for k in range(len(r) - 1 - n, -1, -1):
+        s = r.pop() * inv % p
+        if s:
+            if q is not None:
+                q[k] = s
+            for i, c in enumerate(low, k):
+                r[i] -= s * c
+    r = [c % p for c in r]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+# ---------------------------------------------------------------------------
 # irreducibility over F_p and deterministic modulus search
 # ---------------------------------------------------------------------------
 
-def _pp_norm(p, a):
-    a = [c % p for c in a]
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _x_power_minus_x(F, e: int, m):
+    """x^e - x mod m over F = F_p: left-to-right binary powering, so each bit
+    costs one squaring, a shift for a one bit, and one reduction."""
+    r = [1]
+    for bit in bin(e)[2:]:
+        r = _int_mul(r, r)
+        if bit == "1":
+            r.insert(0, 0)
+        r = _int_rem(F.p, r, m)
+    return poly.sub(F, tuple(r), poly.x(F))
 
 
-def _pp_mulmod(p, a, b, m):
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                prod[i + j] = (prod[i + j] + x * y) % p
-    # reduce mod m
-    dm = len(m) - 1
-    while len(prod) > dm:
-        c = prod[-1]
-        if c:
-            off = len(prod) - 1 - dm
-            for i in range(dm + 1):
-                prod[off + i] = (prod[off + i] - c * m[i]) % p
-        prod.pop()
-    return _pp_norm(p, prod)
-
-
-def _pp_powmod_x(p, e, m):
-    """x^e mod m over F_p."""
-    result = [1]
-    base = [0, 1] if len(m) > 2 else _pp_norm(p, [(-m[0]) % p])
-    while e:
-        if e & 1:
-            result = _pp_mulmod(p, result, base, m)
-        base = _pp_mulmod(p, base, base, m)
-        e >>= 1
-    return result
-
-
-def _pp_gcd(p, a, b):
-    a, b = _pp_norm(p, a), _pp_norm(p, b)
-    while b:
-        # a mod b
-        inv = pow(b[-1], p - 2, p)
-        r = a[:]
-        while len(r) >= len(b) and r:
-            s = (r[-1] * inv) % p
-            off = len(r) - len(b)
-            for i, c in enumerate(b):
-                r[off + i] = (r[off + i] - s * c) % p
-            r = _pp_norm(p, r)
-        a, b = b, r
-    return a
-
-
-def _pp_sub_x(p, a):
-    """a(x) - x as a normalized coefficient list."""
-    out = list(a) + [0] * max(0, 2 - len(a))
-    out[1] = (out[1] - 1) % p
-    return _pp_norm(p, out)
-
-
-def _poly_is_irreducible(p: int, mod) -> bool:
-    """Rabin test: x^(p^k) = x mod m, and gcd(x^(p^(k/q)) - x, m) = 1."""
-    m = list(mod)
-    k = len(m) - 1
+def _poly_is_irreducible(F, mod) -> bool:
+    """Rabin test over F = F_p: x^(p^k) = x mod m, and
+    gcd(x^(p^(k/q)) - x, m) = 1 for each prime q dividing k."""
+    k = len(mod) - 1
     if k == 1:
         return True
-    if _pp_sub_x(p, _pp_powmod_x(p, p ** k, m)):
+    if _x_power_minus_x(F, F.p ** k, mod):
         return False
-    for q in _prime_divisors(k):
-        diff = _pp_sub_x(p, _pp_powmod_x(p, p ** (k // q), m))
-        if len(_pp_gcd(p, diff, m)) > 1:
-            return False
-    return True
+    return all(
+        len(F.poly_gcd(_x_power_minus_x(F, F.p ** (k // q), mod), mod)) == 1
+        for q in _prime_divisors(k)
+    )
 
 
 def _prime_divisors(n: int):
@@ -549,12 +574,13 @@ def find_irreducible(p: int, k: int, seed: int = 0):
         raise RangeError("extension degree must be >= 1")
     if k == 1:
         return (0, 1)
+    F = PrimeField(p)
     rng = random.Random(((p * 1_000_003 + k) * 1_000_003 + seed))
     while True:
         cand = [rng.randrange(p) for _ in range(k)] + [1]
         if cand[0] == 0:
             continue  # divisible by x
-        if _poly_is_irreducible(p, cand):
+        if _poly_is_irreducible(F, cand):
             return tuple(cand)
 
 

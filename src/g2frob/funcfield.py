@@ -22,6 +22,9 @@ candidates small:
 * A derivative is put over the one denominator D^2 f: du = g dx with
   g = (f (A'D - AD') + (f (B'D - BD') + B f' D / 2) y) / (D^2 f), from the
   quotient rule and dy = f'/(2y) dx = f' y/(2f) dx, and reduced once.
+* A product with a nonzero constant c is (cA + cB y) / D: D stays monic and
+  gcd(cA, cB, D) = gcd(A, B, D) = 1, so it is already a normal form and no
+  gcd runs; the constant 1 returns the other operand itself.
 
 Differentials are represented on the affine chart as g dx with g in K.
 A derivation theta is determined by theta(x) (the chain rule extends it to
@@ -188,9 +191,19 @@ class Curve:
         return self.add(u, self.neg(v))
 
     def mul(self, u, v):
+        """The product; by a constant it is a scaling (module docstring)."""
         if u.is_zero() or v.is_zero():
             return self.zero()
+        if v.is_constant():
+            u, v = v, u
         F = self.field
+        if u.is_constant():
+            c = u.A[0]
+            if F.eq(c, F.one()):
+                return v
+            return FunctionFieldElement(
+                self, poly.scale(F, v.A, c), poly.scale(F, v.B, c), v.D
+            )
         A = poly.add(
             F,
             poly.mul(F, u.A, v.A),

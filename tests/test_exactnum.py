@@ -1,5 +1,6 @@
 """Field axioms, Frobenius, and dual-number arithmetic."""
 
+import itertools
 import json
 
 import pytest
@@ -17,7 +18,7 @@ from g2frob import (
     frobenius,
     make_field,
 )
-from g2frob.exactnum import is_prime, raw_from_json, raw_to_json
+from g2frob.exactnum import _poly_is_irreducible, is_prime, raw_from_json, raw_to_json
 
 from conftest import rng_for
 
@@ -135,6 +136,19 @@ def test_find_irreducible_deterministic():
     assert len(m1) == 4 and m1[-1] == 1
     ExtField(5, m1)  # does not raise
     assert find_irreducible(5, 3, seed=10) is not None
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (3, 4), (3, 6), (5, 2), (5, 3), (7, 4), (13, 2)])
+def test_rabin_test_counts_the_irreducibles(p, k):
+    # Gauss: (1/k) sum over d | k of mu(d) p^(k/d) monic irreducibles of degree k
+    mu = {1: 1, 2: -1, 3: -1, 4: 0, 6: 1}
+    want = sum(mu[d] * p ** (k // d) for d in mu if k % d == 0) // k
+    F = PrimeField(p)
+    got = sum(
+        _poly_is_irreducible(F, list(low) + [1])
+        for low in itertools.product(range(p), repeat=k)
+    )
+    assert got == want
 
 
 def test_field_constructor_guards():

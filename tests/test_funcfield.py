@@ -331,6 +331,32 @@ def test_one_reduction_derivative_against_quotient_rule(field, rounds):
         assert cv.d_coefficient(u) == _quotient_rule_d(cv, u)
 
 
+def _plain_product(cv, u, v):
+    """The product reduced by `_make` against the whole uD vD."""
+    F = cv.field
+    return cv._make(
+        poly.add(F, poly.mul(F, u.A, v.A), poly.mul(F, poly.mul(F, u.B, v.B), cv.f)),
+        poly.add(F, poly.mul(F, u.A, v.B), poly.mul(F, u.B, v.A)),
+        poly.mul(F, u.D, v.D),
+    )
+
+
+@pytest.mark.parametrize("field,rounds", _ORACLE_FIELDS, ids=["F3", "F13", "F27"])
+def test_constant_product_against_plain_make(field, rounds):
+    rng = rng_for(f"ff-constmul-{field!r}")
+    cv = _curve_through_origin(field, rng)
+    for _ in range(rounds):
+        u = _hard_element(cv, rng)
+        c = field.random(rng)
+        for k in (cv.constant(c), cv.one(), cv.constant(field.neg(field.one()))):
+            want = _plain_product(cv, k, u)
+            assert cv.mul(k, u) == want == cv.mul(u, k)
+        if not u.is_constant():  # no normal form built: the operand itself
+            assert cv.mul(cv.one(), u) is u and cv.mul(u, cv.one()) is u
+        k1, k2 = cv.constant(c), cv.constant(field.random(rng))
+        assert cv.mul(k1, k2) == _plain_product(cv, k1, k2)
+
+
 def test_curve_memo_computes_once_per_curve(curve3):
     calls = []
 

@@ -1,6 +1,8 @@
 """Polynomial layer: division, gcd, derivatives, squarefreeness."""
 
-from g2frob import ExtField, PrimeField
+import pytest
+
+from g2frob import DivisionByZero, ExtField, NotSquarefree, PrimeField, make_curve
 from g2frob import poly
 
 from conftest import rng_for
@@ -80,3 +82,86 @@ def test_freshman_dream_for_poly_pow():
         e = poly.pow(F, poly.from_ints(F, [c, 1]), 5)
         want = [F.pow(c, 5)] + [0] * 4 + [1]
         assert list(e) == [w % 5 for w in want]
+
+
+# ---------------------------------------------------------------------------
+# the F_p int kernels against the generic loops, which make one field method
+# call per coefficient operation
+# ---------------------------------------------------------------------------
+
+_KERNEL_PRIMES = (3, 5, 13, 101, 2**31 - 1, 2**61 - 1)
+
+
+def _rand_deg(F, rng, deg, monic=False):
+    """A random polynomial of exactly this degree (deg -1 is zero)."""
+    if deg < 0:
+        return ()
+    lead = F.one() if monic else rng.randrange(1, F.p)
+    return tuple(F.random(rng) for _ in range(deg)) + (lead,)
+
+
+def _kernel_pairs(F, rng):
+    """Operand pairs: zero, constants, equal degrees, monic and non-monic
+    divisors, degrees up to 60."""
+    degs = [-1, 0, 1, 2, 5, 13, 30, 60]
+    for da in degs:
+        for db in degs:
+            yield _rand_deg(F, rng, da), _rand_deg(F, rng, db)
+    for _ in range(40):
+        da = rng.randrange(-1, 61)
+        db = rng.randrange(-1, da + 2)
+        yield _rand_deg(F, rng, da), _rand_deg(F, rng, db, monic=rng.random() < 0.5)
+
+
+def _in_range(F, a):
+    return all(isinstance(c, int) and 0 <= c < F.p for c in a) and (not a or a[-1])
+
+
+@pytest.mark.parametrize("p", _KERNEL_PRIMES)
+def test_int_kernels_match_generic_loops(p):
+    F = PrimeField(p)
+    rng = rng_for(f"poly-kernels-{p}")
+    for a, b in _kernel_pairs(F, rng):
+        prod = poly.mul(F, a, b)
+        assert type(prod) is tuple and _in_range(F, prod)
+        assert prod == poly.mul_generic(F, a, b)
+        g = poly.gcd(F, a, b)
+        assert type(g) is tuple and _in_range(F, g)
+        assert g == poly.gcd_generic(F, a, b)
+        assert not g or g[-1] == 1
+        if not b:
+            for fn in (poly.divmod_, poly.divmod_generic):
+                with pytest.raises(DivisionByZero):
+                    fn(F, a, b)
+            continue
+        q, r = poly.divmod_(F, a, b)
+        assert type(q) is tuple and type(r) is tuple
+        assert _in_range(F, q) and _in_range(F, r)
+        assert (q, r) == poly.divmod_generic(F, a, b)
+
+
+@pytest.mark.parametrize("p", _KERNEL_PRIMES)
+def test_int_gcd_recovers_a_known_common_factor(p):
+    F = PrimeField(p)
+    rng = rng_for(f"poly-kernel-gcd-{p}")
+    for _ in range(25):
+        c = _rand_deg(F, rng, rng.randrange(0, 12))
+        a = poly.mul(F, c, _rand_deg(F, rng, rng.randrange(0, 25)))
+        b = poly.mul(F, c, _rand_deg(F, rng, rng.randrange(0, 25)))
+        g = poly.gcd(F, a, b)
+        assert g == poly.gcd_generic(F, a, b)
+        assert poly.is_zero(poly.divmod_(F, g, poly.monic(F, c))[1])
+        assert poly.divmod_(F, a, g)[1] == () == poly.divmod_(F, b, g)[1]
+
+
+def test_curve_squarefree_gcd_near_2_to_61():
+    # the Curve constructor's squarefree test is the first gcd a large p meets
+    p = 2**61 - 1
+    F = PrimeField(p)
+    cv = make_curve(F, [3, 1, 0, 0, 0, 1])  # x^5 + x + 3
+    assert poly.gcd(F, cv.f, cv.fprime) == (1,) == poly.gcd_generic(F, cv.f, cv.fprime)
+    # (x - 2)^2 (x^3 + x + 1) is not squarefree
+    f = poly.mul(F, poly.pow(F, poly.from_ints(F, [-2, 1]), 2), poly.from_ints(F, [1, 1, 0, 1]))
+    assert poly.gcd(F, f, poly.derivative(F, f)) == poly.from_ints(F, [-2, 1])
+    with pytest.raises(NotSquarefree):
+        make_curve(F, list(f))
