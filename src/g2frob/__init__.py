@@ -57,7 +57,6 @@ from .funcfield import (
 from .pcurvature import (
     CoefficientTable,
     ConnectionMatrix,
-    DualFunctionElement,
     PCurvature,
     coefficient_table,
     p_curvature_matrix,

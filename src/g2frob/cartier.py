@@ -383,24 +383,14 @@ def rational_flat_dimension(curve: Curve, k: int = 1) -> int:
         raise RangeError("rational_flat_dimension expects a prime-field curve")
     p = curve.p
     A = cartier_manin(curve).matrix
-    if k == 1:
-        rows = [
-            [(A[0][0] - 1) % p, A[0][1] % p],
-            [A[1][0] % p, (A[1][1] - 1) % p],
-        ]
-        return len(kernel_basis_mod_p(rows, 2, p))
-    ext = make_field(p, k)
-    frob = ext.frobenius_matrix()
+    frob = make_field(p, k).frobenius_matrix()
     # unknowns: (v1 coords, v2 coords); equations: A v - v^(p) = 0 componentwise
     rows = []
     for out_block in range(2):
         for comp in range(k):
             row = [0] * (2 * k)
             for in_block in range(2):
-                a = A[out_block][in_block] % p
-                if a:
-                    for i in range(k):
-                        row[in_block * k + i] = (row[in_block * k + i] + a * (1 if i == comp else 0)) % p
+                row[in_block * k + comp] = A[out_block][in_block] % p
             for i in range(k):
                 row[out_block * k + i] = (row[out_block * k + i] - frob[comp][i]) % p
             rows.append(row)

@@ -20,13 +20,20 @@ type: `char`, `size`, `degree`, `zero()`, `one()`, `from_int(n)`,
 `from_coeffs(cs)` (at most `degree` ints in the basis below), `add`, `sub`,
 `neg`, `mul`, `inv`, `div`, `pow`, `frobenius`, `is_zero`, `eq`,
 `elements()`, `random(rng)`, `describe()`, `basis()`, the F_p-basis
-1, t, ..., t^(k-1) as raw values (just (1,) on F_p), and the polynomial
-kernels `poly_mul(a, b)`, `poly_divmod(a, b)` and `poly_gcd(a, b)` behind
-`poly.mul`, `poly.divmod_` and `poly.gcd`.  F_p runs them as loops on the
-int coefficients with inline reduction mod p; F_{p^k} uses `poly`'s generic
-loops, one field method call per coefficient operation.  Raw values of any
+1, t, ..., t^(k-1) as raw values (just (1,) on F_p), `frobenius_matrix()`,
+the Frobenius in that basis as a k x k F_p-matrix ([[1]] on F_p), and the
+polynomial kernels `poly_mul(a, b)`, `poly_divmod(a, b)` and `poly_gcd(a, b)`
+behind `poly.mul`, `poly.divmod_` and `poly.gcd`.  F_p runs them as loops on
+the int coefficients with inline reduction mod p; F_{p^k} uses `poly`'s
+generic loops, one field method call per coefficient operation.  Raw values of any
 field go to JSON and back through `raw_to_json` / `raw_from_json`, and raws
 of one field sort in the order of their JSON form.
+
+The base of a DualRing may be a field context or a `funcfield.Curve`, the
+context of the curve's function field K, whose raws are function field
+elements.  DualRing(curve) is the p-curvature engine's K[eps].  The engine
+relies on the base's `zero`, `one`, `add`, `sub`, `mul` and `is_zero`, and on
+its `deriv(u, theta)`, which `DualRing.deriv` applies to body and slope.
 
 The Frobenius x -> x^p is exposed on the two fields (it is the identity on
 F_p).  On dual numbers it is rejected: eps^p = 0 collapses the slope, so a
@@ -123,6 +130,9 @@ class PrimeField:
 
     def basis(self):
         return (1,)
+
+    def frobenius_matrix(self):
+        return [[1]]
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -363,7 +373,8 @@ class ExtField:
 
 
 class DualRing:
-    """base[eps]/(eps^2): first-order deformations over a field context.
+    """base[eps]/(eps^2): first-order deformations over a field context or
+    over a curve's function field (see the module docstring).
 
     Raw values are pairs (body, slope).  A pair is a unit iff its body is;
     (a + eps b)^(-1) = a^(-1) - eps b a^(-2).  Duals are never nested.
@@ -385,9 +396,6 @@ class DualRing:
 
     def one(self):
         return (self.base.one(), self.base.zero())
-
-    def eps(self):
-        return (self.base.zero(), self.base.one())
 
     def lift(self, a):
         """Embed a base value as a dual with zero slope."""
@@ -441,6 +449,10 @@ class DualRing:
 
     def is_zero(self, u) -> bool:
         return self.base.is_zero(u[0]) and self.base.is_zero(u[1])
+
+    def deriv(self, u, theta):
+        """A derivation of the base, applied to body and slope (base.deriv)."""
+        return (self.base.deriv(u[0], theta), self.base.deriv(u[1], theta))
 
     def eq(self, u, v) -> bool:
         return self.is_zero(self.sub(u, v))

@@ -57,10 +57,12 @@ class Curve:
     """y^2 = f(x), deg f = 5, f monic squarefree, over F_p or F_{p^k}.
 
     The curve object doubles as the arithmetic context for its function
-    field: all FunctionFieldElement operations go through it.  `degree_cap`
-    bounds the polynomial degrees appearing in normal forms; derivation
-    towers grow degrees steadily and the cap turns a blowup into an explicit
-    DegreeOverflow instead of a memory grab.
+    field: all FunctionFieldElement operations go through it, and its
+    `is_zero`, `lift` and `deriv` make it the ring context of the
+    p-curvature engine over K (DualRing(curve) is the one over K[eps]).
+    `degree_cap` bounds the polynomial degrees appearing in normal forms;
+    derivation towers grow degrees steadily and the cap turns a blowup into
+    an explicit DegreeOverflow instead of a memory grab.
 
     The curve also owns a memo (`memo`) of the results that the lemma checks
     ask for again and again: the chart constant <omega0, theta0^p> of each
@@ -229,6 +231,16 @@ class Curve:
     def div(self, u, v):
         return self.mul(u, self.inv(v))
 
+    def is_zero(self, u) -> bool:
+        return u.is_zero()
+
+    def lift(self, u):
+        """K is its own coefficient ring: the embedding is the identity."""
+        return u
+
+    def deriv(self, u, theta: "Derivation"):
+        return theta.apply(u)
+
     def pow(self, u, n: int):
         if n < 0:
             return self.inv(self.pow(u, -n))
@@ -308,9 +320,6 @@ class FunctionFieldElement:
 
     def inverse(self) -> "FunctionFieldElement":
         return self.curve.inv(self)
-
-    def deriv(self, theta: "Derivation") -> "FunctionFieldElement":
-        return theta.apply(self)
 
     def __add__(self, other):
         return self.curve.add(self, _coerce(self.curve, other))

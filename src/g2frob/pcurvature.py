@@ -21,14 +21,18 @@ full coefficient row (T_0^(n), ..., T_n^(n)) obeys
 with T_n^(n) = identity.  For r = 1 the whole computation collapses to the
 closed form psi = T^p + theta0^(p-1)(T) - <omega0, theta0^p> T.
 
-psi is returned as a bare matrix over K; the implicit omega0^(tensor p)
-twist is never materialized because only vanishing and equality of psi are
-ever consumed.
+psi is returned as a bare matrix over the connection's ring (K or K[eps],
+below); the implicit omega0^(tensor p) twist is never materialized because
+only vanishing and equality of psi are ever consumed.
 
-The engine is generic over its coefficient entries: plain function field
-elements, or first-order deformations (DualFunctionElement, a pair
-body + eps * slope with eps^2 = 0).  Both support the ring operators and a
-`deriv` method, which is all the recursion touches.
+The engine is generic over a ring context (see `exactnum`): a connection
+carries the ring its entries are raw values of, and the engine touches
+them only through `ring.add`, `sub`, `mul`, `is_zero`, `one`, `zero`,
+`lift` (embed K) and `deriv(u, theta)`.  Two contexts serve it: the curve
+itself for K, whose raws are function field elements, and `DualRing(curve)`
+for the first-order deformations K[eps], whose raws are pairs
+(body, slope) standing for body + eps * slope with eps^2 = 0 and on which
+theta acts componentwise.
 """
 
 from __future__ import annotations
@@ -36,8 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import RangeError, ZeroVector
+from .exactnum import DualRing
 from .funcfield import (
-    Curve,
     Derivation,
     Differential,
     FunctionFieldElement,
@@ -45,88 +49,39 @@ from .funcfield import (
 )
 
 
-class DualFunctionElement:
-    """body + eps * slope with eps^2 = 0, over the function field."""
-
-    __slots__ = ("body", "slope")
-
-    def __init__(self, body: FunctionFieldElement, slope: FunctionFieldElement):
-        self.body = body
-        self.slope = slope
-
-    @classmethod
-    def lift(cls, u: FunctionFieldElement) -> "DualFunctionElement":
-        return cls(u, u.curve.zero())
-
-    @classmethod
-    def infinitesimal(cls, u: FunctionFieldElement) -> "DualFunctionElement":
-        return cls(u.curve.zero(), u)
-
-    @property
-    def curve(self) -> Curve:
-        return self.body.curve
-
-    def is_zero(self) -> bool:
-        return self.body.is_zero() and self.slope.is_zero()
-
-    def deriv(self, theta: Derivation) -> "DualFunctionElement":
-        return DualFunctionElement(theta.apply(self.body), theta.apply(self.slope))
-
-    def __add__(self, other: "DualFunctionElement") -> "DualFunctionElement":
-        return DualFunctionElement(self.body + other.body, self.slope + other.slope)
-
-    def __sub__(self, other: "DualFunctionElement") -> "DualFunctionElement":
-        return DualFunctionElement(self.body - other.body, self.slope - other.slope)
-
-    def __neg__(self) -> "DualFunctionElement":
-        return DualFunctionElement(-self.body, -self.slope)
-
-    def __mul__(self, other: "DualFunctionElement") -> "DualFunctionElement":
-        return DualFunctionElement(
-            self.body * other.body,
-            self.body * other.slope + self.slope * other.body,
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, DualFunctionElement):
-            return NotImplemented
-        return self.body == other.body and self.slope == other.slope
-
-    def __hash__(self):
-        return hash((self.body, self.slope))
-
-    def __repr__(self):
-        return f"Dual({self.body!r} + eps*{self.slope!r})"
-
-
 class ConnectionMatrix:
-    """r x r matrix T over K (or K[eps]) plus the chart form omega0."""
+    """r x r matrix T over a ring context plus the chart form omega0: the
+    curve for K, DualRing(curve) for K[eps].  The curve is the chart's."""
 
-    __slots__ = ("curve", "rank", "entries", "chart")
+    __slots__ = ("ring", "curve", "rank", "entries", "chart")
 
-    def __init__(self, curve: Curve, entries, chart: Differential):
+    def __init__(self, ring, entries, chart: Differential):
         rows = tuple(tuple(row) for row in entries)
         r = len(rows)
         if r < 1 or any(len(row) != r for row in rows):
             raise RangeError("connection matrix must be square, rank >= 1")
         if chart.is_zero():
             raise RangeError("the chart differential must be nonzero")
-        kinds = {type(e) for row in rows for e in row}
-        if not kinds <= {FunctionFieldElement, DualFunctionElement} or len(kinds) != 1:
-            raise RangeError("entries must be uniformly K or K[eps] valued")
-        self.curve = curve
+        try:
+            for row in rows:
+                for e in row:
+                    ring.is_zero(e)
+        except (TypeError, AttributeError):
+            raise RangeError(f"every entry must be a raw value of {ring!r}") from None
+        self.ring = ring
+        self.curve = chart.curve
         self.rank = r
         self.entries = rows
         self.chart = chart
 
     @property
     def is_dual(self) -> bool:
-        return isinstance(self.entries[0][0], DualFunctionElement)
+        return isinstance(self.ring, DualRing)
 
     def trace(self):
         t = self.entries[0][0]
         for i in range(1, self.rank):
-            t = t + self.entries[i][i]
+            t = self.ring.add(t, self.entries[i][i])
         return t
 
     def __repr__(self):
@@ -135,16 +90,17 @@ class ConnectionMatrix:
 
 @dataclass(frozen=True)
 class PCurvature:
-    """psi as a bare matrix over the connection's coefficient ring.
+    """psi as a bare matrix of raw values of the connection's ring.
 
     The omega0^(tensor p) twist of the chart is implicit.
     """
 
     matrix: tuple
     chart: Differential
+    ring: object
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.matrix for e in row)
+        return all(self.ring.is_zero(e) for row in self.matrix for e in row)
 
     def __getitem__(self, ij):
         return self.matrix[ij[0]][ij[1]]
@@ -189,84 +145,61 @@ def p_curvature_rank1(
     return cv.pow(T, cv.p) + theta0.apply_n(T, cv.p - 1) - c0 * T
 
 
-def _entry_like(sample, value: FunctionFieldElement):
-    """Lift a K value to the entry ring of `sample`."""
-    if isinstance(sample, DualFunctionElement):
-        return DualFunctionElement.lift(value)
-    return value
+def _mat_add(ring, A, B, r):
+    return tuple(tuple(ring.add(A[i][j], B[i][j]) for j in range(r)) for i in range(r))
 
 
-def _identity_entries(conn: ConnectionMatrix):
-    cv = conn.curve
-    one = _entry_like(conn.entries[0][0], cv.one())
-    zero = _entry_like(conn.entries[0][0], cv.zero())
-    return tuple(
-        tuple(one if i == j else zero for j in range(conn.rank))
-        for i in range(conn.rank)
-    )
-
-
-def _mat_mul(A, B, r):
+def _mat_mul(ring, A, B, r):
+    add, mul = ring.add, ring.mul
     out = []
     for i in range(r):
         row = []
         for j in range(r):
-            acc = A[i][0] * B[0][j]
+            acc = mul(A[i][0], B[0][j])
             for k in range(1, r):
-                acc = acc + A[i][k] * B[k][j]
+                acc = add(acc, mul(A[i][k], B[k][j]))
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
 
 
-def _mat_theta(M, theta, r):
-    return tuple(tuple(M[i][j].deriv(theta) for j in range(r)) for i in range(r))
+def _mat_theta(ring, M, theta, r):
+    return tuple(tuple(ring.deriv(M[i][j], theta) for j in range(r)) for i in range(r))
+
+
+def _step(ring, T, M, theta, r):
+    """T M + theta(M), the recursion's step on one coefficient matrix."""
+    return _mat_add(ring, _mat_mul(ring, T, M, r), _mat_theta(ring, M, theta, r), r)
 
 
 def p_curvature_matrix(conn: ConnectionMatrix, theta0: Derivation) -> PCurvature:
     """psi via the recursion T0^(n+1) = T T0^(n) + theta0(T0^(n))."""
     _check_duality(conn.chart, theta0)
-    cv, r, T = conn.curve, conn.rank, conn.entries
+    R, r, T = conn.ring, conn.rank, conn.entries
     T0 = T
-    for _ in range(cv.p - 1):
-        prod = _mat_mul(T, T0, r)
-        dT0 = _mat_theta(T0, theta0, r)
-        T0 = tuple(
-            tuple(prod[i][j] + dT0[i][j] for j in range(r)) for i in range(r)
-        )
-    c0 = _entry_like(T[0][0], chart_constant(conn.chart, theta0))
+    for _ in range(conn.curve.p - 1):
+        T0 = _step(R, T, T0, theta0, r)
+    c0 = R.lift(chart_constant(conn.chart, theta0))
     psi = tuple(
-        tuple(T0[i][j] - c0 * T[i][j] for j in range(r)) for i in range(r)
+        tuple(R.sub(T0[i][j], R.mul(c0, T[i][j])) for j in range(r)) for i in range(r)
     )
-    return PCurvature(matrix=psi, chart=conn.chart)
+    return PCurvature(matrix=psi, chart=conn.chart, ring=R)
 
 
 def coefficient_table(conn: ConnectionMatrix, theta0: Derivation, n: int) -> CoefficientTable:
     """All theta0-coefficients of (T + theta0)^n, 1 <= n <= p."""
     _check_duality(conn.chart, theta0)
-    cv, r, T = conn.curve, conn.rank, conn.entries
-    if not 1 <= n <= cv.p:
+    R, r, T = conn.ring, conn.rank, conn.entries
+    if not 1 <= n <= conn.curve.p:
         raise RangeError(f"table order must satisfy 1 <= n <= p, got {n}")
-    ident = _identity_entries(conn)
+    ident = tuple(tuple(R.one() if i == j else R.zero() for j in range(r)) for i in range(r))
     row = [T, ident]  # n = 1
     for _ in range(n - 1):
-        nxt = []
-        for k in range(len(row) + 1):
-            if k < len(row):
-                term = _mat_mul(T, row[k], r)
-                dk = _mat_theta(row[k], theta0, r)
-                term = tuple(
-                    tuple(term[i][j] + dk[i][j] for j in range(r)) for i in range(r)
-                )
-            else:
-                term = None
-            if k > 0:
-                prev = row[k - 1]
-                term = prev if term is None else tuple(
-                    tuple(term[i][j] + prev[i][j] for j in range(r)) for i in range(r)
-                )
-            nxt.append(term)
-        row = nxt
+        # T_k^(n+1) = T T_k^(n) + theta0(T_k^(n)) + T_(k-1)^(n); the top stays I
+        nxt = [_step(R, T, M, theta0, r) for M in row]
+        for k in range(1, len(nxt)):
+            nxt[k] = _mat_add(R, nxt[k], row[k - 1], r)
+        row = nxt + [row[-1]]
     return CoefficientTable(n=n, rows=tuple(row))
 
 

@@ -55,10 +55,6 @@ def is_zero(a) -> bool:
     return not a
 
 
-def eq(F, a, b) -> bool:
-    return len(a) == len(b) and all(F.eq(u, v) for u, v in zip(a, b))
-
-
 def add(F, a, b):
     if len(a) < len(b):
         a, b = b, a

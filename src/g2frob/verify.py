@@ -43,7 +43,7 @@ from math import comb
 from . import poly
 from .cartier import fp_combination, fp_kernel, plane_basis
 from .errors import FieldTooLargeForBrute, NotTorsion, RangeError
-from .exactnum import raw_from_json, raw_to_json
+from .exactnum import DualRing, raw_from_json, raw_to_json
 from .funcfield import (
     Curve,
     Derivation,
@@ -55,7 +55,6 @@ from .funcfield import (
 from .linalg import enumerate_span_mod_p
 from .pcurvature import (
     ConnectionMatrix,
-    DualFunctionElement,
     p_curvature_matrix,
     p_curvature_rank1,
 )
@@ -219,16 +218,12 @@ def check_offdiag_closed_forms(curve: Curve, omega_L, omega) -> LemmaReport:
 
 def _deformation_psi(curve: Curve, theta_L: Derivation, chart: Differential,
                      g11, f12, f21, g22):
-    """psi of diag(0,1) + eps [[g11, f12], [f21, g22]] against theta_L: the
-    traceless deformation has (g11, g22) = (f11, -f11), its companion
-    (2 f11, 0)."""
-    inf = DualFunctionElement.infinitesimal
-    M = (
-        (inf(g11), inf(f12)),
-        (inf(f21), DualFunctionElement(curve.one(), g22)),
-    )
-    conn = ConnectionMatrix(curve, M, chart)
-    return p_curvature_matrix(conn, theta_L)
+    """psi of diag(0,1) + eps [[g11, f12], [f21, g22]] against theta_L, as
+    (body, slope) pairs over DualRing(curve): the traceless deformation has
+    (g11, g22) = (f11, -f11), its companion (2 f11, 0)."""
+    z = curve.zero()
+    M = (((z, g11), (z, f12)), ((z, f21), (curve.one(), g22)))
+    return p_curvature_matrix(ConnectionMatrix(DualRing(curve), M, chart), theta_L)
 
 
 def scalar_shift_identity_holds(curve: Curve, theta_L: Derivation, psi, psi_companion,
@@ -237,10 +232,9 @@ def scalar_shift_identity_holds(curve: Curve, theta_L: Derivation, psi, psi_comp
     shift = f11 - theta_L.apply_n(f11, curve.p - 1)
     for i in range(2):
         for j in range(2):
-            diff = psi[i, j] - psi_companion[i, j]
-            want_body = curve.zero()
+            body, slope = psi.ring.sub(psi[i, j], psi_companion[i, j])
             want_slope = shift if i == j else curve.zero()
-            if not (diff.body == want_body and diff.slope == want_slope):
+            if not (body.is_zero() and slope == want_slope):
                 return False
     return True
 
@@ -397,10 +391,10 @@ def _closed_forms_match(curve, theta_L, psi_companion, f11, f12, f21) -> bool:
     R, Rp = rec[0], rec[-1]
     for i in range(2):
         for j in range(2):
-            e = psi_companion[i, j]
-            if not e.body.is_zero():
+            body, slope = psi_companion[i, j]
+            if not body.is_zero():
                 return False
-            if e.slope != Rp[i][j] - R[i][j]:
+            if slope != Rp[i][j] - R[i][j]:
                 return False
     return True
 
@@ -416,9 +410,7 @@ def _rigidity_linear(curve, theta_L, omega_L):
             fs[slot] = curve.global_form(a, b).ratio(omega_L)
             psi = _deformation_psi(curve, theta_L, omega_L, *fs, -fs[0])
             unknowns.append(tuple(raws))
-            images.append(tuple(
-                e for i in range(2) for j in range(2) for e in (psi[i, j].body, psi[i, j].slope)
-            ))
+            images.append(tuple(e for i in range(2) for j in range(2) for e in psi[i, j]))
     basis = fp_kernel(curve, images)
     sols = set()
     for v in enumerate_span_mod_p(basis, len(unknowns), curve.p):

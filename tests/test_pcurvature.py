@@ -6,7 +6,7 @@ import pytest
 
 from g2frob import (
     ConnectionMatrix,
-    DualFunctionElement,
+    DualRing,
     RangeError,
     ZeroVector,
     coefficient_table,
@@ -216,25 +216,26 @@ def test_dual_engine_scalar_shift(curve3, flat3):
     cv = curve3
     omega_L, theta_L = flat3
     rng = rng_for("pc-dual")
-    inf = DualFunctionElement.infinitesimal
+    D = DualRing(cv)
+    z = cv.zero()
     for _ in range(8):
         f11 = make_random_element(cv, rng, max_deg=1)
         f12 = make_random_element(cv, rng, max_deg=1)
         f21 = make_random_element(cv, rng, max_deg=1)
         M = ConnectionMatrix(
-            cv,
+            D,
             (
-                (inf(f11), inf(f12)),
-                (inf(f21), DualFunctionElement(cv.one(), -f11)),
+                ((z, f11), (z, f12)),
+                ((z, f21), (cv.one(), -f11)),
             ),
             omega_L,
         )
         two = cv.constant(cv.field.from_int(2))
         Mp = ConnectionMatrix(
-            cv,
+            D,
             (
-                (inf(two * f11), inf(f12)),
-                (inf(f21), DualFunctionElement(cv.one(), cv.zero())),
+                ((z, two * f11), (z, f12)),
+                ((z, f21), (cv.one(), cv.zero())),
             ),
             omega_L,
         )
@@ -243,17 +244,18 @@ def test_dual_engine_scalar_shift(curve3, flat3):
         shift = f11 - theta_L.apply_n(f11, cv.p - 1)
         for i in range(2):
             for j in range(2):
-                diff = lhs[i, j] - rhs[i, j]
-                assert diff.body.is_zero()
-                assert diff.slope == (shift if i == j else cv.zero())
+                body, slope = D.sub(lhs[i, j], rhs[i, j])
+                assert body.is_zero()
+                assert slope == (shift if i == j else cv.zero())
 
 
 def test_dual_lift_of_flat_connection_is_flat(curve3, flat3):
     cv = curve3
     omega_L, theta_L = flat3
-    lift = DualFunctionElement.lift
+    D = DualRing(cv)
+    lift = D.lift
     M = ConnectionMatrix(
-        cv,
+        D,
         ((lift(cv.zero()), lift(cv.zero())), (lift(cv.zero()), lift(cv.one()))),
         omega_L,
     )
@@ -262,13 +264,49 @@ def test_dual_lift_of_flat_connection_is_flat(curve3, flat3):
 
 def test_mixed_entry_kinds_rejected(curve3):
     omega0, _ = _chart(curve3)
+    D = DualRing(curve3)
+    one, z = curve3.one(), curve3.zero()
+    # a K entry in a K[eps] matrix
     with pytest.raises(RangeError):
-        ConnectionMatrix(
-            curve3,
-            ((curve3.one(), DualFunctionElement.lift(curve3.one())),
-             (curve3.zero(), curve3.zero())),
-            omega0,
-        )
+        ConnectionMatrix(D, ((D.lift(one), one), (D.zero(), D.zero())), omega0)
+    # a K[eps] entry in a K matrix
+    with pytest.raises(RangeError):
+        ConnectionMatrix(curve3, ((one, D.lift(one)), (z, z)), omega0)
+
+
+def test_dual_deriv_is_leibniz(curve3, curve5):
+    # theta(u v) = theta(u) v + u theta(v) on K[eps], theta acting componentwise
+    rng = rng_for("dual-leibniz")
+    for cv in (curve3, curve5):
+        D = DualRing(cv)
+        _, theta0 = _chart(cv)
+        for _ in range(4):
+            u, v = (
+                (make_random_element(cv, rng, max_deg=2), make_random_element(cv, rng, max_deg=2))
+                for _ in range(2)
+            )
+            lhs = D.deriv(D.mul(u, v), theta0)
+            rhs = D.add(D.mul(D.deriv(u, theta0), v), D.mul(u, D.deriv(v, theta0)))
+            assert lhs == rhs
+
+
+def test_dual_engine_on_lifted_connection_is_lifted_psi(curve3, curve5):
+    # psi over K[eps] of a connection with zero slopes is the lift of psi over K
+    rng = rng_for("dual-lift-psi")
+    for cv in (curve3, curve5):
+        D = DualRing(cv)
+        omega0, theta0 = _chart(cv)
+        for _ in range(2):
+            T = tuple(
+                tuple(make_random_element(cv, rng, max_deg=1) for _ in range(2))
+                for _ in range(2)
+            )
+            lifted = tuple(tuple(D.lift(e) for e in row) for row in T)
+            psi = p_curvature_matrix(ConnectionMatrix(cv, T, omega0), theta0)
+            psi_eps = p_curvature_matrix(ConnectionMatrix(D, lifted, omega0), theta0)
+            for i in range(2):
+                for j in range(2):
+                    assert psi_eps[i, j] == D.lift(psi[i, j])
 
 
 # ---------------------------------------------------------------------------
