@@ -33,10 +33,12 @@ and more generally the solutions of A v = v^(p).  Over a large enough
 extension the flat forms fill out p^(p-rank) elements: p^2 for an ordinary
 genus-2 curve.  `stabilization_degree` computes how large is large enough.
 
-Both enumeration methods are exposed: `brute` scans every candidate pair and
-evaluates the closed-form p-curvature; `semilinear` solves the equivalent
-F_p-linear system.  They agree wherever both run; brute is the normative
-oracle, the solver is the one that scales to big extensions.
+Both enumeration methods are exposed, and they take independent routes.
+`semilinear` solves A v = v^(p) linearized over F_p: O(p) field operations
+for A, then the kernel of a 2k x 2k matrix over F_{p^k}.  `brute` evaluates
+the p-curvature of every candidate pair from theta0^(p-1)(x), which takes
+p - 1 derivation steps, and stays the normative oracle.  So `scan`'s
+`agree` and `torsion --crosscheck` compare two independent computations.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 from . import poly
 from .errors import FieldTooLargeForBrute, G2FrobError, NotFlat, PrimeTooLarge, RangeError
-from .exactnum import PrimeField, make_field, raw_to_json
+from .exactnum import make_field, raw_to_json
 from .funcfield import (
     Curve,
     Differential,
@@ -53,7 +55,7 @@ from .funcfield import (
     curve_id,
     dual_derivation,
 )
-from .linalg import enumerate_span_mod_p, kernel_basis_mod_p
+from .linalg import enumerate_span_mod_p, kernel_basis_mod_p, rref_mod_p
 from .pcurvature import ConnectionMatrix, p_curvature_rank1
 
 _BRUTE_FIELD_LIMIT = 1 << 14
@@ -205,48 +207,40 @@ class TorsionSet:
         return tuple(curve.global_form(a, b) for a, b in self.forms)
 
     def is_subspace(self, field) -> bool:
-        """Closure under addition and F_p-scaling, checked exhaustively."""
-        S = set(self.forms)
-        if (field.zero(), field.zero()) not in S:
-            return False
-        for a1, b1 in S:
-            for a2, b2 in S:
-                if (field.add(a1, a2), field.add(b1, b2)) not in S:
-                    return False
-            for s in range(field.char):
-                sv = field.from_int(s)
-                if (field.mul(sv, a1), field.mul(sv, b1)) not in S:
-                    return False
-        return True
+        """The forms lie in their own F_p-span, which has p^rank elements, so
+        they are a subspace exactly when there are p^rank of them."""
+        rows = [_coords(a) + _coords(b) for a, b in self.forms]
+        rank = len(rref_mod_p(rows, 2 * field.degree, field.char)[1])
+        return len(set(self.forms)) == field.char ** rank
 
     def to_jsonable(self):
         return [[raw_to_json(a), raw_to_json(b)] for a, b in self.forms]
 
 
 def _flat_form_data(curve: Curve):
-    """Shared precomputation, once per curve (the curve's memo): omega0 =
-    dx/y, theta0 dual, x^p, h = theta0^(p-1)(x) and c0 = <omega0, theta0^p>
-    = omega0.g theta0(h), which is chart_constant(omega0, theta0).
+    """The brute oracle's precomputation: omega0 = dx/y, theta0 dual, x^p,
+    h = theta0^(p-1)(x) and c0 = <omega0, theta0^p> = omega0.g theta0(h),
+    which is chart_constant(omega0, theta0).
 
-    h takes p - 1 derivation steps, whose cost grows like p^2, so p >
-    _BRUTE_FIELD_LIMIT, which the brute guard already refuses on prime
-    fields, raises PrimeTooLarge.
+    h takes p - 1 derivation steps, so check_derivation_limit applies.
     """
+    check_derivation_limit(curve)
+    F = curve.field
+    omega0 = curve.basis_forms()[0]
+    theta0 = dual_derivation(omega0)
+    xp = curve.from_poly((F.zero(),) * curve.p + (F.one(),))
+    h = theta0.apply_n(curve.x(), curve.p - 1)
+    c0 = curve.mul(omega0.g, theta0.apply(h))
+    return omega0, theta0, xp, h, c0
+
+
+def check_derivation_limit(curve: Curve):
+    """Raise PrimeTooLarge when p > _BRUTE_FIELD_LIMIT: p - 1 derivation
+    steps cost about p^2, and the brute guard already refuses such primes."""
     if curve.p > _BRUTE_FIELD_LIMIT:
         raise PrimeTooLarge(
-            f"p = {curve.p} exceeds the flat-form limit {_BRUTE_FIELD_LIMIT}"
+            f"p = {curve.p} exceeds the derivation limit {_BRUTE_FIELD_LIMIT}"
         )
-
-    def compute():
-        F = curve.field
-        omega0 = curve.basis_forms()[0]
-        theta0 = dual_derivation(omega0)
-        xp = curve.from_poly((F.zero(),) * curve.p + (F.one(),))
-        h = theta0.apply_n(curve.x(), curve.p - 1)
-        c0 = curve.mul(omega0.g, theta0.apply(h))
-        return omega0, theta0, xp, h, c0
-
-    return curve.memo(("flat_form_data",), compute)
 
 
 def _psi_of_pair(curve: Curve, a, b, xp, h, c0) -> FunctionFieldElement:
@@ -254,7 +248,7 @@ def _psi_of_pair(curve: Curve, a, b, xp, h, c0) -> FunctionFieldElement:
 
     Uses T^p = a^p + b^p x^p and theta0-linearity over constants; equals the
     closed form evaluated directly (spot-welded against p_curvature_rank1 in
-    enumerate_p_torsion).
+    _torsion_brute).
     """
     F = curve.field
     ca, cb = curve.constant(a), curve.constant(b)
@@ -267,8 +261,8 @@ def _psi_of_pair(curve: Curve, a, b, xp, h, c0) -> FunctionFieldElement:
 def enumerate_p_torsion(curve: Curve, method: str = "brute") -> TorsionSet:
     """All (a, b) with vanishing p-curvature of d + (a+bx)dx/y.
 
-    `brute` scans all |field|^2 candidates (guarded); `semilinear` solves the
-    equivalent F_p-linear system and returns the identical set.
+    `brute` scans all |field|^2 candidates (guarded); `semilinear` solves
+    A v = v^(p) for the Cartier-Manin matrix A and returns the identical set.
     """
     if method == "brute":
         forms = _torsion_brute(curve)
@@ -302,18 +296,17 @@ def _torsion_brute(curve: Curve):
 
 
 def _torsion_semilinear(curve: Curve):
-    _, _, xp, h, c0 = _flat_form_data(curve)
-    unknowns = plane_basis(curve.field)
-    images = [(_psi_of_pair(curve, a, b, xp, h, c0),) for a, b in unknowns]
-    basis = fp_kernel(curve, images)
+    F = curve.field
+    basis = _flat_kernel(F, cartier_manin(curve).matrix)
+    unknowns = plane_basis(F)
     return tuple(sorted(
-        fp_combination(curve.field, v, unknowns)
+        fp_combination(F, v, unknowns)
         for v in enumerate_span_mod_p(basis, len(unknowns), curve.p)
     ))
 
 
 # ---------------------------------------------------------------------------
-# F_p-linear maps into K: the solve shared by flat forms and rigidity
+# F_p-linear solves over the plane of global forms: flat forms, rigidity
 # ---------------------------------------------------------------------------
 
 def plane_basis(F):
@@ -321,6 +314,19 @@ def plane_basis(F):
     for e running over F.basis()."""
     z, basis = F.zero(), F.basis()
     return [(e, z) for e in basis] + [(z, e) for e in basis]
+
+
+def _flat_kernel(F, A):
+    """F_p-basis, in the coordinates of plane_basis(F), of the v in F^2 with
+    A v = v^(p).  Column j of the linear system is A u_j - u_j^(p) for the
+    j-th plane_basis vector u_j; Frobenius is F_p-linear, so this is the
+    multiplication matrix of each entry of A less frobenius_matrix()."""
+    cols = []
+    for u in plane_basis(F):
+        Au = (F.add(F.mul(r[0], u[0]), F.mul(r[1], u[1])) for r in A)
+        cols.append([x for w, c in zip(Au, u)
+                     for x in _coords(F.sub(w, F.frobenius(c)))])
+    return kernel_basis_mod_p(list(zip(*cols)), len(cols), F.char)
 
 
 def fp_kernel(curve: Curve, images):
@@ -376,25 +382,15 @@ def _coords(raw):
 def rational_flat_dimension(curve: Curve, k: int = 1) -> int:
     """F_p-dimension of the flat forms rational over F_{p^k}.
 
-    Solves A v = v^(p) linearized over F_p.  Requires a prime-field curve;
-    the answer is independent of the modulus used to present F_{p^k}.
+    Solves A v = v^(p) over F_{p^k} (`_flat_kernel`).  Requires a
+    prime-field curve; the answer is independent of the modulus used to
+    present F_{p^k}.
     """
-    if not isinstance(curve.field, PrimeField):
+    if curve.field.degree != 1:
         raise RangeError("rational_flat_dimension expects a prime-field curve")
-    p = curve.p
-    A = cartier_manin(curve).matrix
-    frob = make_field(p, k).frobenius_matrix()
-    # unknowns: (v1 coords, v2 coords); equations: A v - v^(p) = 0 componentwise
-    rows = []
-    for out_block in range(2):
-        for comp in range(k):
-            row = [0] * (2 * k)
-            for in_block in range(2):
-                row[in_block * k + comp] = A[out_block][in_block] % p
-            for i in range(k):
-                row[out_block * k + i] = (row[out_block * k + i] - frob[comp][i]) % p
-            rows.append(row)
-    return len(kernel_basis_mod_p(rows, 2 * k, p))
+    F = make_field(curve.p, k)
+    A = tuple(tuple(F.from_int(e) for e in row) for row in cartier_manin(curve).matrix)
+    return len(_flat_kernel(F, A))
 
 
 def stabilization_degree(curve: Curve, k_max: int = 20000) -> int:
@@ -402,47 +398,27 @@ def stabilization_degree(curve: Curve, k_max: int = 20000) -> int:
 
     A geometric solution v of A v = v^(p) satisfies v^(p^k) = A^k v, so the
     solutions live in the stable image of A and become rational exactly when
-    A^k is the identity there.  The candidate order is verified against the
-    linearized fixed-space computation.
+    A^k is the identity there, that is when A^(k+1) = A: A^k = I at p-rank 2,
+    and mu^k = 1 at p-rank 1, where A^2 = mu A.  The order found is verified
+    against rational_flat_dimension.
     """
-    if not isinstance(curve.field, PrimeField):
+    if curve.field.degree != 1:
         raise RangeError("stabilization_degree expects a prime-field curve")
     F = curve.field
     cm = cartier_manin(curve)
     rank = cm.p_rank()
     if rank == 0:
         return 1
-    A = cm.matrix
-    if rank == 2:
-        k = _matrix_order(F, A, k_max)
+    A = acc = cm.matrix
+    for k in range(1, k_max + 1):
+        acc = _mat2_mul(F, acc, A)
+        if acc == A:
+            break
     else:
-        # A acts on its stable line by a nonzero scalar mu; k = ord(mu)
-        A2 = _mat2_mul(F, A, A)
-        col = 0 if not (F.is_zero(A2[0][0]) and F.is_zero(A2[1][0])) else 1
-        w = (A2[0][col], A2[1][col])
-        Aw = (
-            F.add(F.mul(A[0][0], w[0]), F.mul(A[0][1], w[1])),
-            F.add(F.mul(A[1][0], w[0]), F.mul(A[1][1], w[1])),
-        )
-        i = 0 if not F.is_zero(w[0]) else 1
-        mu = F.div(Aw[i], w[i])
-        k, acc = 1, mu
-        while not F.eq(acc, F.one()):
-            acc = F.mul(acc, mu)
-            k += 1
+        raise RangeError(f"stabilization order exceeds {k_max}")
     if rational_flat_dimension(curve, k) != rank:
         raise RangeError("stabilization order verification failed")
     return k
-
-
-def _matrix_order(F, A, k_max: int) -> int:
-    ident = ((F.one(), F.zero()), (F.zero(), F.one()))
-    acc = A
-    for k in range(1, k_max + 1):
-        if acc == ident:
-            return k
-        acc = _mat2_mul(F, A, acc)
-    raise RangeError(f"matrix order exceeds {k_max}; is the curve ordinary?")
 
 
 # ---------------------------------------------------------------------------

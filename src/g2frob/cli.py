@@ -22,7 +22,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from .cartier import cartier_manin, enumerate_p_torsion
+from .cartier import cartier_manin, check_derivation_limit, enumerate_p_torsion
 from .errors import InputError, RangeError, ResourceGuardError
 from .exactnum import make_field
 from .formulas import counts
@@ -110,6 +110,7 @@ def cmd_torsion(args) -> int:
 
 
 def _verify_payload(curve: Curve, rigidity_mode: str | None) -> dict:
+    check_derivation_limit(curve)  # every lemma check takes p derivation steps
     F = curve.field
     ts = enumerate_p_torsion(curve, method="semilinear")
     payload = _curve_payload(curve)

@@ -66,10 +66,10 @@ class Curve:
 
     The curve also owns a memo (`memo`) of the results that the lemma checks
     ask for again and again: the chart constant <omega0, theta0^p> of each
-    chart, the flatness of each form with its dual derivation, the two sums
-    of each pair of forms and the flat-form data.  Each value is a few
-    function field elements, never a derivation tower, and the memo lives
-    exactly as long as the curve: one CLI call, or one scan row.
+    chart, the flatness of each form with its dual derivation and the two
+    sums of each pair of forms.  Each value is a few function field
+    elements, never a derivation tower, and the memo lives exactly as long
+    as the curve: one CLI call, or one scan row.
     """
 
     __slots__ = ("field", "f", "fprime", "degree_cap", "_half_fprime", "_memo")

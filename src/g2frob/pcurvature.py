@@ -51,7 +51,8 @@ from .funcfield import (
 
 class ConnectionMatrix:
     """r x r matrix T over a ring context plus the chart form omega0: the
-    curve for K, DualRing(curve) for K[eps].  The curve is the chart's."""
+    curve for K, DualRing(curve) for K[eps].  The curve is the chart's; a
+    ring over another curve raises RangeError."""
 
     __slots__ = ("ring", "curve", "rank", "entries", "chart")
 
@@ -62,6 +63,8 @@ class ConnectionMatrix:
             raise RangeError("connection matrix must be square, rank >= 1")
         if chart.is_zero():
             raise RangeError("the chart differential must be nonzero")
+        if ring not in (chart.curve, DualRing(chart.curve)):
+            raise RangeError(f"{ring!r} is not the ring of the chart's curve")
         try:
             for row in rows:
                 for e in row:

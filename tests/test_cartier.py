@@ -8,7 +8,9 @@ from g2frob import (
     NotSquarefree,
     PrimeField,
     PrimeTooLarge,
+    RangeError,
     ResourceGuardError,
+    TorsionSet,
     canonical_connection,
     cartier_manin,
     dual_derivation,
@@ -17,6 +19,7 @@ from g2frob import (
     make_curve,
     make_field,
     p_curvature_matrix,
+    p_curvature_rank1,
     p_rank,
     random_curve,
     rational_flat_dimension,
@@ -149,6 +152,92 @@ def test_methods_agree_on_randoms():
             b = enumerate_p_torsion(cv, "brute")
             s = enumerate_p_torsion(cv, "semilinear")
             assert b.forms == s.forms
+
+
+# (p, k, number of seeded curves): prime fields, F_9, F_25, F_27, F_49, and
+# two primes where brute takes about 0.1 s and 0.7 s per curve
+_DIFFERENTIAL_GRID = [(3, 1, 6), (5, 1, 6), (7, 1, 4), (11, 1, 3), (13, 1, 3),
+                      (3, 2, 4), (5, 2, 2), (3, 3, 2), (7, 2, 1), (31, 1, 1), (61, 1, 1)]
+
+
+@pytest.mark.parametrize("p,k,count", _DIFFERENTIAL_GRID)
+def test_cartier_solver_against_p_curvature_brute(p, k, count):
+    # semilinear reads the flat forms off A v = v^(p); brute evaluates the
+    # p-curvature of every candidate: two independent routes, one set.  The
+    # first `count` seeded curves are compared, and then the next one that
+    # has nonzero flat forms, so every field compares a nonzero set.
+    F = make_field(p, k)
+    rng = rng_for(f"cartier-differential-{p}-{k}")
+    checked = flat = 0
+    for _ in range(20 * F.size):
+        cv = random_curve(F, rng)
+        s = enumerate_p_torsion(cv, "semilinear")
+        if checked < count or len(s) > 1:
+            assert enumerate_p_torsion(cv, "brute").forms == s.forms
+            checked += 1
+            flat += len(s) > 1
+        if checked >= count and flat:
+            break
+    assert flat
+
+
+def test_cartier_solver_above_the_brute_limit():
+    # over F_{3^10} only the solver runs: every form it lists is flat, and
+    # there are 3^(rational dimension over F_{3^10}) of them
+    F = make_field(3, 10)
+    rng = rng_for("cartier-solver-f3-10")
+    sizes = set()
+    for _ in range(4):
+        cv3 = random_curve(PrimeField(3), rng)
+        cv = make_curve(F, [F.from_int(c) for c in cv3.f])
+        omega0 = cv.basis_forms()[0]
+        theta0 = dual_derivation(omega0)
+        ts = enumerate_p_torsion(cv, "semilinear")
+        assert len(ts) == 3 ** rational_flat_dimension(cv3, 10)
+        for omega in ts.differentials(cv):
+            T = cv.mul(omega.g, theta0.value_on_x)
+            assert p_curvature_rank1(T, theta0, omega0).is_zero()
+        sizes.add(len(ts))
+    assert sizes != {1}
+
+
+@pytest.mark.parametrize("p,k", [(5, 1), (3, 2)], ids=["F5", "F9"])
+def test_is_subspace_rejects_non_subspaces(p, k):
+    F = make_field(p, k)
+    z, g = F.zero(), F.basis()[-1]
+    line = [(F.mul(F.from_int(s), g), F.from_int(s)) for s in range(p)]
+
+    def is_subspace(forms):
+        return TorsionSet(curve_id="", forms=tuple(sorted(forms)), method="").is_subspace(F)
+
+    assert is_subspace(line)
+    # the plane spanned by the line and (1, 0)
+    assert is_subspace([(F.add(a, F.from_int(s)), b) for a, b in line for s in range(p)])
+    assert not is_subspace(line[:-1])  # a line less one element
+    assert not is_subspace(line[1:])  # a line less zero
+    assert not is_subspace(line + [(F.one(), z)])  # a line plus an outside pair
+    # p elements, zero among them, spanning a plane
+    assert not is_subspace(line[:-1] + [(F.one(), z)])
+
+
+def test_stabilization_degree_is_least_k_with_full_dimension():
+    # checked on seeded curves of p-rank 1 and 2 against the flat dimension
+    # over F_{p^k}, k <= 12; a longer order must exceed k_max = 12
+    for p in (3, 5, 7):
+        rng = rng_for(f"cartier-stabilization-{p}")
+        seen = {1: 0, 2: 0}
+        while min(seen.values()) < 2:
+            cv = random_curve(PrimeField(p), rng)
+            rank = p_rank(cv)
+            if rank == 0 or seen[rank] == 2:
+                continue
+            seen[rank] += 1
+            full = [k for k in range(1, 13) if rational_flat_dimension(cv, k) == rank]
+            if full:
+                assert stabilization_degree(cv) == full[0]
+            else:
+                with pytest.raises(RangeError):
+                    stabilization_degree(cv, k_max=12)
 
 
 def test_rational_count_law():

@@ -11,6 +11,7 @@ from g2frob import (
     ZeroVector,
     coefficient_table,
     dual_derivation,
+    make_curve,
     p_curvature_matrix,
     p_curvature_rank1,
     second_fundamental_form,
@@ -272,6 +273,19 @@ def test_mixed_entry_kinds_rejected(curve3):
     # a K[eps] entry in a K matrix
     with pytest.raises(RangeError):
         ConnectionMatrix(curve3, ((one, D.lift(one)), (z, z)), omega0)
+
+
+def test_ring_of_another_curve_rejected(curve3, curve5):
+    # an F_3 ring with a chart on an F_5 curve, over K and over K[eps]
+    omega0, _ = _chart(curve5)
+    D = DualRing(curve3)
+    with pytest.raises(RangeError):
+        ConnectionMatrix(curve3, ((curve3.one(),),), omega0)
+    with pytest.raises(RangeError):
+        ConnectionMatrix(D, ((D.one(),),), omega0)
+    # an equal curve built afresh is the chart's curve
+    fresh = make_curve(curve5.field, curve5.f)
+    ConnectionMatrix(DualRing(fresh), ((DualRing(fresh).one(),),), omega0)
 
 
 def test_dual_deriv_is_leibniz(curve3, curve5):
