@@ -100,21 +100,26 @@ def cartier_manin(curve: Curve) -> CartierManinMatrix:
     Two runs of the recurrence in the module docstring: a forward run on
     f / x^v (v = 1 exactly when f(0) = 0) for row 1, and a run on the
     reversed polynomial for row 2.  Neither reaches the singular step k = p.
-    Raises PrimeTooLarge before any work when p > _CARTIER_P_LIMIT.
+    Raises PrimeTooLarge before any work when p > _CARTIER_P_LIMIT.  The
+    matrix is computed once per curve (the curve's memo).
     """
     F, f, p = curve.field, curve.f, curve.p
     if p > _CARTIER_P_LIMIT:
         raise PrimeTooLarge(
             f"p = {p} exceeds the Cartier-Manin limit {_CARTIER_P_LIMIT}"
         )
-    n = (p - 1) // 2
-    v = 1 if F.is_zero(f[0]) else 0
-    row1 = _top_two_coefficients(F, f[v:], n, p - 1 - v * n)
-    # x^(2p-1) and x^(2p-2) of f^n sit at (p-3)/2 and (p-1)/2 of the reversal
-    top, below = _top_two_coefficients(F, f[::-1], n, (p - 1) // 2)
-    return CartierManinMatrix(
-        curve_id=curve_id(curve), matrix=(row1, (below, top)), field=F
-    )
+
+    def matrix():
+        n = (p - 1) // 2
+        v = 1 if F.is_zero(f[0]) else 0
+        row1 = _top_two_coefficients(F, f[v:], n, p - 1 - v * n)
+        # x^(2p-1) and x^(2p-2) of f^n sit at (p-3)/2 and (p-1)/2 of the reversal
+        top, below = _top_two_coefficients(F, f[::-1], n, (p - 1) // 2)
+        return CartierManinMatrix(
+            curve_id=curve_id(curve), matrix=(row1, (below, top)), field=F
+        )
+
+    return curve.memo(("cartier_manin",), matrix)
 
 
 def _top_two_coefficients(F, g, n: int, top: int):

@@ -22,10 +22,12 @@ type: `char`, `size`, `degree`, `zero()`, `one()`, `from_int(n)`,
 `elements()`, `random(rng)`, `describe()`, `basis()`, the F_p-basis
 1, t, ..., t^(k-1) as raw values (just (1,) on F_p), `frobenius_matrix()`,
 the Frobenius in that basis as a k x k F_p-matrix ([[1]] on F_p), and the
-polynomial kernels `poly_mul(a, b)`, `poly_divmod(a, b)` and `poly_gcd(a, b)`
-behind `poly.mul`, `poly.divmod_` and `poly.gcd`.  F_p runs them as loops on
-the int coefficients with inline reduction mod p; F_{p^k} uses `poly`'s
-generic loops, one field method call per coefficient operation.  Raw values of any
+polynomial kernels `poly_normalize`, `poly_add`, `poly_sub`, `poly_neg`,
+`poly_scale`, `poly_derivative`, `poly_divide_at`, `poly_mul`, `poly_divmod`
+and `poly_gcd` behind the functions of `poly` of the same names.  F_p runs
+them as loops on the int coefficients with inline reduction mod p; F_{p^k}
+uses `poly`'s generic loops, one field method call per coefficient
+operation.  Raw values of any
 field go to JSON and back through `raw_to_json` / `raw_from_json`, and raws
 of one field sort in the order of their JSON form.
 
@@ -169,6 +171,60 @@ class PrimeField:
         return (a - b) % self.p == 0
 
     # -- polynomial kernels (see `poly`): int loops, reduced mod p ---------
+    def poly_normalize(self, coeffs):
+        p, c = self.p, list(coeffs)
+        while c and not c[-1] % p:
+            c.pop()
+        return tuple(c)
+
+    def poly_add(self, a, b):
+        p = self.p
+        if len(a) < len(b):
+            a, b = b, a
+        out = [(c + d) % p for c, d in zip(a, b)]
+        out += a[len(b):]
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
+
+    def poly_sub(self, a, b):
+        p = self.p
+        out = [(c - d) % p for c, d in zip(a, b)]
+        if len(a) > len(b):
+            out += a[len(b):]
+        else:
+            out += [-d % p for d in b[len(a):]]
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
+
+    def poly_neg(self, a):
+        p = self.p
+        return tuple([-c % p for c in a])
+
+    def poly_scale(self, a, s):
+        p = self.p
+        s %= p
+        return tuple([c * s % p for c in a]) if s else ()
+
+    def poly_derivative(self, a):
+        p = self.p
+        out = [i * c % p for i, c in enumerate(a)][1:]
+        while out and not out[-1]:
+            out.pop()
+        return tuple(out)
+
+    def poly_divide_at(self, a, r):
+        if not a:
+            return (), 0
+        p, n = self.p, len(a) - 1
+        q = [0] * n
+        acc = a[-1]
+        for i in range(n - 1, -1, -1):
+            q[i] = acc
+            acc = (acc * r + a[i]) % p
+        return tuple(q), acc
+
     def poly_mul(self, a, b):
         p = self.p
         return tuple([c % p for c in _int_mul(a, b)])
@@ -333,6 +389,13 @@ class ExtField:
         return self.is_zero(self.sub(a, b))
 
     # -- polynomial kernels (see `poly`): the generic loops ----------------
+    poly_normalize = poly.normalize_generic
+    poly_add = poly.add_generic
+    poly_sub = poly.sub_generic
+    poly_neg = poly.neg_generic
+    poly_scale = poly.scale_generic
+    poly_derivative = poly.derivative_generic
+    poly_divide_at = poly.divide_at_generic
     poly_mul = poly.mul_generic
     poly_divmod = poly.divmod_generic
     poly_gcd = poly.gcd_generic

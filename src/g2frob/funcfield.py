@@ -11,7 +11,7 @@ and zero testing trivial.
 
 Every normal form is built by `Curve._make`, which divides out the common
 factor of A, B and D.  Its cost is that gcd, so the arithmetic keeps the
-candidates small:
+candidates small, and on the derivation path it runs no gcd at all:
 
 * Sums follow Henrici (J. ACM 3, 1956).  With g = gcd(uD, vD), u + v is
   (uN vD/g + vN uD/g) / (uD vD/g), N the numerator A + B y.  A prime pi
@@ -25,6 +25,24 @@ candidates small:
 * A product with a nonzero constant c is (cA + cB y) / D: D stays monic and
   gcd(cA, cB, D) = gcd(A, B, D) = 1, so it is already a normal form and no
   gcd runs; the constant 1 returns the other operand itself.
+* Denominators l^j, l = x - r.  The derivation dual to a global form
+  (a + b x) dx/y with b != 0 has theta(x) = c y / l with l the monic
+  linear factor of a + b x; with b = 0, and for the chart dx/y, it has
+  theta(x) = c y.  Such a theta maps F[x, y][1/l] into itself: with
+  theta(y) = theta(x) f'/(2y), l' = 1 and e the exponent of l in theta(x),
+      theta((A + B y) / l^j)
+        = c [l (B'f + B f'/2) - j B f + (l A' - j A) y] / l^(j+1+e),
+  and for j = 0 the one l cancels: c [(B'f + B f'/2) + A' y] / l^e.  When
+  theta(x) = c y, l is the element's own (any root).  This is one normal
+  form per step, `Curve._root_step`; `d_coefficient` and the product with
+  theta(x) remain for every other derivation and every other denominator.
+  The curve keeps a table of the powers (x - r)^j of the roots of such
+  derivations (`Curve._power`).  When `_make`'s bound and D are table
+  powers of one x - r, every common factor is a power of x - r, and it is
+  stripped one factor at a time: one Horner pass per polynomial gives the
+  value at r (the test) and the quotient by x - r (the division).  The
+  Henrici sum and the product of two table powers of one root take g,
+  uD/g, vD/g and uD vD from the table as well, with no gcd or product.
 
 Differentials are represented on the affine chart as g dx with g in K.
 A derivation theta is determined by theta(x) (the chain rule extends it to
@@ -66,13 +84,16 @@ class Curve:
 
     The curve also owns a memo (`memo`) of the results that the lemma checks
     ask for again and again: the chart constant <omega0, theta0^p> of each
-    chart, the flatness of each form with its dual derivation and the two
-    sums of each pair of forms.  Each value is a few function field
-    elements, never a derivation tower, and the memo lives exactly as long
-    as the curve: one CLI call, or one scan row.
+    chart, the flatness of each form with its dual derivation, the two sums
+    of each pair of forms and the Cartier-Manin matrix.  Each value is a few
+    function field elements or field values, never a derivation tower, and
+    the memo lives exactly as long as the curve: one CLI call, or one scan
+    row.  Next to it the curve keeps its table of powers (x - r)^j
+    (`_power`), the denominators of the one-step derivation formula.
     """
 
-    __slots__ = ("field", "f", "fprime", "degree_cap", "_half_fprime", "_memo")
+    __slots__ = ("field", "f", "fprime", "degree_cap", "_half_fprime", "_memo",
+                 "_powers", "_power_of")
 
     def __init__(self, field, f_coeffs, degree_cap: int | None = None):
         if field.char == 2:
@@ -90,6 +111,8 @@ class Curve:
         self.degree_cap = degree_cap if degree_cap is not None else 64 * field.char + 400
         self._half_fprime = poly.scale(field, self.fprime, field.inv(field.from_int(2)))
         self._memo = {}
+        self._powers = {}  # r -> [(x - r)^0, (x - r)^1, ...]
+        self._power_of = {}  # (x - r)^j -> (r, j), for j >= 1
 
     @property
     def p(self) -> int:
@@ -105,6 +128,20 @@ class Curve:
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
+
+    def _power(self, r, j: int):
+        """(x - r)^j from the curve's table of powers, extended on demand.  A
+        denominator counts as a power of x - r exactly when it is in the
+        table, which holds the powers of the roots of derivations of shape
+        c y / (x - r) (module docstring)."""
+        row = self._powers.get(r)
+        if row is None:
+            row = self._powers[r] = [poly.one(self.field)]
+        while len(row) <= j:
+            power = poly.mul(self.field, row[-1], (self.field.neg(r), self.field.one()))
+            self._power_of[power] = (r, len(row))
+            row.append(power)
+        return row[j]
 
     # -- element constructors ----------------------------------------------
     def element(self, A, B=(), D=None) -> "FunctionFieldElement":
@@ -141,7 +178,8 @@ class Curve:
     def _make(self, A, B, D, *, bound=None) -> "FunctionFieldElement":
         """The normal form of (A + B y) / D.  `bound`, when given, is a
         polynomial that every common factor of A, B and D divides; the gcd is
-        then taken against it instead of D."""
+        then taken against it instead of D.  When the bound and D are table
+        powers of one x - r, x - r is stripped at r with no gcd at all."""
         F = self.field
         if poly.is_zero(D):
             raise DivisionByZero("zero denominator in function field element")
@@ -150,11 +188,15 @@ class Curve:
         if bound is None:
             bound = D
         if poly.degree(bound) > 0:
-            g = poly.gcd(F, B, poly.gcd(F, A, bound))
-            if poly.degree(g) > 0:
-                A = poly.divmod_(F, A, g)[0]
-                B = poly.divmod_(F, B, g)[0]
-                D = poly.divmod_(F, D, g)[0]
+            common = self._common_root(bound, D)
+            if common:
+                A, B, D = self._strip_root(A, B, *common)
+            else:
+                g = poly.gcd(F, B, poly.gcd(F, A, bound))
+                if poly.degree(g) > 0:
+                    A = poly.divmod_(F, A, g)[0]
+                    B = poly.divmod_(F, B, g)[0]
+                    D = poly.divmod_(F, D, g)[0]
         if not F.eq(D[-1], F.one()):
             s = F.inv(D[-1])
             A = poly.scale(F, A, s)
@@ -167,22 +209,59 @@ class Curve:
             )
         return FunctionFieldElement(self, A, B, D)
 
+    def _strip_root(self, A, B, r, m: int, n: int):
+        """(A + B y) / (x - r)^n with every common factor dividing
+        (x - r)^m, reduced: x - r is divided out while it divides both A and
+        B, at most m times.  One Horner pass per polynomial both tests the
+        factor (its remainder is the value at r) and divides by it."""
+        F = self.field
+        k = 0
+        while k < m:
+            qa, ra = poly.divide_at(F, A, r)
+            if not F.is_zero(ra):
+                break
+            qb, rb = poly.divide_at(F, B, r)
+            if not F.is_zero(rb):
+                break
+            A, B, k = qa, qb, k + 1
+        return A, B, self._power(r, n - k)
+
+    def _common_root(self, a, b):
+        """(r, i, j) when a = (x - r)^i and b = (x - r)^j are table powers of
+        one root, i, j >= 1; otherwise None."""
+        pa = self._power_of.get(a)
+        pb = self._power_of.get(b) if pa else None
+        if pb and pa[0] == pb[0]:
+            return pa[0], pa[1], pb[1]
+        return None
+
     # -- arithmetic (operands assumed to be elements of this curve's K) -----
     def add(self, u, v):
-        """Henrici's sum (module docstring): the reduction gcd runs against
-        g = gcd(uD, vD) only."""
+        """Henrici's sum (module docstring): the reduction runs against
+        g = gcd(uD, vD) only, read off the table of powers when uD and vD
+        are powers of one x - r."""
         if u.is_zero():
             return v
         if v.is_zero():
             return u
         F = self.field
-        g = poly.gcd(F, u.D, v.D) if len(u.D) > 1 and len(v.D) > 1 else poly.one(F)
         ud, vd = u.D, v.D
-        if len(g) > 1:
-            ud, vd = poly.divmod_(F, ud, g)[0], poly.divmod_(F, vd, g)[0]
+        g, D = poly.one(F), None
+        common = self._common_root(u.D, v.D)
+        if common:
+            r, i, j = common
+            k = min(i, j)
+            g, ud, vd, D = (self._power(r, k), self._power(r, i - k),
+                            self._power(r, j - k), self._power(r, max(i, j)))
+        elif len(ud) > 1 and len(vd) > 1:
+            g = poly.gcd(F, ud, vd)
+            if len(g) > 1:
+                ud, vd = poly.divmod_(F, ud, g)[0], poly.divmod_(F, vd, g)[0]
         A = poly.add(F, poly.mul(F, u.A, vd), poly.mul(F, v.A, ud))
         B = poly.add(F, poly.mul(F, u.B, vd), poly.mul(F, v.B, ud))
-        return self._make(A, B, poly.mul(F, u.D, vd), bound=g)
+        if D is None:
+            D = poly.mul(F, u.D, vd)
+        return self._make(A, B, D, bound=g)
 
     def neg(self, u):
         return FunctionFieldElement(
@@ -193,7 +272,8 @@ class Curve:
         return self.add(u, self.neg(v))
 
     def mul(self, u, v):
-        """The product; by a constant it is a scaling (module docstring)."""
+        """The product; by a constant it is a scaling, and uD vD of two table
+        powers of one x - r is read off the table (module docstring)."""
         if u.is_zero() or v.is_zero():
             return self.zero()
         if v.is_constant():
@@ -212,7 +292,12 @@ class Curve:
             poly.mul(F, poly.mul(F, u.B, v.B), self.f),
         )
         B = poly.add(F, poly.mul(F, u.A, v.B), poly.mul(F, u.B, v.A))
-        return self._make(A, B, poly.mul(F, u.D, v.D))
+        common = self._common_root(u.D, v.D)
+        if common:
+            D = self._power(common[0], common[1] + common[2])
+        else:
+            D = poly.mul(F, u.D, v.D)
+        return self._make(A, B, D)
 
     def inv(self, u):
         # (A + B y)^(-1) = (A - B y)/(A^2 - B^2 f); nonzero since f is not a square
@@ -267,6 +352,45 @@ class Curve:
             poly.mul(F, poly.mul(F, u.B, self._half_fprime), D),
         )
         return self._make(A, B, poly.mul(F, poly.mul(F, D, D), f))
+
+    def _root_shape(self, value_on_x):
+        """(c, r, e) when theta(x) = c y / (x - r)^e with e in {0, 1} (r is
+        None when e = 0), registering x - r in the table of powers;
+        otherwise None."""
+        if value_on_x.A or len(value_on_x.B) != 1 or len(value_on_x.D) > 2:
+            return None
+        c, D = value_on_x.B[0], value_on_x.D
+        if len(D) == 1:
+            return c, None, 0
+        r = self.field.neg(D[0])
+        self._power(r, 1)
+        return c, r, 1
+
+    def _root_step(self, u, c, r, e: int):
+        """theta(u) for theta(x) = c y / (x - r)^e by the one-step formula of
+        the module docstring, or None when uD is neither 1 nor a table power
+        of the one root the formula allows."""
+        F, f = self.field, self.f
+        if len(u.D) == 1:
+            s, j = r, 0
+        else:
+            power = self._power_of.get(u.D)
+            if power is None or (e and power[0] != r):
+                return None
+            s, j = power
+        A, B = u.A, u.B
+        P = poly.add(F, poly.mul(F, poly.derivative(F, B), f),
+                     poly.mul(F, B, self._half_fprime))
+        dA = poly.derivative(F, A)
+        if j == 0:
+            nA, nB, m = P, dA, e
+        else:
+            ell, jj = self._power(s, 1), F.from_int(j)
+            nA = poly.sub(F, poly.mul(F, ell, P), poly.scale(F, poly.mul(F, B, f), jj))
+            nB = poly.sub(F, poly.mul(F, ell, dA), poly.scale(F, A, jj))
+            m = j + 1 + e
+        D = self._power(s, m) if m else poly.one(F)
+        return self._make(poly.scale(F, nA, c), poly.scale(F, nB, c), D)
 
     # -- global regular differentials ---------------------------------------
     def basis_forms(self):
@@ -415,15 +539,24 @@ class Differential:
 
 
 class Derivation:
-    """A derivation of K determined by its value on x."""
+    """A derivation of K determined by its value on x.
 
-    __slots__ = ("curve", "value_on_x")
+    theta(u) = d_coefficient(u) theta(x) in general; a derivation of shape
+    theta(x) = c y / (x - r)^e, e in {0, 1}, takes the one-step formula of
+    the module docstring whenever it applies."""
+
+    __slots__ = ("curve", "value_on_x", "_shape")
 
     def __init__(self, curve: Curve, value_on_x: FunctionFieldElement):
         self.curve = curve
         self.value_on_x = value_on_x
+        self._shape = curve._root_shape(value_on_x)
 
     def apply(self, u: FunctionFieldElement) -> FunctionFieldElement:
+        if self._shape is not None:
+            v = self.curve._root_step(u, *self._shape)
+            if v is not None:
+                return v
         return self.curve.mul(self.curve.d_coefficient(u), self.value_on_x)
 
     def apply_n(self, u: FunctionFieldElement, n: int) -> FunctionFieldElement:

@@ -5,12 +5,14 @@ zero polynomial.  Index i holds the coefficient of x^i.  All functions take
 the field context as their first argument and never mutate their inputs, so
 polynomials can be shared freely.
 
-`mul`, `divmod_` and `gcd` dispatch to the field context's polynomial
-kernels (`F.poly_mul`, `F.poly_divmod`, `F.poly_gcd`).  Over F_p these run on
-the int coefficients with inline reduction mod p; over F_{p^k} they are the
-generic loops at the end of this module (`mul_generic`, `divmod_generic`,
-`gcd_generic`), one field method call per coefficient operation, which are
-also the test oracle for the F_p kernels.  Both are schoolbook products and
+Every coefficient loop dispatches to the field context's polynomial
+kernels: `normalize`, `add`, `sub`, `neg`, `scale`, `derivative`,
+`divide_at`, `mul`, `divmod_` and `gcd` call `F.poly_normalize`,
+`F.poly_add`, ... `F.poly_gcd`.  Over F_p these run on the int coefficients
+with inline reduction mod p; over F_{p^k} they are the generic loops at the
+end of this module (`add_generic`, ..., `gcd_generic`), one field method
+call per coefficient operation, which are also the test oracle for the F_p
+kernels.  Both are schoolbook products and
 plain Euclid: degrees stay small (in a p = 13 `verify` the longest product
 has 37 coefficients and the median one 11), and at those sizes a
 Kronecker-packed product measured slower than the int loops.
@@ -23,10 +25,7 @@ from .errors import DivisionByZero
 
 def normalize(F, coeffs):
     """Strip trailing zeros; coefficients must already be raw field values."""
-    c = list(coeffs)
-    while c and F.is_zero(c[-1]):
-        c.pop()
-    return tuple(c)
+    return F.poly_normalize(coeffs)
 
 
 def from_ints(F, ints):
@@ -56,26 +55,19 @@ def is_zero(a) -> bool:
 
 
 def add(F, a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = F.add(out[i], c)
-    return normalize(F, out)
+    return F.poly_add(a, b)
 
 
 def neg(F, a):
-    return tuple(F.neg(c) for c in a)
+    return F.poly_neg(a)
 
 
 def sub(F, a, b):
-    return add(F, a, neg(F, b))
+    return F.poly_sub(a, b)
 
 
 def scale(F, a, s):
-    if F.is_zero(s):
-        return ()
-    return normalize(F, [F.mul(c, s) for c in a])
+    return F.poly_scale(a, s)
 
 
 def mul(F, a, b):
@@ -111,9 +103,13 @@ def gcd(F, a, b):
 
 
 def derivative(F, a):
-    return normalize(
-        F, [F.mul(F.from_int(i), c) for i, c in enumerate(a)][1:]
-    )
+    return F.poly_derivative(a)
+
+
+def divide_at(F, a, r):
+    """Quotient and remainder of a by x - r in one Horner pass; the
+    remainder is a(r)."""
+    return F.poly_divide_at(a, r)
 
 
 def evaluate(F, a, v):
@@ -134,6 +130,54 @@ def is_squarefree(F, a) -> bool:
 # ---------------------------------------------------------------------------
 # generic kernels: one field method call per coefficient operation
 # ---------------------------------------------------------------------------
+
+def normalize_generic(F, coeffs):
+    c = list(coeffs)
+    while c and F.is_zero(c[-1]):
+        c.pop()
+    return tuple(c)
+
+
+def add_generic(F, a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = F.add(out[i], c)
+    return normalize_generic(F, out)
+
+
+def neg_generic(F, a):
+    return tuple(F.neg(c) for c in a)
+
+
+def sub_generic(F, a, b):
+    return add_generic(F, a, neg_generic(F, b))
+
+
+def scale_generic(F, a, s):
+    if F.is_zero(s):
+        return ()
+    return normalize_generic(F, [F.mul(c, s) for c in a])
+
+
+def derivative_generic(F, a):
+    return normalize_generic(
+        F, [F.mul(F.from_int(i), c) for i, c in enumerate(a)][1:]
+    )
+
+
+def divide_at_generic(F, a, r):
+    """Horner's rule: the running values are the quotient's coefficients."""
+    if not a:
+        return (), F.zero()
+    q = [F.zero()] * (len(a) - 1)
+    acc = a[-1]
+    for i in range(len(a) - 2, -1, -1):
+        q[i] = acc
+        acc = F.add(F.mul(acc, r), a[i])
+    return tuple(q), acc
+
 
 def mul_generic(F, a, b):
     """Schoolbook product."""

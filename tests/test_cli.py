@@ -385,6 +385,12 @@ GOLDEN = {
     # for the one F_3-line of flat forms (b = 1 and b = 2 lie on it)
     "verify --p 3 --ext-k 2 --f 2,0,1,1,1,1":
         "ddfb82222ff721f1d61270c18d55740c5f2699e389b094a4c40d93a566d0d9ed",
+    # axis lines: a flat line with b = 0, where theta_L(x) = c y has no
+    # denominator, and one with a = 0, where omega_L = c x dx/y and l = x
+    "verify --p 5 --f 0,1,1,0,0,1":
+        "4d47ad2c2c151adc232b360e4ac9118ba046c1faad60b43e8ea3b9d6662fecba",
+    "verify --p 7 --f 0,1,0,0,1,1":
+        "5d9fddced0001f4288f560c58b4f71f3df47c2566410aba255c5a73b048939e2",
     "scan --p 5 --count 6 --seed 1":
         "3ba5deb845906a466b3ca09c503988171acc987d4f5c421776d00285829ba7c5",
     "formulas --p 7":
@@ -403,3 +409,26 @@ def test_golden_output(capsys, command):
     ]
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert digest == GOLDEN[command]
+
+
+@pytest.mark.parametrize("command", [
+    "verify --p 7 --f 5,0,0,5,1,1",
+    "torsion --p 5 --f 1,0,4,0,4,1 --method semilinear",
+    "torsion --p 5 --ext-k 2 --f 1,0,4,0,4,1 --method semilinear",
+])
+def test_cartier_manin_computed_once_per_call(capsys, monkeypatch, command):
+    # the payload and the semilinear solve both ask for the matrix; the
+    # curve's memo hands the second one the first one's result
+    from g2frob import cartier
+
+    runs = []
+    recurrence = cartier._top_two_coefficients
+
+    def counted(*args):
+        runs.append(args)
+        return recurrence(*args)
+
+    monkeypatch.setattr(cartier, "_top_two_coefficients", counted)
+    code, _ = run(capsys, *command.split())
+    assert code == 0
+    assert len(runs) == 2  # one matrix: one recurrence run per row

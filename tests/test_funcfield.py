@@ -22,6 +22,7 @@ from g2frob import (
     iterate_derivation,
     k_arith,
     make_curve,
+    make_field,
     pair,
     random_curve,
 )
@@ -372,3 +373,102 @@ def test_curve_memo_computes_once_per_curve(curve3):
     assert twin == curve3
     twin.memo(key, compute)  # an equal curve keeps its own memo
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# the one-step formula and the root strip against the gcd path
+# ---------------------------------------------------------------------------
+
+def _assert_normal_form(u):
+    F = u.curve.field
+    assert F.eq(u.D[-1], F.one())
+    assert poly.degree(poly.gcd(F, poly.gcd(F, u.A, u.B), u.D)) == 0
+
+
+def _root_exponent(cv, u):
+    """j when uD is the table power (x - r)^j, 0 for uD = 1, else None."""
+    if len(u.D) == 1:
+        return 0
+    power = cv._power_of.get(u.D)
+    return power and power[1]
+
+
+def _takes_root_step(cv, theta, u):
+    """uD is 1, or a table power of theta's root (of any root when theta(x)
+    has no denominator)."""
+    c, r, e = theta._shape
+    power = cv._power_of.get(u.D)
+    return len(u.D) == 1 or (power is not None and (not e or power[0] == r))
+
+
+_STEP_FIELDS = (PrimeField(3), PrimeField(5), PrimeField(7), PrimeField(13),
+                make_field(3, 2), make_field(5, 2))
+
+
+@pytest.mark.parametrize("field", _STEP_FIELDS, ids=["F3", "F5", "F7", "F13", "F9", "F25"])
+def test_root_step_and_power_arithmetic_against_gcd_path(field, monkeypatch):
+    """Orbits of theta_L for omega_L with b != 0, b = 0 and a = 0 (root
+    r = 0), and of the dx/y chart's theta0, 2p + 1 steps long, so exponents
+    j = 0 (mod p) occur, where (x - r)^j has derivative 0.  The oracle is a
+    twin curve: it has no table of powers, so every one of its normal forms
+    takes the gcd path."""
+    rng = rng_for(f"ff-root-step-{field!r}")
+    cv = random_curve(field, rng)
+    twin = Curve(field, cv.f)
+    F, p = field, cv.p
+
+    def nonzero():
+        while True:
+            c = F.random(rng)
+            if not F.is_zero(c):
+                return c
+
+    forms = [cv.global_form(F.random(rng), nonzero()),
+             cv.global_form(nonzero(), F.zero()),
+             cv.global_form(F.zero(), nonzero())]
+    dx_y, x_dx_y = cv.basis_forms()
+    thetas = [dual_derivation(w) for w in forms] + [dual_derivation(dx_y)]
+    assert [t._shape[2] for t in thetas] == [1, 0, 1, 0]
+    starts = [x_dx_y.ratio(w) for w in forms] + [dx_y.ratio(w) for w in forms]
+    starts += [cv.x(), cv.y(), cv.y() * cv.x().inverse() ** 2]
+
+    gcd_calls = []
+    real_gcd = poly.gcd
+
+    def counted_gcd(*args):
+        gcd_calls.append(args)
+        return real_gcd(*args)
+
+    orbits = []
+    for theta in thetas:
+        for u in starts:
+            orbit = [u]
+            for _ in range(2 * p + 1):
+                fast = _takes_root_step(cv, theta, orbit[-1])
+                monkeypatch.setattr(poly, "gcd", counted_gcd)
+                gcd_calls.clear()
+                v = theta.apply(orbit[-1])
+                monkeypatch.setattr(poly, "gcd", real_gcd)
+                if fast:  # the one-step formula and the root strip: no gcd
+                    assert not gcd_calls
+                want = twin.mul(twin.d_coefficient(orbit[-1]), theta.value_on_x)
+                assert v == want
+                _assert_normal_form(v)
+                orbit.append(v)
+            orbits.append(orbit)
+
+    # 1/f is not a table power: every theta takes d_coefficient for it
+    u = cv.inv(cv.from_poly(cv.f))
+    for theta in thetas:
+        assert theta.apply(u) == twin.mul(twin.d_coefficient(u), theta.value_on_x)
+
+    exponents = {_root_exponent(cv, u) for orbit in orbits for u in orbit}
+    assert any(j and j % p == 0 for j in exponents if j is not None)
+    for orbit in orbits:
+        for u, v in zip(orbit[::4], orbit[3::4]):
+            for s, t in ((u, v), (v, u), (u, cv.neg(u)), (u, cv.one())):
+                total, product = cv.add(s, t), cv.mul(s, t)
+                assert total == _plain_sum(twin, s, t)
+                assert product == _plain_product(twin, s, t)
+                _assert_normal_form(total)
+                _assert_normal_form(product)

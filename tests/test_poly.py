@@ -141,6 +141,50 @@ def test_int_kernels_match_generic_loops(p):
 
 
 @pytest.mark.parametrize("p", _KERNEL_PRIMES)
+def test_int_linear_kernels_match_generic_loops(p):
+    F = PrimeField(p)
+    rng = rng_for(f"poly-linear-kernels-{p}")
+    scalars = (0, 1, p - 1, 2 % p)
+    for a, b in _kernel_pairs(F, rng):
+        # a - a and a + (-a) cancel down to zero; a leading p - 1 and a
+        # derivative of degree p - 1 leave trailing zeros to strip
+        for x, y in ((a, b), (b, a), (a, a), (a, poly.neg(F, a))):
+            for fn, oracle in ((poly.add, poly.add_generic), (poly.sub, poly.sub_generic)):
+                got = fn(F, x, y)
+                assert type(got) is tuple and _in_range(F, got)
+                assert got == oracle(F, x, y)
+        for fn, oracle in ((poly.neg, poly.neg_generic),
+                           (poly.derivative, poly.derivative_generic)):
+            got = fn(F, a)
+            assert type(got) is tuple and _in_range(F, got)
+            assert got == oracle(F, a)
+        for s in scalars + (F.random(rng),):
+            got = poly.scale(F, a, s)
+            assert type(got) is tuple and _in_range(F, got)
+            assert got == poly.scale_generic(F, a, s)
+        r = F.random(rng)
+        q, rem = poly.divide_at(F, a, r)
+        assert (q, rem) == poly.divide_at_generic(F, a, r)
+        assert _in_range(F, q) and rem == poly.evaluate(F, a, r)
+        assert poly.add(F, poly.mul(F, q, (F.neg(r), 1)), poly.constant(F, rem)) == a
+        padded = a + (0,) * rng.randrange(0, 3)
+        assert poly.normalize(F, padded) == poly.normalize_generic(F, padded) == a
+    # x^p has derivative p x^(p-1) = 0 once p is small enough to build it
+    if p < 200:
+        assert poly.derivative(F, (0,) * p + (1,)) == ()
+
+
+def test_divide_at_over_an_extension_field():
+    F = ExtField(3, (1, 0, 1))
+    rng = rng_for("poly-divide-at-f9")
+    for _ in range(100):
+        a, r = rand_poly(F, rng), F.random(rng)
+        q, rem = poly.divide_at(F, a, r)
+        assert rem == poly.evaluate(F, a, r)
+        assert poly.add(F, poly.mul(F, q, (F.neg(r), F.one())), poly.constant(F, rem)) == a
+
+
+@pytest.mark.parametrize("p", _KERNEL_PRIMES)
 def test_int_gcd_recovers_a_known_common_factor(p):
     F = PrimeField(p)
     rng = rng_for(f"poly-kernel-gcd-{p}")
