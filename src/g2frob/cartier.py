@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 from . import poly
 from .errors import FieldTooLargeForBrute, G2FrobError, NotFlat, PrimeTooLarge, RangeError
-from .exactnum import make_field, raw_to_json
+from .exactnum import make_field, prime_divisors, raw_to_json
 from .funcfield import (
     Curve,
     Differential,
@@ -404,26 +404,39 @@ def stabilization_degree(curve: Curve, k_max: int = 20000) -> int:
     A geometric solution v of A v = v^(p) satisfies v^(p^k) = A^k v, so the
     solutions live in the stable image of A and become rational exactly when
     A^k is the identity there, that is when A^(k+1) = A: A^k = I at p-rank 2,
-    and mu^k = 1 at p-rank 1, where A^2 = mu A.  The order found is verified
-    against rational_flat_dimension.
+    and mu^k = 1 at p-rank 1, where A^2 = mu A.  The least such k is an
+    order, so it divides N = |GL2(F_p)| = p (p-1)^2 (p+1) at p-rank 2 and
+    N = p - 1 at p-rank 1; it is N with each prime q divided out while
+    A^(k/q) still satisfies the condition.  No extension field is built.
+    Raises RangeError when the order exceeds k_max.
     """
     if curve.field.degree != 1:
         raise RangeError("stabilization_degree expects a prime-field curve")
-    F = curve.field
+    F, p = curve.field, curve.p
     cm = cartier_manin(curve)
     rank = cm.p_rank()
     if rank == 0:
         return 1
-    A = acc = cm.matrix
-    for k in range(1, k_max + 1):
-        acc = _mat2_mul(F, acc, A)
-        if acc == A:
-            break
-    else:
-        raise RangeError(f"stabilization order exceeds {k_max}")
-    if rational_flat_dimension(curve, k) != rank:
-        raise RangeError("stabilization order verification failed")
+    A = cm.matrix
+    k = p * (p - 1) ** 2 * (p + 1) if rank == 2 else p - 1
+    primes = {p, *prime_divisors(p - 1), *prime_divisors(p + 1)}
+    for q in sorted(primes):
+        while k % q == 0 and _mat2_pow(F, A, k // q + 1) == A:
+            k //= q
+    if k > k_max:
+        raise RangeError(f"stabilization order {k} exceeds {k_max}")
     return k
+
+
+def _mat2_pow(F, A, n: int):
+    """A^n for n >= 1, by squaring."""
+    out = None
+    while n:
+        if n & 1:
+            out = A if out is None else _mat2_mul(F, out, A)
+        A = _mat2_mul(F, A, A)
+        n >>= 1
+    return out
 
 
 # ---------------------------------------------------------------------------

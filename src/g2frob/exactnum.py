@@ -622,11 +622,12 @@ def _poly_is_irreducible(F, mod) -> bool:
         return False
     return all(
         len(F.poly_gcd(_x_power_minus_x(F, F.p ** (k // q), mod), mod)) == 1
-        for q in _prime_divisors(k)
+        for q in prime_divisors(k)
     )
 
 
-def _prime_divisors(n: int):
+def prime_divisors(n: int):
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
     out = []
     d = 2
     while d * d <= n:

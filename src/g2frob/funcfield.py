@@ -83,17 +83,26 @@ class Curve:
     an explicit DegreeOverflow instead of a memory grab.
 
     The curve also owns a memo (`memo`) of the results that the lemma checks
-    ask for again and again: the chart constant <omega0, theta0^p> of each
-    chart, the flatness of each form with its dual derivation, the two sums
-    of each pair of forms and the Cartier-Manin matrix.  Each value is a few
-    function field elements or field values, never a derivation tower, and
-    the memo lives exactly as long as the curve: one CLI call, or one scan
-    row.  Next to it the curve keeps its table of powers (x - r)^j
-    (`_power`), the denominators of the one-step derivation formula.
+    ask for again and again:
+      * the Cartier-Manin matrix;
+      * the chart constant <omega0, theta0^p> of each chart;
+      * per F_p-line of flat forms (`verify`): the flatness check with the
+        line's dual derivation, and for each basis form the ratio x to the
+        line's representative with the theta_L-orbit of x over one
+        denominator;
+      * per flat form: its line, its scale in the line and its dual
+        derivation, and its two sums with each second form;
+      * the two sums of the direct per-form oracle (`verify.two_sums`).
+    Each value is a few function field elements or field values, never a
+    derivation tower, and the memo lives exactly as long as the curve: one
+    CLI call, or one scan row.  Next to it the curve keeps its table of
+    powers (x - r)^j (`_power`), the denominators of the one-step derivation
+    formula, and 1/y = y/f, which is a normal form as it stands (f is monic
+    and gcd(0, 1, f) = 1), so `global_form` and `basis_forms` invert nothing.
     """
 
     __slots__ = ("field", "f", "fprime", "degree_cap", "_half_fprime", "_memo",
-                 "_powers", "_power_of")
+                 "_powers", "_power_of", "_inv_y")
 
     def __init__(self, field, f_coeffs, degree_cap: int | None = None):
         if field.char == 2:
@@ -113,6 +122,7 @@ class Curve:
         self._memo = {}
         self._powers = {}  # r -> [(x - r)^0, (x - r)^1, ...]
         self._power_of = {}  # (x - r)^j -> (r, j), for j >= 1
+        self._inv_y = FunctionFieldElement(self, (), poly.one(field), f)
 
     @property
     def p(self) -> int:
@@ -326,6 +336,49 @@ class Curve:
     def deriv(self, u, theta: "Derivation"):
         return theta.apply(u)
 
+    def common_denominator(self, elements):
+        """(numerators, D): each element as a pair (A, B) over one
+        denominator D, the lcm of theirs.  When every denominator is 1 or a
+        table power of one x - r, D and the cofactors are read off the table
+        and no gcd runs."""
+        F = self.field
+        D = poly.one(F)
+        for u in elements:
+            if len(u.D) == 1 or u.D == D:
+                continue
+            if len(D) == 1:
+                D = u.D
+                continue
+            common = self._common_root(D, u.D)
+            if common:
+                D = self._power(common[0], max(common[1], common[2]))
+            else:
+                D = poly.mul(F, D, poly.divmod_(F, u.D, poly.gcd(F, D, u.D))[0])
+        numerators = []
+        for u in elements:
+            if u.D == D:
+                numerators.append((u.A, u.B))
+                continue
+            common = self._common_root(D, u.D)
+            if common:
+                q = self._power(common[0], common[1] - common[2])
+            else:
+                q = poly.divmod_(F, D, u.D)[0]
+            numerators.append((poly.mul(F, u.A, q), poly.mul(F, u.B, q)))
+        return numerators, D
+
+    def combination(self, coeffs, numerators, D):
+        """sum_k c_k (A_k + B_k y) / D for raw field values c_k and the
+        numerators of `common_denominator`: the numerators are scaled and
+        added, and one normal form is built."""
+        F = self.field
+        A = B = ()
+        for c, (a, b) in zip(coeffs, numerators):
+            if not F.is_zero(c):
+                A = poly.add(F, A, poly.scale(F, a, c))
+                B = poly.add(F, B, poly.scale(F, b, c))
+        return self._make(A, B, D)
+
     def pow(self, u, n: int):
         if n < 0:
             return self.inv(self.pow(u, -n))
@@ -395,15 +448,14 @@ class Curve:
     # -- global regular differentials ---------------------------------------
     def basis_forms(self):
         """The basis (dx/y, x dx/y) of the global regular differentials."""
-        inv_y = self.inv(self.y())
         return (
-            Differential(self, inv_y),
-            Differential(self, self.mul(self.x(), inv_y)),
+            Differential(self, self._inv_y),
+            Differential(self, self.mul(self.x(), self._inv_y)),
         )
 
     def global_form(self, a, b) -> "Differential":
         """(a + b x) dx / y for raw field values a, b."""
-        g = self.mul(self.from_poly(poly.normalize(self.field, (a, b))), self.inv(self.y()))
+        g = self.mul(self.from_poly(poly.normalize(self.field, (a, b))), self._inv_y)
         return Differential(self, g)
 
     def describe(self) -> dict:
@@ -543,7 +595,8 @@ class Derivation:
 
     theta(u) = d_coefficient(u) theta(x) in general; a derivation of shape
     theta(x) = c y / (x - r)^e, e in {0, 1}, takes the one-step formula of
-    the module docstring whenever it applies."""
+    the module docstring whenever it applies.  A constant maps to zero with
+    no normal form built."""
 
     __slots__ = ("curve", "value_on_x", "_shape")
 
@@ -553,6 +606,8 @@ class Derivation:
         self._shape = curve._root_shape(value_on_x)
 
     def apply(self, u: FunctionFieldElement) -> FunctionFieldElement:
+        if u.is_constant():
+            return self.curve.zero()
         if self._shape is not None:
             v = self.curve._root_step(u, *self._shape)
             if v is not None:

@@ -125,15 +125,18 @@ def _check_duality(omega0: Differential, theta0: Derivation):
         raise RangeError("theta0 is not dual to the chart form: <omega0, theta0> != 1")
 
 
-def chart_constant(omega0: Differential, theta0: Derivation) -> FunctionFieldElement:
+def chart_constant(omega0: Differential, theta0: Derivation,
+                   derive=None) -> FunctionFieldElement:
     """<omega0, theta0^p>, the scalar the recursion subtracts against T.
 
     p derivation steps, taken once per curve and chart (the curve's memo).
+    `derive`, when given, supplies the value on first use instead: `verify`
+    reads the constant of a flat form off the one of its F_p-line.
     """
     cv = omega0.curve
     return cv.memo(
         ("chart_constant", omega0.g, theta0.value_on_x),
-        lambda: cv.mul(omega0.g, theta0.apply_n(cv.x(), cv.p)),
+        derive or (lambda: cv.mul(omega0.g, theta0.apply_n(cv.x(), cv.p))),
     )
 
 
@@ -153,15 +156,21 @@ def _mat_add(ring, A, B, r):
 
 
 def _mat_mul(ring, A, B, r):
-    add, mul = ring.add, ring.mul
+    """A B, with no product taken where either operand is zero (the zero
+    and constant entries of T leave many)."""
+    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
+    nz_a = [[not is_zero(e) for e in row] for row in A]
+    nz_b = [[not is_zero(e) for e in row] for row in B]
     out = []
     for i in range(r):
         row = []
         for j in range(r):
-            acc = mul(A[i][0], B[0][j])
-            for k in range(1, r):
-                acc = add(acc, mul(A[i][k], B[k][j]))
-            row.append(acc)
+            acc = None
+            for k in range(r):
+                if nz_a[i][k] and nz_b[k][j]:
+                    prod = mul(A[i][k], B[k][j])
+                    acc = prod if acc is None else add(acc, prod)
+            row.append(ring.zero() if acc is None else acc)
         out.append(tuple(row))
     return tuple(out)
 

@@ -112,13 +112,6 @@ def divide_at(F, a, r):
     return F.poly_divide_at(a, r)
 
 
-def evaluate(F, a, v):
-    acc = F.zero()
-    for c in reversed(a):
-        acc = F.add(F.mul(acc, v), c)
-    return acc
-
-
 def coefficient(F, a, i: int):
     return a[i] if 0 <= i < len(a) else F.zero()
 

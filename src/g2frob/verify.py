@@ -32,6 +32,32 @@ The three checks:
   f11 drop out of this identity.  It also cross-checks the closed forms of
   the auxiliary recursion R0^(n+1) = (theta_L + J) R0^(n) + R J on sampled
   deformations.
+
+One theta_L-orbit per F_p-line.  The checks depend on omega_L only through
+its F_p-line, and `verify` asks for all p - 1 nonzero multiples of each
+line.  Let omega_L be the line's representative (`_flat_line`) and
+omega = s omega_L, s in F_p^*, a multiple, with t = 1/s.  Then
+
+* theta_s = t theta_L: <s omega_L, t theta_L> = <omega_L, theta_L> = 1.
+* x_s = omega'/omega = t x for a second form omega' with x = omega'/omega_L.
+* s^(p-1) = 1, and psi is F_p-linear: (s T)^p = s^p T^p = s T^p, so
+  psi(s T) = s psi(T) and omega is flat exactly when omega_L is.  The dual
+  derivation of omega is t theta_L, a scaling, with no inversion.
+* The chart constant <omega, theta_s^p> = s t^p <omega_L, theta_L^p>
+  = s^(1-p) <omega_L, theta_L^p> = <omega_L, theta_L^p>: one per line.
+* theta_s^k(x_s) = t^(k+1) u_k with u_k = theta_L^k(x), so
+      S1(s) = sum_k t^(k+1) u_k,   S2(s) = sum_k (-1)^k t^(k+1) u_k,
+  since C(p-1, k) = prod_(j<=k) (p-j)/j = (-1)^k mod p.  One orbit
+  u_1, ..., u_(p-1) per (line, second form), put over one denominator
+  (`Curve.common_denominator`: a power of x - r for the root r of
+  a + b x when omega_L = (a + b x) dx/y, b != 0, and 1 when b = 0), serves
+  every multiple: each sum is a scaled sum of its numerators and one
+  normal form (`Curve.combination`).
+
+`two_sums`, the direct per-form orbit sum, stays as the oracle that
+`recheck` and the tests compare with; `check_offdiag_closed_forms` still
+runs the engine for every multiple and compares it with the sums read off
+the line.
 """
 
 from __future__ import annotations
@@ -55,6 +81,7 @@ from .funcfield import (
 from .linalg import enumerate_span_mod_p
 from .pcurvature import (
     ConnectionMatrix,
+    chart_constant,
     p_curvature_matrix,
     p_curvature_rank1,
 )
@@ -109,27 +136,96 @@ def _as_global_form(curve: Curve, omega):
 def require_torsion(curve: Curve, omega_L: Differential) -> Derivation:
     """Check omega_L is a nonzero flat form; return its dual derivation.
 
-    The check runs once per curve and form (the curve's memo)."""
-    if omega_L.is_zero():
-        raise NotTorsion("omega_L must be nonzero")
+    The check runs once per F_p-line of forms (the curve's memo)."""
+    return _flat_form(curve, omega_L)[2]
+
+
+def _flat_line(curve: Curve, g):
+    """(omega_L, theta_L) for the representative omega_L = g dx of an F_p-line
+    of forms, or None when d + omega_L is not flat: one flatness check per
+    line (the curve's memo)."""
 
     def dual_if_flat():
         omega0 = curve.basis_forms()[0]
         theta0 = dual_derivation(omega0)
-        T = curve.mul(omega_L.g, theta0.value_on_x)
+        T = curve.mul(g, theta0.value_on_x)
         if not p_curvature_rank1(T, theta0, omega0).is_zero():
             return None
-        return dual_derivation(omega_L)
+        omega_L = Differential(curve, g)
+        return omega_L, dual_derivation(omega_L)
 
-    theta_L = curve.memo(("dual_if_flat", omega_L.g), dual_if_flat)
-    if theta_L is None:
+    return curve.memo(("flat_line", g), dual_if_flat)
+
+
+def _flat_form(curve: Curve, omega: Differential):
+    """(line, t, theta) for a nonzero flat form omega: its line
+    (`_flat_line`), the t in F_p^* with t omega the line's representative
+    (t makes the leading coefficient of omega's numerator least), and
+    theta = t theta_L dual to omega, whose chart constant is the line's
+    (module docstring).  Raises NotTorsion otherwise."""
+    if omega.is_zero():
+        raise NotTorsion("omega_L must be nonzero")
+
+    def locate():
+        F, g = curve.field, omega.g
+        lead = (g.B or g.A)[-1]
+        t = F.from_int(min(range(1, curve.p), key=lambda n: F.mul(F.from_int(n), lead)))
+        line = _flat_line(curve, curve.mul(curve.constant(t), g))
+        if line is None:
+            return None
+        omega_L, theta_L = line
+        if F.eq(t, F.one()):
+            return line, t, theta_L
+        theta = Derivation(curve, curve.mul(curve.constant(t), theta_L.value_on_x))
+        chart_constant(omega, theta, derive=lambda: chart_constant(omega_L, theta_L))
+        return line, t, theta
+
+    data = curve.memo(("flat_form", omega.g), locate)
+    if data is None:
         raise NotTorsion("d + omega_L does not have vanishing p-curvature")
-    return theta_L
+    return data
+
+
+def _orbit(theta: Derivation, x: FunctionFieldElement):
+    """theta^k(x) for k = 1..p-1."""
+    out = []
+    for _ in range(1, x.curve.p):
+        x = theta.apply(x)
+        out.append(x)
+    return out
+
+
+def line_sums(curve: Curve, omega_L: Differential, omega: Differential):
+    """(x, S1, S2) for the flat form omega_L and x = omega/omega_L, read off
+    the one theta-orbit of omega's ratio to the line's representative
+    (module docstring); the orbit, over one denominator, is computed once
+    per line and form, the sums once per pair (the curve's memo)."""
+
+    def sums():
+        (rep, theta_L), t, _ = _flat_form(curve, omega_L)
+
+        def orbit():
+            x = omega.ratio(rep)
+            return (x, *curve.common_denominator(_orbit(theta_L, x)))
+
+        x, numerators, D = curve.memo(("line_orbit", rep.g, omega.g), orbit)
+        F = curve.field
+        c1, c = [], t
+        for _ in range(1, curve.p):
+            c = F.mul(c, t)
+            c1.append(c)  # t^(k+1)
+        c2 = [c if k % 2 == 0 else F.neg(c) for k, c in enumerate(c1, 1)]
+        return (curve.mul(curve.constant(t), x),
+                curve.combination(c1, numerators, D),
+                curve.combination(c2, numerators, D))
+
+    return curve.memo(("line_sums", omega_L.g, omega.g), sums)
 
 
 def two_sums(curve: Curve, theta_L: Derivation, x: FunctionFieldElement):
-    """S1 = sum theta_L^k(x), S2 = sum C(p-1,k) theta_L^k(x), k = 1..p-1;
-    computed once per curve, theta_L and x (the curve's memo)."""
+    """S1 = sum theta_L^k(x), S2 = sum C(p-1,k) theta_L^k(x), k = 1..p-1, by
+    the direct orbit of x and Henrici sums: the oracle of `line_sums`.
+    Computed once per curve, theta_L and x (the curve's memo)."""
 
     def sums():
         p = curve.p
@@ -144,42 +240,40 @@ def two_sums(curve: Curve, theta_L: Derivation, x: FunctionFieldElement):
     return curve.memo(("two_sums", theta_L.value_on_x, x), sums)
 
 
+def _two_sums_status(x, S1, S2) -> str:
+    if x.is_constant():
+        return "inapplicable"  # theta_L kills x: both sums are zero
+    return "holds" if not S1.is_zero() and not S2.is_zero() else "violated"
+
+
 def check_two_sums(curve: Curve, omega_L, omega) -> LemmaReport:
     t0 = time.perf_counter()
     omega_L, ab_L = _as_global_form(curve, omega_L)
     omega, ab = _as_global_form(curve, omega)
-    theta_L = require_torsion(curve, omega_L)
-    x = omega.ratio(omega_L)
-    witness = {
-        "omegaL": _form_witness(ab_L, omega_L),
-        "omega": _form_witness(ab, omega),
-        "x": _ffe_witness(x),
-    }
-    if x.is_constant():
-        S1 = S2 = curve.zero()
-        status = "inapplicable"
-    else:
-        S1, S2 = two_sums(curve, theta_L, x)
-        status = "holds" if not S1.is_zero() and not S2.is_zero() else "violated"
-    witness["S1"] = _ffe_witness(S1)
-    witness["S2"] = _ffe_witness(S2)
+    x, S1, S2 = line_sums(curve, omega_L, omega)
     return LemmaReport(
         curve_id=curve_id(curve),
         lemma_id="two-sums-nonvanishing",
-        status=status,
-        witness=witness,
+        status=_two_sums_status(x, S1, S2),
+        witness={
+            "omegaL": _form_witness(ab_L, omega_L),
+            "omega": _form_witness(ab, omega),
+            "x": _ffe_witness(x),
+            "S1": _ffe_witness(S1),
+            "S2": _ffe_witness(S2),
+        },
         timing=time.perf_counter() - t0,
     )
 
 
 def check_offdiag_closed_forms(curve: Curve, omega_L, omega) -> LemmaReport:
-    """Engine p-curvature of the triangular connections vs the two sums."""
+    """Engine p-curvature of the triangular connections vs the two sums read
+    off the line's orbit (`line_sums`)."""
     t0 = time.perf_counter()
     omega_L, ab_L = _as_global_form(curve, omega_L)
     omega, ab = _as_global_form(curve, omega)
     theta_L = require_torsion(curve, omega_L)
-    x = omega.ratio(omega_L)
-    S1, S2 = two_sums(curve, theta_L, x)
+    x, S1, S2 = line_sums(curve, omega_L, omega)
     z, one = curve.zero(), curve.one()
     psi_upper = p_curvature_matrix(
         ConnectionMatrix(curve, ((z, x), (z, one)), omega_L), theta_L
@@ -461,10 +555,13 @@ def recheck(curve: Curve, report: LemmaReport) -> bool:
     curve = Curve(curve.field, curve.f, curve.degree_cap)
     w = report.witness
     if report.lemma_id == "two-sums-nonvanishing":
-        fresh = check_two_sums(curve, _witness_form(curve, w["omegaL"]),
-                               _witness_form(curve, w["omega"]))
-        return fresh.status == report.status and fresh.witness["S1"] == w["S1"] \
-            and fresh.witness["S2"] == w["S2"]
+        # the direct per-form sums, not the line's orbit that made the report
+        omega_L, _ = _as_global_form(curve, _witness_form(curve, w["omegaL"]))
+        omega, _ = _as_global_form(curve, _witness_form(curve, w["omega"]))
+        x = omega.ratio(omega_L)
+        S1, S2 = two_sums(curve, require_torsion(curve, omega_L), x)
+        return _two_sums_status(x, S1, S2) == report.status and \
+            _ffe_witness(S1) == w["S1"] and _ffe_witness(S2) == w["S2"]
     if report.lemma_id == "offdiag-closed-forms":
         fresh = check_offdiag_closed_forms(curve, _witness_form(curve, w["omegaL"]),
                                            _witness_form(curve, w["omega"]))

@@ -240,6 +240,56 @@ def test_stabilization_degree_is_least_k_with_full_dimension():
                     stabilization_degree(cv, k_max=12)
 
 
+def _least_order_by_iteration(A, p):
+    """The least k >= 1 with A^(k+1) = A, by one 2x2 product per k."""
+    acc, k = A, 0
+    while True:
+        acc = tuple(
+            tuple(sum(acc[i][m] * A[m][j] for m in range(2)) % p for j in range(2))
+            for i in range(2)
+        )
+        k += 1
+        if acc == A:
+            return k
+
+
+def test_stabilization_degree_certifies_the_order():
+    # the order is certified from the prime divisors of |GL2(F_p)| (or of
+    # p - 1 at p-rank 1); the oracles are the least k with A^(k+1) = A by
+    # iteration and, for k <= 30, the full flat dimension over F_{p^k}
+    flat_checked = 0
+    for p in (3, 5, 7, 11):
+        rng = rng_for(f"cartier-order-{p}")
+        seen = {1: 0, 2: 0}
+        while min(seen.values()) < 3:
+            cv = random_curve(PrimeField(p), rng)
+            rank = p_rank(cv)
+            if rank == 0 or seen[rank] == 3:
+                continue
+            seen[rank] += 1
+            k = stabilization_degree(cv)
+            assert k == _least_order_by_iteration(cartier_manin(cv).matrix, p)
+            if k <= 30:
+                assert rational_flat_dimension(cv, k) == rank
+                flat_checked += 1
+    assert flat_checked >= 10
+
+
+def test_stabilization_degree_builds_no_extension_field(monkeypatch):
+    # f = (3, 1, 4, 5, 0, 1) over F_7 has order 48, certified without
+    # building F_{7^48}; an order above k_max still raises
+    from g2frob import cartier
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an extension field was built")
+
+    monkeypatch.setattr(cartier, "make_field", refuse)
+    cv = make_curve(PrimeField(7), [3, 1, 4, 5, 0, 1])
+    assert stabilization_degree(cv) == 48
+    with pytest.raises(RangeError):
+        stabilization_degree(cv, k_max=47)
+
+
 def test_rational_count_law():
     # over the curve's own prime field the flat forms are the fixed vectors
     # of the Cartier-Manin matrix: |S| = #ker(A - I)

@@ -391,6 +391,14 @@ GOLDEN = {
         "4d47ad2c2c151adc232b360e4ac9118ba046c1faad60b43e8ea3b9d6662fecba",
     "verify --p 7 --f 0,1,0,0,1,1":
         "5d9fddced0001f4288f560c58b4f71f3df47c2566410aba255c5a73b048939e2",
+    # a plane of flat forms over F_27: 9 forms on 4 F_3-lines, 32 lemma
+    # reports and 4 rigidity reports
+    "verify --p 3 --ext-k 3 --f 2,0,1,1,1,1":
+        "767810a0ee6445e569d1d30d1597ef3f34b109aa65ae3cfa1405e45ed9538a91",
+    # the verify-midp shape: one flat line with a, b != 0; four multiples
+    # have a vanishing sum
+    "verify --p 11 --f 5,1,3,9,1,1 --rigidity linear":
+        "3d176ab608a497aef41f79d89f53071ab07d6e5a099c1b522de0560f733df85d",
     "scan --p 5 --count 6 --seed 1":
         "3ba5deb845906a466b3ca09c503988171acc987d4f5c421776d00285829ba7c5",
     "formulas --p 7":
@@ -432,3 +440,48 @@ def test_cartier_manin_computed_once_per_call(capsys, monkeypatch, command):
     code, _ = run(capsys, *command.split())
     assert code == 0
     assert len(runs) == 2  # one matrix: one recurrence run per row
+
+
+def test_verify_lemma_data_computed_once_per_line(capsys, monkeypatch):
+    # one flat F_13-line: its p - 1 multiples share one flatness check, one
+    # chart constant and one theta_L-orbit per basis form, while the engine
+    # still runs both triangular connections for every multiple and form
+    from g2frob import funcfield, verify
+
+    p = 13
+    flat, orbits, engine, chart_steps = [], [], [], []
+    real_rank1, real_orbit = verify.p_curvature_rank1, verify._orbit
+    real_matrix, real_apply_n = verify.p_curvature_matrix, funcfield.Derivation.apply_n
+
+    def counted_rank1(*args):
+        flat.append(args)
+        return real_rank1(*args)
+
+    def counted_orbit(*args):
+        orbits.append(args)
+        return real_orbit(*args)
+
+    def counted_matrix(conn, theta):
+        engine.append(conn.is_dual)
+        return real_matrix(conn, theta)
+
+    def counted_apply_n(self, u, n):
+        if n == p:  # only a chart constant takes p steps
+            chart_steps.append(u)
+        return real_apply_n(self, u, n)
+
+    monkeypatch.setattr(verify, "p_curvature_rank1", counted_rank1)
+    monkeypatch.setattr(verify, "_orbit", counted_orbit)
+    monkeypatch.setattr(verify, "p_curvature_matrix", counted_matrix)
+    monkeypatch.setattr(funcfield.Derivation, "apply_n", counted_apply_n)
+    code, out = run(capsys, "verify", "--p", "13", "--f", "11,7,3,9,6,1",
+                    "--rigidity", "linear")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["torsionCount"] == p and len(payload["rigidity"]) == 1
+    assert len(payload["lemmas"]) == 4 * (p - 1)
+    assert len(flat) == 1
+    assert len(chart_steps) == 2  # the chart dx/y of the flatness check, and the line's
+    assert len(orbits) == 2
+    assert engine.count(False) == 4 * (p - 1)
+    assert engine.count(True) == 6  # the linear rigidity solve

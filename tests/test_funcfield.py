@@ -472,3 +472,46 @@ def test_root_step_and_power_arithmetic_against_gcd_path(field, monkeypatch):
                 assert product == _plain_product(twin, s, t)
                 _assert_normal_form(total)
                 _assert_normal_form(product)
+
+
+@pytest.mark.parametrize("field,rounds", _ORACLE_FIELDS, ids=["F3", "F13", "F27"])
+def test_combination_over_common_denominator_against_henrici_sums(field, rounds,
+                                                                 monkeypatch):
+    """sum c_k u_k as one normal form over the lcm of the denominators, for
+    mixed denominators (the gcd path) and for a theta_L-orbit, whose
+    denominators are table powers of one x - r (no gcd at all)."""
+    rng = rng_for(f"ff-combination-{field!r}")
+    cv = _curve_through_origin(field, rng)
+    F = cv.field
+
+    def henrici(coeffs, us):
+        total = cv.zero()
+        for c, u in zip(coeffs, us):
+            total = cv.add(total, cv.mul(cv.constant(c), u))
+        return total
+
+    for _ in range(rounds // 10):
+        us = [_hard_element(cv, rng) for _ in range(rng.randrange(1, 6))]
+        coeffs = [F.random(rng) for _ in us]
+        numerators, D = cv.common_denominator(us)
+        got = cv.combination(coeffs, numerators, D)
+        assert got == henrici(coeffs, us)
+        _assert_normal_form(got)
+
+    omega_L = cv.global_form(F.random(rng), F.one())
+    theta = dual_derivation(omega_L)  # theta(x) = c y / (x - r)
+    orbit = [cv.basis_forms()[0].ratio(omega_L)]
+    for _ in range(cv.p):
+        orbit.append(theta.apply(orbit[-1]))
+    gcd_calls = []
+    real_gcd = poly.gcd
+    monkeypatch.setattr(poly, "gcd", lambda *args: gcd_calls.append(args) or real_gcd(*args))
+    numerators, D = cv.common_denominator(orbit)
+    sums = [cv.combination([F.random(rng) for _ in orbit], numerators, D)
+            for _ in range(5)]
+    monkeypatch.setattr(poly, "gcd", real_gcd)
+    assert not gcd_calls and cv._power_of.get(D) is not None
+    for got in sums:
+        _assert_normal_form(got)
+    coeffs = [F.random(rng) for _ in orbit]
+    assert cv.combination(coeffs, numerators, D) == henrici(coeffs, orbit)

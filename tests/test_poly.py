@@ -8,6 +8,14 @@ from g2frob import poly
 from conftest import rng_for
 
 
+def _evaluate(F, a, v):
+    """a(v) by Horner's rule, one field operation at a time."""
+    acc = F.zero()
+    for c in reversed(a):
+        acc = F.add(F.mul(acc, v), c)
+    return acc
+
+
 def rand_poly(F, rng, max_deg=6):
     return poly.normalize(F, [F.random(rng) for _ in range(rng.randrange(0, max_deg + 2))])
 
@@ -72,7 +80,7 @@ def test_pow_and_eval():
     cube = poly.pow(F, xp1, 3)
     assert list(cube) == [1, 3, 3, 1]
     for v in F.elements():
-        assert poly.evaluate(F, cube, v) == F.pow(F.add(v, 1), 3)
+        assert _evaluate(F, cube, v) == F.pow(F.add(v, 1), 3)
 
 
 def test_freshman_dream_for_poly_pow():
@@ -165,7 +173,7 @@ def test_int_linear_kernels_match_generic_loops(p):
         r = F.random(rng)
         q, rem = poly.divide_at(F, a, r)
         assert (q, rem) == poly.divide_at_generic(F, a, r)
-        assert _in_range(F, q) and rem == poly.evaluate(F, a, r)
+        assert _in_range(F, q) and rem == _evaluate(F, a, r)
         assert poly.add(F, poly.mul(F, q, (F.neg(r), 1)), poly.constant(F, rem)) == a
         padded = a + (0,) * rng.randrange(0, 3)
         assert poly.normalize(F, padded) == poly.normalize_generic(F, padded) == a
@@ -180,7 +188,7 @@ def test_divide_at_over_an_extension_field():
     for _ in range(100):
         a, r = rand_poly(F, rng), F.random(rng)
         q, rem = poly.divide_at(F, a, r)
-        assert rem == poly.evaluate(F, a, r)
+        assert rem == _evaluate(F, a, r)
         assert poly.add(F, poly.mul(F, q, (F.neg(r), F.one())), poly.constant(F, rem)) == a
 
 
