@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 from . import poly
 from .errors import FieldTooLargeForBrute, G2FrobError, NotFlat, PrimeTooLarge, RangeError
-from .exactnum import make_field, prime_divisors, raw_to_json
+from .exactnum import coords, make_field, prime_divisors, raw_to_json
 from .funcfield import (
     Curve,
     Differential,
@@ -56,7 +56,7 @@ from .funcfield import (
     dual_derivation,
 )
 from .linalg import enumerate_span_mod_p, kernel_basis_mod_p, rref_mod_p
-from .pcurvature import ConnectionMatrix, p_curvature_rank1
+from .pcurvature import ConnectionMatrix, is_flat, p_curvature_rank1
 
 _BRUTE_FIELD_LIMIT = 1 << 14
 # cartier_manin runs about 1.5 p recurrence steps, 7.8 s at p = 10^6 under
@@ -214,7 +214,7 @@ class TorsionSet:
     def is_subspace(self, field) -> bool:
         """The forms lie in their own F_p-span, which has p^rank elements, so
         they are a subspace exactly when there are p^rank of them."""
-        rows = [_coords(a) + _coords(b) for a, b in self.forms]
+        rows = [coords(a) + coords(b) for a, b in self.forms]
         rank = len(rref_mod_p(rows, 2 * field.degree, field.char)[1])
         return len(set(self.forms)) == field.char ** rank
 
@@ -225,7 +225,7 @@ class TorsionSet:
 def _flat_form_data(curve: Curve):
     """The brute oracle's precomputation: omega0 = dx/y, theta0 dual, x^p,
     h = theta0^(p-1)(x) and c0 = <omega0, theta0^p> = omega0.g theta0(h),
-    which is chart_constant(omega0, theta0).
+    which is chart_constant(omega0).
 
     h takes p - 1 derivation steps, so check_derivation_limit applies.
     """
@@ -284,7 +284,7 @@ def _torsion_brute(curve: Curve):
         raise FieldTooLargeForBrute(
             f"|field| = {F.size} exceeds the brute-force guard {_BRUTE_FIELD_LIMIT}"
         )
-    omega0, theta0, xp, h, c0 = _flat_form_data(curve)
+    omega0, _, xp, h, c0 = _flat_form_data(curve)
     found = []
     spot = 0
     for a in F.elements():
@@ -294,7 +294,7 @@ def _torsion_brute(curve: Curve):
                 found.append((a, b))
                 if spot < 4:  # weld the factored evaluation to the closed form
                     T = curve.constant(a) + curve.constant(b) * curve.x()
-                    if not p_curvature_rank1(T, theta0, omega0).is_zero():
+                    if not p_curvature_rank1(T, omega0).is_zero():
                         raise G2FrobError("factored psi disagrees with p_curvature_rank1")
                     spot += 1
     return tuple(sorted(found))
@@ -330,7 +330,7 @@ def _flat_kernel(F, A):
     for u in plane_basis(F):
         Au = (F.add(F.mul(r[0], u[0]), F.mul(r[1], u[1])) for r in A)
         cols.append([x for w, c in zip(Au, u)
-                     for x in _coords(F.sub(w, F.frobenius(c)))])
+                     for x in coords(F.sub(w, F.frobenius(c)))])
     return kernel_basis_mod_p(list(zip(*cols)), len(cols), F.char)
 
 
@@ -355,29 +355,19 @@ def fp_combination(F, v, unknowns):
 
 
 def _k_elements_to_fp_rows(curve: Curve, els):
-    """Express K elements over a common denominator and flatten the numerator
-    coefficients into F_p rows: column j of the output is els[j]."""
+    """Express K elements over their common denominator
+    (`Curve.common_denominator`) and flatten the numerator coefficients into
+    F_p rows: column j of the output is els[j]."""
     F = curve.field
-    common = poly.one(F)
-    for e in els:
-        g = poly.gcd(F, common, e.D)
-        common = poly.mul(F, common, poly.divmod_(F, e.D, g)[0])
-    scaled = [e * curve.from_poly(common) for e in els]
-    if any(poly.degree(u.D) != 0 for u in scaled):
-        raise G2FrobError("the common denominator did not clear a denominator")
-    na = max(len(u.A) for u in scaled)
-    nb = max(len(u.B) for u in scaled)
+    numerators, _ = curve.common_denominator(els)
+    na = max(len(A) for A, _ in numerators)
+    nb = max(len(B) for _, B in numerators)
     cols = []
-    for u in scaled:
-        coeffs = [poly.coefficient(F, u.A, i) for i in range(na)]
-        coeffs += [poly.coefficient(F, u.B, i) for i in range(nb)]
-        cols.append([x for c in coeffs for x in _coords(c)])
+    for A, B in numerators:
+        coeffs = [poly.coefficient(F, A, i) for i in range(na)]
+        coeffs += [poly.coefficient(F, B, i) for i in range(nb)]
+        cols.append([x for c in coeffs for x in coords(c)])
     return list(zip(*cols))
-
-
-def _coords(raw):
-    """F_p coordinates of a raw field value in the field's basis()."""
-    return raw if isinstance(raw, tuple) else (raw,)
 
 
 # ---------------------------------------------------------------------------
@@ -452,16 +442,13 @@ def canonical_connection(omega_L: Differential, chart: str = "omega_L") -> Conne
     matrix on the standard chart.
     """
     curve = omega_L.curve
-    omega0 = curve.basis_forms()[0]
-    theta0 = dual_derivation(omega0)
-    T = curve.mul(omega_L.g, theta0.value_on_x)  # <omega_L, theta0>
-    if not p_curvature_rank1(T, theta0, omega0).is_zero():
+    if not is_flat(omega_L):
         raise NotFlat("d + omega_L has nonzero p-curvature")
-    z = curve.zero()
+    omega0, z = curve.basis_forms()[0], curve.zero()
     if omega_L.is_zero():
         return ConnectionMatrix(curve, ((z, z), (z, z)), omega0)
     if chart == "omega_L":
         return ConnectionMatrix(curve, ((z, z), (z, curve.one())), omega_L)
     if chart == "omega0":
-        return ConnectionMatrix(curve, ((z, z), (z, T)), omega0)
+        return ConnectionMatrix(curve, ((z, z), (z, omega_L.ratio(omega0))), omega0)
     raise RangeError(f"unknown chart {chart!r}")

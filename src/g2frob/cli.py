@@ -26,7 +26,14 @@ from .cartier import cartier_manin, check_derivation_limit, enumerate_p_torsion
 from .errors import InputError, RangeError, ResourceGuardError
 from .exactnum import make_field
 from .formulas import counts
-from .funcfield import Curve, curve_from_spec, curve_id, curve_spec, random_curve
+from .funcfield import (
+    Curve,
+    curve_from_spec,
+    curve_id,
+    curve_spec,
+    line_representative,
+    random_curve,
+)
 from .verify import check_offdiag_closed_forms, check_two_sums, rigidity_scan
 
 EXIT_OK = 0
@@ -122,18 +129,14 @@ def _verify_payload(curve: Curve, rigidity_mode: str | None) -> dict:
         for ab in basis_pairs:
             lemmas.append(check_two_sums(curve, ab_L, ab).to_jsonable())
             lemmas.append(check_offdiag_closed_forms(curve, ab_L, ab).to_jsonable())
-    rig_reports = []
-    if rigidity_mode and nonzero:
-        # one representative per line of the torsion space is enough: the
-        # deformation problem only depends on omega_L up to scaling
-        seen_lines = set()
+    # one pair per F_p-line of the torsion space, its first, is enough: the
+    # deformation problem only depends on omega_L up to scaling
+    lines = {}
+    if rigidity_mode:
         for ab_L in nonzero:
-            line = _line_key(F, ab_L)
-            if line in seen_lines:
-                continue
-            seen_lines.add(line)
-            _, rep = rigidity_scan(curve, ab_L, mode=rigidity_mode)
-            rig_reports.append(rep.to_jsonable())
+            lines.setdefault(line_representative(curve.global_form(*ab_L))[1], ab_L)
+    rig_reports = [rigidity_scan(curve, ab_L, mode=rigidity_mode)[1].to_jsonable()
+                   for ab_L in lines.values()]
     payload["lemmas"] = lemmas
     payload["rigidity"] = rig_reports
     payload["note"] = (
@@ -143,14 +146,6 @@ def _verify_payload(curve: Curve, rigidity_mode: str | None) -> dict:
         1 for r in lemmas + rig_reports if r["status"] == "violated"
     )
     return payload
-
-
-def _line_key(F, ab):
-    """Canonical representative of the F_p-line through the nonzero pair ab:
-    its least F_p-multiple."""
-    return min(
-        tuple(F.mul(F.from_int(s), c) for c in ab) for s in range(1, F.char)
-    )
 
 
 def cmd_verify(args) -> int:

@@ -560,6 +560,11 @@ def raw_from_json(value):
     return tuple(value) if isinstance(value, list) else value
 
 
+def coords(raw):
+    """F_p coordinates of a raw field value in the field's basis()."""
+    return raw if isinstance(raw, tuple) else (raw,)
+
+
 # ---------------------------------------------------------------------------
 # F_p polynomial arithmetic on int coefficient lists
 # ---------------------------------------------------------------------------

@@ -13,8 +13,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import RangeError
+from .errors import RangeError, ResourceGuardError
 from .exactnum import is_prime
+
+# every count is below 2^(2g) p^max(g, 3); below 2^14000 it has at most
+# 4,215 digits, inside the 4,300 that json prints on every CPython release
+_COUNT_BITS_LIMIT = 14_000
 
 
 def _check_odd_prime(p: int):
@@ -74,10 +78,13 @@ def counts(p: int, g: int = 2) -> dict:
     The four degree counts (base locus, generalized Verschiebung, residual
     surface, preimage of the Kummer) are genus-2 statements and are only
     emitted when g == 2; tauInvariantCount and maxDestabDegree make sense
-    for any genus >= 2.
+    for any genus >= 2.  Raises ResourceGuardError when a count could exceed
+    2^_COUNT_BITS_LIMIT, before any is built.
     """
     _check_odd_prime(p)
     _check_genus(g)
+    if 2 * g + max(g, 3) * p.bit_length() > _COUNT_BITS_LIMIT:
+        raise ResourceGuardError(f"the counts for p = {p}, g = {g} may exceed 2^{_COUNT_BITS_LIMIT}")
     out = {
         "p": p,
         "g": g,

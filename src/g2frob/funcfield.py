@@ -68,7 +68,7 @@ from .errors import (
     RangeError,
     ZeroDifferential,
 )
-from .exactnum import ExtField, make_field, raw_to_json
+from .exactnum import ExtField, coords, make_field, raw_to_json
 
 
 class Curve:
@@ -85,13 +85,12 @@ class Curve:
     The curve also owns a memo (`memo`) of the results that the lemma checks
     ask for again and again:
       * the Cartier-Manin matrix;
-      * the chart constant <omega0, theta0^p> of each chart;
-      * per F_p-line of flat forms (`verify`): the flatness check with the
-        line's dual derivation, and for each basis form the ratio x to the
-        line's representative with the theta_L-orbit of x over one
-        denominator;
-      * per flat form: its line, its scale in the line and its dual
-        derivation, and its two sums with each second form;
+      * the dual derivation of each chart;
+      * per F_p-line of forms (`line_representative`): the flatness check,
+        the chart constant <omega0, theta0^p>, and for a flat line
+        (`verify`) and each basis form the ratio x to the line's
+        representative with the theta_L-orbit of x over one denominator;
+      * per flat form: its two sums with each second form;
       * the two sums of the direct per-form oracle (`verify.two_sums`).
     Each value is a few function field elements or field values, never a
     derivation tower, and the memo lives exactly as long as the curve: one
@@ -650,10 +649,24 @@ def canonical_d(u: FunctionFieldElement) -> Differential:
 
 
 def dual_derivation(omega: Differential) -> Derivation:
-    """The derivation theta with <omega, theta> = 1, i.e. theta(x) = 1/g."""
+    """The derivation theta with <omega, theta> = 1, i.e. theta(x) = 1/g;
+    one per chart (the curve's memo)."""
     if omega.is_zero():
         raise ZeroDifferential("the zero differential has no dual derivation")
-    return Derivation(omega.curve, omega.g.inverse())
+    cv = omega.curve
+    return cv.memo(("dual_derivation", omega.g), lambda: Derivation(cv, omega.g.inverse()))
+
+
+def line_representative(omega: Differential):
+    """(t, t omega) for a nonzero form omega: t in F_p^* is the inverse of
+    the first nonzero F_p-coordinate of the leading coefficient of omega's
+    numerator (of B when B != 0), so t omega, whose coordinate is 1, is one
+    representative shared by every F_p-multiple of omega."""
+    if omega.is_zero():
+        raise ZeroDifferential("the zero differential spans no line")
+    cv, lead = omega.curve, (omega.g.B or omega.g.A)[-1]
+    t = cv.field.from_int(pow(next(c for c in coords(lead) if c), -1, cv.p))
+    return t, Differential(cv, cv.mul(cv.constant(t), omega.g))
 
 
 def pair(omega: Differential, theta: Derivation) -> FunctionFieldElement:

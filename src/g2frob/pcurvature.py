@@ -21,6 +21,19 @@ full coefficient row (T_0^(n), ..., T_n^(n)) obeys
 with T_n^(n) = identity.  For r = 1 the whole computation collapses to the
 closed form psi = T^p + theta0^(p-1)(T) - <omega0, theta0^p> T.
 
+The engine takes the chart alone: theta0 is the chart's dual, and every
+entry point derives it (`dual_derivation`, once per chart), so no caller can
+pair a chart with another derivation.  The chart constant
+<omega0, theta0^p> depends on omega0 only through its F_p-line: for s in
+F_p^* and t = 1/s, theta_(s omega0) = t theta0, since
+<s omega0, t theta0> = <omega0, theta0> = 1, so
+
+    <s omega0, (t theta0)^p> = s t^p <omega0, theta0^p>
+                             = s^(1-p) <omega0, theta0^p> = <omega0, theta0^p>,
+
+for every chart, flat or not.  `chart_constant` takes its p steps once per
+line, on the representative of `funcfield.line_representative`.
+
 psi is returned as a bare matrix over the connection's ring (K or K[eps],
 below); the implicit omega0^(tensor p) twist is never materialized because
 only vanishing and equality of psi are ever consumed.
@@ -42,9 +55,10 @@ from dataclasses import dataclass
 from .errors import RangeError, ZeroVector
 from .exactnum import DualRing
 from .funcfield import (
-    Derivation,
     Differential,
     FunctionFieldElement,
+    dual_derivation,
+    line_representative,
     pair,
 )
 
@@ -120,35 +134,39 @@ class CoefficientTable:
         return self.rows[k]
 
 
-def _check_duality(omega0: Differential, theta0: Derivation):
-    if not pair(omega0, theta0) == omega0.curve.one():
-        raise RangeError("theta0 is not dual to the chart form: <omega0, theta0> != 1")
-
-
-def chart_constant(omega0: Differential, theta0: Derivation,
-                   derive=None) -> FunctionFieldElement:
-    """<omega0, theta0^p>, the scalar the recursion subtracts against T.
-
-    p derivation steps, taken once per curve and chart (the curve's memo).
-    `derive`, when given, supplies the value on first use instead: `verify`
-    reads the constant of a flat form off the one of its F_p-line.
-    """
+def chart_constant(omega0: Differential) -> FunctionFieldElement:
+    """<omega0, theta0^p>, the scalar the recursion subtracts against T:
+    p derivation steps, taken once per F_p-line of charts (the curve's
+    memo), since every multiple of a chart has the same constant (module
+    docstring)."""
     cv = omega0.curve
-    return cv.memo(
-        ("chart_constant", omega0.g, theta0.value_on_x),
-        derive or (lambda: cv.mul(omega0.g, theta0.apply_n(cv.x(), cv.p))),
-    )
+    _, rep = line_representative(omega0)
+    return cv.memo(("chart_constant", rep.g),
+                   lambda: cv.mul(rep.g, dual_derivation(rep).apply_n(cv.x(), cv.p)))
 
 
-def p_curvature_rank1(
-    T: FunctionFieldElement, theta0: Derivation, omega0: Differential
-) -> FunctionFieldElement:
+def p_curvature_rank1(T: FunctionFieldElement, omega0: Differential) -> FunctionFieldElement:
     """Closed form for a connection on the trivial line bundle:
     psi = T^p + theta0^(p-1)(T) - <omega0, theta0^p> T."""
-    _check_duality(omega0, theta0)
     cv = T.curve
-    c0 = chart_constant(omega0, theta0)
-    return cv.pow(T, cv.p) + theta0.apply_n(T, cv.p - 1) - c0 * T
+    theta0 = dual_derivation(omega0)
+    return cv.pow(T, cv.p) + theta0.apply_n(T, cv.p - 1) - chart_constant(omega0) * T
+
+
+def is_flat(omega: Differential) -> bool:
+    """Whether d + omega has vanishing p-curvature (the zero form does):
+    the rank-1 closed form on the chart dx/y, once per F_p-line of forms (the
+    curve's memo), since psi(s T) = s psi(T) for s in F_p."""
+    if omega.is_zero():
+        return True
+    cv = omega.curve
+    _, rep = line_representative(omega)
+
+    def flat():
+        omega0 = cv.basis_forms()[0]
+        return p_curvature_rank1(pair(rep, dual_derivation(omega0)), omega0).is_zero()
+
+    return cv.memo(("is_flat", rep.g), flat)
 
 
 def _mat_add(ring, A, B, r):
@@ -184,24 +202,24 @@ def _step(ring, T, M, theta, r):
     return _mat_add(ring, _mat_mul(ring, T, M, r), _mat_theta(ring, M, theta, r), r)
 
 
-def p_curvature_matrix(conn: ConnectionMatrix, theta0: Derivation) -> PCurvature:
+def p_curvature_matrix(conn: ConnectionMatrix) -> PCurvature:
     """psi via the recursion T0^(n+1) = T T0^(n) + theta0(T0^(n))."""
-    _check_duality(conn.chart, theta0)
     R, r, T = conn.ring, conn.rank, conn.entries
+    theta0 = dual_derivation(conn.chart)
     T0 = T
     for _ in range(conn.curve.p - 1):
         T0 = _step(R, T, T0, theta0, r)
-    c0 = R.lift(chart_constant(conn.chart, theta0))
+    c0 = R.lift(chart_constant(conn.chart))
     psi = tuple(
         tuple(R.sub(T0[i][j], R.mul(c0, T[i][j])) for j in range(r)) for i in range(r)
     )
     return PCurvature(matrix=psi, chart=conn.chart, ring=R)
 
 
-def coefficient_table(conn: ConnectionMatrix, theta0: Derivation, n: int) -> CoefficientTable:
+def coefficient_table(conn: ConnectionMatrix, n: int) -> CoefficientTable:
     """All theta0-coefficients of (T + theta0)^n, 1 <= n <= p."""
-    _check_duality(conn.chart, theta0)
     R, r, T = conn.ring, conn.rank, conn.entries
+    theta0 = dual_derivation(conn.chart)
     if not 1 <= n <= conn.curve.p:
         raise RangeError(f"table order must satisfy 1 <= n <= p, got {n}")
     ident = tuple(tuple(R.one() if i == j else R.zero() for j in range(r)) for i in range(r))
@@ -222,8 +240,6 @@ def second_fundamental_form(conn: ConnectionMatrix, v) -> FunctionFieldElement:
     to v; the result is zero iff the line K v is preserved by the connection.
     The chart's dual derivation is used, matching the matrix convention.
     """
-    from .funcfield import dual_derivation
-
     if conn.rank != 2 or conn.is_dual:
         raise RangeError("second fundamental form is for rank-2 K-connections")
     v1, v2 = v

@@ -35,16 +35,15 @@ The three checks:
 
 One theta_L-orbit per F_p-line.  The checks depend on omega_L only through
 its F_p-line, and `verify` asks for all p - 1 nonzero multiples of each
-line.  Let omega_L be the line's representative (`_flat_line`) and
-omega = s omega_L, s in F_p^*, a multiple, with t = 1/s.  Then
+line.  Let omega_L be the line's representative and omega = s omega_L,
+s in F_p^*, a multiple, with t = 1/s (`funcfield.line_representative`
+returns t and omega_L for omega).  Then
 
 * theta_s = t theta_L: <s omega_L, t theta_L> = <omega_L, theta_L> = 1.
 * x_s = omega'/omega = t x for a second form omega' with x = omega'/omega_L.
-* s^(p-1) = 1, and psi is F_p-linear: (s T)^p = s^p T^p = s T^p, so
-  psi(s T) = s psi(T) and omega is flat exactly when omega_L is.  The dual
-  derivation of omega is t theta_L, a scaling, with no inversion.
-* The chart constant <omega, theta_s^p> = s t^p <omega_L, theta_L^p>
-  = s^(1-p) <omega_L, theta_L^p> = <omega_L, theta_L^p>: one per line.
+* psi is F_p-linear, so omega is flat exactly when omega_L is, and the
+  chart constants of omega and omega_L agree (`pcurvature`): `is_flat` and
+  `chart_constant` run once per line.
 * theta_s^k(x_s) = t^(k+1) u_k with u_k = theta_L^k(x), so
       S1(s) = sum_k t^(k+1) u_k,   S2(s) = sum_k (-1)^k t^(k+1) u_k,
   since C(p-1, k) = prod_(j<=k) (p-j)/j = (-1)^k mod p.  One orbit
@@ -77,14 +76,10 @@ from .funcfield import (
     FunctionFieldElement,
     curve_id,
     dual_derivation,
+    line_representative,
 )
 from .linalg import enumerate_span_mod_p
-from .pcurvature import (
-    ConnectionMatrix,
-    chart_constant,
-    p_curvature_matrix,
-    p_curvature_rank1,
-)
+from .pcurvature import ConnectionMatrix, is_flat, p_curvature_matrix
 
 _BRUTE_TRIPLE_LIMIT = 1 << 24
 
@@ -134,56 +129,13 @@ def _as_global_form(curve: Curve, omega):
 
 
 def require_torsion(curve: Curve, omega_L: Differential) -> Derivation:
-    """Check omega_L is a nonzero flat form; return its dual derivation.
-
-    The check runs once per F_p-line of forms (the curve's memo)."""
-    return _flat_form(curve, omega_L)[2]
-
-
-def _flat_line(curve: Curve, g):
-    """(omega_L, theta_L) for the representative omega_L = g dx of an F_p-line
-    of forms, or None when d + omega_L is not flat: one flatness check per
-    line (the curve's memo)."""
-
-    def dual_if_flat():
-        omega0 = curve.basis_forms()[0]
-        theta0 = dual_derivation(omega0)
-        T = curve.mul(g, theta0.value_on_x)
-        if not p_curvature_rank1(T, theta0, omega0).is_zero():
-            return None
-        omega_L = Differential(curve, g)
-        return omega_L, dual_derivation(omega_L)
-
-    return curve.memo(("flat_line", g), dual_if_flat)
-
-
-def _flat_form(curve: Curve, omega: Differential):
-    """(line, t, theta) for a nonzero flat form omega: its line
-    (`_flat_line`), the t in F_p^* with t omega the line's representative
-    (t makes the leading coefficient of omega's numerator least), and
-    theta = t theta_L dual to omega, whose chart constant is the line's
-    (module docstring).  Raises NotTorsion otherwise."""
-    if omega.is_zero():
+    """Check omega_L is a nonzero flat form (`is_flat`, once per F_p-line);
+    return its dual derivation."""
+    if omega_L.is_zero():
         raise NotTorsion("omega_L must be nonzero")
-
-    def locate():
-        F, g = curve.field, omega.g
-        lead = (g.B or g.A)[-1]
-        t = F.from_int(min(range(1, curve.p), key=lambda n: F.mul(F.from_int(n), lead)))
-        line = _flat_line(curve, curve.mul(curve.constant(t), g))
-        if line is None:
-            return None
-        omega_L, theta_L = line
-        if F.eq(t, F.one()):
-            return line, t, theta_L
-        theta = Derivation(curve, curve.mul(curve.constant(t), theta_L.value_on_x))
-        chart_constant(omega, theta, derive=lambda: chart_constant(omega_L, theta_L))
-        return line, t, theta
-
-    data = curve.memo(("flat_form", omega.g), locate)
-    if data is None:
+    if not is_flat(omega_L):
         raise NotTorsion("d + omega_L does not have vanishing p-curvature")
-    return data
+    return dual_derivation(omega_L)
 
 
 def _orbit(theta: Derivation, x: FunctionFieldElement):
@@ -202,11 +154,12 @@ def line_sums(curve: Curve, omega_L: Differential, omega: Differential):
     per line and form, the sums once per pair (the curve's memo)."""
 
     def sums():
-        (rep, theta_L), t, _ = _flat_form(curve, omega_L)
+        require_torsion(curve, omega_L)
+        t, rep = line_representative(omega_L)
 
         def orbit():
             x = omega.ratio(rep)
-            return (x, *curve.common_denominator(_orbit(theta_L, x)))
+            return (x, *curve.common_denominator(_orbit(dual_derivation(rep), x)))
 
         x, numerators, D = curve.memo(("line_orbit", rep.g, omega.g), orbit)
         F = curve.field
@@ -272,15 +225,10 @@ def check_offdiag_closed_forms(curve: Curve, omega_L, omega) -> LemmaReport:
     t0 = time.perf_counter()
     omega_L, ab_L = _as_global_form(curve, omega_L)
     omega, ab = _as_global_form(curve, omega)
-    theta_L = require_torsion(curve, omega_L)
     x, S1, S2 = line_sums(curve, omega_L, omega)
     z, one = curve.zero(), curve.one()
-    psi_upper = p_curvature_matrix(
-        ConnectionMatrix(curve, ((z, x), (z, one)), omega_L), theta_L
-    )
-    psi_lower = p_curvature_matrix(
-        ConnectionMatrix(curve, ((one, x), (z, z)), omega_L), theta_L
-    )
+    psi_upper = p_curvature_matrix(ConnectionMatrix(curve, ((z, x), (z, one)), omega_L))
+    psi_lower = p_curvature_matrix(ConnectionMatrix(curve, ((one, x), (z, z)), omega_L))
     ok = (
         psi_upper[0, 1] == S1
         and psi_lower[0, 1] == S2
@@ -310,14 +258,13 @@ def check_offdiag_closed_forms(curve: Curve, omega_L, omega) -> LemmaReport:
 # rigidity of the split connection under first-order deformations
 # ---------------------------------------------------------------------------
 
-def _deformation_psi(curve: Curve, theta_L: Derivation, chart: Differential,
-                     g11, f12, f21, g22):
-    """psi of diag(0,1) + eps [[g11, f12], [f21, g22]] against theta_L, as
-    (body, slope) pairs over DualRing(curve): the traceless deformation has
-    (g11, g22) = (f11, -f11), its companion (2 f11, 0)."""
+def _deformation_psi(curve: Curve, chart: Differential, g11, f12, f21, g22):
+    """psi of diag(0,1) + eps [[g11, f12], [f21, g22]] on the chart omega_L,
+    as (body, slope) pairs over DualRing(curve): the traceless deformation
+    has (g11, g22) = (f11, -f11), its companion (2 f11, 0)."""
     z = curve.zero()
     M = (((z, g11), (z, f12)), ((z, f21), (curve.one(), g22)))
-    return p_curvature_matrix(ConnectionMatrix(DualRing(curve), M, chart), theta_L)
+    return p_curvature_matrix(ConnectionMatrix(DualRing(curve), M, chart))
 
 
 def scalar_shift_identity_holds(curve: Curve, theta_L: Derivation, psi, psi_companion,
@@ -400,7 +347,7 @@ def rigidity_scan(
             curve, theta_L, omega_L, closed_form_samples
         )
     elif mode == "linear":
-        sols = _rigidity_linear(curve, theta_L, omega_L)
+        sols = _rigidity_linear(curve, omega_L)
         identity_ok = identity_total = 0
         closed_ok = True
     else:
@@ -456,11 +403,10 @@ def _rigidity_brute(curve, theta_L, omega_L, closed_form_samples):
         for ab12 in pairs:
             for ab21 in pairs:
                 f11, f12, f21 = ratios[ab11], ratios[ab12], ratios[ab21]
-                psi = _deformation_psi(curve, theta_L, omega_L, f11, f12, f21, -f11)
+                psi = _deformation_psi(curve, omega_L, f11, f12, f21, -f11)
                 if psi.is_zero():
                     sols.append((ab11, ab12, ab21))
-                psi_c = _deformation_psi(curve, theta_L, omega_L, two * f11, f12, f21,
-                                         curve.zero())
+                psi_c = _deformation_psi(curve, omega_L, two * f11, f12, f21, curve.zero())
                 identity_total += 1
                 if scalar_shift_identity_holds(curve, theta_L, psi, psi_c, f11):
                     identity_ok += 1
@@ -493,7 +439,7 @@ def _closed_forms_match(curve, theta_L, psi_companion, f11, f12, f21) -> bool:
     return True
 
 
-def _rigidity_linear(curve, theta_L, omega_L):
+def _rigidity_linear(curve, omega_L):
     """Kernel of the F_p-linear map (w11, w12, w21) -> psi(deformation)."""
     F = curve.field
     unknowns, images = [], []  # unknowns flatten (a11, b11, a12, b12, a21, b21)
@@ -502,7 +448,7 @@ def _rigidity_linear(curve, theta_L, omega_L):
             raws, fs = [F.zero()] * 6, [curve.zero()] * 3
             raws[2 * slot], raws[2 * slot + 1] = a, b
             fs[slot] = curve.global_form(a, b).ratio(omega_L)
-            psi = _deformation_psi(curve, theta_L, omega_L, *fs, -fs[0])
+            psi = _deformation_psi(curve, omega_L, *fs, -fs[0])
             unknowns.append(tuple(raws))
             images.append(tuple(e for i in range(2) for j in range(2) for e in psi[i, j]))
     basis = fp_kernel(curve, images)

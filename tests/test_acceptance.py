@@ -159,12 +159,11 @@ def test_criterion_4_engine_oracle_equivalence():
     for p in (3, 5, 7):
         cv = make_curve(PrimeField(p), CERTIFIED[p][0])
         omega0 = cv.basis_forms()[0]
-        theta0 = dual_derivation(omega0)
         rng = rng_for(f"acceptance-4-{p}")
         for _ in range(100):
             T = make_random_element(cv, rng, max_deg=2)
-            closed = p_curvature_rank1(T, theta0, omega0)
-            rec = p_curvature_matrix(ConnectionMatrix(cv, ((T,),), omega0), theta0)
+            closed = p_curvature_rank1(T, omega0)
+            rec = p_curvature_matrix(ConnectionMatrix(cv, ((T,),), omega0))
             assert rec[0, 0] == closed
         one, zero = cv.one(), cv.zero()
         ident = ((one, zero), (zero, one))
@@ -174,7 +173,7 @@ def test_criterion_4_engine_oracle_equivalence():
                 for _ in range(2)
             )
             conn = ConnectionMatrix(cv, T, omega0)
-            tables = {n: coefficient_table(conn, theta0, n) for n in range(1, p + 1)}
+            tables = {n: coefficient_table(conn, n) for n in range(1, p + 1)}
             for n in range(1, p + 1):
                 assert tables[n][n] == ident
                 for r in range(0, n + 1):
@@ -249,8 +248,8 @@ def test_criterion_6_rigidity_scan_p3():
             Mp = ConnectionMatrix(D, (((z, two * f11), (z, f12)),
                                       ((z, f21), (cv.one(), cv.zero()))),
                                   omega_L)
-            lhs = p_curvature_matrix(M, theta_L)
-            rhs = p_curvature_matrix(Mp, theta_L)
+            lhs = p_curvature_matrix(M)
+            rhs = p_curvature_matrix(Mp)
             coeff = cv.pow(f11, p) + theta_L.apply_n(f11, p - 1) - f11
             ok = True
             for i in range(2):

@@ -196,7 +196,7 @@ def test_cartier_solver_above_the_brute_limit():
         assert len(ts) == 3 ** rational_flat_dimension(cv3, 10)
         for omega in ts.differentials(cv):
             T = cv.mul(omega.g, theta0.value_on_x)
-            assert p_curvature_rank1(T, theta0, omega0).is_zero()
+            assert p_curvature_rank1(T, omega0).is_zero()
         sizes.add(len(ts))
     assert sizes != {1}
 
@@ -349,17 +349,16 @@ def test_brute_guard_on_large_fields():
 
 def test_canonical_connection(curve3, flat3):
     cv = curve3
-    omega_L, theta_L = flat3
+    omega_L, _ = flat3
     conn = canonical_connection(omega_L, chart="omega_L")
     z, one = cv.zero(), cv.one()
     assert conn.entries == ((z, z), (z, one))
-    assert p_curvature_matrix(conn, theta_L).is_zero()
+    assert p_curvature_matrix(conn).is_zero()
 
     conn0 = canonical_connection(omega_L, chart="omega0")
     omega0 = cv.basis_forms()[0]
-    theta0 = dual_derivation(omega0)
     assert conn0.chart == omega0
-    assert p_curvature_matrix(conn0, theta0).is_zero()
+    assert p_curvature_matrix(conn0).is_zero()
 
     zero_form = canonical_connection(cv.global_form(cv.field.zero(), cv.field.zero()))
     assert all(e.is_zero() for row in zero_form.entries for e in row)
@@ -381,7 +380,7 @@ def test_torsion_set_differentials_are_flat(curve5):
     assert len(ts) == 5
     for omega in ts.differentials(cv):
         T = cv.mul(omega.g, theta0.value_on_x)
-        assert p_curvature_rank1(T, theta0, omega0).is_zero()
+        assert p_curvature_rank1(T, omega0).is_zero()
 
 
 def test_span_listing_is_guarded():
@@ -406,7 +405,7 @@ def test_flat_form_data_against_pow_and_derivation_steps(curve):
     x = curve.x()
     assert xp == curve.pow(x, curve.p)
     assert h == theta0.apply_n(x, curve.p - 1)
-    assert c0 == chart_constant(omega0, theta0)
+    assert c0 == chart_constant(omega0)
     assert c0 == curve.mul(omega0.g, theta0.apply_n(x, curve.p))
 
 
@@ -426,7 +425,7 @@ def test_flat_form_is_its_own_chart_constant(p, f):
     assert len(nonzero) == p - 1
     for a, b in nonzero:
         omega_L = curve.global_form(a, b)
-        assert chart_constant(omega_L, dual_derivation(omega_L)) == curve.one()
+        assert chart_constant(omega_L) == curve.one()
     # a form off the flat line is not its own chart constant; the flat forms
     # fill one line, so at least one of dx/y, x dx/y is off it
     F = curve.field
@@ -434,4 +433,4 @@ def test_flat_form_is_its_own_chart_constant(p, f):
     assert outside
     for a, b in outside:
         omega = curve.global_form(a, b)
-        assert chart_constant(omega, dual_derivation(omega)) != curve.one()
+        assert chart_constant(omega) != curve.one()

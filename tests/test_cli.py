@@ -1,9 +1,13 @@
 """CLI contract: exit codes, JSON payloads, determinism, resumability."""
 
+import contextlib
 import hashlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from g2frob.cli import main
 
@@ -168,6 +172,46 @@ def test_formulas_command(capsys):
     assert json.loads(out)["tauInvariantCount"] == 48
     code, out = run(capsys, "formulas", "--p", "4")
     assert code == 2
+    # 2^(2g-3) (7^g - 1) has more than 4,300 digits at g = 3000: refused
+    # before json would fail to print it
+    code, out = run(capsys, "formulas", "--p", "7", "--g", "3000")
+    assert code == 3 and json.loads(out)["kind"] == "ResourceGuardError"
+    assert out.count("\n") == 1
+    code, out = run(capsys, "formulas", "--p", "7", "--g", "2500")
+    assert code == 0 and json.loads(out)["tauInvariantCount"] == 2 ** 4997 * (7 ** 2500 - 1)
+
+
+def _one_json_line(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    lines = buf.getvalue().splitlines()
+    assert code in (0, 2, 3) and len(lines) == 1
+    json.loads(lines[0])
+
+
+_PRIMES = st.sampled_from([3, 5, 7, 13, 9973])
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.one_of(_PRIMES, st.integers(-2 ** 64, 2 ** 64)), st.integers(-100, 20_000))
+def test_formulas_input_fuzz(p, g):
+    # any ints: one JSON line and exit 0, 2 or 3, never a traceback
+    _one_json_line(["formulas", f"--p={p}", f"--g={g}"])
+
+
+_COEFFS = st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=8)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.one_of(_PRIMES, st.integers(-10, 10 ** 4)),
+       st.one_of(_COEFFS.map(lambda cs: ",".join(map(str, cs))),
+                 _COEFFS.filter(lambda cs: len(cs) >= 5).map(
+                     lambda cs: ",".join(map(str, cs[:5] + [1]))),
+                 st.text(max_size=24)))
+def test_curve_input_fuzz(p, f):
+    # arbitrary p <= 10^4 and well- or malformed --f strings
+    _one_json_line(["curve", f"--p={p}", f"--f={f}"])
 
 
 def test_scan_deterministic_across_runs_and_workers(tmp_path, capsys):
@@ -446,11 +490,11 @@ def test_verify_lemma_data_computed_once_per_line(capsys, monkeypatch):
     # one flat F_13-line: its p - 1 multiples share one flatness check, one
     # chart constant and one theta_L-orbit per basis form, while the engine
     # still runs both triangular connections for every multiple and form
-    from g2frob import funcfield, verify
+    from g2frob import funcfield, pcurvature, verify
 
     p = 13
     flat, orbits, engine, chart_steps = [], [], [], []
-    real_rank1, real_orbit = verify.p_curvature_rank1, verify._orbit
+    real_rank1, real_orbit = pcurvature.p_curvature_rank1, verify._orbit
     real_matrix, real_apply_n = verify.p_curvature_matrix, funcfield.Derivation.apply_n
 
     def counted_rank1(*args):
@@ -461,16 +505,16 @@ def test_verify_lemma_data_computed_once_per_line(capsys, monkeypatch):
         orbits.append(args)
         return real_orbit(*args)
 
-    def counted_matrix(conn, theta):
+    def counted_matrix(conn):
         engine.append(conn.is_dual)
-        return real_matrix(conn, theta)
+        return real_matrix(conn)
 
     def counted_apply_n(self, u, n):
         if n == p:  # only a chart constant takes p steps
             chart_steps.append(u)
         return real_apply_n(self, u, n)
 
-    monkeypatch.setattr(verify, "p_curvature_rank1", counted_rank1)
+    monkeypatch.setattr(pcurvature, "p_curvature_rank1", counted_rank1)
     monkeypatch.setattr(verify, "_orbit", counted_orbit)
     monkeypatch.setattr(verify, "p_curvature_matrix", counted_matrix)
     monkeypatch.setattr(funcfield.Derivation, "apply_n", counted_apply_n)

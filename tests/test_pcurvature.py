@@ -27,41 +27,33 @@ def _chart(curve):
 
 
 def test_rank1_zero_connection(curve3):
-    omega0, theta0 = _chart(curve3)
-    assert p_curvature_rank1(curve3.zero(), theta0, omega0).is_zero()
+    omega0, _ = _chart(curve3)
+    assert p_curvature_rank1(curve3.zero(), omega0).is_zero()
 
 
 def test_rank1_unit_connection_on_flat_chart(curve3, flat3):
     # T = 1 on the chart of a flat form: psi = 1 - <omega_L, theta_L^p> = 0
-    omega_L, theta_L = flat3
-    assert p_curvature_rank1(curve3.one(), theta_L, omega_L).is_zero()
+    omega_L, _ = flat3
+    assert p_curvature_rank1(curve3.one(), omega_L).is_zero()
 
 
 def test_rank1_equals_rank1_recursion(curve3, curve5):
     for cv in (curve3, curve5):
-        omega0, theta0 = _chart(cv)
+        omega0, _ = _chart(cv)
         rng = rng_for(f"pc-oracle-{cv.p}")
         for _ in range(100):
             T = make_random_element(cv, rng, max_deg=2)
-            closed = p_curvature_rank1(T, theta0, omega0)
-            rec = p_curvature_matrix(ConnectionMatrix(cv, ((T,),), omega0), theta0)
+            closed = p_curvature_rank1(T, omega0)
+            rec = p_curvature_matrix(ConnectionMatrix(cv, ((T,),), omega0))
             assert rec[0, 0] == closed
 
 
 def test_matrix_zero_connection(curve3):
-    omega0, theta0 = _chart(curve3)
+    omega0, _ = _chart(curve3)
     for r in (1, 2, 3):
         z = curve3.zero()
         conn = ConnectionMatrix(curve3, tuple(tuple(z for _ in range(r)) for _ in range(r)), omega0)
-        assert p_curvature_matrix(conn, theta0).is_zero()
-
-
-def test_matrix_requires_dual_chart(curve3):
-    omega0, theta0 = _chart(curve3)
-    omega1 = curve3.basis_forms()[1]
-    conn = ConnectionMatrix(curve3, ((curve3.one(),),), omega1)
-    with pytest.raises(RangeError):
-        p_curvature_matrix(conn, theta0)  # theta0 is dual to omega0, not omega1
+        assert p_curvature_matrix(conn).is_zero()
 
 
 def test_triangular_connection_offdiagonal_sums(curve3, flat3):
@@ -70,7 +62,7 @@ def test_triangular_connection_offdiagonal_sums(curve3, flat3):
     omega_L, theta_L = flat3
     x = cv.basis_forms()[0].ratio(omega_L)
     z, one = cv.zero(), cv.one()
-    psi = p_curvature_matrix(ConnectionMatrix(cv, ((z, x), (z, one)), omega_L), theta_L)
+    psi = p_curvature_matrix(ConnectionMatrix(cv, ((z, x), (z, one)), omega_L))
     S1 = cv.zero()
     cur = x
     for _ in range(1, cv.p):
@@ -82,24 +74,24 @@ def test_triangular_connection_offdiagonal_sums(curve3, flat3):
 
 def test_block_triangular_psi(curve3):
     cv = curve3
-    omega0, theta0 = _chart(cv)
+    omega0, _ = _chart(cv)
     rng = rng_for("pc-triangular")
     for _ in range(10):
         a = make_random_element(cv, rng, max_deg=2)
         b = make_random_element(cv, rng, max_deg=2)
         d = make_random_element(cv, rng, max_deg=2)
         conn = ConnectionMatrix(cv, ((a, b), (cv.zero(), d)), omega0)
-        psi = p_curvature_matrix(conn, theta0)
+        psi = p_curvature_matrix(conn)
         assert psi[1, 0].is_zero()
-        assert psi[0, 0] == p_curvature_rank1(a, theta0, omega0)
-        assert psi[1, 1] == p_curvature_rank1(d, theta0, omega0)
+        assert psi[0, 0] == p_curvature_rank1(a, omega0)
+        assert psi[1, 1] == p_curvature_rank1(d, omega0)
 
 
 def test_trace_compatibility(curve3):
     # the induced connection on the determinant is given by the trace, and
     # its scalar p-curvature is the trace of the matrix p-curvature
     cv = curve3
-    omega0, theta0 = _chart(cv)
+    omega0, _ = _chart(cv)
     rng = rng_for("pc-trace")
     for _ in range(10):
         T = tuple(
@@ -107,11 +99,11 @@ def test_trace_compatibility(curve3):
             for _ in range(2)
         )
         conn = ConnectionMatrix(cv, T, omega0)
-        psi = p_curvature_matrix(conn, theta0)
+        psi = p_curvature_matrix(conn)
         tr_psi = psi[0, 0] + psi[1, 1]
-        psi_tr_closed = p_curvature_rank1(conn.trace(), theta0, omega0)
+        psi_tr_closed = p_curvature_rank1(conn.trace(), omega0)
         psi_tr_rec = p_curvature_matrix(
-            ConnectionMatrix(cv, ((conn.trace(),),), omega0), theta0
+            ConnectionMatrix(cv, ((conn.trace(),),), omega0)
         )[0, 0]
         assert tr_psi == psi_tr_closed == psi_tr_rec
 
@@ -128,11 +120,11 @@ def test_coefficient_table_small_orders(curve3):
     one, zero = cv.one(), cv.zero()
     ident = ((one, zero), (zero, one))
 
-    t1 = coefficient_table(conn, theta0, 1)
+    t1 = coefficient_table(conn, 1)
     assert t1[0] == T and t1[1] == ident
 
     # n = 2 by direct expansion: T_0^(2) = T^2 + theta(T), T_1^(2) = 2T
-    t2 = coefficient_table(conn, theta0, 2)
+    t2 = coefficient_table(conn, 2)
     two = cv.constant(cv.field.from_int(2))
     for i in range(2):
         for j in range(2):
@@ -144,7 +136,7 @@ def test_coefficient_table_small_orders(curve3):
 
 def test_coefficient_table_identities(curve3, curve5):
     for cv in (curve3, curve5):
-        omega0, theta0 = _chart(cv)
+        omega0, _ = _chart(cv)
         rng = rng_for(f"pc-table-{cv.p}")
         one, zero = cv.one(), cv.zero()
         for _ in range(3):
@@ -153,7 +145,7 @@ def test_coefficient_table_identities(curve3, curve5):
                 for _ in range(2)
             )
             conn = ConnectionMatrix(cv, T, omega0)
-            tables = {n: coefficient_table(conn, theta0, n) for n in range(1, cv.p + 1)}
+            tables = {n: coefficient_table(conn, n) for n in range(1, cv.p + 1)}
             for n in range(1, cv.p + 1):
                 tab = tables[n]
                 assert tab[n] == ((one, zero), (zero, one))
@@ -168,40 +160,40 @@ def test_coefficient_table_identities(curve3, curve5):
 def test_table_top_coefficient_vanishes_at_n_p(curve5):
     # C(p, 2) = 0 mod p for p >= 5, so T_(p-2)^(p) = 0
     cv = curve5
-    omega0, theta0 = _chart(cv)
+    omega0, _ = _chart(cv)
     rng = rng_for("pc-table-p")
     T = tuple(
         tuple(make_random_element(cv, rng, max_deg=1) for _ in range(2))
         for _ in range(2)
     )
-    tab = coefficient_table(ConnectionMatrix(cv, T, omega0), theta0, cv.p)
+    tab = coefficient_table(ConnectionMatrix(cv, T, omega0), cv.p)
     for i in range(2):
         for j in range(2):
             assert tab[cv.p - 2][i][j].is_zero()
 
 
 def test_table_order_bounds(curve3):
-    omega0, theta0 = _chart(curve3)
+    omega0, _ = _chart(curve3)
     conn = ConnectionMatrix(curve3, ((curve3.one(),),), omega0)
     with pytest.raises(RangeError):
-        coefficient_table(conn, theta0, 0)
+        coefficient_table(conn, 0)
     with pytest.raises(RangeError):
-        coefficient_table(conn, theta0, curve3.p + 1)
+        coefficient_table(conn, curve3.p + 1)
 
 
 def test_psi_consistent_with_table(curve3):
     # psi = T_0^(p) - <omega0, theta0^p> T
     cv = curve3
-    omega0, theta0 = _chart(cv)
+    omega0, _ = _chart(cv)
     rng = rng_for("pc-psi-table")
     T = tuple(
         tuple(make_random_element(cv, rng, max_deg=2) for _ in range(2))
         for _ in range(2)
     )
     conn = ConnectionMatrix(cv, T, omega0)
-    tab = coefficient_table(conn, theta0, cv.p)
-    c0 = chart_constant(omega0, theta0)
-    psi = p_curvature_matrix(conn, theta0)
+    tab = coefficient_table(conn, cv.p)
+    c0 = chart_constant(omega0)
+    psi = p_curvature_matrix(conn)
     for i in range(2):
         for j in range(2):
             assert psi[i, j] == tab[0][i][j] - c0 * T[i][j]
@@ -240,8 +232,8 @@ def test_dual_engine_scalar_shift(curve3, flat3):
             ),
             omega_L,
         )
-        lhs = p_curvature_matrix(M, theta_L)
-        rhs = p_curvature_matrix(Mp, theta_L)
+        lhs = p_curvature_matrix(M)
+        rhs = p_curvature_matrix(Mp)
         shift = f11 - theta_L.apply_n(f11, cv.p - 1)
         for i in range(2):
             for j in range(2):
@@ -252,7 +244,7 @@ def test_dual_engine_scalar_shift(curve3, flat3):
 
 def test_dual_lift_of_flat_connection_is_flat(curve3, flat3):
     cv = curve3
-    omega_L, theta_L = flat3
+    omega_L, _ = flat3
     D = DualRing(cv)
     lift = D.lift
     M = ConnectionMatrix(
@@ -260,7 +252,7 @@ def test_dual_lift_of_flat_connection_is_flat(curve3, flat3):
         ((lift(cv.zero()), lift(cv.zero())), (lift(cv.zero()), lift(cv.one()))),
         omega_L,
     )
-    assert p_curvature_matrix(M, theta_L).is_zero()
+    assert p_curvature_matrix(M).is_zero()
 
 
 def test_mixed_entry_kinds_rejected(curve3):
@@ -309,15 +301,15 @@ def test_dual_engine_on_lifted_connection_is_lifted_psi(curve3, curve5):
     rng = rng_for("dual-lift-psi")
     for cv in (curve3, curve5):
         D = DualRing(cv)
-        omega0, theta0 = _chart(cv)
+        omega0, _ = _chart(cv)
         for _ in range(2):
             T = tuple(
                 tuple(make_random_element(cv, rng, max_deg=1) for _ in range(2))
                 for _ in range(2)
             )
             lifted = tuple(tuple(D.lift(e) for e in row) for row in T)
-            psi = p_curvature_matrix(ConnectionMatrix(cv, T, omega0), theta0)
-            psi_eps = p_curvature_matrix(ConnectionMatrix(D, lifted, omega0), theta0)
+            psi = p_curvature_matrix(ConnectionMatrix(cv, T, omega0))
+            psi_eps = p_curvature_matrix(ConnectionMatrix(D, lifted, omega0))
             for i in range(2):
                 for j in range(2):
                     assert psi_eps[i, j] == D.lift(psi[i, j])

@@ -171,7 +171,7 @@ def test_reports_recheck(curve3):
 
 
 def test_recheck_recomputes_on_a_fresh_curve(monkeypatch):
-    from g2frob import verify
+    from g2frob import pcurvature, verify
 
     cv = make_curve(make_field(3), CERTIFIED[3][0])
     F = cv.field
@@ -180,13 +180,13 @@ def test_recheck_recomputes_on_a_fresh_curve(monkeypatch):
     r2 = check_offdiag_closed_forms(cv, ab_L, (F.one(), F.zero()))
     _, r3 = rigidity_scan(cv, ab_L, mode="linear")
     rank1 = []
-    real_rank1 = verify.p_curvature_rank1
+    real_rank1 = pcurvature.p_curvature_rank1
 
     def counting_rank1(*args):
         rank1.append(args)
         return real_rank1(*args)
 
-    monkeypatch.setattr(verify, "p_curvature_rank1", counting_rank1)
+    monkeypatch.setattr(pcurvature, "p_curvature_rank1", counting_rank1)
     for report in (r1, r2, r3):
         before = len(rank1)
         assert recheck(cv, report)
@@ -213,20 +213,20 @@ def test_report_jsonable_shape(curve3):
 
 
 def test_lemma_data_is_computed_once_per_curve(monkeypatch):
-    from g2frob import verify
+    from g2frob import pcurvature, verify
 
     p, f = 7, CERTIFIED[7][0]
     cv = make_curve(make_field(p), f)
     F = cv.field
     ab_L, ab = _flat_pair(cv), (F.one(), F.zero())
     rank1 = []
-    real_rank1 = verify.p_curvature_rank1
+    real_rank1 = pcurvature.p_curvature_rank1
 
     def counting_rank1(*args):
         rank1.append(args)
         return real_rank1(*args)
 
-    monkeypatch.setattr(verify, "p_curvature_rank1", counting_rank1)
+    monkeypatch.setattr(pcurvature, "p_curvature_rank1", counting_rank1)
     first = check_two_sums(cv, ab_L, ab)
     second = check_offdiag_closed_forms(cv, ab_L, ab)
     assert len(rank1) == 1  # one torsion check of omega_L for both reports
