@@ -3,7 +3,8 @@
 Commands: curve, torsion, verify, scan, formulas.  Every report is JSON with
 sorted keys; wall-clock measurements live only under the "timing" key so that
 two runs with the same configuration produce byte-identical payloads once
-"timing" is dropped.  Exit codes: 0 ok, 2 invalid input, 3 resource guard.
+"timing" is dropped.  Exit codes: 0 ok, 2 invalid input (an argparse error
+too), 3 resource guard; an error is one JSON line {"error", "kind"}.
 
 scan writes JSON lines, one record per curve, ordered by generation index,
 and flushes each as soon as it is computed; rerunning with the same --out
@@ -296,8 +297,17 @@ def cmd_formulas(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse error (a missing or unknown option, a malformed value) is
+    a RangeError, so `main` prints it as one JSON line; the subparsers are
+    of this class too (`add_subparsers` defaults to the parent's)."""
+
+    def error(self, message):
+        raise RangeError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="g2frob",
         description="Exact Frobenius/Cartier invariants of genus-2 curves "
         "y^2 = f(x) in odd characteristic",
@@ -358,9 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ResourceGuardError as exc:
         print(_dump({"error": str(exc), "kind": type(exc).__name__}))

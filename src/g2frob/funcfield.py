@@ -91,6 +91,9 @@ class Curve:
         (`verify`) and each basis form the ratio x to the line's
         representative with the theta_L-orbit of x over one denominator;
       * per flat form: its two sums with each second form;
+      * per flat form -s omega_L and second form, until its off-diagonal
+        report takes them (`take`): the two engine matrices that the
+        report of s omega_L read through the flat twist (`verify`);
       * the two sums of the direct per-form oracle (`verify.two_sums`).
     Each value is a few function field elements or field values, never a
     derivation tower, and the memo lives exactly as long as the curve: one
@@ -137,6 +140,15 @@ class Curve:
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
+
+    def stash(self, key, value):
+        """Store `value` under `key` for one later reader (`take`)."""
+        self._memo[key] = value
+
+    def take(self, key):
+        """The value stashed under `key`, removed from the memo; None if
+        there is none."""
+        return self._memo.pop(key, None)
 
     def _power(self, r, j: int):
         """(x - r)^j from the curve's table of powers, extended on demand.  A
@@ -650,11 +662,20 @@ def canonical_d(u: FunctionFieldElement) -> Differential:
 
 def dual_derivation(omega: Differential) -> Derivation:
     """The derivation theta with <omega, theta> = 1, i.e. theta(x) = 1/g;
-    one per chart (the curve's memo)."""
+    one per chart (the curve's memo).  With (t, omega_L) the line's
+    representative, theta = t theta_L, since <omega, t theta_L> =
+    <t omega, theta_L> = 1: one inversion per F_p-line of charts."""
     if omega.is_zero():
         raise ZeroDifferential("the zero differential has no dual derivation")
     cv = omega.curve
-    return cv.memo(("dual_derivation", omega.g), lambda: Derivation(cv, omega.g.inverse()))
+
+    def derive():
+        t, rep = line_representative(omega)
+        if rep.g == omega.g:  # t = 1
+            return Derivation(cv, omega.g.inverse())
+        return Derivation(cv, cv.mul(cv.constant(t), dual_derivation(rep).value_on_x))
+
+    return cv.memo(("dual_derivation", omega.g), derive)
 
 
 def line_representative(omega: Differential):

@@ -38,6 +38,23 @@ psi is returned as a bare matrix over the connection's ring (K or K[eps],
 below); the implicit omega0^(tensor p) twist is never materialized because
 only vanishing and equality of psi are ever consumed.
 
+The flat twist.  Let d + omega_L be flat, so d + s omega_L is flat for
+every s in F_p, and let x_s = omega/(s omega_L) for a form omega, so
+x_(-s) = -x_s.  The connections
+
+    upper(s)  = [[0, x_s], [0, 1]]     on the chart s omega_L,
+    lower(-s) = [[1, x_(-s)], [0, 0]]  on the chart -s omega_L
+
+have the connection forms [[0, s x_s omega_L], [0, s omega_L]] and
+[[-s omega_L, s x_s omega_L], [0, 0]], whose difference is s omega_L I:
+upper(s) is lower(-s) tensored with the flat line d + s omega_L.  The
+p-curvature of a tensor product with a line adds the line's, here zero,
+times I, so the two psi agree intrinsically.  Their bare matrices are
+taken against (s omega_L)^(tensor p) and (-s omega_L)^(tensor p) =
+-(s omega_L)^(tensor p) (p is odd), so psi_lower(-s) = -psi_upper(s) entry
+by entry, and by s -> -s, psi_upper(-s) = -psi_lower(s).  `verify` reads
+half its off-diagonal reports through this identity.
+
 The engine is generic over a ring context (see `exactnum`): a connection
 carries the ring its entries are raw values of, and the engine touches
 them only through `ring.add`, `sub`, `mul`, `is_zero`, `one`, `zero`,

@@ -54,9 +54,17 @@ returns t and omega_L for omega).  Then
   normal form (`Curve.combination`).
 
 `two_sums`, the direct per-form orbit sum, stays as the oracle that
-`recheck` and the tests compare with; `check_offdiag_closed_forms` still
-runs the engine for every multiple and compares it with the sums read off
-the line.
+`recheck` and the tests compare with.
+
+One engine run per pair {s, -s}.  `check_offdiag_closed_forms` runs the
+engine's two shapes once per pair of multiples and second form: the first
+of s omega_L and -s omega_L to be checked runs both on its chart and
+stashes the other's pair, read through the flat twist of `pcurvature`,
+psi_upper(-s) = -psi_lower(s) and psi_lower(-s) = -psi_upper(s).  So the
+reports of the second multiple are no longer independent engine runs.  They
+still compare those matrices with their own sums line_sums(-s), computed
+off the orbit with other coefficients, and with the three zero entries, and
+`recheck` reruns both shapes for the witness's multiple on a fresh curve.
 """
 
 from __future__ import annotations
@@ -219,21 +227,42 @@ def check_two_sums(curve: Curve, omega_L, omega) -> LemmaReport:
     )
 
 
+def _offdiag_psi(curve: Curve, omega_L: Differential, omega: Differential, x):
+    """The engine's psi of upper = [[0, x], [0, 1]] and lower = [[1, x], [0, 0]]
+    on the flat chart omega_L, as bare matrices.  Of the two multiples
+    s omega_L and -s omega_L, the first to ask runs both shapes and stashes
+    the other's pair, read through the flat twist (module docstring):
+    psi_upper(-s) = -psi_lower(s) and psi_lower(-s) = -psi_upper(s).  The
+    other multiple takes that pair out of the curve's memo."""
+    twisted = curve.take(("offdiag_twist", omega_L.g, omega.g))
+    if twisted is not None:
+        return twisted
+    z, one = curve.zero(), curve.one()
+    upper = p_curvature_matrix(ConnectionMatrix(curve, ((z, x), (z, one)), omega_L)).matrix
+    lower = p_curvature_matrix(ConnectionMatrix(curve, ((one, x), (z, z)), omega_L)).matrix
+
+    def negated(M):
+        return tuple(tuple(curve.neg(e) for e in row) for row in M)
+
+    curve.stash(("offdiag_twist", curve.neg(omega_L.g), omega.g),
+                (negated(lower), negated(upper)))
+    return upper, lower
+
+
 def check_offdiag_closed_forms(curve: Curve, omega_L, omega) -> LemmaReport:
     """Engine p-curvature of the triangular connections vs the two sums read
-    off the line's orbit (`line_sums`)."""
+    off the line's orbit (`line_sums`); the engine runs once per pair of
+    multiples {s, -s} (`_offdiag_psi`)."""
     t0 = time.perf_counter()
     omega_L, ab_L = _as_global_form(curve, omega_L)
     omega, ab = _as_global_form(curve, omega)
     x, S1, S2 = line_sums(curve, omega_L, omega)
-    z, one = curve.zero(), curve.one()
-    psi_upper = p_curvature_matrix(ConnectionMatrix(curve, ((z, x), (z, one)), omega_L))
-    psi_lower = p_curvature_matrix(ConnectionMatrix(curve, ((one, x), (z, z)), omega_L))
+    psi_upper, psi_lower = _offdiag_psi(curve, omega_L, omega, x)
     ok = (
-        psi_upper[0, 1] == S1
-        and psi_lower[0, 1] == S2
+        psi_upper[0][1] == S1
+        and psi_lower[0][1] == S2
         and all(
-            psi[i, j].is_zero()
+            psi[i][j].is_zero()
             for psi in (psi_upper, psi_lower)
             for (i, j) in ((0, 0), (1, 0), (1, 1))
         )
@@ -247,8 +276,8 @@ def check_offdiag_closed_forms(curve: Curve, omega_L, omega) -> LemmaReport:
             "omega": _form_witness(ab, omega),
             "S1": _ffe_witness(S1),
             "S2": _ffe_witness(S2),
-            "psiUpperOffdiag": _ffe_witness(psi_upper[0, 1]),
-            "psiLowerOffdiag": _ffe_witness(psi_lower[0, 1]),
+            "psiUpperOffdiag": _ffe_witness(psi_upper[0][1]),
+            "psiLowerOffdiag": _ffe_witness(psi_lower[0][1]),
         },
         timing=time.perf_counter() - t0,
     )

@@ -193,25 +193,74 @@ def _one_json_line(argv):
 _PRIMES = st.sampled_from([3, 5, 7, 13, 9973])
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(st.one_of(_PRIMES, st.integers(-2 ** 64, 2 ** 64)), st.integers(-100, 20_000))
-def test_formulas_input_fuzz(p, g):
-    # any ints: one JSON line and exit 0, 2 or 3, never a traceback
-    _one_json_line(["formulas", f"--p={p}", f"--g={g}"])
+def _option_argv(values):
+    """argv tails in option syntax: each option of `values` (name -> value
+    strategy), or the unknown --q, given as `--name value` (a value with a
+    leading '-' then reads as an option) or as `--name=value`; any option
+    may be missing or repeated."""
+    names = sorted(values) + ["q"]
+    one = st.sampled_from(names).flatmap(lambda name: st.tuples(
+        st.just(name), values.get(name, st.text(max_size=8)), st.booleans()))
+    return st.lists(one, max_size=5).map(lambda opts: [
+        tok for name, v, joined in opts
+        for tok in ([f"--{name}={v}"] if joined else [f"--{name}", v])])
+
+
+def _ints_or_text(ints):
+    return st.one_of(ints.map(str), st.text(max_size=12))
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(st.one_of(
+    st.tuples(st.one_of(_PRIMES, st.integers(-2 ** 64, 2 ** 64)),
+              st.integers(-100, 20_000)).map(lambda pg: [f"--p={pg[0]}", f"--g={pg[1]}"]),
+    _option_argv({"p": _ints_or_text(st.one_of(_PRIMES, st.integers(-2 ** 64, 2 ** 64))),
+                  "g": _ints_or_text(st.integers(-100, 20_000))})))
+def test_formulas_input_fuzz(tail):
+    # any ints, and option syntax with missing, repeated, unknown, negative
+    # or non-integer values: one JSON line and exit 0, 2 or 3, never a
+    # traceback or argparse's usage text
+    _one_json_line(["formulas", *tail])
 
 
 _COEFFS = st.lists(st.integers(-2 ** 70, 2 ** 70), max_size=8)
+_F_STRINGS = st.one_of(_COEFFS.map(lambda cs: ",".join(map(str, cs))),
+                       _COEFFS.filter(lambda cs: len(cs) >= 5).map(
+                           lambda cs: ",".join(map(str, cs[:5] + [1]))),
+                       st.text(max_size=24))
+_SMALL_P = st.one_of(_PRIMES, st.integers(-10, 10 ** 4))
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(st.one_of(_PRIMES, st.integers(-10, 10 ** 4)),
-       st.one_of(_COEFFS.map(lambda cs: ",".join(map(str, cs))),
-                 _COEFFS.filter(lambda cs: len(cs) >= 5).map(
-                     lambda cs: ",".join(map(str, cs[:5] + [1]))),
-                 st.text(max_size=24)))
-def test_curve_input_fuzz(p, f):
-    # arbitrary p <= 10^4 and well- or malformed --f strings
-    _one_json_line(["curve", f"--p={p}", f"--f={f}"])
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(st.one_of(
+    st.tuples(_SMALL_P, _F_STRINGS).map(lambda pf: [f"--p={pf[0]}", f"--f={pf[1]}"]),
+    _option_argv({"p": _ints_or_text(_SMALL_P), "f": _F_STRINGS,
+                  "seed": _ints_or_text(st.integers(-10, 10))})))
+def test_curve_input_fuzz(tail):
+    # arbitrary p <= 10^4 and well- or malformed --f strings, also in option
+    # syntax (`--f -1,...` reads as an option), with options missing,
+    # repeated or unknown
+    _one_json_line(["curve", *tail])
+
+
+@pytest.mark.parametrize("argv", [
+    "curve --p 5 --f -1,0,0,0,0,1",  # -1,... reads as an option: --f has no value
+    "curve --f 1,0,0,0,0,1",  # no --p
+    "formulas --p 7 --g x",
+    "bogus --p 5",
+    "",
+])
+def test_argparse_errors_are_one_json_line(capsys, argv):
+    code, out = run(capsys, *argv.split())
+    assert code == 2 and out.count("\n") == 1
+    assert json.loads(out)["kind"] == "RangeError"
+
+
+@pytest.mark.parametrize("argv", ["--help", "verify --help"])
+def test_help_still_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 0 and "usage: g2frob" in capsys.readouterr().out
 
 
 def test_scan_deterministic_across_runs_and_workers(tmp_path, capsys):
@@ -443,6 +492,10 @@ GOLDEN = {
     # have a vanishing sum
     "verify --p 11 --f 5,1,3,9,1,1 --rigidity linear":
         "3d176ab608a497aef41f79d89f53071ab07d6e5a099c1b522de0560f733df85d",
+    # one flat F_31-line: 30 multiples in 15 pairs {s, -s}; in each pair one
+    # multiple's off-diagonal reports read the engine through the flat twist
+    "verify --p 31 --f 28,23,22,16,29,1 --rigidity linear":
+        "a2370f40d7715d88d2c86b2c608511097b41ece9509a8c2a4c136b1f9389ac87",
     "scan --p 5 --count 6 --seed 1":
         "3ba5deb845906a466b3ca09c503988171acc987d4f5c421776d00285829ba7c5",
     "formulas --p 7":
@@ -488,8 +541,8 @@ def test_cartier_manin_computed_once_per_call(capsys, monkeypatch, command):
 
 def test_verify_lemma_data_computed_once_per_line(capsys, monkeypatch):
     # one flat F_13-line: its p - 1 multiples share one flatness check, one
-    # chart constant and one theta_L-orbit per basis form, while the engine
-    # still runs both triangular connections for every multiple and form
+    # chart constant and one theta_L-orbit per basis form, and the engine
+    # runs both triangular connections once per pair {s, -s} and form
     from g2frob import funcfield, pcurvature, verify
 
     p = 13
@@ -527,5 +580,5 @@ def test_verify_lemma_data_computed_once_per_line(capsys, monkeypatch):
     assert len(flat) == 1
     assert len(chart_steps) == 2  # the chart dx/y of the flatness check, and the line's
     assert len(orbits) == 2
-    assert engine.count(False) == 4 * (p - 1)
+    assert engine.count(False) == 2 * (p - 1)
     assert engine.count(True) == 6  # the linear rigidity solve

@@ -1,15 +1,18 @@
 """Property tests (Hypothesis, derandomized): the lemma data `verify` reads
-off an F_p-line of flat forms, and the chart constant read off an F_p-line
-of charts, against the direct per-form computation."""
+off an F_p-line of flat forms, the chart constant and the dual derivation
+read off an F_p-line of charts, against the direct per-form computation;
+the flat twist and the eigen-identities of the two sums; and the ring
+axioms of K and K[eps] with canonical normal forms."""
 
 import random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from g2frob import Curve, dual_derivation, enumerate_p_torsion, make_field, poly, random_curve
-from g2frob.pcurvature import chart_constant
-from g2frob.verify import line_sums, two_sums
+from g2frob import Curve, DualRing, dual_derivation, enumerate_p_torsion, make_field, poly, random_curve
+from g2frob.funcfield import line_representative
+from g2frob.pcurvature import ConnectionMatrix, chart_constant, p_curvature_matrix
+from g2frob.verify import _ffe_witness, check_offdiag_closed_forms, line_sums, two_sums
 
 FIELDS = st.sampled_from([(5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2)])
 
@@ -69,3 +72,114 @@ def test_chart_constant_is_one_per_fp_line_of_charts(field, seed):
         ab_s = tuple(F.mul(F.from_int(s), c) for c in ab)
         c0 = chart_constant(cv.global_form(*ab_s))
         assert c0 == _direct_chart_constant(Curve(F, cv.f).global_form(*ab_s))
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(FIELDS, st.integers(0, 2 ** 32 - 1))
+def test_dual_derivation_is_one_inversion_per_fp_line(field, seed):
+    # every F_p-multiple s omega of a random global form: the dual read off
+    # the line's representative is the direct inverse 1/g of s omega's own g
+    F, rng = make_field(*field), random.Random(seed)
+    cv = random_curve(F, rng)
+    ab = (F.random(rng), F.random(rng))
+    if F.is_zero(ab[0]) and F.is_zero(ab[1]):
+        ab = (F.zero(), F.one())
+    for s in range(1, cv.p):
+        omega_s = cv.global_form(*(F.mul(F.from_int(s), c) for c in ab))
+        assert dual_derivation(omega_s).value_on_x == omega_s.g.inverse()
+
+
+def _curve_with_flat_line(F, rng):
+    while True:
+        cv = random_curve(F, rng)
+        nonzero = enumerate_p_torsion(cv, "semilinear").nonzero(F)
+        if nonzero:
+            return cv, nonzero
+
+
+def _offdiag_engine(cv, chart, x):
+    """Two real engine runs: psi of [[0, x], [0, 1]] and [[1, x], [0, 0]]."""
+    z, one = cv.zero(), cv.one()
+    return (p_curvature_matrix(ConnectionMatrix(cv, ((z, x), (z, one)), chart)).matrix,
+            p_curvature_matrix(ConnectionMatrix(cv, ((one, x), (z, z)), chart)).matrix)
+
+
+@settings(derandomize=True, database=None, max_examples=20, deadline=None)
+@given(FIELDS, st.integers(0, 2 ** 32 - 1))
+def test_flat_twist_and_eigen_identities(field, seed):
+    # for every flat F_p-line, second form and s in F_p^*, with two real
+    # engine runs per multiple: psi_lower(-s) = -psi_upper(s) entry by entry
+    # (the twist by the flat d + s omega_L), S2(-s) = -S1(s), and
+    # theta_s(S1) = S1, theta_s(S2) = -S2; the off-diagonal report, which
+    # reads half its matrices through the twist, carries the real ones
+    F, rng = make_field(*field), random.Random(seed)
+    cv, nonzero = _curve_with_flat_line(F, rng)
+    p = cv.p
+    lines = {}
+    for ab_L in nonzero:
+        lines.setdefault(line_representative(cv.global_form(*ab_L))[1], ab_L)
+    for ab_L in lines.values():
+        for ab in ((F.one(), F.zero()), (F.zero(), F.one())):
+            omega, psi, sums = cv.global_form(*ab), {}, {}
+            for s in range(1, p):
+                ab_s = tuple(F.mul(F.from_int(s), c) for c in ab_L)
+                chart = cv.global_form(*ab_s)
+                x, S1, S2 = line_sums(cv, chart, omega)
+                psi[s], sums[s] = _offdiag_engine(cv, chart, x), (S1, S2)
+                theta = dual_derivation(chart)
+                assert theta.apply(S1) == S1 and theta.apply(S2) == -S2
+                w = check_offdiag_closed_forms(cv, ab_s, ab).witness
+                assert w["psiUpperOffdiag"] == _ffe_witness(psi[s][0][0][1])
+                assert w["psiLowerOffdiag"] == _ffe_witness(psi[s][1][0][1])
+            for s in range(1, p):
+                upper, lower_opposite = psi[s][0], psi[p - s][1]
+                assert all(lower_opposite[i][j] == -upper[i][j]
+                           for i in range(2) for j in range(2))
+                assert sums[p - s][1] == -sums[s][0]
+
+
+def _ring_samples(cv, rng):
+    """Random elements of K: polynomials, quotients by a random denominator,
+    elements of a theta-orbit (denominators in the table of powers of one
+    x - r), and zero, one and a constant."""
+    F = cv.field
+
+    def rpoly(n):
+        return [F.random(rng) for _ in range(rng.randrange(n + 1))]
+
+    D = rpoly(3)
+    if poly.is_zero(poly.normalize(F, tuple(D))):
+        D = [F.one()]
+    theta = dual_derivation(cv.global_form(F.random(rng), F.one()))
+    seed = cv.element(rpoly(3), rpoly(2))
+    return [cv.zero(), cv.one(), cv.constant(F.random(rng)), seed,
+            cv.element(rpoly(4), rpoly(3), D), theta.apply(seed),
+            theta.apply_n(seed, 2), theta.apply_n(cv.x(), 3)]
+
+
+@settings(derandomize=True, database=None, max_examples=30, deadline=None)
+@given(FIELDS, st.integers(0, 2 ** 32 - 1))
+def test_ring_axioms_with_normal_forms(field, seed):
+    # K = curve and K[eps] = DualRing(curve): associativity, commutativity,
+    # distributivity, a + (-a) = 0 and a - b = a + (-b), with every result
+    # a normal form (equality of normal forms is equality in K)
+    F, rng = make_field(*field), random.Random(seed)
+    cv = random_curve(F, rng)
+    K = _ring_samples(cv, rng)
+    for R, pick, parts in (
+        (cv, lambda: rng.choice(K), lambda u: (u,)),
+        (DualRing(cv), lambda: (rng.choice(K), rng.choice(K)), lambda u: u),
+    ):
+        for _ in range(6):
+            a, b, c = pick(), pick(), pick()
+            results = [
+                R.add(R.add(a, b), c), R.add(a, R.add(b, c)),
+                R.mul(R.mul(a, b), c), R.mul(a, R.mul(b, c)),
+                R.add(a, b), R.add(b, a), R.mul(a, b), R.mul(b, a),
+                R.mul(a, R.add(b, c)), R.add(R.mul(a, b), R.mul(a, c)),
+                R.sub(a, b), R.add(a, R.neg(b)),
+            ]
+            for left, right in zip(results[::2], results[1::2]):
+                assert left == right
+            assert R.add(a, R.neg(a)) == R.zero()
+            assert all(_is_normal_form(u) for r in results for u in parts(r))
