@@ -334,13 +334,24 @@ def _flat_kernel(F, A):
     return kernel_basis_mod_p(list(zip(*cols)), len(cols), F.char)
 
 
-def fp_kernel(curve: Curve, images):
+def fp_kernel(ring, images):
     """F_p-basis of the kernel of the F_p-linear map sending unknown j to
-    images[j], a tuple of K elements (the same length for every j)."""
-    rows = []
+    images[j], a tuple of raws of a `funcfield.LocalRing` (the same length
+    for every j).  Each entry is read off its l-coordinates over one power
+    of l per position (`LocalRing.numerators`), an injective F_p-linear
+    image of K, so the kernel is the one on K."""
+    F, rows = ring.curve.field, []
     for entry in zip(*images):
-        rows.extend(_k_elements_to_fp_rows(curve, entry))
-    return kernel_basis_mod_p(rows, len(images), curve.p)
+        numerators, _ = ring.numerators(entry)
+        na = max(len(A) for A, _ in numerators)
+        nb = max(len(B) for _, B in numerators)
+        cols = []
+        for A, B in numerators:
+            coeffs = [poly.coefficient(F, A, i) for i in range(na)]
+            coeffs += [poly.coefficient(F, B, i) for i in range(nb)]
+            cols.append([x for c in coeffs for x in coords(c)])
+        rows.extend(zip(*cols))
+    return kernel_basis_mod_p(rows, len(images), F.char)
 
 
 def fp_combination(F, v, unknowns):
@@ -352,22 +363,6 @@ def fp_combination(F, v, unknowns):
             s = F.from_int(coeff)
             acc = [F.add(x, F.mul(s, y)) for x, y in zip(acc, u)]
     return tuple(acc)
-
-
-def _k_elements_to_fp_rows(curve: Curve, els):
-    """Express K elements over their common denominator
-    (`Curve.common_denominator`) and flatten the numerator coefficients into
-    F_p rows: column j of the output is els[j]."""
-    F = curve.field
-    numerators, _ = curve.common_denominator(els)
-    na = max(len(A) for A, _ in numerators)
-    nb = max(len(B) for _, B in numerators)
-    cols = []
-    for A, B in numerators:
-        coeffs = [poly.coefficient(F, A, i) for i in range(na)]
-        coeffs += [poly.coefficient(F, B, i) for i in range(nb)]
-        cols.append([x for c in coeffs for x in coords(c)])
-    return list(zip(*cols))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .funcfield import (
     line_representative,
     random_curve,
 )
-from .verify import check_offdiag_closed_forms, check_two_sums, rigidity_scan
+from .verify import check_brute_rigidity, check_offdiag_closed_forms, check_two_sums, rigidity_scan
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -119,6 +119,8 @@ def cmd_torsion(args) -> int:
 
 def _verify_payload(curve: Curve, rigidity_mode: str | None) -> dict:
     check_derivation_limit(curve)  # every lemma check takes p derivation steps
+    if rigidity_mode == "brute":  # refused before any engine run
+        check_brute_rigidity(curve)
     F = curve.field
     ts = enumerate_p_torsion(curve, method="semilinear")
     payload = _curve_payload(curve)

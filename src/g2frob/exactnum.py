@@ -33,9 +33,10 @@ of one field sort in the order of their JSON form.
 
 The base of a DualRing may be a field context or a `funcfield.Curve`, the
 context of the curve's function field K, whose raws are function field
-elements.  DualRing(curve) is the p-curvature engine's K[eps].  The engine
-relies on the base's `zero`, `one`, `add`, `sub`, `mul` and `is_zero`, and on
-its `deriv(u, theta)`, which `DualRing.deriv` applies to body and slope.
+elements (or its `LocalRing`).  DualRing(curve) is the p-curvature engine's
+K[eps].  The engine relies on the base's `zero`, `one`, `add`, `sub`, `mul`,
+`is_zero` and `lift`, and on its `deriv(u, theta)`, which `DualRing.deriv`
+applies to body and slope.
 
 The Frobenius x -> x^p is exposed on the two fields (it is the identity on
 F_p).  On dual numbers it is rejected: eps^p = 0 collapses the slope, so a
@@ -53,10 +54,14 @@ from .errors import (
     EvenCharacteristic,
     NonUnitError,
     RangeError,
+    ResourceGuardError,
     UnsupportedRing,
 )
 
 _MAX_P = 1 << 61  # machine-word guard; everything here targets small p anyway
+# k^4 log2(p), about k Rabin tests of k^3 log2(p) work: searches near the limit
+# (k = 45, 32, 19 at p = 3, 101, 2^61 - 1) took 0.2-5 s, at k = 80, p = 3 16 s
+_EXT_WORK_LIMIT = 1 << 23
 
 # Miller-Rabin with the primes up to 37 as bases decides primality exactly
 # below 318665857834031151167461 ~ 3.2 * 10^23, the least strong pseudoprime
@@ -461,8 +466,8 @@ class DualRing:
         return (self.base.one(), self.base.zero())
 
     def lift(self, a):
-        """Embed a base value as a dual with zero slope."""
-        return (a, self.base.zero())
+        """Embed a value of K (the base's `lift`) as a dual with zero slope."""
+        return (self.base.lift(a), self.base.zero())
 
     def from_int(self, n: int):
         return (self.base.from_int(n), self.base.zero())
@@ -619,10 +624,13 @@ def _x_power_minus_x(F, e: int, m):
 
 def _poly_is_irreducible(F, mod) -> bool:
     """Rabin test over F = F_p: x^(p^k) = x mod m, and
-    gcd(x^(p^(k/q)) - x, m) = 1 for each prime q dividing k."""
+    gcd(x^(p^(k/q)) - x, m) = 1 for each prime q dividing k.  Refused
+    (ResourceGuardError) before any work above the extension guard."""
     k = len(mod) - 1
     if k == 1:
         return True
+    if k ** 4 * F.p.bit_length() > _EXT_WORK_LIMIT:
+        raise ResourceGuardError(f"F_({F.p}^{k}) exceeds the extension-degree guard")
     if _x_power_minus_x(F, F.p ** k, mod):
         return False
     return all(

@@ -9,9 +9,9 @@ polynomials in x, D monic, and gcd(gcd(A, B), D) = 1.  Two elements are
 equal iff their normal forms are identical, which makes equality testing
 and zero testing trivial.
 
-Every normal form is built by `Curve._make`, which divides out the common
-factor of A, B and D.  Its cost is that gcd, so the arithmetic keeps the
-candidates small, and on the derivation path it runs no gcd at all:
+Curve's arithmetic builds every normal form by `Curve._make`, which divides
+out the common factor of A, B and D.  Its cost is that gcd, so the arithmetic keeps the
+candidates small:
 
 * Sums follow Henrici (J. ACM 3, 1956).  With g = gcd(uD, vD), u + v is
   (uN vD/g + vN uD/g) / (uD vD/g), N the numerator A + B y.  A prime pi
@@ -25,24 +25,19 @@ candidates small, and on the derivation path it runs no gcd at all:
 * A product with a nonzero constant c is (cA + cB y) / D: D stays monic and
   gcd(cA, cB, D) = gcd(A, B, D) = 1, so it is already a normal form and no
   gcd runs; the constant 1 returns the other operand itself.
-* Denominators l^j, l = x - r.  The derivation dual to a global form
-  (a + b x) dx/y with b != 0 has theta(x) = c y / l with l the monic
-  linear factor of a + b x; with b = 0, and for the chart dx/y, it has
-  theta(x) = c y.  Such a theta maps F[x, y][1/l] into itself: with
-  theta(y) = theta(x) f'/(2y), l' = 1 and e the exponent of l in theta(x),
-      theta((A + B y) / l^j)
-        = c [l (B'f + B f'/2) - j B f + (l A' - j A) y] / l^(j+1+e),
-  and for j = 0 the one l cancels: c [(B'f + B f'/2) + A' y] / l^e.  When
-  theta(x) = c y, l is the element's own (any root).  This is one normal
-  form per step, `Curve._root_step`; `d_coefficient` and the product with
-  theta(x) remain for every other derivation and every other denominator.
-  The curve keeps a table of the powers (x - r)^j of the roots of such
-  derivations (`Curve._power`).  When `_make`'s bound and D are table
-  powers of one x - r, every common factor is a power of x - r, and it is
-  stripped one factor at a time: one Horner pass per polynomial gives the
-  value at r (the test) and the quotient by x - r (the division).  The
-  Henrici sum and the product of two table powers of one root take g,
-  uD/g, vD/g and uD vD from the table as well, with no gcd or product.
+
+The l-local ring.  The derivation dual to a global form (a + b x) dx/y has
+theta(x) = c y / l^e: l = x - r the monic factor of a + b x and e = 1 when
+b != 0, l = x and e = 0 when b = 0 (and for the chart dx/y).  It maps
+R = F[x, y][1/l] into itself, and `LocalRing` computes in R in
+l-coordinates (A(l) + B(l) y) / l^j, canonical when l does not divide both
+A and B, so a common l is stripped by a slice.  With f = phi(l),
+f'/2 = psi(l) expanded at r once and l' = 1, the quotient rule gives
+    theta((A + B y) / l^j)
+      = c [(l B' - j B) phi + l B psi + (l A' - j A) y] / l^(j+1+e),
+where l A' - j A = sum (m - j) a_m l^m: no gcd and no product by a power
+of l.  Back in K (`LocalRing.element`), D = (x - r)^j and gcd(A, B, D) = 1:
+a normal form with no gcd.
 
 Differentials are represented on the affine chart as g dx with g in K.
 A derivation theta is determined by theta(x) (the chain rule extends it to
@@ -75,7 +70,8 @@ class Curve:
     """y^2 = f(x), deg f = 5, f monic squarefree, over F_p or F_{p^k}.
 
     The curve object doubles as the arithmetic context for its function
-    field: all FunctionFieldElement operations go through it, and its
+    field: all FunctionFieldElement operations go through it, each result a
+    gcd normal form, and `d_coefficient` is its one derivative.  Its
     `is_zero`, `lift` and `deriv` make it the ring context of the
     p-curvature engine over K (DualRing(curve) is the one over K[eps]).
     `degree_cap` bounds the polynomial degrees appearing in normal forms;
@@ -85,11 +81,11 @@ class Curve:
     The curve also owns a memo (`memo`) of the results that the lemma checks
     ask for again and again:
       * the Cartier-Manin matrix;
-      * the dual derivation of each chart;
+      * the dual derivation of each chart, and each `LocalRing`;
       * per F_p-line of forms (`line_representative`): the flatness check,
         the chart constant <omega0, theta0^p>, and for a flat line
         (`verify`) and each basis form the ratio x to the line's
-        representative with the theta_L-orbit of x over one denominator;
+        representative with the theta_L-orbit of x over one power of l;
       * per flat form: its two sums with each second form;
       * per flat form -s omega_L and second form, until its off-diagonal
         report takes them (`take`): the two engine matrices that the
@@ -97,14 +93,13 @@ class Curve:
       * the two sums of the direct per-form oracle (`verify.two_sums`).
     Each value is a few function field elements or field values, never a
     derivation tower, and the memo lives exactly as long as the curve: one
-    CLI call, or one scan row.  Next to it the curve keeps its table of
-    powers (x - r)^j (`_power`), the denominators of the one-step derivation
-    formula, and 1/y = y/f, which is a normal form as it stands (f is monic
-    and gcd(0, 1, f) = 1), so `global_form` and `basis_forms` invert nothing.
+    CLI call, or one scan row.  Next to it the curve keeps 1/y = y/f, which
+    is a normal form as it stands (f is monic and gcd(0, 1, f) = 1), so
+    `global_form` and `basis_forms` invert nothing.
     """
 
     __slots__ = ("field", "f", "fprime", "degree_cap", "_half_fprime", "_memo",
-                 "_powers", "_power_of", "_inv_y")
+                 "_inv_y")
 
     def __init__(self, field, f_coeffs, degree_cap: int | None = None):
         if field.char == 2:
@@ -122,8 +117,6 @@ class Curve:
         self.degree_cap = degree_cap if degree_cap is not None else 64 * field.char + 400
         self._half_fprime = poly.scale(field, self.fprime, field.inv(field.from_int(2)))
         self._memo = {}
-        self._powers = {}  # r -> [(x - r)^0, (x - r)^1, ...]
-        self._power_of = {}  # (x - r)^j -> (r, j), for j >= 1
         self._inv_y = FunctionFieldElement(self, (), poly.one(field), f)
 
     @property
@@ -149,20 +142,6 @@ class Curve:
         """The value stashed under `key`, removed from the memo; None if
         there is none."""
         return self._memo.pop(key, None)
-
-    def _power(self, r, j: int):
-        """(x - r)^j from the curve's table of powers, extended on demand.  A
-        denominator counts as a power of x - r exactly when it is in the
-        table, which holds the powers of the roots of derivations of shape
-        c y / (x - r) (module docstring)."""
-        row = self._powers.get(r)
-        if row is None:
-            row = self._powers[r] = [poly.one(self.field)]
-        while len(row) <= j:
-            power = poly.mul(self.field, row[-1], (self.field.neg(r), self.field.one()))
-            self._power_of[power] = (r, len(row))
-            row.append(power)
-        return row[j]
 
     # -- element constructors ----------------------------------------------
     def element(self, A, B=(), D=None) -> "FunctionFieldElement":
@@ -199,8 +178,7 @@ class Curve:
     def _make(self, A, B, D, *, bound=None) -> "FunctionFieldElement":
         """The normal form of (A + B y) / D.  `bound`, when given, is a
         polynomial that every common factor of A, B and D divides; the gcd is
-        then taken against it instead of D.  When the bound and D are table
-        powers of one x - r, x - r is stripped at r with no gcd at all."""
+        then taken against it instead of D."""
         F = self.field
         if poly.is_zero(D):
             raise DivisionByZero("zero denominator in function field element")
@@ -209,15 +187,11 @@ class Curve:
         if bound is None:
             bound = D
         if poly.degree(bound) > 0:
-            common = self._common_root(bound, D)
-            if common:
-                A, B, D = self._strip_root(A, B, *common)
-            else:
-                g = poly.gcd(F, B, poly.gcd(F, A, bound))
-                if poly.degree(g) > 0:
-                    A = poly.divmod_(F, A, g)[0]
-                    B = poly.divmod_(F, B, g)[0]
-                    D = poly.divmod_(F, D, g)[0]
+            g = poly.gcd(F, B, poly.gcd(F, A, bound))
+            if poly.degree(g) > 0:
+                A = poly.divmod_(F, A, g)[0]
+                B = poly.divmod_(F, B, g)[0]
+                D = poly.divmod_(F, D, g)[0]
         if not F.eq(D[-1], F.one()):
             s = F.inv(D[-1])
             A = poly.scale(F, A, s)
@@ -230,59 +204,23 @@ class Curve:
             )
         return FunctionFieldElement(self, A, B, D)
 
-    def _strip_root(self, A, B, r, m: int, n: int):
-        """(A + B y) / (x - r)^n with every common factor dividing
-        (x - r)^m, reduced: x - r is divided out while it divides both A and
-        B, at most m times.  One Horner pass per polynomial both tests the
-        factor (its remainder is the value at r) and divides by it."""
-        F = self.field
-        k = 0
-        while k < m:
-            qa, ra = poly.divide_at(F, A, r)
-            if not F.is_zero(ra):
-                break
-            qb, rb = poly.divide_at(F, B, r)
-            if not F.is_zero(rb):
-                break
-            A, B, k = qa, qb, k + 1
-        return A, B, self._power(r, n - k)
-
-    def _common_root(self, a, b):
-        """(r, i, j) when a = (x - r)^i and b = (x - r)^j are table powers of
-        one root, i, j >= 1; otherwise None."""
-        pa = self._power_of.get(a)
-        pb = self._power_of.get(b) if pa else None
-        if pb and pa[0] == pb[0]:
-            return pa[0], pa[1], pb[1]
-        return None
-
     # -- arithmetic (operands assumed to be elements of this curve's K) -----
     def add(self, u, v):
         """Henrici's sum (module docstring): the reduction runs against
-        g = gcd(uD, vD) only, read off the table of powers when uD and vD
-        are powers of one x - r."""
+        g = gcd(uD, vD) only."""
         if u.is_zero():
             return v
         if v.is_zero():
             return u
         F = self.field
-        ud, vd = u.D, v.D
-        g, D = poly.one(F), None
-        common = self._common_root(u.D, v.D)
-        if common:
-            r, i, j = common
-            k = min(i, j)
-            g, ud, vd, D = (self._power(r, k), self._power(r, i - k),
-                            self._power(r, j - k), self._power(r, max(i, j)))
-        elif len(ud) > 1 and len(vd) > 1:
+        ud, vd, g = u.D, v.D, poly.one(F)
+        if len(ud) > 1 and len(vd) > 1:
             g = poly.gcd(F, ud, vd)
             if len(g) > 1:
                 ud, vd = poly.divmod_(F, ud, g)[0], poly.divmod_(F, vd, g)[0]
         A = poly.add(F, poly.mul(F, u.A, vd), poly.mul(F, v.A, ud))
         B = poly.add(F, poly.mul(F, u.B, vd), poly.mul(F, v.B, ud))
-        if D is None:
-            D = poly.mul(F, u.D, vd)
-        return self._make(A, B, D, bound=g)
+        return self._make(A, B, poly.mul(F, u.D, vd), bound=g)
 
     def neg(self, u):
         return FunctionFieldElement(
@@ -293,8 +231,7 @@ class Curve:
         return self.add(u, self.neg(v))
 
     def mul(self, u, v):
-        """The product; by a constant it is a scaling, and uD vD of two table
-        powers of one x - r is read off the table (module docstring)."""
+        """The product; by a constant it is a scaling (module docstring)."""
         if u.is_zero() or v.is_zero():
             return self.zero()
         if v.is_constant():
@@ -313,12 +250,7 @@ class Curve:
             poly.mul(F, poly.mul(F, u.B, v.B), self.f),
         )
         B = poly.add(F, poly.mul(F, u.A, v.B), poly.mul(F, u.B, v.A))
-        common = self._common_root(u.D, v.D)
-        if common:
-            D = self._power(common[0], common[1] + common[2])
-        else:
-            D = poly.mul(F, u.D, v.D)
-        return self._make(A, B, D)
+        return self._make(A, B, poly.mul(F, u.D, v.D))
 
     def inv(self, u):
         # (A + B y)^(-1) = (A - B y)/(A^2 - B^2 f); nonzero since f is not a square
@@ -347,49 +279,6 @@ class Curve:
     def deriv(self, u, theta: "Derivation"):
         return theta.apply(u)
 
-    def common_denominator(self, elements):
-        """(numerators, D): each element as a pair (A, B) over one
-        denominator D, the lcm of theirs.  When every denominator is 1 or a
-        table power of one x - r, D and the cofactors are read off the table
-        and no gcd runs."""
-        F = self.field
-        D = poly.one(F)
-        for u in elements:
-            if len(u.D) == 1 or u.D == D:
-                continue
-            if len(D) == 1:
-                D = u.D
-                continue
-            common = self._common_root(D, u.D)
-            if common:
-                D = self._power(common[0], max(common[1], common[2]))
-            else:
-                D = poly.mul(F, D, poly.divmod_(F, u.D, poly.gcd(F, D, u.D))[0])
-        numerators = []
-        for u in elements:
-            if u.D == D:
-                numerators.append((u.A, u.B))
-                continue
-            common = self._common_root(D, u.D)
-            if common:
-                q = self._power(common[0], common[1] - common[2])
-            else:
-                q = poly.divmod_(F, D, u.D)[0]
-            numerators.append((poly.mul(F, u.A, q), poly.mul(F, u.B, q)))
-        return numerators, D
-
-    def combination(self, coeffs, numerators, D):
-        """sum_k c_k (A_k + B_k y) / D for raw field values c_k and the
-        numerators of `common_denominator`: the numerators are scaled and
-        added, and one normal form is built."""
-        F = self.field
-        A = B = ()
-        for c, (a, b) in zip(coeffs, numerators):
-            if not F.is_zero(c):
-                A = poly.add(F, A, poly.scale(F, a, c))
-                B = poly.add(F, B, poly.scale(F, b, c))
-        return self._make(A, B, D)
-
     def pow(self, u, n: int):
         if n < 0:
             return self.inv(self.pow(u, -n))
@@ -416,45 +305,6 @@ class Curve:
             poly.mul(F, poly.mul(F, u.B, self._half_fprime), D),
         )
         return self._make(A, B, poly.mul(F, poly.mul(F, D, D), f))
-
-    def _root_shape(self, value_on_x):
-        """(c, r, e) when theta(x) = c y / (x - r)^e with e in {0, 1} (r is
-        None when e = 0), registering x - r in the table of powers;
-        otherwise None."""
-        if value_on_x.A or len(value_on_x.B) != 1 or len(value_on_x.D) > 2:
-            return None
-        c, D = value_on_x.B[0], value_on_x.D
-        if len(D) == 1:
-            return c, None, 0
-        r = self.field.neg(D[0])
-        self._power(r, 1)
-        return c, r, 1
-
-    def _root_step(self, u, c, r, e: int):
-        """theta(u) for theta(x) = c y / (x - r)^e by the one-step formula of
-        the module docstring, or None when uD is neither 1 nor a table power
-        of the one root the formula allows."""
-        F, f = self.field, self.f
-        if len(u.D) == 1:
-            s, j = r, 0
-        else:
-            power = self._power_of.get(u.D)
-            if power is None or (e and power[0] != r):
-                return None
-            s, j = power
-        A, B = u.A, u.B
-        P = poly.add(F, poly.mul(F, poly.derivative(F, B), f),
-                     poly.mul(F, B, self._half_fprime))
-        dA = poly.derivative(F, A)
-        if j == 0:
-            nA, nB, m = P, dA, e
-        else:
-            ell, jj = self._power(s, 1), F.from_int(j)
-            nA = poly.sub(F, poly.mul(F, ell, P), poly.scale(F, poly.mul(F, B, f), jj))
-            nB = poly.sub(F, poly.mul(F, ell, dA), poly.scale(F, A, jj))
-            m = j + 1 + e
-        D = self._power(s, m) if m else poly.one(F)
-        return self._make(poly.scale(F, nA, c), poly.scale(F, nB, c), D)
 
     # -- global regular differentials ---------------------------------------
     def basis_forms(self):
@@ -604,36 +454,152 @@ class Differential:
 class Derivation:
     """A derivation of K determined by its value on x.
 
-    theta(u) = d_coefficient(u) theta(x) in general; a derivation of shape
-    theta(x) = c y / (x - r)^e, e in {0, 1}, takes the one-step formula of
-    the module docstring whenever it applies.  A constant maps to zero with
-    no normal form built."""
+    theta(u) = d_coefficient(u) theta(x) in general.  For theta(x) = c y / l^e,
+    l = x - r or l = x, `ring` is the LocalRing of l (one per root, the
+    curve's memo; None for any other theta(x)), and an input whose
+    denominator is 1 or a power of l is lifted once, takes its n steps there,
+    and comes back."""
 
-    __slots__ = ("curve", "value_on_x", "_shape")
+    __slots__ = ("curve", "value_on_x", "ring")
 
     def __init__(self, curve: Curve, value_on_x: FunctionFieldElement):
-        self.curve = curve
-        self.value_on_x = value_on_x
-        self._shape = curve._root_shape(value_on_x)
+        self.curve, self.value_on_x, self.ring = curve, value_on_x, None
+        v, F = value_on_x, curve.field
+        if not v.A and len(v.B) == 1 and len(v.D) <= 2:
+            r = F.neg(v.D[0]) if len(v.D) == 2 else F.zero()
+            self.ring = curve.memo(("local_ring", r), lambda: LocalRing(curve, r))
 
     def apply(self, u: FunctionFieldElement) -> FunctionFieldElement:
-        if u.is_constant():
-            return self.curve.zero()
-        if self._shape is not None:
-            v = self.curve._root_step(u, *self._shape)
-            if v is not None:
-                return v
-        return self.curve.mul(self.curve.d_coefficient(u), self.value_on_x)
+        return self.apply_n(u, 1)
 
     def apply_n(self, u: FunctionFieldElement, n: int) -> FunctionFieldElement:
         if n < 0:
             raise RangeError("derivation iterate needs n >= 0")
+        R = self.ring
+        v = R.lift(u) if R is not None and n else None
+        if v is None:
+            cv = self.curve
+            for _ in range(n):
+                u = cv.mul(cv.d_coefficient(u), self.value_on_x)
+            return u
         for _ in range(n):
-            u = self.apply(u)
-        return u
+            v = R.deriv(v, self)
+        return R.element(v)
 
     def __repr__(self):
         return f"Derivation(theta(x)={self.value_on_x!r})"
+
+
+class LocalRing:
+    """F[x, y][1/l], l = x - r, in l-coordinates (module docstring), the ring
+    context of the theta_L path.  A raw value (A, B, j) is the canonical
+    (A(l) + B(l) y) / l^j; `lift` takes K to it (None off the ring) and
+    `element` back."""
+
+    __slots__ = ("curve", "r", "_phi", "_psi")
+
+    def __init__(self, curve: Curve, r):
+        F = curve.field
+        self.curve = curve
+        self.r = r
+        self._phi = _taylor(F, curve.f, r)  # f = phi(l)
+        self._psi = _taylor(F, curve._half_fprime, r)  # f'/2 = psi(l)
+
+    def make(self, A, B, j: int):
+        """The canonical (A + B y) / l^j: common factors l, at most j, sliced off."""
+        F, cap, k = self.curve.field, self.curve.degree_cap, 0
+        while k < j and (k >= len(A) or F.is_zero(A[k])) and (k >= len(B) or F.is_zero(B[k])):
+            k += 1
+        A, B, j = A[k:], B[k:], j - k
+        top = max(len(A) - 1, len(B) - 1, j)
+        if top > cap:
+            raise DegreeOverflow(f"normal form degree {top} exceeds cap {cap}")
+        return A, B, j
+
+    def zero(self):
+        return (), (), 0
+
+    def one(self):
+        return (self.curve.field.one(),), (), 0
+
+    def is_zero(self, u) -> bool:
+        return not u[0] and not u[1]
+
+    def add(self, u, v):
+        if not u[0] and not u[1]:
+            return v
+        if u[2] < v[2]:
+            u, v = v, u
+        F, (A, B, i), (C, E, j) = self.curve.field, u, v
+        s = i - j
+        return self.make(poly.add(F, A, _shift(F, C, s)), poly.add(F, B, _shift(F, E, s)), i)
+
+    def neg(self, u):
+        F = self.curve.field
+        return poly.neg(F, u[0]), poly.neg(F, u[1]), u[2]
+
+    def sub(self, u, v):
+        return self.add(u, self.neg(v))
+
+    def mul(self, u, v):
+        F, (A, B, i), (C, E, j) = self.curve.field, u, v
+        if not (A or B) or not (C or E):
+            return self.zero()
+        if not B and not E:
+            return self.make(poly.mul(F, A, C), (), i + j)
+        A2 = poly.add(F, poly.mul(F, A, C), poly.mul(F, poly.mul(F, B, E), self._phi))
+        return self.make(A2, poly.add(F, poly.mul(F, A, E), poly.mul(F, B, C)), i + j)
+
+    def numerators(self, us):
+        """(numerators, J): each u as a pair (A, B) over the one denominator
+        l^J, J the largest exponent; a shift each, no product."""
+        F, J = self.curve.field, max(u[2] for u in us)
+        return [(_shift(F, A, J - j), _shift(F, B, J - j)) for A, B, j in us], J
+
+    def lift(self, u: FunctionFieldElement):
+        """u in l-coordinates, the Taylor expansions of uA and uB at r; None
+        when uD is not a power of l."""
+        F, j = self.curve.field, len(u.D) - 1
+        if j and u.D != poly.pow(F, (F.neg(self.r), F.one()), j):
+            return None
+        return _taylor(F, u.A, self.r), _taylor(F, u.B, self.r), j
+
+    def element(self, u) -> FunctionFieldElement:
+        """The normal form (A(x - r) + B(x - r) y) / (x - r)^j: no gcd."""
+        F, s = self.curve.field, self.curve.field.neg(self.r)
+        D = poly.pow(F, (s, F.one()), u[2])
+        return FunctionFieldElement(self.curve, _taylor(F, u[0], s), _taylor(F, u[1], s), D)
+
+    def deriv(self, u, theta: Derivation):
+        """theta(u) for theta(x) = c y / l^e by the one-step formula of the
+        module docstring; c and e are read off theta(x)."""
+        A, B, j = u
+        if not A and not B:
+            return u
+        F, c = self.curve.field, theta.value_on_x.B[0]
+        nA = poly.add(F, poly.mul(F, _euler(F, B, j), self._phi),
+                      _shift(F, poly.mul(F, B, self._psi), 1))
+        return self.make(poly.scale(F, nA, c), poly.scale(F, _euler(F, A, j), c),
+                         j + len(theta.value_on_x.D))
+
+
+def _taylor(F, a, r):
+    """The coefficients b_i of a = sum b_i (x - r)^i: one Horner pass each."""
+    out = []
+    while a:
+        a, rem = poly.divide_at(F, a, r)
+        out.append(rem)
+    return tuple(out)
+
+
+def _shift(F, a, n: int):
+    """l^n a for a polynomial a in l."""
+    return (F.zero(),) * n + a if a else ()
+
+
+def _euler(F, a, j: int):
+    """l a' - j a = sum (m - j) a_m l^m for a polynomial a in l."""
+    return poly.sub(F, _shift(F, poly.derivative(F, a), 1), poly.scale(F, a, F.from_int(j)))
 
 
 # ---------------------------------------------------------------------------

@@ -62,7 +62,8 @@ them only through `ring.add`, `sub`, `mul`, `is_zero`, `one`, `zero`,
 itself for K, whose raws are function field elements, and `DualRing(curve)`
 for the first-order deformations K[eps], whose raws are pairs
 (body, slope) standing for body + eps * slope with eps^2 = 0 and on which
-theta acts componentwise.
+theta acts componentwise.  On a flat global chart, whose chart constant is
+1, the chart's `funcfield.LocalRing` may stand in for the curve.
 """
 
 from __future__ import annotations
@@ -82,8 +83,8 @@ from .funcfield import (
 
 class ConnectionMatrix:
     """r x r matrix T over a ring context plus the chart form omega0: the
-    curve for K, DualRing(curve) for K[eps].  The curve is the chart's; a
-    ring over another curve raises RangeError."""
+    curve for K, DualRing(curve) for K[eps], or the chart's LocalRing in
+    their place.  The curve is the chart's; another ring raises RangeError."""
 
     __slots__ = ("ring", "curve", "rank", "entries", "chart")
 
@@ -94,8 +95,9 @@ class ConnectionMatrix:
             raise RangeError("connection matrix must be square, rank >= 1")
         if chart.is_zero():
             raise RangeError("the chart differential must be nonzero")
-        if ring not in (chart.curve, DualRing(chart.curve)):
-            raise RangeError(f"{ring!r} is not the ring of the chart's curve")
+        base = ring.base if isinstance(ring, DualRing) else ring
+        if base is None or base not in (chart.curve, dual_derivation(chart).ring):
+            raise RangeError(f"{ring!r} is not a ring of the chart's curve")
         try:
             for row in rows:
                 for e in row:

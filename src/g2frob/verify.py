@@ -47,11 +47,14 @@ returns t and omega_L for omega).  Then
 * theta_s^k(x_s) = t^(k+1) u_k with u_k = theta_L^k(x), so
       S1(s) = sum_k t^(k+1) u_k,   S2(s) = sum_k (-1)^k t^(k+1) u_k,
   since C(p-1, k) = prod_(j<=k) (p-j)/j = (-1)^k mod p.  One orbit
-  u_1, ..., u_(p-1) per (line, second form), put over one denominator
-  (`Curve.common_denominator`: a power of x - r for the root r of
-  a + b x when omega_L = (a + b x) dx/y, b != 0, and 1 when b = 0), serves
-  every multiple: each sum is a scaled sum of its numerators and one
-  normal form (`Curve.combination`).
+  u_1, ..., u_(p-1) per (line, second form), over one power of l, serves
+  every multiple: each sum is a scaled sum of its numerators.
+
+All of it runs in the l-coordinates of theta_L's `funcfield.LocalRing`, so
+omega_L must be a global form: the orbit, the sums, both engine shapes (psi
+is compared with S1 and S2 there and converted only for a witness) and the
+rigidity scans; the linear one reads its F_p rows off the l-coordinates
+(`cartier.fp_kernel`).
 
 `two_sums`, the direct per-form orbit sum, stays as the oracle that
 `recheck` and the tests compare with.
@@ -89,7 +92,9 @@ from .funcfield import (
 from .linalg import enumerate_span_mod_p
 from .pcurvature import ConnectionMatrix, is_flat, p_curvature_matrix
 
-_BRUTE_TRIPLE_LIMIT = 1 << 24
+# |F|^6 deformation triples, each two K[eps] engine runs of about p^2 work
+# (1.4 ms a triple at p = 5, 2.5 ms at p = 7), times p^2
+_BRUTE_WORK_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -137,50 +142,61 @@ def _as_global_form(curve: Curve, omega):
 
 
 def require_torsion(curve: Curve, omega_L: Differential) -> Derivation:
-    """Check omega_L is a nonzero flat form (`is_flat`, once per F_p-line);
-    return its dual derivation."""
+    """Check omega_L is a nonzero flat global form (`is_flat`, once per
+    F_p-line); return its dual derivation, which has an l-local ring."""
     if omega_L.is_zero():
         raise NotTorsion("omega_L must be nonzero")
     if not is_flat(omega_L):
         raise NotTorsion("d + omega_L does not have vanishing p-curvature")
-    return dual_derivation(omega_L)
+    theta = dual_derivation(omega_L)
+    if theta.ring is None:
+        raise NotTorsion("omega_L must be a global form")
+    return theta
 
 
-def _orbit(theta: Derivation, x: FunctionFieldElement):
-    """theta^k(x) for k = 1..p-1."""
+def _orbit(R, theta: Derivation, u):
+    """theta^k(u) for k = 1..p-1, in the l-coordinates of R."""
     out = []
-    for _ in range(1, x.curve.p):
-        x = theta.apply(x)
-        out.append(x)
+    for _ in range(1, R.curve.p):
+        u = R.deriv(u, theta)
+        out.append(u)
     return out
 
 
-def line_sums(curve: Curve, omega_L: Differential, omega: Differential):
-    """(x, S1, S2) for the flat form omega_L and x = omega/omega_L, read off
-    the one theta-orbit of omega's ratio to the line's representative
-    (module docstring); the orbit, over one denominator, is computed once
-    per line and form, the sums once per pair (the curve's memo)."""
+def _line_data(curve: Curve, omega_L: Differential, omega: Differential):
+    """(R, x, S1, S2, S1 in R, S2 in R), R the l-local ring of omega_L, read
+    off the one theta-orbit of omega's ratio to the line's representative
+    (module docstring): the orbit once per line and form, the sums once per
+    pair (the curve's memo)."""
 
-    def sums():
-        require_torsion(curve, omega_L)
+    def data():
+        R, F = require_torsion(curve, omega_L).ring, curve.field
         t, rep = line_representative(omega_L)
 
         def orbit():
             x = omega.ratio(rep)
-            return (x, *curve.common_denominator(_orbit(dual_derivation(rep), x)))
+            return (x, *R.numerators(_orbit(R, dual_derivation(rep), R.lift(x))))
 
-        x, numerators, D = curve.memo(("line_orbit", rep.g, omega.g), orbit)
-        F = curve.field
-        c1, c = [], t
-        for _ in range(1, curve.p):
-            c = F.mul(c, t)
-            c1.append(c)  # t^(k+1)
-        c2 = [c if k % 2 == 0 else F.neg(c) for k, c in enumerate(c1, 1)]
-        return (curve.mul(curve.constant(t), x),
-                curve.combination(c1, numerators, D),
-                curve.combination(c2, numerators, D))
+        x, numerators, J = curve.memo(("line_orbit", rep.g, omega.g), orbit)
 
-    return curve.memo(("line_sums", omega_L.g, omega.g), sums)
+        def total(coeffs):
+            A = B = ()
+            for c, (a, b) in zip(coeffs, numerators):
+                A = poly.add(F, A, poly.scale(F, a, c))
+                B = poly.add(F, B, poly.scale(F, b, c))
+            return R.make(A, B, J)
+
+        c1 = [F.pow(t, k + 1) for k in range(1, curve.p)]
+        S1 = total(c1)
+        S2 = total([c if k % 2 == 0 else F.neg(c) for k, c in enumerate(c1, 1)])
+        return (R, curve.mul(curve.constant(t), x), R.element(S1), R.element(S2), S1, S2)
+
+    return curve.memo(("line_data", omega_L.g, omega.g), data)
+
+
+def line_sums(curve: Curve, omega_L: Differential, omega: Differential):
+    """(x, S1, S2) as normal forms of K (`_line_data`)."""
+    return _line_data(curve, omega_L, omega)[1:4]
 
 
 def two_sums(curve: Curve, theta_L: Derivation, x: FunctionFieldElement):
@@ -227,22 +243,23 @@ def check_two_sums(curve: Curve, omega_L, omega) -> LemmaReport:
     )
 
 
-def _offdiag_psi(curve: Curve, omega_L: Differential, omega: Differential, x):
+def _offdiag_psi(curve: Curve, R, omega_L: Differential, omega: Differential, x):
     """The engine's psi of upper = [[0, x], [0, 1]] and lower = [[1, x], [0, 0]]
-    on the flat chart omega_L, as bare matrices.  Of the two multiples
-    s omega_L and -s omega_L, the first to ask runs both shapes and stashes
+    on the flat chart omega_L, as bare matrices over its l-local ring R.  Of
+    the two multiples s omega_L and -s omega_L, the first to ask runs both
+    shapes and stashes
     the other's pair, read through the flat twist (module docstring):
     psi_upper(-s) = -psi_lower(s) and psi_lower(-s) = -psi_upper(s).  The
     other multiple takes that pair out of the curve's memo."""
     twisted = curve.take(("offdiag_twist", omega_L.g, omega.g))
     if twisted is not None:
         return twisted
-    z, one = curve.zero(), curve.one()
-    upper = p_curvature_matrix(ConnectionMatrix(curve, ((z, x), (z, one)), omega_L)).matrix
-    lower = p_curvature_matrix(ConnectionMatrix(curve, ((one, x), (z, z)), omega_L)).matrix
+    z, one, x = R.zero(), R.one(), R.lift(x)
+    upper = p_curvature_matrix(ConnectionMatrix(R, ((z, x), (z, one)), omega_L)).matrix
+    lower = p_curvature_matrix(ConnectionMatrix(R, ((one, x), (z, z)), omega_L)).matrix
 
     def negated(M):
-        return tuple(tuple(curve.neg(e) for e in row) for row in M)
+        return tuple(tuple(R.neg(e) for e in row) for row in M)
 
     curve.stash(("offdiag_twist", curve.neg(omega_L.g), omega.g),
                 (negated(lower), negated(upper)))
@@ -256,17 +273,21 @@ def check_offdiag_closed_forms(curve: Curve, omega_L, omega) -> LemmaReport:
     t0 = time.perf_counter()
     omega_L, ab_L = _as_global_form(curve, omega_L)
     omega, ab = _as_global_form(curve, omega)
-    x, S1, S2 = line_sums(curve, omega_L, omega)
-    psi_upper, psi_lower = _offdiag_psi(curve, omega_L, omega, x)
+    R, x, S1, S2, S1_l, S2_l = _line_data(curve, omega_L, omega)
+    psi_upper, psi_lower = _offdiag_psi(curve, R, omega_L, omega, x)
     ok = (
-        psi_upper[0][1] == S1
-        and psi_lower[0][1] == S2
+        psi_upper[0][1] == S1_l
+        and psi_lower[0][1] == S2_l
         and all(
-            psi[i][j].is_zero()
+            R.is_zero(psi[i][j])
             for psi in (psi_upper, psi_lower)
             for (i, j) in ((0, 0), (1, 0), (1, 1))
         )
     )
+
+    def witness(psi, S, S_l):  # a psi equal to its sum has the sum's normal form
+        return _ffe_witness(S if psi == S_l else R.element(psi))
+
     return LemmaReport(
         curve_id=curve_id(curve),
         lemma_id="offdiag-closed-forms",
@@ -276,8 +297,8 @@ def check_offdiag_closed_forms(curve: Curve, omega_L, omega) -> LemmaReport:
             "omega": _form_witness(ab, omega),
             "S1": _ffe_witness(S1),
             "S2": _ffe_witness(S2),
-            "psiUpperOffdiag": _ffe_witness(psi_upper[0][1]),
-            "psiLowerOffdiag": _ffe_witness(psi_lower[0][1]),
+            "psiUpperOffdiag": witness(psi_upper[0][1], S1, S1_l),
+            "psiLowerOffdiag": witness(psi_lower[0][1], S2, S2_l),
         },
         timing=time.perf_counter() - t0,
     )
@@ -287,24 +308,23 @@ def check_offdiag_closed_forms(curve: Curve, omega_L, omega) -> LemmaReport:
 # rigidity of the split connection under first-order deformations
 # ---------------------------------------------------------------------------
 
-def _deformation_psi(curve: Curve, chart: Differential, g11, f12, f21, g22):
+def _deformation_psi(ring, chart: Differential, g11, f12, f21, g22):
     """psi of diag(0,1) + eps [[g11, f12], [f21, g22]] on the chart omega_L,
-    as (body, slope) pairs over DualRing(curve): the traceless deformation
+    as (body, slope) pairs over DualRing(ring): the traceless deformation
     has (g11, g22) = (f11, -f11), its companion (2 f11, 0)."""
-    z = curve.zero()
-    M = (((z, g11), (z, f12)), ((z, f21), (curve.one(), g22)))
-    return p_curvature_matrix(ConnectionMatrix(DualRing(curve), M, chart))
+    z = ring.zero()
+    M = (((z, g11), (z, f12)), ((z, f21), (ring.one(), g22)))
+    return p_curvature_matrix(ConnectionMatrix(DualRing(ring), M, chart))
 
 
-def scalar_shift_identity_holds(curve: Curve, theta_L: Derivation, psi, psi_companion,
-                                f11) -> bool:
-    """psi - psi_companion == eps (f11 - theta_L^(p-1)(f11)) I, exactly."""
-    shift = f11 - theta_L.apply_n(f11, curve.p - 1)
+def scalar_shift_identity_holds(psi, psi_companion, shift) -> bool:
+    """psi - psi_companion == eps shift I exactly, for the shift
+    f11 - theta_L^(p-1)(f11) as a raw of psi's base ring."""
+    R = psi.ring.base
     for i in range(2):
         for j in range(2):
             body, slope = psi.ring.sub(psi[i, j], psi_companion[i, j])
-            want_slope = shift if i == j else curve.zero()
-            if not (body.is_zero() and slope == want_slope):
+            if not (R.is_zero(body) and slope == (shift if i == j else R.zero())):
                 return False
     return True
 
@@ -408,21 +428,23 @@ def rigidity_scan(
     return solset, report
 
 
-def _global_pairs(curve: Curve):
-    F = curve.field
-    return [(a, b) for a in F.elements() for b in F.elements()]
+def check_brute_rigidity(curve: Curve):
+    """Refuse the brute scan (FieldTooLargeForBrute) beyond F_3 and F_5."""
+    q, p = curve.field.size, curve.p
+    if q ** 6 * p * p > _BRUTE_WORK_LIMIT:
+        raise FieldTooLargeForBrute(f"{q * q}^3 deformation triples at p = {p} exceed the guard")
 
 
 def _rigidity_brute(curve, theta_L, omega_L, closed_form_samples):
-    pairs = _global_pairs(curve)
-    if len(pairs) ** 3 > _BRUTE_TRIPLE_LIMIT:
-        raise FieldTooLargeForBrute(
-            f"{len(pairs)}^3 deformation triples exceed the brute guard"
-        )
-    ratios = {
-        ab: curve.global_form(*ab).ratio(omega_L) for ab in pairs
-    }
-    two = curve.constant(curve.field.from_int(2))
+    """Every triple through the engine over the chart's l-local ring R; the
+    scalar shifts and the sampled closed forms come from K."""
+    check_brute_rigidity(curve)
+    F, R = curve.field, theta_L.ring
+    pairs = [(a, b) for a in F.elements() for b in F.elements()]
+    ratios = {ab: curve.global_form(*ab).ratio(omega_L) for ab in pairs}
+    local = {ab: R.lift(u) for ab, u in ratios.items()}
+    shifts = {ab: R.lift(u - theta_L.apply_n(u, curve.p - 1)) for ab, u in ratios.items()}
+    two = R.lift(curve.constant(F.from_int(2)))
     sols = []
     identity_ok = identity_total = 0
     closed_ok = True
@@ -431,24 +453,25 @@ def _rigidity_brute(curve, theta_L, omega_L, closed_form_samples):
     for ab11 in pairs:
         for ab12 in pairs:
             for ab21 in pairs:
-                f11, f12, f21 = ratios[ab11], ratios[ab12], ratios[ab21]
-                psi = _deformation_psi(curve, omega_L, f11, f12, f21, -f11)
+                f11, f12, f21 = local[ab11], local[ab12], local[ab21]
+                psi = _deformation_psi(R, omega_L, f11, f12, f21, R.neg(f11))
                 if psi.is_zero():
                     sols.append((ab11, ab12, ab21))
-                psi_c = _deformation_psi(curve, omega_L, two * f11, f12, f21, curve.zero())
+                psi_c = _deformation_psi(R, omega_L, R.mul(two, f11), f12, f21, R.zero())
                 identity_total += 1
-                if scalar_shift_identity_holds(curve, theta_L, psi, psi_c, f11):
+                if scalar_shift_identity_holds(psi, psi_c, shifts[ab11]):
                     identity_ok += 1
                 if idx % sample_step == 0:
-                    if not _closed_forms_match(curve, theta_L, psi_c, f11, f12, f21):
+                    if not _closed_forms_match(curve, theta_L, psi_c, ratios[ab11],
+                                               ratios[ab12], ratios[ab21]):
                         closed_ok = False
                 idx += 1
     return tuple(sorted(set(sols))), identity_ok, identity_total, closed_ok
 
 
 def _closed_forms_match(curve, theta_L, psi_companion, f11, f12, f21) -> bool:
-    """R0-recursion == closed forms for n <= p, and the companion psi equals
-    eps (R0^(p) - R)."""
+    """R0-recursion == closed forms for n <= p, and the companion psi, over
+    the l-local ring, equals eps (R0^(p) - R)."""
     p = curve.p
     rec = auxiliary_recursion_rows(curve, theta_L, f11, f12, f21, p)
     closed = closed_form_rows(curve, theta_L, f11, f12, f21, p)
@@ -457,30 +480,29 @@ def _closed_forms_match(curve, theta_L, psi_companion, f11, f12, f21) -> bool:
             for j in range(2):
                 if got[i][j] != want[i][j]:
                     return False
-    R, Rp = rec[0], rec[-1]
+    R, Rp, L = rec[0], rec[-1], theta_L.ring
     for i in range(2):
         for j in range(2):
             body, slope = psi_companion[i, j]
-            if not body.is_zero():
-                return False
-            if slope != Rp[i][j] - R[i][j]:
+            if not L.is_zero(body) or slope != L.lift(Rp[i][j] - R[i][j]):
                 return False
     return True
 
 
 def _rigidity_linear(curve, omega_L):
-    """Kernel of the F_p-linear map (w11, w12, w21) -> psi(deformation)."""
-    F = curve.field
+    """Kernel of the F_p-linear map (w11, w12, w21) -> psi(deformation), the
+    engine run over the chart's l-local ring R."""
+    F, R = curve.field, dual_derivation(omega_L).ring
     unknowns, images = [], []  # unknowns flatten (a11, b11, a12, b12, a21, b21)
     for slot in range(3):
         for a, b in plane_basis(F):
-            raws, fs = [F.zero()] * 6, [curve.zero()] * 3
+            raws, fs = [F.zero()] * 6, [R.zero()] * 3
             raws[2 * slot], raws[2 * slot + 1] = a, b
-            fs[slot] = curve.global_form(a, b).ratio(omega_L)
-            psi = _deformation_psi(curve, omega_L, *fs, -fs[0])
+            fs[slot] = R.lift(curve.global_form(a, b).ratio(omega_L))
+            psi = _deformation_psi(R, omega_L, *fs, R.neg(fs[0]))
             unknowns.append(tuple(raws))
             images.append(tuple(e for i in range(2) for j in range(2) for e in psi[i, j]))
-    basis = fp_kernel(curve, images)
+    basis = fp_kernel(R, images)
     sols = set()
     for v in enumerate_span_mod_p(basis, len(unknowns), curve.p):
         w = fp_combination(F, v, unknowns)

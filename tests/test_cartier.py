@@ -434,3 +434,17 @@ def test_flat_form_is_its_own_chart_constant(p, f):
     for a, b in outside:
         omega = curve.global_form(a, b)
         assert chart_constant(omega) != curve.one()
+
+
+def test_fp_kernel_reads_both_l_coordinates(curve5):
+    # unknowns c1..c4 -> (c1 y + 2 c2 y + c3 x / l + c4 y / l^2) over the
+    # l-local ring of a flat chart: the y-part and the x-part each constrain,
+    # at different powers of l, and the kernel is the one line (-2, 1, 0, 0)
+    from g2frob.cartier import fp_kernel
+
+    F = curve5.field
+    R = dual_derivation(curve5.global_form(F.from_int(1), F.from_int(1))).ring
+    ell = curve5.from_poly((F.neg(R.r), F.one()))
+    y, x = curve5.y(), curve5.x()
+    images = [(R.lift(e),) for e in (y, y + y, x / ell, y / (ell * ell))]
+    assert fp_kernel(R, images) == [[3, 1, 0, 0]]

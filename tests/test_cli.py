@@ -6,7 +6,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from g2frob.cli import main
@@ -360,6 +360,122 @@ def test_extension_options_build_the_field_asked_for(capsys):
     assert code == 0 and json.loads(out)["curve"]["ext"] == [1, 0, 1]
 
 
+def test_brute_rigidity_refused_on_cost_before_any_engine_run(capsys, monkeypatch):
+    # 169^3 triples at p = 13 would take hours; F_9 and p = 7 are refused
+    # too, each before the lemma checks run the engine
+    from g2frob import verify
+
+    engine = []
+    monkeypatch.setattr(verify, "p_curvature_matrix", lambda conn: engine.append(conn))
+    for argv in ("verify --p 13 --f 11,7,3,9,6,1 --rigidity brute",
+                 "verify --p 7 --f 5,0,0,5,1,1 --rigidity brute",
+                 "verify --p 3 --ext-k 2 --f 2,0,1,1,1,1 --rigidity brute"):
+        code, out = run(capsys, *argv.split())
+        assert code == 3 and json.loads(out)["kind"] == "FieldTooLargeForBrute"
+    assert not engine
+
+
+@pytest.mark.parametrize("argv", [
+    "torsion --p 5 --f 1,2,3,4,5,1 --ext-k 400",
+    "curve --p 3 --ext-k 3000 --f 2,0,1,1,1,1",
+    "curve --p 3 --ext-k 64 --f 2,0,1,1,1,1",
+    "curve --p 3 --ext-k 100 --ext-modulus " + ",".join(["1"] * 101) + " --f 2,0,1,1,1,1",
+])
+def test_extension_degree_guard(capsys, monkeypatch, argv):
+    # refused before the modulus search or the irreducibility check
+    from g2frob import exactnum
+
+    monkeypatch.setattr(exactnum, "_x_power_minus_x", None)
+    code, out = run(capsys, *argv.split())
+    assert code == 3 and json.loads(out)["kind"] == "ResourceGuardError"
+
+
+def test_extension_degree_guard_on_a_catalog_record(tmp_path, capsys):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps([{"p": 3, "ext": [1] * 101, "f": CERTIFIED[3][0]}]))
+    code, out = run(capsys, "scan", "--catalog", str(path))
+    assert code == 3 and json.loads(out)["kind"] == "ResourceGuardError"
+
+
+_GUARD_K = st.sampled_from(["64", "400", "3000"])
+_MODULUS_64 = ",".join(["1"] * 65)
+_QUINTIC = st.lists(st.integers(0, 12), min_size=5, max_size=5).map(
+    lambda cs: ",".join(map(str, cs + [1])))
+_FUZZ_F = st.one_of(_QUINTIC, st.lists(st.integers(-3, 12), max_size=7).map(
+    lambda cs: ",".join(map(str, cs))), st.text(max_size=12))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.one_of(
+    st.tuples(st.sampled_from([3, 5, 7, 13]), _QUINTIC, st.sampled_from(["brute", "semilinear"]),
+              st.booleans()).map(
+        lambda d: [f"--p={d[0]}", f"--f={d[1]}", f"--method={d[2]}"]
+        + (["--crosscheck"] if d[3] else [])),
+    st.tuples(st.sampled_from([3, 5, 7, 13]), _QUINTIC, st.one_of(
+        _GUARD_K.map(lambda k: [f"--ext-k={k}"]),
+        st.just(["--ext-k=64", f"--ext-modulus={_MODULUS_64}"]))
+    ).map(lambda d: [f"--p={d[0]}", f"--f={d[1]}", *d[2]]),  # the extension guard
+    st.tuples(st.sampled_from([3, 5, 7]), _QUINTIC, st.sampled_from(["2", "3"])).map(
+        lambda d: [f"--p={d[0]}", f"--f={d[1]}", "--method=semilinear", f"--ext-k={d[2]}"]),
+    _option_argv({"p": _ints_or_text(st.integers(-10, 20)), "f": _FUZZ_F,
+                  "method": st.sampled_from(["brute", "semilinear", "x"]),
+                  "ext-k": st.one_of(_GUARD_K, st.integers(-2, 1).map(str), st.text(max_size=4)),
+                  "ext-modulus": st.one_of(st.text(max_size=8), st.just(_MODULUS_64))})))
+def test_torsion_input_fuzz(tail):
+    # small fields, the extension guard's range (k = 64, 400, 3000 and a
+    # degree-64 modulus), malformed values and options: one JSON line and
+    # exit 0, 2 or 3
+    _one_json_line(["torsion", *tail])
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(st.one_of(
+    st.tuples(st.sampled_from([3, 5, 7]), _QUINTIC, st.sampled_from(["off", "linear"])).map(
+        lambda d: [f"--p={d[0]}", f"--f={d[1]}", f"--rigidity={d[2]}"]),
+    st.tuples(st.sampled_from([3, 5, 7]), _QUINTIC, _GUARD_K).map(
+        lambda d: [f"--p={d[0]}", f"--f={d[1]}", f"--ext-k={d[2]}"]),  # the extension guard
+    _FUZZ_F.map(lambda f: ["--p=7", f"--f={f}", "--rigidity=brute"]),  # the brute guard
+    _option_argv({"p": _ints_or_text(st.integers(-10, 7)), "f": _FUZZ_F,
+                  "rigidity": st.sampled_from(["off", "linear", "x"]),
+                  "ext-k": st.one_of(_GUARD_K, st.integers(-2, 1).map(str),
+                                     st.text(max_size=4))})))
+def test_verify_input_fuzz(tail):
+    # p <= 7 (brute rigidity only where its guard refuses it), the extension
+    # guard's range and malformed input: one JSON line and exit 0, 2 or 3
+    _one_json_line(["verify", *tail])
+
+
+_RECORD = st.one_of(
+    st.fixed_dictionaries({"p": st.sampled_from([3, 5, 7]), "f": _QUINTIC.map(
+        lambda f: [int(c) for c in f.split(",")])}),
+    st.fixed_dictionaries({"p": st.just(3), "f": st.just(CERTIFIED[3][0]),
+                           "ext": st.sampled_from([[1, 0, 1], [1] * 65, [2] + [0] * 399 + [1]])}),
+    st.fixed_dictionaries(
+        {"p": st.one_of(st.integers(-3, 9), st.text(max_size=3)),
+         "f": st.lists(st.one_of(st.integers(-3, 12), st.text(max_size=2),
+                                 st.lists(st.integers(0, 3), max_size=3)), max_size=7)},
+        optional={"ext": st.one_of(st.lists(st.integers(-2, 3), max_size=3),
+                                   st.text(max_size=3), st.none())}),
+    st.integers(), st.text(max_size=4), st.none())
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.one_of(st.lists(_RECORD, min_size=1, max_size=3), st.lists(_RECORD, max_size=2),
+                 _RECORD, st.text(max_size=8)),
+       st.booleans())
+@example([{"p": 5, "f": CERTIFIED[5][0]}, {"p": 3, "f": CERTIFIED[3][0], "ext": [1] * 65}], True)
+@example([{"p": 7, "f": CERTIFIED[7][0]}, {"p": 3, "ext": [1, 0, 1], "f": CERTIFIED[3][0]}], True)
+def test_scan_catalog_fuzz(tmp_path_factory, catalog, lemmas):
+    # catalogs of small curve records, F_9 records, records in the extension
+    # guard's range (degrees 64 and 400), malformed records and catalogs:
+    # the rows go to --out, and stdout is one JSON line with exit 0, 2 or 3
+    d = tmp_path_factory.mktemp("fuzz")
+    path = d / "cat.json"
+    path.write_text(catalog if isinstance(catalog, str) else json.dumps(catalog))
+    _one_json_line(["scan", "--catalog", str(path), "--out", str(d / "rows.jsonl"),
+                    "--lemmas" if lemmas else "--no-lemmas"])
+
+
 def test_scan_rejects_malformed_catalog_entries(tmp_path, capsys):
     good = CERTIFIED[3][0]
     for entry in (5, {"p": 3, "f": good[:5] + [1.5]}, {"p": 3, "f": ["3"] + good[1:]},
@@ -496,6 +612,10 @@ GOLDEN = {
     # multiple's off-diagonal reports read the engine through the flat twist
     "verify --p 31 --f 28,23,22,16,29,1 --rigidity linear":
         "a2370f40d7715d88d2c86b2c608511097b41ece9509a8c2a4c136b1f9389ac87",
+    # one flat F_61-line: theta_L-orbits and engine entries of degree about
+    # 2p in l-coordinates
+    "verify --p 61 --f 7,1,19,24,21,1 --rigidity linear":
+        "4f3dc255f76d2e5cd4b02094745cfd4178f7ece083ac1258a0d419cf01093dbe",
     "scan --p 5 --count 6 --seed 1":
         "3ba5deb845906a466b3ca09c503988171acc987d4f5c421776d00285829ba7c5",
     "formulas --p 7":

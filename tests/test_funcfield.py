@@ -376,7 +376,8 @@ def test_curve_memo_computes_once_per_curve(curve3):
 
 
 # ---------------------------------------------------------------------------
-# the one-step formula and the root strip against the gcd path
+# the l-local ring: the one-step formula and its arithmetic against the gcd
+# path of Curve
 # ---------------------------------------------------------------------------
 
 def _assert_normal_form(u):
@@ -385,20 +386,12 @@ def _assert_normal_form(u):
     assert poly.degree(poly.gcd(F, poly.gcd(F, u.A, u.B), u.D)) == 0
 
 
-def _root_exponent(cv, u):
-    """j when uD is the table power (x - r)^j, 0 for uD = 1, else None."""
-    if len(u.D) == 1:
-        return 0
-    power = cv._power_of.get(u.D)
-    return power and power[1]
-
-
-def _takes_root_step(cv, theta, u):
-    """uD is 1, or a table power of theta's root (of any root when theta(x)
-    has no denominator)."""
-    c, r, e = theta._shape
-    power = cv._power_of.get(u.D)
-    return len(u.D) == 1 or (power is not None and (not e or power[0] == r))
+def _assert_canonical(R, u):
+    """A, B without trailing zeros, and l does not divide both when j > 0."""
+    F, (A, B, j) = R.curve.field, u
+    assert poly.normalize(F, A) == A and poly.normalize(F, B) == B and j >= 0
+    if j:
+        assert not F.is_zero(poly.coefficient(F, A, 0)) or not F.is_zero(poly.coefficient(F, B, 0))
 
 
 _STEP_FIELDS = (PrimeField(3), PrimeField(5), PrimeField(7), PrimeField(13),
@@ -409,9 +402,10 @@ _STEP_FIELDS = (PrimeField(3), PrimeField(5), PrimeField(7), PrimeField(13),
 def test_root_step_and_power_arithmetic_against_gcd_path(field, monkeypatch):
     """Orbits of theta_L for omega_L with b != 0, b = 0 and a = 0 (root
     r = 0), and of the dx/y chart's theta0, 2p + 1 steps long, so exponents
-    j = 0 (mod p) occur, where (x - r)^j has derivative 0.  The oracle is a
-    twin curve: it has no table of powers, so every one of its normal forms
-    takes the gcd path."""
+    j = 0 (mod p) occur, where l^j has derivative 0.  Each step of an input
+    in theta's l-local ring runs there with no gcd; the oracle is a twin
+    curve, whose every normal form takes Curve's gcd path.  Sums and
+    products in the ring match the twin's plain sums and products."""
     rng = rng_for(f"ff-root-step-{field!r}")
     cv = random_curve(field, rng)
     twin = Curve(field, cv.f)
@@ -428,7 +422,9 @@ def test_root_step_and_power_arithmetic_against_gcd_path(field, monkeypatch):
              cv.global_form(F.zero(), nonzero())]
     dx_y, x_dx_y = cv.basis_forms()
     thetas = [dual_derivation(w) for w in forms] + [dual_derivation(dx_y)]
-    assert [t._shape[2] for t in thetas] == [1, 0, 1, 0]
+    assert [len(t.value_on_x.D) - 1 for t in thetas] == [1, 0, 1, 0]
+    assert [F.is_zero(t.ring.r) for t in thetas[1:]] == [True] * 3
+    assert thetas[1].ring is thetas[2].ring is thetas[3].ring  # one ring per root
     starts = [x_dx_y.ratio(w) for w in forms] + [dx_y.ratio(w) for w in forms]
     starts += [cv.x(), cv.y(), cv.y() * cv.x().inverse() ** 2]
 
@@ -441,77 +437,103 @@ def test_root_step_and_power_arithmetic_against_gcd_path(field, monkeypatch):
 
     orbits = []
     for theta in thetas:
+        R = theta.ring
         for u in starts:
             orbit = [u]
             for _ in range(2 * p + 1):
-                fast = _takes_root_step(cv, theta, orbit[-1])
+                local = R.lift(orbit[-1])
                 monkeypatch.setattr(poly, "gcd", counted_gcd)
                 gcd_calls.clear()
                 v = theta.apply(orbit[-1])
                 monkeypatch.setattr(poly, "gcd", real_gcd)
-                if fast:  # the one-step formula and the root strip: no gcd
-                    assert not gcd_calls
                 want = twin.mul(twin.d_coefficient(orbit[-1]), theta.value_on_x)
                 assert v == want
                 _assert_normal_form(v)
+                if local is not None:  # the one-step formula: no gcd
+                    assert not gcd_calls
+                    assert R.element(local) == orbit[-1]
+                    step = R.deriv(local, theta)
+                    _assert_canonical(R, step)
+                    assert R.element(step) == want and R.lift(want) == step
                 orbit.append(v)
-            orbits.append(orbit)
+            orbits.append((R, orbit))
 
-    # 1/f is not a table power: every theta takes d_coefficient for it
+    # 1/f is not in any l-local ring: every theta takes d_coefficient for it
     u = cv.inv(cv.from_poly(cv.f))
     for theta in thetas:
+        assert theta.ring.lift(u) is None
         assert theta.apply(u) == twin.mul(twin.d_coefficient(u), theta.value_on_x)
 
-    exponents = {_root_exponent(cv, u) for orbit in orbits for u in orbit}
-    assert any(j and j % p == 0 for j in exponents if j is not None)
-    for orbit in orbits:
+    local = [(R, [R.lift(u) for u in orbit]) for R, orbit in orbits if R.lift(orbit[0])]
+    assert any(u[2] and u[2] % p == 0 for _, orbit in local for u in orbit)
+    for R, orbit in local:
         for u, v in zip(orbit[::4], orbit[3::4]):
-            for s, t in ((u, v), (v, u), (u, cv.neg(u)), (u, cv.one())):
-                total, product = cv.add(s, t), cv.mul(s, t)
-                assert total == _plain_sum(twin, s, t)
-                assert product == _plain_product(twin, s, t)
-                _assert_normal_form(total)
-                _assert_normal_form(product)
+            for s, t in ((u, v), (v, u), (u, R.neg(u)), (u, R.one()), (u, R.zero())):
+                total, product = R.add(s, t), R.mul(s, t)
+                a, b = R.element(s), R.element(t)
+                assert R.element(total) == _plain_sum(twin, a, b)
+                assert R.element(product) == _plain_product(twin, a, b)
+                assert R.element(R.sub(s, t)) == _plain_sum(twin, a, twin.neg(b))
+                _assert_canonical(R, total)
+                _assert_canonical(R, product)
 
 
 @pytest.mark.parametrize("field,rounds", _ORACLE_FIELDS, ids=["F3", "F13", "F27"])
 def test_combination_over_common_denominator_against_henrici_sums(field, rounds,
                                                                  monkeypatch):
-    """sum c_k u_k as one normal form over the lcm of the denominators, for
-    mixed denominators (the gcd path) and for a theta_L-orbit, whose
-    denominators are table powers of one x - r (no gcd at all)."""
+    """sum c_k u_k in the l-local ring as a scaled sum of the numerators over
+    one power of l (`LocalRing.numerators`) and one canonical form, for
+    random ring elements and for a theta_L-orbit, against Curve's Henrici
+    sums of their normal forms; the orbit's sums take no gcd at all."""
     rng = rng_for(f"ff-combination-{field!r}")
     cv = _curve_through_origin(field, rng)
     F = cv.field
+    omega_L = cv.global_form(F.random(rng), F.one())
+    theta = dual_derivation(omega_L)  # theta(x) = c y / (x - r)
+    R = theta.ring
 
     def henrici(coeffs, us):
         total = cv.zero()
         for c, u in zip(coeffs, us):
-            total = cv.add(total, cv.mul(cv.constant(c), u))
+            total = cv.add(total, cv.mul(cv.constant(c), R.element(u)))
         return total
 
-    for _ in range(rounds // 10):
-        us = [_hard_element(cv, rng) for _ in range(rng.randrange(1, 6))]
-        coeffs = [F.random(rng) for _ in us]
-        numerators, D = cv.common_denominator(us)
-        got = cv.combination(coeffs, numerators, D)
-        assert got == henrici(coeffs, us)
-        _assert_normal_form(got)
+    def scaled_sum(coeffs, us):
+        numerators, J = R.numerators(us)
+        A = B = ()
+        for c, (a, b) in zip(coeffs, numerators):
+            A = poly.add(F, A, poly.scale(F, a, c))
+            B = poly.add(F, B, poly.scale(F, b, c))
+        return R.make(A, B, J)
 
-    omega_L = cv.global_form(F.random(rng), F.one())
-    theta = dual_derivation(omega_L)  # theta(x) = c y / (x - r)
-    orbit = [cv.basis_forms()[0].ratio(omega_L)]
+    def random_local():
+        while True:
+            A = tuple(F.random(rng) for _ in range(rng.randrange(0, 5)))
+            B = tuple(F.random(rng) for _ in range(rng.randrange(0, 4)))
+            if rng.random() < 0.3:  # numerators sharing a factor of l
+                A, B = (F.zero(),) + A, (F.zero(),) + B
+            u = R.make(poly.normalize(F, A), poly.normalize(F, B), rng.randrange(0, 2 * cv.p))
+            if not R.is_zero(u):
+                return u
+
+    for _ in range(rounds // 10):
+        us = [random_local() for _ in range(rng.randrange(1, 6))]
+        coeffs = [F.random(rng) for _ in us]
+        got = scaled_sum(coeffs, us)
+        _assert_canonical(R, got)
+        assert R.element(got) == henrici(coeffs, us)
+        _assert_normal_form(R.element(got))
+
+    orbit = [R.lift(cv.basis_forms()[0].ratio(omega_L))]
     for _ in range(cv.p):
-        orbit.append(theta.apply(orbit[-1]))
+        orbit.append(R.deriv(orbit[-1], theta))
     gcd_calls = []
     real_gcd = poly.gcd
     monkeypatch.setattr(poly, "gcd", lambda *args: gcd_calls.append(args) or real_gcd(*args))
-    numerators, D = cv.common_denominator(orbit)
-    sums = [cv.combination([F.random(rng) for _ in orbit], numerators, D)
-            for _ in range(5)]
+    sums = [R.element(scaled_sum([F.random(rng) for _ in orbit], orbit)) for _ in range(5)]
     monkeypatch.setattr(poly, "gcd", real_gcd)
-    assert not gcd_calls and cv._power_of.get(D) is not None
+    assert not gcd_calls
     for got in sums:
         _assert_normal_form(got)
     coeffs = [F.random(rng) for _ in orbit]
-    assert cv.combination(coeffs, numerators, D) == henrici(coeffs, orbit)
+    assert R.element(scaled_sum(coeffs, orbit)) == henrici(coeffs, orbit)

@@ -2,7 +2,8 @@
 off an F_p-line of flat forms, the chart constant and the dual derivation
 read off an F_p-line of charts, against the direct per-form computation;
 the flat twist and the eigen-identities of the two sums; and the ring
-axioms of K and K[eps] with canonical normal forms."""
+axioms of K, of the l-local ring F[x, y][1/l] and of K[eps] over both, with
+canonical normal forms."""
 
 import random
 
@@ -139,9 +140,10 @@ def test_flat_twist_and_eigen_identities(field, seed):
 
 
 def _ring_samples(cv, rng):
-    """Random elements of K: polynomials, quotients by a random denominator,
-    elements of a theta-orbit (denominators in the table of powers of one
-    x - r), and zero, one and a constant."""
+    """(theta, samples): random elements of K (polynomials, quotients by a
+    random denominator, elements of a theta-orbit, whose denominators are
+    powers of one l = x - r, and zero, one and a constant) and the
+    derivation theta = c y / l of that orbit."""
     F = cv.field
 
     def rpoly(n):
@@ -152,23 +154,43 @@ def _ring_samples(cv, rng):
         D = [F.one()]
     theta = dual_derivation(cv.global_form(F.random(rng), F.one()))
     seed = cv.element(rpoly(3), rpoly(2))
-    return [cv.zero(), cv.one(), cv.constant(F.random(rng)), seed,
-            cv.element(rpoly(4), rpoly(3), D), theta.apply(seed),
-            theta.apply_n(seed, 2), theta.apply_n(cv.x(), 3)]
+    return theta, [cv.zero(), cv.one(), cv.constant(F.random(rng)), seed,
+                   cv.element(rpoly(4), rpoly(3), D), theta.apply(seed),
+                   theta.apply_n(seed, 2), theta.apply_n(cv.x(), 3)]
+
+
+def _is_canonical(R, u):
+    """l-coordinates without trailing zeros, l not dividing both A and B
+    when j > 0, and the normal form of K back and forth."""
+    F, (A, B, j) = R.curve.field, u
+    low = [poly.coefficient(F, c, 0) for c in (A, B)]
+    return (poly.normalize(F, A) == A and poly.normalize(F, B) == B
+            and (j == 0 or not all(F.is_zero(c) for c in low))
+            and _is_normal_form(R.element(u)) and R.lift(R.element(u)) == u)
 
 
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(FIELDS, st.integers(0, 2 ** 32 - 1))
 def test_ring_axioms_with_normal_forms(field, seed):
-    # K = curve and K[eps] = DualRing(curve): associativity, commutativity,
+    # K = curve, the l-local ring L of the orbit's theta and K[eps] =
+    # DualRing(curve), DualRing(L): associativity, commutativity,
     # distributivity, a + (-a) = 0 and a - b = a + (-b), with every result
-    # a normal form (equality of normal forms is equality in K)
+    # a normal form (equality of normal forms is equality in K) or canonical
+    # in l-coordinates; lift and element are inverse on L
     F, rng = make_field(*field), random.Random(seed)
     cv = random_curve(F, rng)
-    K = _ring_samples(cv, rng)
-    for R, pick, parts in (
-        (cv, lambda: rng.choice(K), lambda u: (u,)),
-        (DualRing(cv), lambda: (rng.choice(K), rng.choice(K)), lambda u: u),
+    theta, K = _ring_samples(cv, rng)
+    L = theta.ring
+    local = [v for v in map(L.lift, K) if v is not None]
+    assert len(local) >= 6  # all but the random denominator, at least
+    assert all(L.element(L.lift(u)) == u for u in K if L.lift(u) is not None)
+    assert L.lift(L.element(L.deriv(local[-1], theta))) == L.deriv(local[-1], theta)
+    for R, pick, parts, ok in (
+        (cv, lambda: rng.choice(K), lambda u: (u,), _is_normal_form),
+        (DualRing(cv), lambda: (rng.choice(K), rng.choice(K)), lambda u: u, _is_normal_form),
+        (L, lambda: rng.choice(local), lambda u: (u,), lambda u: _is_canonical(L, u)),
+        (DualRing(L), lambda: (rng.choice(local), rng.choice(local)), lambda u: u,
+         lambda u: _is_canonical(L, u)),
     ):
         for _ in range(6):
             a, b, c = pick(), pick(), pick()
@@ -182,4 +204,4 @@ def test_ring_axioms_with_normal_forms(field, seed):
             for left, right in zip(results[::2], results[1::2]):
                 assert left == right
             assert R.add(a, R.neg(a)) == R.zero()
-            assert all(_is_normal_form(u) for r in results for u in parts(r))
+            assert all(ok(u) for r in results for u in parts(r))

@@ -87,6 +87,19 @@ def test_two_sums_rejects_non_torsion(curve3):
         check_two_sums(curve3, (F.zero(), F.zero()), (F.zero(), F.one()))
 
 
+def test_checks_refuse_a_flat_form_that_is_not_global(curve5):
+    # dx/x is flat (d + du/u has p-curvature zero) but not a global form:
+    # its dual derivation theta(x) = x has no l-local ring to run in
+    from g2frob.funcfield import Differential
+    from g2frob.pcurvature import is_flat
+
+    F, log_x = curve5.field, Differential(curve5, curve5.x().inverse())
+    assert is_flat(log_x)
+    for check in (check_two_sums, check_offdiag_closed_forms):
+        with pytest.raises(NotTorsion):
+            check(curve5, log_x, (F.one(), F.zero()))
+
+
 def test_offdiag_closed_forms_hold(curve3, curve5):
     for cv in (curve3, curve5):
         F = cv.field
@@ -156,7 +169,7 @@ def test_rigidity_guard_on_large_fields():
     nz = ts.nonzero(F25)
     assert nz
     with pytest.raises(FieldTooLargeForBrute):
-        rigidity_scan(cv, nz[0], mode="brute")  # 625^3 > 2^24
+        rigidity_scan(cv, nz[0], mode="brute")  # 625^3 triples times 5^2 > 2^20
 
 
 def test_reports_recheck(curve3):
