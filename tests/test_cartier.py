@@ -26,7 +26,7 @@ from g2frob import (
     stabilization_degree,
 )
 from g2frob import poly
-from g2frob.cartier import _flat_form_data
+from g2frob.cartier import _flat_form_data, _psi_coordinates, _psi_rows, check_brute_limit
 from g2frob.linalg import enumerate_span_mod_p, kernel_basis_mod_p
 from g2frob.pcurvature import chart_constant
 
@@ -154,10 +154,11 @@ def test_methods_agree_on_randoms():
             assert b.forms == s.forms
 
 
-# (p, k, number of seeded curves): prime fields, F_9, F_25, F_27, F_49, and
-# two primes where brute takes about 0.1 s and 0.7 s per curve
+# (p, k, number of seeded curves): prime fields up to p = 101, and F_9, F_25,
+# F_27, F_49, F_169 and F_729; brute takes at most about 0.3 s per curve
 _DIFFERENTIAL_GRID = [(3, 1, 6), (5, 1, 6), (7, 1, 4), (11, 1, 3), (13, 1, 3),
-                      (3, 2, 4), (5, 2, 2), (3, 3, 2), (7, 2, 1), (31, 1, 1), (61, 1, 1)]
+                      (3, 2, 4), (5, 2, 2), (3, 3, 2), (7, 2, 1), (31, 1, 1), (61, 1, 1),
+                      (101, 1, 1), (13, 2, 1), (3, 6, 1)]
 
 
 @pytest.mark.parametrize("p,k,count", _DIFFERENTIAL_GRID)
@@ -338,13 +339,65 @@ def test_extension_scan_reaches_geometric_count(curve3):
 
 
 def test_brute_guard_on_large_fields():
-    F = make_field(3, 10)  # 3^10 = 59049 > 2^14
+    F = make_field(3, 10)  # 3^20 candidates > 2^22
     cv = random_curve(F, rng_for("cartier-guard"))
     with pytest.raises(FieldTooLargeForBrute):
         enumerate_p_torsion(cv, "brute")
     # the solver still runs
     ts = enumerate_p_torsion(cv, "semilinear")
     assert ts.is_subspace(F)
+    # the guard counts |F|^2 candidates: p = 2039 (4.2e6) is admitted, the
+    # next prime and the smallest fields of more than 2^11 elements are not
+    check_brute_limit(PrimeField(2039))
+    check_brute_limit(make_field(3, 6))
+    for F in (PrimeField(2053), make_field(3, 7), make_field(5, 5), make_field(7, 4),
+              make_field(13, 3)):
+        with pytest.raises(FieldTooLargeForBrute):
+            check_brute_limit(F)
+
+
+def _psi_of_pair(curve, a, b, xp, h, c0):
+    """The normal-form oracle: psi(d + (a + b x) dx/y) = T^p + theta0^(p-1)(T)
+    - c0 T for T = a + b x, with T^p = a^p + b^p x^p and theta0 linear over
+    constants."""
+    F = curve.field
+    cb = curve.constant(b)
+    T = curve.constant(a) + cb * curve.x()
+    cap, cbp = curve.constant(F.frobenius(a)), curve.constant(F.frobenius(b))
+    return cap + cbp * xp + cb * h - c0 * T
+
+
+def _row_oracle_curves():
+    F9 = make_field(3, 2)
+    # nine flat forms over F_9, among them pairs with b^3 != b
+    curves = [make_curve(F9, [F9.from_int(c) for c in (1, 0, 1, 2, 2, 1)])]
+    for F, count in ((PrimeField(3), 3), (PrimeField(5), 3), (PrimeField(7), 2), (F9, 2)):
+        rng = rng_for(f"cartier-rows-{F!r}")
+        curves += [random_curve(F, rng) for _ in range(count)]
+    return curves
+
+
+_ROW_CURVES = _row_oracle_curves()
+
+
+@pytest.mark.parametrize("curve", _ROW_CURVES,
+                         ids=[f"F{c.field.size}-{i}" for i, c in enumerate(_ROW_CURVES)])
+def test_psi_rows_against_normal_forms(curve):
+    # for every candidate, the row combination over D is the normal-form psi,
+    # and brute lists exactly the candidates whose psi is zero
+    F = curve.field
+    _, _, xp, h, c0 = _flat_form_data(curve)
+    D, na, alpha, beta = _psi_rows(curve, xp, h, c0)
+    flat = []
+    for a in F.elements():
+        for b in F.elements():
+            psi = _psi_of_pair(curve, a, b, xp, h, c0)
+            coords = list(_psi_coordinates(F, alpha, beta, a, b))
+            assert curve.element(coords[:na], coords[na:], D) == psi
+            if psi.is_zero():
+                flat.append((a, b))
+    assert 1 <= len(flat) < F.size ** 2
+    assert enumerate_p_torsion(curve, "brute").forms == tuple(sorted(flat))
 
 
 def test_canonical_connection(curve3, flat3):

@@ -82,6 +82,27 @@ def test_torsion_brute_guard_exit_code(capsys):
     assert json.loads(out)["kind"] == "FieldTooLargeForBrute"
 
 
+def test_brute_refused_on_candidates_before_any_derivation_step(tmp_path, capsys, monkeypatch):
+    # |F|^2 > 2^22 candidates at p = 2053, over F_{3^7} and in a scan row over
+    # F_{3^7}: exit 3 before brute's precomputation runs
+    from g2frob import cartier
+    from g2frob.exactnum import make_field
+    from g2frob.funcfield import Curve, curve_spec
+
+    steps = []
+    monkeypatch.setattr(cartier, "_flat_form_data", lambda curve: steps.append(curve))
+    for argv in ("torsion --p 2053 --f 1,2,3,4,5,1",
+                 "torsion --p 3 --ext-k 7 --f 2,0,1,1,1,1"):
+        code, out = run(capsys, *argv.split())
+        assert code == 3 and json.loads(out)["kind"] == "FieldTooLargeForBrute"
+    F = make_field(3, 7)
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps([curve_spec(Curve(F, [F.from_int(c) for c in (2, 0, 1, 1, 1, 1)]))]))
+    code, out = run(capsys, "scan", "--catalog", str(path))
+    assert code == 3 and json.loads(out)["kind"] == "FieldTooLargeForBrute"
+    assert not steps
+
+
 def test_torsion_over_extension(capsys):
     code, out = run(
         capsys, "torsion", "--p", "3", "--f", "2,0,1,1,1,1",
