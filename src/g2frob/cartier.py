@@ -20,7 +20,16 @@ x^5 f(1/x), whose constant term is 1 because f is monic of degree 5: its
 n-th power holds the coefficient of x^m of f^n at index 5n - m, so the row
 is read at indices (p-3)/2 and (p-1)/2.  Both runs divide only by k <= p-1,
 never by the singular k = p, where the recurrence would lose h_p.
-`poly.pow` stays as the oracle the tests compare against.
+
+A run is the field context's kernel `poly_power_top_two`, in the pattern of
+the `poly_*` kernels.  Over F_p it is a loop on plain ints: g has degree
+<= 5, so the window of the last five h_k is five locals, kept over the
+common denominator (k-1)!; a step takes the new numerator, multiplies the
+four older ones and the denominator by k, and one inverse at the end
+replaces the inverse of k per step, in O(1) memory.  Over F_{p^k} it is
+`poly.power_top_two_generic`, one field method call per operation and one
+inverse per step, which is also the oracle the tests run the F_p kernel
+against; `poly.pow` stays the oracle of the whole matrix.
 
 A global form omega = (a + b x) dx/y defines the connection d + omega on the
 structure sheaf; its p-curvature against the standard chart (omega0 = dx/y,
@@ -80,8 +89,9 @@ _DERIVATION_P_LIMIT = 1 << 14
 # brute tests |F|^2 candidates; at p = 2039 (4.2 * 10^6 of them) it takes
 # about 8 s, most of it derivation steps (module docstring)
 _BRUTE_CANDIDATE_LIMIT = 1 << 22
-# cartier_manin runs about 1.5 p recurrence steps, 7.8 s at p = 10^6 under
-# CPython 3.11 on a 2-vCPU VM; the limit keeps one matrix near half a minute
+# cartier_manin runs about 1.5 p recurrence steps, 1.7 s at p = 10^6 and
+# about 7 s at 2^22 under CPython 3.11 on a 2-vCPU VM (the F_p int kernel);
+# the limit stays until a sublinear path in p moves it
 _CARTIER_P_LIMIT = 1 << 22
 
 
@@ -144,30 +154,10 @@ def cartier_manin(curve: Curve) -> CartierManinMatrix:
 
 
 def _top_two_coefficients(F, g, n: int, top: int):
-    """The coefficients of x^top and x^(top-1) in g^n, for 1 <= top < p.
-
-    g is a coefficient tuple of degree >= 2 with g[0] != 0.  With d_j =
-    g_j / g0 the recurrence reads h_k = k^(-1) s1 - s2, where s1 = sum_j
-    (n + 1) j d_j h_{k-j} and s2 = sum_j d_j h_{k-j}; only the last deg g
-    values are kept.
-    """
-    p = F.char
-    g0_inv = F.inv(g[0])
-    terms = []
-    for j in range(1, len(g)):
-        if not F.is_zero(g[j]):
-            d = F.mul(g[j], g0_inv)
-            terms.append((j, d, F.mul(F.from_int((n + 1) * j), d)))
-    window = [F.zero()] * (len(g) - 2) + [F.pow(g[0], n)]  # ..., h_0
-    for k in range(1, top + 1):
-        s1 = s2 = F.zero()
-        for j, d, e in terms:
-            h = window[-j]
-            s1 = F.add(s1, F.mul(e, h))
-            s2 = F.add(s2, F.mul(d, h))
-        window.append(F.sub(F.mul(F.from_int(pow(k, -1, p)), s1), s2))
-        del window[0]
-    return window[-1], window[-2]
+    """The coefficients of x^top and x^(top-1) in g^n, for 1 <= top < p: one
+    run of the recurrence, the field's kernel `poly_power_top_two` (module
+    docstring).  g is a coefficient tuple of degree >= 2 with g[0] != 0."""
+    return F.poly_power_top_two(g, n, top)
 
 
 def is_ordinary(curve: Curve) -> bool:

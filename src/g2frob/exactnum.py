@@ -24,9 +24,11 @@ type: `char`, `size`, `degree`, `zero()`, `one()`, `from_int(n)`,
 the Frobenius in that basis as a k x k F_p-matrix ([[1]] on F_p), and the
 polynomial kernels `poly_normalize`, `poly_add`, `poly_sub`, `poly_neg`,
 `poly_scale`, `poly_derivative`, `poly_divide_at`, `poly_mul`, `poly_divmod`
-and `poly_gcd` behind the functions of `poly` of the same names.  F_p runs
-them as loops on the int coefficients with inline reduction mod p; F_{p^k}
-uses `poly`'s generic loops, one field method call per coefficient
+and `poly_gcd` behind the functions of `poly` of the same names, and
+`poly_power_top_two`, the Cartier-Manin recurrence run of `cartier`.  F_p
+runs them as loops on the int coefficients with inline reduction mod p
+(the recurrence over one common denominator, with one inverse per run);
+F_{p^k} uses `poly`'s generic loops, one field method call per coefficient
 operation.  Raw values of any
 field go to JSON and back through `raw_to_json` / `raw_from_json`, and raws
 of one field sort in the order of their JSON form.
@@ -251,6 +253,37 @@ class PrimeField:
         inv = pow(a[-1], -1, p)
         return tuple([c * inv % p for c in a])
 
+    def poly_power_top_two(self, g, n: int, top: int):
+        """`poly.power_top_two_generic` on ints, for deg g <= 5.
+
+        The window h_(k-1), ..., h_(k-5) is five locals w1..w5 over the
+        common denominator c = (k-1)!, so step k is
+            h_k = sum_j (e_j - k d_j) w_j / (k c),    e_j = (n + 1) j d_j:
+        the sum becomes w1, the four older entries are multiplied by k, and
+        c by k.  One inverse of c = top! at the end replaces the per-step
+        inverses of k; every k <= top < p is a unit.
+        """
+        p = self.p
+        if len(g) > 6:
+            raise RangeError(f"the F_p recurrence takes deg g <= 5, got {len(g) - 1}")
+        g0 = g[0] % p
+        if not g0:
+            raise NonUnitError("the recurrence needs g(0) != 0")
+        inv = pow(g0, -1, p)
+        d = [c * inv % p for c in g[1:]] + [0] * (6 - len(g))
+        d1, d2, d3, d4, d5 = d
+        e1, e2, e3, e4, e5 = [(n + 1) * j * c % p for j, c in enumerate(d, 1)]
+        w1, w2, w3, w4, w5, c = pow(g0, n, p), 0, 0, 0, 0, 1
+        for k in range(1, top + 1):
+            w1, w2, w3, w4, w5 = (
+                (e1 * w1 + e2 * w2 + e3 * w3 + e4 * w4 + e5 * w5
+                 - k * (d1 * w1 + d2 * w2 + d3 * w3 + d4 * w4 + d5 * w5)) % p,
+                w1 * k % p, w2 * k % p, w3 * k % p, w4 * k % p,
+            )
+            c = c * k % p
+        inv = pow(c, -1, p)
+        return w1 * inv % p, w2 * inv % p
+
     # -- enumeration / sampling -------------------------------------------
     def elements(self):
         return range(self.p)
@@ -404,6 +437,7 @@ class ExtField:
     poly_mul = poly.mul_generic
     poly_divmod = poly.divmod_generic
     poly_gcd = poly.gcd_generic
+    poly_power_top_two = poly.power_top_two_generic
 
     def elements(self):
         from itertools import product

@@ -542,6 +542,12 @@ class LocalRing:
         return self.add(u, self.neg(v))
 
     def mul(self, u, v):
+        """The product; the ring's one returns the other operand itself."""
+        one = self.one()
+        if u == one:
+            return v
+        if v == one:
+            return u
         F, (A, B, i), (C, E, j) = self.curve.field, u, v
         if not (A or B) or not (C or E):
             return self.zero()
@@ -574,8 +580,8 @@ class LocalRing:
         """theta(u) for theta(x) = c y / l^e by the one-step formula of the
         module docstring; c and e are read off theta(x)."""
         A, B, j = u
-        if not A and not B:
-            return u
+        if not B and not j and len(A) <= 1:  # a constant, zero included
+            return self.zero()
         F, c = self.curve.field, theta.value_on_x.B[0]
         nA = poly.add(F, poly.mul(F, _euler(F, B, j), self._phi),
                       _shift(F, poly.mul(F, B, self._psi), 1))

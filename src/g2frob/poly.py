@@ -12,13 +12,17 @@ kernels: `normalize`, `add`, `sub`, `neg`, `scale`, `derivative`,
 with inline reduction mod p; over F_{p^k} they are the generic loops at the
 end of this module (`add_generic`, ..., `gcd_generic`), one field method
 call per coefficient operation, which are also the test oracle for the F_p
-kernels.  Both are schoolbook products and
+kernels.  The same holds for `power_top_two_generic`, the Cartier-Manin
+recurrence run that `cartier` calls as `F.poly_power_top_two`: over F_p an
+int kernel with one inverse per run.  Products are schoolbook and gcds
 plain Euclid: degrees stay small (in a p = 13 `verify` the longest product
 has 37 coefficients and the median one 11), and at those sizes a
 Kronecker-packed product measured slower than the int loops.
 """
 
 from __future__ import annotations
+
+import builtins
 
 from .errors import DivisionByZero
 
@@ -207,3 +211,31 @@ def gcd_generic(F, a, b):
     while b:
         a, b = b, divmod_generic(F, a, b)[1]
     return monic(F, a)
+
+
+def power_top_two_generic(F, g, n: int, top: int):
+    """The coefficients of x^top and x^(top-1) in g^n, for 1 <= top < p, by
+    the recurrence of `cartier` (its module docstring).
+
+    g is a coefficient tuple of degree >= 2 with g[0] != 0.  With d_j =
+    g_j / g0 the recurrence reads h_k = k^(-1) s1 - s2, where s1 = sum_j
+    (n + 1) j d_j h_{k-j} and s2 = sum_j d_j h_{k-j}; only the last deg g
+    values are kept.  One inverse of k per step; the oracle of the F_p kernel.
+    """
+    p = F.char
+    g0_inv = F.inv(g[0])
+    terms = []
+    for j in range(1, len(g)):
+        if not F.is_zero(g[j]):
+            d = F.mul(g[j], g0_inv)
+            terms.append((j, d, F.mul(F.from_int((n + 1) * j), d)))
+    window = [F.zero()] * (len(g) - 2) + [F.pow(g[0], n)]  # ..., h_0
+    for k in range(1, top + 1):
+        s1 = s2 = F.zero()
+        for j, d, e in terms:
+            h = window[-j]
+            s1 = F.add(s1, F.mul(e, h))
+            s2 = F.add(s2, F.mul(d, h))
+        window.append(F.sub(F.mul(F.from_int(builtins.pow(k, -1, p)), s1), s2))
+        del window[0]
+    return window[-1], window[-2]

@@ -4,6 +4,7 @@ import pytest
 
 from g2frob import (
     FieldTooLargeForBrute,
+    NonUnitError,
     NotFlat,
     NotSquarefree,
     PrimeField,
@@ -99,6 +100,48 @@ def test_cartier_manin_recurrence_against_pow_oracle():
             A = cartier_manin(cv)
             assert A.matrix == _pow_oracle(cv), (F, cv.f)
             assert p_rank(cv) == A.p_rank()
+
+
+def _recurrence_shapes(F, rng):
+    """The shapes `cartier_manin` runs the recurrence on, from two random
+    monic quintics f, one with f(0) not in {0, 1} and one with f(0) = 0 and
+    f(1) not in {0, 1}: f itself, f / x, and both reversals, the second of
+    which ends in 0."""
+    p = F.char
+    f = (rng.randrange(2, p),) + tuple(F.random(rng) for _ in range(4)) + (1,)
+    fx = (0, rng.randrange(2, p)) + tuple(F.random(rng) for _ in range(3)) + (1,)
+    return f, fx[1:], f[::-1], fx[::-1]
+
+
+def test_fp_recurrence_kernel_against_generic_loop():
+    # the F_p int kernel against the field-method loop it replaces, both
+    # called on a PrimeField; every top at small p, the run lengths of
+    # cartier_manin at larger p
+    for p in (3, 5, 7, 11, 13, 31):
+        F = PrimeField(p)
+        rng = rng_for(f"cartier-kernel-{p}")
+        for _ in range(4):
+            for g in _recurrence_shapes(F, rng):
+                for n in ((p - 1) // 2, rng.randrange(1, 3 * p)):
+                    for top in range(1, p):
+                        assert F.poly_power_top_two(g, n, top) == \
+                            poly.power_top_two_generic(F, g, n, top), (p, g, n, top)
+    for p in (101, 1009, 65521):
+        F = PrimeField(p)
+        n = (p - 1) // 2
+        forward, shifted, reversal, reversal0 = _recurrence_shapes(
+            F, rng_for(f"cartier-kernel-{p}"))
+        for g, top in ((forward, p - 1), (shifted, p - 1 - n), (reversal, n), (reversal0, n)):
+            assert F.poly_power_top_two(g, n, top) == \
+                poly.power_top_two_generic(F, g, n, top), (p, g, top)
+
+
+def test_fp_recurrence_kernel_refuses_what_it_cannot_run():
+    F = PrimeField(7)
+    with pytest.raises(RangeError):
+        F.poly_power_top_two((1, 2, 3, 4, 5, 6, 1), 3, 6)  # deg g = 6
+    with pytest.raises(NonUnitError):
+        F.poly_power_top_two((0, 2, 3, 4, 5, 1), 3, 6)
 
 
 def test_coefficient_extraction_on_invalid_curve_input():
