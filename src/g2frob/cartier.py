@@ -72,6 +72,7 @@ among them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import poly
 from .errors import FieldTooLargeForBrute, G2FrobError, NotFlat, PrimeTooLarge, RangeError
@@ -104,8 +105,7 @@ class CartierManinMatrix:
     field: object
 
     def det(self):
-        F, m = self.field, self.matrix
-        return F.sub(F.mul(m[0][0], m[1][1]), F.mul(m[0][1], m[1][0]))
+        return _det2(self.field, self.matrix)
 
     def is_invertible(self) -> bool:
         return not self.field.is_zero(self.det())
@@ -179,11 +179,14 @@ def _mat2_mul(F, X, Y):
     )
 
 
+def _det2(F, M):
+    return F.sub(F.mul(M[0][0], M[1][1]), F.mul(M[0][1], M[1][0]))
+
+
 def _rank2(F, M) -> int:
     if all(F.is_zero(e) for row in M for e in row):
         return 0
-    det = F.sub(F.mul(M[0][0], M[1][1]), F.mul(M[0][1], M[1][0]))
-    return 2 if not F.is_zero(det) else 1
+    return 1 if F.is_zero(_det2(F, M)) else 2
 
 
 @dataclass(frozen=True)
@@ -487,14 +490,9 @@ def stabilization_degree(curve: Curve, k_max: int = 20000) -> int:
 
 
 def _mat2_pow(F, A, n: int):
-    """A^n for n >= 1, by squaring."""
-    out = None
-    while n:
-        if n & 1:
-            out = A if out is None else _mat2_mul(F, out, A)
-        A = _mat2_mul(F, A, A)
-        n >>= 1
-    return out
+    """A^n for n >= 0 (`poly.power`)."""
+    one = ((F.one(), F.zero()), (F.zero(), F.one()))
+    return poly.power(A, n, one, partial(_mat2_mul, F), None)
 
 
 # ---------------------------------------------------------------------------

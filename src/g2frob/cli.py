@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
@@ -89,18 +90,20 @@ def cmd_curve(args) -> int:
     return EXIT_OK
 
 
+def _torsion_fields(curve: Curve, ts) -> dict:
+    """The fields of a torsion set that `torsion` and each `scan` row print."""
+    return {
+        "torsionForms": ts.to_jsonable(),
+        "torsionCount": len(ts),
+        "torsionDim": ts.dimension(curve.p),
+        "isSubspace": ts.is_subspace(curve.field),
+    }
+
+
 def _torsion_payload(curve: Curve, method: str, crosscheck: bool) -> dict:
     ts = enumerate_p_torsion(curve, method=method)
     payload = _curve_payload(curve)
-    payload.update(
-        {
-            "method": method,
-            "torsionForms": ts.to_jsonable(),
-            "torsionCount": len(ts),
-            "torsionDim": ts.dimension(curve.p),
-            "isSubspace": ts.is_subspace(curve.field),
-        }
-    )
+    payload.update(method=method, **_torsion_fields(curve, ts))
     if crosscheck:
         other = "semilinear" if method == "brute" else "brute"
         ts2 = enumerate_p_torsion(curve, method=other)
@@ -171,16 +174,7 @@ def _scan_row(spec: dict, index: int, with_lemmas: bool) -> dict:
     row = _curve_payload(curve)
     ts_b = enumerate_p_torsion(curve, method="brute")
     ts_s = enumerate_p_torsion(curve, method="semilinear")
-    row.update(
-        {
-            "index": index,
-            "torsionForms": ts_b.to_jsonable(),
-            "torsionCount": len(ts_b),
-            "torsionDim": ts_b.dimension(curve.p),
-            "isSubspace": ts_b.is_subspace(F),
-            "agree": ts_b.forms == ts_s.forms,
-        }
-    )
+    row.update(index=index, agree=ts_b.forms == ts_s.forms, **_torsion_fields(curve, ts_b))
     if with_lemmas:
         statuses = []
         for ab_L in ts_b.nonzero(F):
@@ -369,9 +363,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` reuses: built on its first call, once per process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except ResourceGuardError as exc:
         print(_dump({"error": str(exc), "kind": type(exc).__name__}))

@@ -18,10 +18,11 @@ compatibility cheaply.
 Both field contexts share one interface, so callers never branch on the field
 type: `char`, `size`, `degree`, `zero()`, `one()`, `from_int(n)`,
 `from_coeffs(cs)` (at most `degree` ints in the basis below), `add`, `sub`,
-`neg`, `mul`, `inv`, `div`, `pow`, `frobenius`, `is_zero`, `eq`,
-`elements()`, `random(rng)`, `describe()`, `basis()`, the F_p-basis
-1, t, ..., t^(k-1) as raw values (just (1,) on F_p), `frobenius_matrix()`,
-the Frobenius in that basis as a k x k F_p-matrix ([[1]] on F_p), and the
+`neg`, `mul`, `inv`, `div`, `pow` (`poly.power` on F_{p^k}, the builtin on
+F_p), `frobenius`, `is_zero`, `eq`, `elements()`, `random(rng)`, `basis()`,
+the F_p-basis 1, t, ..., t^(k-1) as raw values (just (1,) on F_p),
+`frobenius_matrix()`, the Frobenius in that basis as a k x k F_p-matrix
+([[1]] on F_p), kept for the benchmark's input generator, and the
 polynomial kernels `poly_normalize`, `poly_add`, `poly_sub`, `poly_neg`,
 `poly_scale`, `poly_derivative`, `poly_divide_at`, `poly_mul`, `poly_divmod`
 and `poly_gcd` behind the functions of `poly` of the same names, and
@@ -300,9 +301,6 @@ class PrimeField:
     def __repr__(self):
         return f"PrimeField({self.p})"
 
-    def describe(self) -> dict:
-        return {"p": self.p}
-
 
 class ExtField:
     """F_{p^k} presented as F_p[t] modulo a monic irreducible of degree k.
@@ -407,15 +405,7 @@ class ExtField:
         return self.mul(a, self.inv(b))
 
     def pow(self, a, n: int):
-        if n < 0:
-            return self.inv(self.pow(a, -n))
-        r = self.one()
-        while n:
-            if n & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            n >>= 1
-        return r
+        return poly.power(a, n, self.one(), self.mul, self.inv)
 
     def frobenius(self, a):
         return self.pow(a, self.p)
@@ -469,9 +459,6 @@ class ExtField:
 
     def __repr__(self):
         return f"ExtField(p={self.p}, modulus={list(self.modulus)})"
-
-    def describe(self) -> dict:
-        return {"p": self.p, "k": self.k, "modulus": list(self.modulus)}
 
 
 class DualRing:
@@ -533,15 +520,7 @@ class DualRing:
         return self.mul(u, self.inv(v))
 
     def pow(self, u, n: int):
-        if n < 0:
-            return self.inv(self.pow(u, -n))
-        r = self.one()
-        while n:
-            if n & 1:
-                r = self.mul(r, u)
-            u = self.mul(u, u)
-            n >>= 1
-        return r
+        return poly.power(u, n, self.one(), self.mul, self.inv)
 
     def frobenius(self, u):
         raise UnsupportedRing(

@@ -63,7 +63,7 @@ from .errors import (
     RangeError,
     ZeroDifferential,
 )
-from .exactnum import ExtField, coords, make_field, raw_to_json
+from .exactnum import ExtField, coords, field_arith, make_field, raw_to_json
 
 
 class Curve:
@@ -74,9 +74,10 @@ class Curve:
     gcd normal form, and `d_coefficient` is its one derivative.  Its
     `is_zero`, `lift` and `deriv` make it the ring context of the
     p-curvature engine over K (DualRing(curve) is the one over K[eps]).
-    `degree_cap` bounds the polynomial degrees appearing in normal forms;
-    derivation towers grow degrees steadily and the cap turns a blowup into
-    an explicit DegreeOverflow instead of a memory grab.
+    Its attribute `degree_cap`, 64 p + 400 and not a constructor parameter,
+    bounds the polynomial degrees appearing in normal forms; derivation
+    towers grow degrees steadily and the cap turns a blowup into an explicit
+    DegreeOverflow instead of a memory grab.
 
     The curve also owns a memo (`memo`) of the results that the lemma checks
     ask for again and again:
@@ -101,7 +102,7 @@ class Curve:
     __slots__ = ("field", "f", "fprime", "degree_cap", "_half_fprime", "_memo",
                  "_inv_y")
 
-    def __init__(self, field, f_coeffs, degree_cap: int | None = None):
+    def __init__(self, field, f_coeffs):
         if field.char == 2:
             raise EvenCharacteristic("the curve model needs p odd")
         f = poly.normalize(field, tuple(f_coeffs))
@@ -114,7 +115,7 @@ class Curve:
         self.field = field
         self.f = f
         self.fprime = poly.derivative(field, f)
-        self.degree_cap = degree_cap if degree_cap is not None else 64 * field.char + 400
+        self.degree_cap = 64 * field.char + 400
         self._half_fprime = poly.scale(field, self.fprime, field.inv(field.from_int(2)))
         self._memo = {}
         self._inv_y = FunctionFieldElement(self, (), poly.one(field), f)
@@ -280,15 +281,7 @@ class Curve:
         return theta.apply(u)
 
     def pow(self, u, n: int):
-        if n < 0:
-            return self.inv(self.pow(u, -n))
-        r = self.one()
-        while n:
-            if n & 1:
-                r = self.mul(r, u)
-            u = self.mul(u, u)
-            n >>= 1
-        return r
+        return poly.power(u, n, self.one(), self.mul, self.inv)
 
     # -- the canonical derivation d ----------------------------------------
     def d_coefficient(self, u) -> "FunctionFieldElement":
@@ -318,11 +311,6 @@ class Curve:
         """(a + b x) dx / y for raw field values a, b."""
         g = self.mul(self.from_poly(poly.normalize(self.field, (a, b))), self._inv_y)
         return Differential(self, g)
-
-    def describe(self) -> dict:
-        desc = self.field.describe()
-        desc["f"] = _f_json(self)
-        return desc
 
     def __repr__(self):
         return f"Curve({self.field!r}, f={self.f})"
@@ -612,19 +600,15 @@ def _euler(F, a, j: int):
 # module-level operations (the public surface)
 # ---------------------------------------------------------------------------
 
-def make_curve(field, f_coeffs, degree_cap: int | None = None) -> Curve:
+def make_curve(field, f_coeffs) -> Curve:
     """Validate and build a curve; raises EvenCharacteristic / DegreeNotFive /
     NotSquarefree on bad input."""
-    return Curve(field, f_coeffs, degree_cap)
+    return Curve(field, f_coeffs)
 
 
 def k_arith(u: FunctionFieldElement, v: FunctionFieldElement, op: str) -> FunctionFieldElement:
-    cv = u.curve
-    try:
-        fn = {"add": cv.add, "sub": cv.sub, "mul": cv.mul, "div": cv.div}[op]
-    except KeyError:
-        raise RangeError(f"unknown operation {op!r}") from None
-    return fn(u, v)
+    """`field_arith` on K, the curve as the ring context."""
+    return field_arith(u.curve, u, v, op)
 
 
 def canonical_d(u: FunctionFieldElement) -> Differential:
@@ -684,7 +668,7 @@ def hyperelliptic_involution(v):
 # catalog interchange: {"p": int, "ext": optional modulus coeffs, "f": [c0..c5]}
 # ---------------------------------------------------------------------------
 
-def curve_from_spec(spec: dict, degree_cap: int | None = None) -> Curve:
+def curve_from_spec(spec: dict) -> Curve:
     """Build a curve from its catalog record.  A coefficient is an int, or a
     list of at most k ints in the basis 1, t, ..., t^(k-1) of F_{p^k}."""
     if not isinstance(spec, dict) or "p" not in spec or "f" not in spec:
@@ -699,7 +683,7 @@ def curve_from_spec(spec: dict, degree_cap: int | None = None) -> Curve:
     if not all(isinstance(c, int) or _is_int_list(c) for c in f):
         raise RangeError("each coefficient of 'f' must be an int or a list of ints")
     coeffs = [field.from_coeffs(c if isinstance(c, list) else [c]) for c in f]
-    return Curve(field, coeffs, degree_cap)
+    return Curve(field, coeffs)
 
 
 def _is_int_list(v) -> bool:
@@ -727,12 +711,12 @@ def curve_id(curve: Curve) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def random_curve(field, rng, degree_cap: int | None = None) -> Curve:
+def random_curve(field, rng) -> Curve:
     """Rejection-sample a monic squarefree quintic; deterministic given rng state."""
     while True:
         coeffs = [field.random(rng) for _ in range(5)] + [field.one()]
         try:
-            return Curve(field, coeffs, degree_cap)
+            return Curve(field, coeffs)
         except NotSquarefree:
             continue
 

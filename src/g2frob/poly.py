@@ -5,6 +5,10 @@ zero polynomial.  Index i holds the coefficient of x^i.  All functions take
 the field context as their first argument and never mutate their inputs, so
 polynomials can be shared freely.
 
+`power` is the package's one square-and-multiply loop, in any ring given by
+its one, product and inverse: `pow` here, the `pow` of `ExtField`, `DualRing`
+and `Curve`, and `cartier`'s 2 x 2 matrix powers (`exactnum` imports `poly`).
+
 Every coefficient loop dispatches to the field context's polynomial
 kernels: `normalize`, `add`, `sub`, `neg`, `scale`, `derivative`,
 `divide_at`, `mul`, `divmod_` and `gcd` call `F.poly_normalize`,
@@ -23,6 +27,7 @@ Kronecker-packed product measured slower than the int loops.
 from __future__ import annotations
 
 import builtins
+from functools import partial
 
 from .errors import DivisionByZero
 
@@ -78,14 +83,23 @@ def mul(F, a, b):
     return F.poly_mul(a, b)
 
 
-def pow(F, a, n: int):  # noqa: A001 - deliberate, mirrors the ring interface
-    r = one(F)
+def power(a, n: int, one, mul, inv):
+    """a^n by square-and-multiply (module docstring); inv(a^(-n)) for n < 0,
+    so `inv` may be None where n >= 0."""
+    if n < 0:
+        return inv(power(a, -n, one, mul, inv))
+    r = one
     while n:
         if n & 1:
-            r = mul(F, r, a)
-        a = mul(F, a, a)
+            r = mul(r, a)
+        a = mul(a, a)
         n >>= 1
     return r
+
+
+def pow(F, a, n: int):  # noqa: A001 - deliberate, mirrors the ring interface
+    """a^n for n >= 0."""
+    return power(a, n, one(F), partial(mul, F), None)
 
 
 def divmod_(F, a, b):

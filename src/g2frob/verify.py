@@ -6,7 +6,8 @@ is allowed to be special.  A report carries its witness data, so a violated
 status can be re-verified independently by re-running the stated computation
 on the witness, on a fresh copy of the curve (see `recheck`).
 
-The three checks:
+The three checks take each form as the pair (a, b) of (a + b x) dx/y, raws
+of the curve's field or ints, and a witness names it as {"a", "b"}.
 
 * check_two_sums: for a nonzero flat form omega_L with dual derivation
   theta_L, and an independent global form omega with ratio x = omega/omega_L,
@@ -95,6 +96,8 @@ from .pcurvature import ConnectionMatrix, is_flat, p_curvature_matrix
 # |F|^6 deformation triples, each two K[eps] engine runs of about p^2 work
 # (1.4 ms a triple at p = 5, 2.5 ms at p = 7), times p^2
 _BRUTE_WORK_LIMIT = 1 << 20
+# evenly spaced brute triples whose auxiliary recursion meets its closed forms
+_CLOSED_FORM_SAMPLES = 16
 
 
 @dataclass(frozen=True)
@@ -132,10 +135,9 @@ class RigiditySolutionSet:
         ]
 
 
-def _as_global_form(curve: Curve, omega):
-    if isinstance(omega, Differential):
-        return omega, None
-    a, b = omega
+def _as_global_form(curve: Curve, ab):
+    """(a + b x) dx/y and (a, b) as raws, for a pair of raws or of ints."""
+    a, b = ab
     if isinstance(a, int):
         a, b = curve.field.from_int(a), curve.field.from_int(b)
     return curve.global_form(a, b), (a, b)
@@ -223,18 +225,20 @@ def _two_sums_status(x, S1, S2) -> str:
     return "holds" if not S1.is_zero() and not S2.is_zero() else "violated"
 
 
-def check_two_sums(curve: Curve, omega_L, omega) -> LemmaReport:
+def check_two_sums(curve: Curve, ab_L, ab) -> LemmaReport:
+    """The two-sums lemma for the flat form omega_L and the second form omega,
+    given as (a, b) pairs of (a + b x) dx/y, raws or ints."""
     t0 = time.perf_counter()
-    omega_L, ab_L = _as_global_form(curve, omega_L)
-    omega, ab = _as_global_form(curve, omega)
+    omega_L, ab_L = _as_global_form(curve, ab_L)
+    omega, ab = _as_global_form(curve, ab)
     x, S1, S2 = line_sums(curve, omega_L, omega)
     return LemmaReport(
         curve_id=curve_id(curve),
         lemma_id="two-sums-nonvanishing",
         status=_two_sums_status(x, S1, S2),
         witness={
-            "omegaL": _form_witness(ab_L, omega_L),
-            "omega": _form_witness(ab, omega),
+            "omegaL": _form_witness(ab_L),
+            "omega": _form_witness(ab),
             "x": _ffe_witness(x),
             "S1": _ffe_witness(S1),
             "S2": _ffe_witness(S2),
@@ -266,13 +270,14 @@ def _offdiag_psi(curve: Curve, R, omega_L: Differential, omega: Differential, x)
     return upper, lower
 
 
-def check_offdiag_closed_forms(curve: Curve, omega_L, omega) -> LemmaReport:
+def check_offdiag_closed_forms(curve: Curve, ab_L, ab) -> LemmaReport:
     """Engine p-curvature of the triangular connections vs the two sums read
-    off the line's orbit (`line_sums`); the engine runs once per pair of
-    multiples {s, -s} (`_offdiag_psi`)."""
+    off the line's orbit (`line_sums`), for forms given as in
+    `check_two_sums`; the engine runs once per pair of multiples {s, -s}
+    (`_offdiag_psi`)."""
     t0 = time.perf_counter()
-    omega_L, ab_L = _as_global_form(curve, omega_L)
-    omega, ab = _as_global_form(curve, omega)
+    omega_L, ab_L = _as_global_form(curve, ab_L)
+    omega, ab = _as_global_form(curve, ab)
     R, x, S1, S2, S1_l, S2_l = _line_data(curve, omega_L, omega)
     psi_upper, psi_lower = _offdiag_psi(curve, R, omega_L, omega, x)
     ok = (
@@ -293,8 +298,8 @@ def check_offdiag_closed_forms(curve: Curve, omega_L, omega) -> LemmaReport:
         lemma_id="offdiag-closed-forms",
         status="holds" if ok else "violated",
         witness={
-            "omegaL": _form_witness(ab_L, omega_L),
-            "omega": _form_witness(ab, omega),
+            "omegaL": _form_witness(ab_L),
+            "omega": _form_witness(ab),
             "S1": _ffe_witness(S1),
             "S2": _ffe_witness(S2),
             "psiUpperOffdiag": witness(psi_upper[0][1], S1, S1_l),
@@ -375,13 +380,9 @@ def closed_form_rows(curve: Curve, theta_L: Derivation, f11, f12, f21, n: int):
     return out
 
 
-def rigidity_scan(
-    curve: Curve,
-    omega_L,
-    mode: str = "brute",
-    closed_form_samples: int = 16,
-):
-    """Enumerate traceless first-order deformations with vanishing p-curvature.
+def rigidity_scan(curve: Curve, ab_L, mode: str = "brute"):
+    """Enumerate traceless first-order deformations with vanishing p-curvature
+    of the split connection of omega_L = (a + b x) dx/y, (a, b) = ab_L.
 
     Returns (RigiditySolutionSet, LemmaReport).  Status is "holds" iff the
     solution set equals the conjugation-trivial family
@@ -389,19 +390,17 @@ def rigidity_scan(
     identity held for every scanned deformation (brute mode).
     """
     t0 = time.perf_counter()
-    omega_L, ab_L = _as_global_form(curve, omega_L)
+    omega_L, ab_L = _as_global_form(curve, ab_L)
     theta_L = require_torsion(curve, omega_L)
     if mode == "brute":
-        sols, identity_ok, identity_total, closed_ok = _rigidity_brute(
-            curve, theta_L, omega_L, closed_form_samples
-        )
+        sols, identity_ok, identity_total, closed_ok = _rigidity_brute(curve, theta_L, omega_L)
     elif mode == "linear":
         sols = _rigidity_linear(curve, omega_L)
         identity_ok = identity_total = 0
         closed_ok = True
     else:
         raise RangeError(f"unknown mode {mode!r}")
-    family = _trivial_family(curve, ab_L, omega_L)
+    family = _trivial_family(curve.field, ab_L)
     is_family = sols == family
     status = "holds" if is_family and (mode == "linear" or (identity_ok == identity_total and closed_ok)) else "violated"
     solset = RigiditySolutionSet(
@@ -415,7 +414,7 @@ def rigidity_scan(
         lemma_id="split-connection-rigidity",
         status=status,
         witness={
-            "omegaL": _form_witness(ab_L, omega_L),
+            "omegaL": _form_witness(ab_L),
             "solutionCount": len(sols),
             "familyCount": len(family),
             "isTrivialFamily": is_family,
@@ -435,7 +434,7 @@ def check_brute_rigidity(curve: Curve):
         raise FieldTooLargeForBrute(f"{q * q}^3 deformation triples at p = {p} exceed the guard")
 
 
-def _rigidity_brute(curve, theta_L, omega_L, closed_form_samples):
+def _rigidity_brute(curve, theta_L, omega_L):
     """Every triple through the engine over the chart's l-local ring R; the
     scalar shifts and the sampled closed forms come from K."""
     check_brute_rigidity(curve)
@@ -448,7 +447,7 @@ def _rigidity_brute(curve, theta_L, omega_L, closed_form_samples):
     sols = []
     identity_ok = identity_total = 0
     closed_ok = True
-    sample_step = max(1, len(pairs) ** 3 // max(closed_form_samples, 1))
+    sample_step = max(1, len(pairs) ** 3 // _CLOSED_FORM_SAMPLES)
     idx = 0
     for ab11 in pairs:
         for ab12 in pairs:
@@ -510,23 +509,11 @@ def _rigidity_linear(curve, omega_L):
     return tuple(sorted(sols))
 
 
-def _trivial_family(curve: Curve, ab_L, omega_L: Differential):
-    F = curve.field
-    if ab_L is None:
-        # recover (a, b) from the differential: g * y must be a + b x
-        gy = omega_L.g * curve.y()
-        if gy.B != () or len(gy.D) != 1 or len(gy.A) > 2:
-            raise RangeError("omega_L is not a global form")
-        ab_L = (poly.coefficient(F, gy.A, 0), poly.coefficient(F, gy.A, 1))
-    aL, bL = ab_L
+def _trivial_family(F, ab_L):
+    """{(0, c1 omega_L, c2 omega_L)} as sorted triples of (a, b) pairs."""
     zero = (F.zero(), F.zero())
-    fam = []
-    for c1 in F.elements():
-        for c2 in F.elements():
-            fam.append(
-                (zero, (F.mul(c1, aL), F.mul(c1, bL)), (F.mul(c2, aL), F.mul(c2, bL)))
-            )
-    return tuple(sorted(set(fam)))
+    multiples = {(F.mul(c, ab_L[0]), F.mul(c, ab_L[1])) for c in F.elements()}
+    return tuple(sorted((zero, u, v) for u in multiples for v in multiples))
 
 
 def _ffe_witness(u: FunctionFieldElement):
@@ -537,10 +524,8 @@ def _ffe_witness(u: FunctionFieldElement):
     }
 
 
-def _form_witness(ab, omega: Differential):
-    if ab is not None:
-        return {"a": raw_to_json(ab[0]), "b": raw_to_json(ab[1])}
-    return {"g": _ffe_witness(omega.g)}
+def _form_witness(ab):
+    return {"a": raw_to_json(ab[0]), "b": raw_to_json(ab[1])}
 
 
 def recheck(curve: Curve, report: LemmaReport) -> bool:
@@ -549,30 +534,26 @@ def recheck(curve: Curve, report: LemmaReport) -> bool:
 
     The computation runs on a fresh copy of the curve, so nothing comes from
     the memo of the curve that produced the report."""
-    curve = Curve(curve.field, curve.f, curve.degree_cap)
+    curve = Curve(curve.field, curve.f)
     w = report.witness
     if report.lemma_id == "two-sums-nonvanishing":
         # the direct per-form sums, not the line's orbit that made the report
-        omega_L, _ = _as_global_form(curve, _witness_form(curve, w["omegaL"]))
-        omega, _ = _as_global_form(curve, _witness_form(curve, w["omega"]))
+        omega_L, _ = _as_global_form(curve, _witness_form(w["omegaL"]))
+        omega, _ = _as_global_form(curve, _witness_form(w["omega"]))
         x = omega.ratio(omega_L)
         S1, S2 = two_sums(curve, require_torsion(curve, omega_L), x)
         return _two_sums_status(x, S1, S2) == report.status and \
             _ffe_witness(S1) == w["S1"] and _ffe_witness(S2) == w["S2"]
     if report.lemma_id == "offdiag-closed-forms":
-        fresh = check_offdiag_closed_forms(curve, _witness_form(curve, w["omegaL"]),
-                                           _witness_form(curve, w["omega"]))
+        fresh = check_offdiag_closed_forms(curve, _witness_form(w["omegaL"]),
+                                           _witness_form(w["omega"]))
         return fresh.status == report.status
     if report.lemma_id == "split-connection-rigidity":
-        _, fresh = rigidity_scan(curve, _witness_form(curve, w["omegaL"]),
-                                 mode=w["mode"])
+        _, fresh = rigidity_scan(curve, _witness_form(w["omegaL"]), mode=w["mode"])
         return fresh.status == report.status and \
             fresh.witness["solutionCount"] == w["solutionCount"]
     raise RangeError(f"unknown lemma id {report.lemma_id!r}")
 
 
-def _witness_form(curve: Curve, wf: dict):
-    if "a" in wf:
-        return (raw_from_json(wf["a"]), raw_from_json(wf["b"]))
-    g = curve.element(*(tuple(raw_from_json(c) for c in wf["g"][k]) for k in "ABD"))
-    return Differential(curve, g)
+def _witness_form(wf: dict):
+    return raw_from_json(wf["a"]), raw_from_json(wf["b"])

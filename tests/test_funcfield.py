@@ -196,7 +196,8 @@ def test_involution(curve3):
 
 def test_degree_overflow():
     F = PrimeField(3)
-    cv = Curve(F, poly.from_ints(F, CERTIFIED[3][0]), degree_cap=8)
+    cv = Curve(F, poly.from_ints(F, CERTIFIED[3][0]))
+    cv.degree_cap = 8
     theta0 = dual_derivation(cv.basis_forms()[0])
     with pytest.raises(DegreeOverflow):
         iterate_derivation(theta0, cv.x(), 12)

@@ -217,3 +217,53 @@ def test_curve_squarefree_gcd_near_2_to_61():
     assert poly.gcd(F, f, poly.derivative(F, f)) == poly.from_ints(F, [-2, 1])
     with pytest.raises(NotSquarefree):
         make_curve(F, list(f))
+
+
+def test_pow_methods_against_repeated_multiplication():
+    # every ring's `pow` against n - 1 products (n = 0..9), and a^(-n) against
+    # the n-th product of the inverse (n = 1..3) wherever a is a unit
+    from g2frob import Curve, DualRing, make_field
+    from g2frob.cartier import _mat2_mul, _mat2_pow
+
+    from conftest import CERTIFIED, make_random_element
+
+    rng = rng_for("pow-methods")
+
+    def check(pow_, mul, one, inv, values):
+        for a in values:
+            prod = one
+            for n in range(10):
+                assert pow_(a, n) == prod, (a, n)
+                prod = mul(prod, a)
+            if inv is None:
+                continue
+            ia, prod = inv(a), one
+            for n in range(1, 4):
+                prod = mul(prod, ia)
+                assert pow_(a, -n) == prod, (a, -n)
+                assert mul(pow_(a, -n), pow_(a, n)) == one
+
+    fields = (PrimeField(7), ExtField(3, (1, 0, 1)), make_field(5, 3))
+    for F in fields:
+        units = [F.random(rng) for _ in range(8)]
+        units = [a for a in units if not F.is_zero(a)]
+        check(F.pow, F.mul, F.one(), F.inv, units)
+        check(F.pow, F.mul, F.one(), None, [F.zero()])
+        polys = [rand_poly(F, rng) for _ in range(6)]
+        check(lambda a, n: poly.pow(F, a, n), lambda a, b: poly.mul(F, a, b),
+              poly.one(F), None, polys)
+        D = DualRing(F)
+        duals = [(a, F.random(rng)) for a in units[:4]]
+        check(D.pow, D.mul, D.one(), D.inv, duals)
+        check(D.pow, D.mul, D.one(), None, [(F.zero(), F.one())])
+    cv = Curve(PrimeField(5), CERTIFIED[5][0])
+    elements = [make_random_element(cv, rng, max_deg=2) for _ in range(3)]
+    check(cv.pow, cv.mul, cv.one(), cv.inv, elements + [cv.x(), cv.y()])
+    # 2 x 2 matrices, n >= 1: _mat2_pow is only asked for positive powers
+    for F in fields[:2]:
+        for _ in range(4):
+            A = tuple(tuple(F.random(rng) for _ in range(2)) for _ in range(2))
+            prod = A
+            for n in range(1, 10):
+                assert _mat2_pow(F, A, n) == prod, (A, n)
+                prod = _mat2_mul(F, prod, A)

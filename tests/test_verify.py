@@ -15,6 +15,7 @@ from g2frob.verify import (
     check_offdiag_closed_forms,
     check_two_sums,
     closed_form_rows,
+    require_torsion,
     rigidity_scan,
     two_sums,
 )
@@ -89,15 +90,15 @@ def test_two_sums_rejects_non_torsion(curve3):
 
 def test_checks_refuse_a_flat_form_that_is_not_global(curve5):
     # dx/x is flat (d + du/u has p-curvature zero) but not a global form:
-    # its dual derivation theta(x) = x has no l-local ring to run in
+    # its dual derivation theta(x) = x has no l-local ring to run in, and
+    # require_torsion, which every check runs first, refuses it
     from g2frob.funcfield import Differential
     from g2frob.pcurvature import is_flat
 
-    F, log_x = curve5.field, Differential(curve5, curve5.x().inverse())
+    log_x = Differential(curve5, curve5.x().inverse())
     assert is_flat(log_x)
-    for check in (check_two_sums, check_offdiag_closed_forms):
-        with pytest.raises(NotTorsion):
-            check(curve5, log_x, (F.one(), F.zero()))
+    with pytest.raises(NotTorsion):
+        require_torsion(curve5, log_x)
 
 
 def test_offdiag_closed_forms_hold(curve3, curve5):
