@@ -143,21 +143,14 @@ def cartier_manin(curve: Curve) -> CartierManinMatrix:
     def matrix():
         n = (p - 1) // 2
         v = 1 if F.is_zero(f[0]) else 0
-        row1 = _top_two_coefficients(F, f[v:], n, p - 1 - v * n)
+        row1 = F.poly_power_top_two(f[v:], n, p - 1 - v * n)
         # x^(2p-1) and x^(2p-2) of f^n sit at (p-3)/2 and (p-1)/2 of the reversal
-        top, below = _top_two_coefficients(F, f[::-1], n, (p - 1) // 2)
+        top, below = F.poly_power_top_two(f[::-1], n, (p - 1) // 2)
         return CartierManinMatrix(
             curve_id=curve_id(curve), matrix=(row1, (below, top)), field=F
         )
 
     return curve.memo(("cartier_manin",), matrix)
-
-
-def _top_two_coefficients(F, g, n: int, top: int):
-    """The coefficients of x^top and x^(top-1) in g^n, for 1 <= top < p: one
-    run of the recurrence, the field's kernel `poly_power_top_two` (module
-    docstring).  g is a coefficient tuple of degree >= 2 with g[0] != 0."""
-    return F.poly_power_top_two(g, n, top)
 
 
 def is_ordinary(curve: Curve) -> bool:

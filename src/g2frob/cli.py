@@ -36,7 +36,13 @@ from .funcfield import (
     line_representative,
     random_curve,
 )
-from .verify import check_brute_rigidity, check_offdiag_closed_forms, check_two_sums, rigidity_scan
+from .verify import (
+    check_brute_rigidity,
+    check_lemma_work,
+    check_offdiag_closed_forms,
+    check_two_sums,
+    rigidity_scan,
+)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -131,6 +137,7 @@ def _verify_payload(curve: Curve, rigidity_mode: str | None) -> dict:
     lemmas = []
     basis_pairs = [(F.one(), F.zero()), (F.zero(), F.one())]
     nonzero = ts.nonzero(F)
+    check_lemma_work(curve, len(nonzero) // (curve.p - 1))  # before any orbit
     for ab_L in nonzero:
         for ab in basis_pairs:
             lemmas.append(check_two_sums(curve, ab_L, ab).to_jsonable())

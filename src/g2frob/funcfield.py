@@ -10,15 +10,9 @@ equal iff their normal forms are identical, which makes equality testing
 and zero testing trivial.
 
 Curve's arithmetic builds every normal form by `Curve._make`, which divides
-out the common factor of A, B and D.  Its cost is that gcd, so the arithmetic keeps the
-candidates small:
+out the common factor of A, B and D.  Its cost is that gcd, so the
+arithmetic keeps the candidates small:
 
-* Sums follow Henrici (J. ACM 3, 1956).  With g = gcd(uD, vD), u + v is
-  (uN vD/g + vN uD/g) / (uD vD/g), N the numerator A + B y.  A prime pi
-  that divides uD/g but not vD/g leaves the numerator congruent to
-  uN vD/g mod pi, so it would divide uA, uB and uD, against the normal form
-  of u; symmetrically for vD/g.  Any common factor therefore divides g, and
-  `_make` takes its gcd against g alone (none at all when g = 1).
 * A derivative is put over the one denominator D^2 f: du = g dx with
   g = (f (A'D - AD') + (f (B'D - BD') + B f' D / 2) y) / (D^2 f), from the
   quotient rule and dy = f'/(2y) dx = f' y/(2f) dx, and reduced once.
@@ -79,22 +73,10 @@ class Curve:
     towers grow degrees steadily and the cap turns a blowup into an explicit
     DegreeOverflow instead of a memory grab.
 
-    The curve also owns a memo (`memo`) of the results that the lemma checks
-    ask for again and again:
-      * the Cartier-Manin matrix;
-      * the dual derivation of each chart, and each `LocalRing`;
-      * per F_p-line of forms (`line_representative`): the flatness check,
-        the chart constant <omega0, theta0^p>, and for a flat line
-        (`verify`) and each basis form the ratio x to the line's
-        representative with the theta_L-orbit of x over one power of l;
-      * per flat form: its two sums with each second form;
-      * per flat form -s omega_L and second form, until its off-diagonal
-        report takes them (`take`): the two engine matrices that the
-        report of s omega_L read through the flat twist (`verify`);
-      * the two sums of the direct per-form oracle (`verify.two_sums`).
-    Each value is a few function field elements or field values, never a
-    derivation tower, and the memo lives exactly as long as the curve: one
-    CLI call, or one scan row.  Next to it the curve keeps 1/y = y/f, which
+    The curve also owns a memo (`memo`): each module that asks for a
+    result again and again keys it there, under a tuple that begins with a
+    name of its own.  A value lives exactly as long as the curve: one CLI
+    call, or one scan row.  Next to it the curve keeps 1/y = y/f, which
     is a normal form as it stands (f is monic and gcd(0, 1, f) = 1), so
     `global_form` and `basis_forms` invert nothing.
     """
@@ -135,15 +117,6 @@ class Curve:
             self._memo[key] = compute()
         return self._memo[key]
 
-    def stash(self, key, value):
-        """Store `value` under `key` for one later reader (`take`)."""
-        self._memo[key] = value
-
-    def take(self, key):
-        """The value stashed under `key`, removed from the memo; None if
-        there is none."""
-        return self._memo.pop(key, None)
-
     # -- element constructors ----------------------------------------------
     def element(self, A, B=(), D=None) -> "FunctionFieldElement":
         if D is None:
@@ -176,19 +149,15 @@ class Curve:
     def y(self) -> "FunctionFieldElement":
         return FunctionFieldElement(self, (), poly.one(self.field), poly.one(self.field))
 
-    def _make(self, A, B, D, *, bound=None) -> "FunctionFieldElement":
-        """The normal form of (A + B y) / D.  `bound`, when given, is a
-        polynomial that every common factor of A, B and D divides; the gcd is
-        then taken against it instead of D."""
+    def _make(self, A, B, D) -> "FunctionFieldElement":
+        """The normal form of (A + B y) / D."""
         F = self.field
         if poly.is_zero(D):
             raise DivisionByZero("zero denominator in function field element")
         if poly.is_zero(A) and poly.is_zero(B):
             return FunctionFieldElement(self, (), (), poly.one(F))
-        if bound is None:
-            bound = D
-        if poly.degree(bound) > 0:
-            g = poly.gcd(F, B, poly.gcd(F, A, bound))
+        if poly.degree(D) > 0:
+            g = poly.gcd(F, B, poly.gcd(F, A, D))
             if poly.degree(g) > 0:
                 A = poly.divmod_(F, A, g)[0]
                 B = poly.divmod_(F, B, g)[0]
@@ -207,21 +176,14 @@ class Curve:
 
     # -- arithmetic (operands assumed to be elements of this curve's K) -----
     def add(self, u, v):
-        """Henrici's sum (module docstring): the reduction runs against
-        g = gcd(uD, vD) only."""
         if u.is_zero():
             return v
         if v.is_zero():
             return u
         F = self.field
-        ud, vd, g = u.D, v.D, poly.one(F)
-        if len(ud) > 1 and len(vd) > 1:
-            g = poly.gcd(F, ud, vd)
-            if len(g) > 1:
-                ud, vd = poly.divmod_(F, ud, g)[0], poly.divmod_(F, vd, g)[0]
-        A = poly.add(F, poly.mul(F, u.A, vd), poly.mul(F, v.A, ud))
-        B = poly.add(F, poly.mul(F, u.B, vd), poly.mul(F, v.B, ud))
-        return self._make(A, B, poly.mul(F, u.D, vd), bound=g)
+        A = poly.add(F, poly.mul(F, u.A, v.D), poly.mul(F, v.A, u.D))
+        B = poly.add(F, poly.mul(F, u.B, v.D), poly.mul(F, v.B, u.D))
+        return self._make(A, B, poly.mul(F, u.D, v.D))
 
     def neg(self, u):
         return FunctionFieldElement(

@@ -29,7 +29,7 @@ from __future__ import annotations
 import builtins
 from functools import partial
 
-from .errors import DivisionByZero
+from .errors import DivisionByZero, RangeError
 
 
 def normalize(F, coeffs):
@@ -85,8 +85,10 @@ def mul(F, a, b):
 
 def power(a, n: int, one, mul, inv):
     """a^n by square-and-multiply (module docstring); inv(a^(-n)) for n < 0,
-    so `inv` may be None where n >= 0."""
+    so `inv` may be None where n >= 0 (RangeError otherwise)."""
     if n < 0:
+        if inv is None:
+            raise RangeError(f"a^{n} needs an inverse, and this ring passes none")
         return inv(power(a, -n, one, mul, inv))
     r = one
     while n:

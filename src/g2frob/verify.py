@@ -47,9 +47,15 @@ returns t and omega_L for omega).  Then
   `chart_constant` run once per line.
 * theta_s^k(x_s) = t^(k+1) u_k with u_k = theta_L^k(x), so
       S1(s) = sum_k t^(k+1) u_k,   S2(s) = sum_k (-1)^k t^(k+1) u_k,
-  since C(p-1, k) = prod_(j<=k) (p-j)/j = (-1)^k mod p.  One orbit
-  u_1, ..., u_(p-1) per (line, second form), over one power of l, serves
-  every multiple: each sum is a scaled sum of its numerators.
+  since C(p-1, k) = prod_(j<=k) (p-j)/j = (-1)^k mod p.
+
+Two tables per (line, second form), in the curve's memo.  The line table
+(`_line_data`) takes the one orbit u_1, ..., u_(p-1), over one power of l,
+and holds x_t, S1 and S2 for every t in F_p^*, in K and in l-coordinates.
+S1 is a scaled sum of the orbit's numerators and S2 its image under
+y -> -y: theta_L(x) = c y / l^e is odd and theta_L(y) even, so theta_L
+anticommutes with y -> -y and u_k, x in F(x), has the parity of k.  The
+engine table (`_offdiag_psi`) holds the engine's matrices by t.
 
 All of it runs in the l-coordinates of theta_L's `funcfield.LocalRing`, so
 omega_L must be a global form: the orbit, the sums, both engine shapes (psi
@@ -62,13 +68,14 @@ rigidity scans; the linear one reads its F_p rows off the l-coordinates
 
 One engine run per pair {s, -s}.  `check_offdiag_closed_forms` runs the
 engine's two shapes once per pair of multiples and second form: the first
-of s omega_L and -s omega_L to be checked runs both on its chart and
-stashes the other's pair, read through the flat twist of `pcurvature`,
-psi_upper(-s) = -psi_lower(s) and psi_lower(-s) = -psi_upper(s).  So the
-reports of the second multiple are no longer independent engine runs.  They
-still compare those matrices with their own sums line_sums(-s), computed
-off the orbit with other coefficients, and with the three zero entries, and
-`recheck` reruns both shapes for the witness's multiple on a fresh curve.
+of s omega_L and -s omega_L to be checked runs both on its own chart and
+enters the other's pair in the engine table, read through the flat twist
+of `pcurvature`, psi_upper(-s) = -psi_lower(s) and psi_lower(-s) =
+-psi_upper(s).  So the reports of the second multiple are no longer
+independent engine runs.  They still compare those matrices with their own
+sums, computed off the orbit with other coefficients, and with the three
+zero entries, and `recheck` reruns both shapes for the witness's multiple
+on a fresh curve.
 """
 
 from __future__ import annotations
@@ -79,7 +86,7 @@ from math import comb
 
 from . import poly
 from .cartier import fp_combination, fp_kernel, plane_basis
-from .errors import FieldTooLargeForBrute, NotTorsion, RangeError
+from .errors import FieldTooLargeForBrute, NotTorsion, PrimeTooLarge, RangeError
 from .exactnum import DualRing, raw_from_json, raw_to_json
 from .funcfield import (
     Curve,
@@ -96,6 +103,10 @@ from .pcurvature import ConnectionMatrix, is_flat, p_curvature_matrix
 # |F|^6 deformation triples, each two K[eps] engine runs of about p^2 work
 # (1.4 ms a triple at p = 5, 2.5 ms at p = 7), times p^2
 _BRUTE_WORK_LIMIT = 1 << 20
+# flat F_p-lines times p^3 for the lemma checks of `verify` (the engine's
+# (p - 1)^2 steps per line and second form, on entries of degree about p):
+# one line took 6 s at p = 101 and 46 s at p = 211 (CPython 3.11, one core)
+_LEMMA_WORK_LIMIT = 1 << 21
 # evenly spaced brute triples whose auxiliary recursion meets its closed forms
 _CLOSED_FORM_SAMPLES = 16
 
@@ -127,12 +138,6 @@ class RigiditySolutionSet:
 
     def __len__(self):
         return len(self.solutions)
-
-    def to_jsonable(self):
-        return [
-            [[raw_to_json(a), raw_to_json(b)] for a, b in triple]
-            for triple in self.solutions
-        ]
 
 
 def _as_global_form(curve: Curve, ab):
@@ -166,34 +171,30 @@ def _orbit(R, theta: Derivation, u):
 
 
 def _line_data(curve: Curve, omega_L: Differential, omega: Differential):
-    """(R, x, S1, S2, S1 in R, S2 in R), R the l-local ring of omega_L, read
-    off the one theta-orbit of omega's ratio to the line's representative
-    (module docstring): the orbit once per line and form, the sums once per
-    pair (the curve's memo)."""
+    """(R, x, S1, S2, S1 in R, S2 in R) for the flat form omega_L and the
+    second form omega, R the l-local ring of omega_L: the row t of the line
+    table of omega_L = s rep and omega, t = 1/s (module docstring)."""
+    require_torsion(curve, omega_L)
+    t, rep = line_representative(omega_L)
 
-    def data():
-        R, F = require_torsion(curve, omega_L).ring, curve.field
-        t, rep = line_representative(omega_L)
-
-        def orbit():
-            x = omega.ratio(rep)
-            return (x, *R.numerators(_orbit(R, dual_derivation(rep), R.lift(x))))
-
-        x, numerators, J = curve.memo(("line_orbit", rep.g, omega.g), orbit)
-
-        def total(coeffs):
+    def table():
+        R, F = dual_derivation(rep).ring, curve.field
+        x = omega.ratio(rep)
+        numerators, J = R.numerators(_orbit(R, dual_derivation(rep), R.lift(x)))
+        rows = {}
+        for c in range(1, curve.p):  # S1(tc) = sum tc^(k+1) u_k
+            tc = ct = F.from_int(c)
             A = B = ()
-            for c, (a, b) in zip(coeffs, numerators):
-                A = poly.add(F, A, poly.scale(F, a, c))
-                B = poly.add(F, B, poly.scale(F, b, c))
-            return R.make(A, B, J)
+            for a, b in numerators:
+                ct = F.mul(ct, tc)
+                A = poly.add(F, A, poly.scale(F, a, ct))
+                B = poly.add(F, B, poly.scale(F, b, ct))
+            S1, S2 = R.make(A, B, J), R.make(A, poly.neg(F, B), J)
+            rows[tc] = (curve.mul(curve.constant(tc), x), R.element(S1), R.element(S2), S1, S2)
+        return R, rows
 
-        c1 = [F.pow(t, k + 1) for k in range(1, curve.p)]
-        S1 = total(c1)
-        S2 = total([c if k % 2 == 0 else F.neg(c) for k, c in enumerate(c1, 1)])
-        return (R, curve.mul(curve.constant(t), x), R.element(S1), R.element(S2), S1, S2)
-
-    return curve.memo(("line_data", omega_L.g, omega.g), data)
+    R, rows = curve.memo(("line_table", rep.g, omega.g), table)
+    return (R, *rows[t])
 
 
 def line_sums(curve: Curve, omega_L: Differential, omega: Differential):
@@ -203,7 +204,7 @@ def line_sums(curve: Curve, omega_L: Differential, omega: Differential):
 
 def two_sums(curve: Curve, theta_L: Derivation, x: FunctionFieldElement):
     """S1 = sum theta_L^k(x), S2 = sum C(p-1,k) theta_L^k(x), k = 1..p-1, by
-    the direct orbit of x and Henrici sums: the oracle of `line_sums`.
+    the direct orbit of x and sums in K: the oracle of `line_sums`.
     Computed once per curve, theta_L and x (the curve's memo)."""
 
     def sums():
@@ -251,23 +252,22 @@ def _offdiag_psi(curve: Curve, R, omega_L: Differential, omega: Differential, x)
     """The engine's psi of upper = [[0, x], [0, 1]] and lower = [[1, x], [0, 0]]
     on the flat chart omega_L, as bare matrices over its l-local ring R.  Of
     the two multiples s omega_L and -s omega_L, the first to ask runs both
-    shapes and stashes
-    the other's pair, read through the flat twist (module docstring):
-    psi_upper(-s) = -psi_lower(s) and psi_lower(-s) = -psi_upper(s).  The
-    other multiple takes that pair out of the curve's memo."""
-    twisted = curve.take(("offdiag_twist", omega_L.g, omega.g))
-    if twisted is not None:
-        return twisted
-    z, one, x = R.zero(), R.one(), R.lift(x)
-    upper = p_curvature_matrix(ConnectionMatrix(R, ((z, x), (z, one)), omega_L)).matrix
-    lower = p_curvature_matrix(ConnectionMatrix(R, ((one, x), (z, z)), omega_L)).matrix
+    shapes on its own chart and enters the other's pair through the flat
+    twist (module docstring): psi_upper(-s) = -psi_lower(s) and
+    psi_lower(-s) = -psi_upper(s), both in the engine table by t = 1/s."""
+    t, rep = line_representative(omega_L)
+    pairs = curve.memo(("offdiag_psi", rep.g, omega.g), dict)
+    if t not in pairs:
+        z, one, x = R.zero(), R.one(), R.lift(x)
+        upper = p_curvature_matrix(ConnectionMatrix(R, ((z, x), (z, one)), omega_L)).matrix
+        lower = p_curvature_matrix(ConnectionMatrix(R, ((one, x), (z, z)), omega_L)).matrix
 
-    def negated(M):
-        return tuple(tuple(R.neg(e) for e in row) for row in M)
+        def negated(M):
+            return tuple(tuple(R.neg(e) for e in row) for row in M)
 
-    curve.stash(("offdiag_twist", curve.neg(omega_L.g), omega.g),
-                (negated(lower), negated(upper)))
-    return upper, lower
+        pairs[t] = upper, lower
+        pairs[curve.field.neg(t)] = negated(lower), negated(upper)
+    return pairs[t]
 
 
 def check_offdiag_closed_forms(curve: Curve, ab_L, ab) -> LemmaReport:
@@ -432,6 +432,17 @@ def check_brute_rigidity(curve: Curve):
     q, p = curve.field.size, curve.p
     if q ** 6 * p * p > _BRUTE_WORK_LIMIT:
         raise FieldTooLargeForBrute(f"{q * q}^3 deformation triples at p = {p} exceed the guard")
+
+
+def check_lemma_work(curve: Curve, lines: int):
+    """Refuse (PrimeTooLarge) the lemma checks of `lines` flat F_p-lines when
+    lines * p^3 exceeds _LEMMA_WORK_LIMIT."""
+    p = curve.p
+    if lines * p ** 3 > _LEMMA_WORK_LIMIT:
+        raise PrimeTooLarge(
+            f"{lines} flat F_p-lines at p = {p} exceed the lemma-check guard "
+            f"(lines * p^3 <= {_LEMMA_WORK_LIMIT})"
+        )
 
 
 def _rigidity_brute(curve, theta_L, omega_L):

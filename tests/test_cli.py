@@ -665,19 +665,37 @@ def test_golden_output(capsys, command):
 def test_cartier_manin_computed_once_per_call(capsys, monkeypatch, command):
     # the payload and the semilinear solve both ask for the matrix; the
     # curve's memo hands the second one the first one's result
-    from g2frob import cartier
+    from g2frob import ExtField, PrimeField
 
     runs = []
-    recurrence = cartier._top_two_coefficients
 
-    def counted(*args):
-        runs.append(args)
-        return recurrence(*args)
+    def counted(recurrence):
+        def run_recurrence(F, *args):
+            runs.append(args)
+            return recurrence(F, *args)
+        return run_recurrence
 
-    monkeypatch.setattr(cartier, "_top_two_coefficients", counted)
+    for cls in (PrimeField, ExtField):
+        monkeypatch.setattr(cls, "poly_power_top_two", counted(cls.poly_power_top_two))
     code, _ = run(capsys, *command.split())
     assert code == 0
     assert len(runs) == 2  # one matrix: one recurrence run per row
+
+
+def test_verify_refuses_too_much_lemma_work(capsys, monkeypatch):
+    # one flat F_211-line: 211^3 > 2^21, refused after the torsion solve and
+    # before any theta_L-orbit or engine run
+    from g2frob import verify
+
+    def never(*args):
+        raise AssertionError("the guard should refuse before this runs")
+
+    monkeypatch.setattr(verify, "_orbit", never)
+    monkeypatch.setattr(verify, "p_curvature_matrix", never)
+    code, out = run(capsys, "verify", "--p", "211", "--f", "98,88,198,5,142,1")
+    assert code == 3
+    assert out.count("\n") == 1
+    assert json.loads(out)["kind"] == "PrimeTooLarge"
 
 
 def test_verify_lemma_data_computed_once_per_line(capsys, monkeypatch):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from g2frob import DivisionByZero, ExtField, NotSquarefree, PrimeField, make_curve
+from g2frob import DivisionByZero, ExtField, NotSquarefree, PrimeField, RangeError, make_curve
 from g2frob import poly
 
 from conftest import rng_for
@@ -267,3 +267,14 @@ def test_pow_methods_against_repeated_multiplication():
             for n in range(1, 10):
                 assert _mat2_pow(F, A, n) == prod, (A, n)
                 prod = _mat2_mul(F, prod, A)
+
+
+def test_negative_power_without_an_inverse_is_a_range_error():
+    # poly.pow and _mat2_pow pass no inverse: a negative exponent is refused
+    from g2frob.cartier import _mat2_pow
+
+    F = PrimeField(5)
+    with pytest.raises(RangeError):
+        poly.pow(F, (1, 1), -1)
+    with pytest.raises(RangeError):
+        _mat2_pow(F, ((1, 2), (3, 4)), -1)

@@ -256,3 +256,55 @@ def test_lemma_data_is_computed_once_per_curve(monkeypatch):
         again = check(fresh, ab_L, ab)
         assert (again.status, again.witness) == (report.status, report.witness)
     assert len(rank1) == 2
+
+
+# one flat F_p-line each, with its first nonzero form (a, b) as coefficient lists
+ONE_LINE = [
+    ({"p": 7, "f": [6, 3, 6, 3, 0, 1]}, ([1], [4])),
+    ({"p": 11, "f": [9, 2, 4, 1, 1, 1]}, ([1], [6])),
+    ({"p": 13, "f": [6, 12, 6, 0, 4, 1]}, ([1], [2])),
+    ({"p": 3, "ext": [1, 0, 1], "f": [[2, 2], [0, 1], [0, 2], [0, 2], [1, 1], [1, 0]]},
+     ([1, 2], [2, 1])),
+]
+
+
+@pytest.mark.parametrize("spec, ab_L", ONE_LINE, ids=["F7", "F11", "F13", "F9"])
+def test_reports_do_not_depend_on_the_order_of_multiples(monkeypatch, spec, ab_L):
+    # every multiple's two reports, asked in ascending and in descending order
+    # on fresh curves (so -s comes first for every pair {s, -s} in one of
+    # them): the same reports, and p - 1 engine runs over K per second form
+    from g2frob import verify
+    from g2frob.funcfield import curve_from_spec
+
+    engine = []
+    real_matrix = verify.p_curvature_matrix
+
+    def counted_matrix(conn):
+        engine.append(conn.is_dual)
+        return real_matrix(conn)
+
+    monkeypatch.setattr(verify, "p_curvature_matrix", counted_matrix)
+
+    def reports(order):
+        cv = curve_from_spec(spec)
+        F, p = cv.field, cv.p
+        assert len(enumerate_p_torsion(cv, "semilinear").nonzero(F)) == p - 1
+        ab_L_raw = tuple(F.from_coeffs(c) for c in ab_L)
+        forms = ((F.one(), F.zero()), (F.zero(), F.one()))
+        out = {}
+        engine.clear()
+        for s in order(range(1, p)):
+            ab_s = tuple(F.mul(F.from_int(s), c) for c in ab_L_raw)
+            for i, ab in enumerate(forms):
+                out[s, i] = [_untimed(check(cv, ab_s, ab))
+                             for check in (check_two_sums, check_offdiag_closed_forms)]
+        assert engine.count(False) == (p - 1) * len(forms)
+        return out
+
+    assert reports(list) == reports(reversed)
+
+
+def _untimed(report):
+    d = report.to_jsonable()
+    del d["timing"]
+    return d
