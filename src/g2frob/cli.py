@@ -184,7 +184,9 @@ def _scan_row(spec: dict, index: int, with_lemmas: bool) -> dict:
     row.update(index=index, agree=ts_b.forms == ts_s.forms, **_torsion_fields(curve, ts_b))
     if with_lemmas:
         statuses = []
-        for ab_L in ts_b.nonzero(F):
+        nonzero = ts_b.nonzero(F)
+        check_lemma_work(curve, len(nonzero) // (curve.p - 1))  # before any orbit
+        for ab_L in nonzero:
             ab = _independent_basis_form(F, ab_L)
             statuses.append(check_two_sums(curve, ab_L, ab).status)
             statuses.append(check_offdiag_closed_forms(curve, ab_L, ab).status)

@@ -50,12 +50,13 @@ returns t and omega_L for omega).  Then
   since C(p-1, k) = prod_(j<=k) (p-j)/j = (-1)^k mod p.
 
 Two tables per (line, second form), in the curve's memo.  The line table
-(`_line_data`) takes the one orbit u_1, ..., u_(p-1), over one power of l,
-and holds x_t, S1 and S2 for every t in F_p^*, in K and in l-coordinates.
+(`_line_table`) takes the one orbit u_1, ..., u_(p-1), over one power of l,
+and holds its numerators and, for every t in F_p^*, x_t, S1 and S2 in K.
 S1 is a scaled sum of the orbit's numerators and S2 its image under
 y -> -y: theta_L(x) = c y / l^e is odd and theta_L(y) even, so theta_L
 anticommutes with y -> -y and u_k, x in F(x), has the parity of k.  The
-engine table (`_offdiag_psi`) holds the engine's matrices by t.
+engine table (`_offdiag_psi`) holds the engine's matrices for all
+multiples at once (below).
 
 All of it runs in the l-coordinates of theta_L's `funcfield.LocalRing`, so
 omega_L must be a global form: the orbit, the sums, both engine shapes (psi
@@ -63,19 +64,38 @@ is compared with S1 and S2 there and converted only for a witness) and the
 rigidity scans; the linear one reads its F_p rows off the l-coordinates
 (`cartier.fp_kernel`).
 
-`two_sums`, the direct per-form orbit sum, stays as the oracle that
-`recheck` and the tests compare with.
+`two_sums`, the direct per-form orbit sum, and `offdiag_engine`, the engine
+on one multiple's own chart, stay as the oracles that `recheck` and the
+tests compare with.
 
-One engine run per pair {s, -s}.  `check_offdiag_closed_forms` runs the
-engine's two shapes once per pair of multiples and second form: the first
-of s omega_L and -s omega_L to be checked runs both on its own chart and
-enters the other's pair in the engine table, read through the flat twist
-of `pcurvature`, psi_upper(-s) = -psi_lower(s) and psi_lower(-s) =
--psi_upper(s).  So the reports of the second multiple are no longer
-independent engine runs.  They still compare those matrices with their own
-sums, computed off the orbit with other coefficients, and with the three
-zero entries, and `recheck` reruns both shapes for the witness's multiple
-on a fresh curve.
+All multiples in one engine run per shape.  The engine's psi on the chart
+omega against theta_omega is psi(theta_omega) of the connection, and psi
+is p-linear in the derivation: psi(f theta) = f^p psi(theta).  For the
+multiple s omega_L, theta_s = t theta_L with t^p = t, so psi on the chart
+s omega_L is t psi(theta_L).  Against theta_L the two connections have the
+matrices s [[0, x_s], [0, 1]] = [[0, x], [0, s]] and s [[1, x_s], [0, 0]] =
+[[s, x], [0, 0]] on the chart omega_L, since s x_s = x.  So with a
+variable z, theta(z) = 0, in R[z]/(z^(p-1) - 1) (`multiples.MultiplesRing`,
+R the l-local ring), the engine runs once per shape, on
+[[0, x], [0, z]] and [[z, x], [0, 0]] over the chart omega_L, and
+
+    psi_upper(s) = t psi_upper(z = s),   psi_lower(s) = t psi_lower(z = s),
+
+because evaluation at z = s is a ring map that commutes with theta and the
+engine uses nothing else.  The multiple s compares psi_upper(s)[0][1] with
+S1(s) = sum_k t^(k+1) u_k, that is psi_upper(z = s)[0][1] with the value at
+z = s of
+
+    S1(z) = sum_k z^(-k) u_k,   and likewise   S2(z) = sum_k (-1)^k z^(-k) u_k,
+
+with z^(-k) = z^(p-1-k): the orbit itself, one u_k per z-coefficient, over
+the line table's common power of l.  z^(p-1) - 1 is the product of the
+z - a over a in F_p^*, so evaluation at F_p^* is a ring isomorphism onto
+R^(p-1): the differences psi - S vanish in the ring exactly when every
+multiple's comparison holds.  The table keeps them, and a report evaluates
+a nonzero one at its own s, and only then computes its witness
+t psi(z = s); otherwise the witness is the sum's normal form.
+`recheck` reruns the per-multiple engine on the witness's own chart.
 """
 
 from __future__ import annotations
@@ -103,9 +123,11 @@ from .pcurvature import ConnectionMatrix, is_flat, p_curvature_matrix
 # |F|^6 deformation triples, each two K[eps] engine runs of about p^2 work
 # (1.4 ms a triple at p = 5, 2.5 ms at p = 7), times p^2
 _BRUTE_WORK_LIMIT = 1 << 20
-# flat F_p-lines times p^3 for the lemma checks of `verify` (the engine's
-# (p - 1)^2 steps per line and second form, on entries of degree about p):
-# one line took 6 s at p = 101 and 46 s at p = 211 (CPython 3.11, one core)
+# flat F_p-lines times p^3 for the lemma checks of `verify` (per line and
+# second form, the orbit and the line table's p - 1 sums, and 2(p - 1)
+# engine steps on p - 1 slots, all on entries of degree about p): one line
+# took 2.3 s at p = 101, 3.6 s at p = 127 and 14 s at p = 211 (CPython
+# 3.11, one core)
 _LEMMA_WORK_LIMIT = 1 << 21
 # evenly spaced brute triples whose auxiliary recursion meets its closed forms
 _CLOSED_FORM_SAMPLES = 16
@@ -170,12 +192,12 @@ def _orbit(R, theta: Derivation, u):
     return out
 
 
-def _line_data(curve: Curve, omega_L: Differential, omega: Differential):
-    """(R, x, S1, S2, S1 in R, S2 in R) for the flat form omega_L and the
-    second form omega, R the l-local ring of omega_L: the row t of the line
-    table of omega_L = s rep and omega, t = 1/s (module docstring)."""
-    require_torsion(curve, omega_L)
-    t, rep = line_representative(omega_L)
+def _line_table(curve: Curve, rep: Differential, omega: Differential):
+    """(R, x, numerators, J, rows) for the line representative rep and the
+    second form omega, in the curve's memo: R the l-local ring of rep,
+    x = omega/rep, the numerators (A_k, B_k) of the orbit u_1, ..., u_(p-1)
+    over l^J, and the row t of the line table for every t in F_p^*: the
+    normal forms (x_t, S1, S2) of the multiple s rep, t = 1/s."""
 
     def table():
         R, F = dual_derivation(rep).ring, curve.field
@@ -189,17 +211,20 @@ def _line_data(curve: Curve, omega_L: Differential, omega: Differential):
                 ct = F.mul(ct, tc)
                 A = poly.add(F, A, poly.scale(F, a, ct))
                 B = poly.add(F, B, poly.scale(F, b, ct))
-            S1, S2 = R.make(A, B, J), R.make(A, poly.neg(F, B), J)
-            rows[tc] = (curve.mul(curve.constant(tc), x), R.element(S1), R.element(S2), S1, S2)
-        return R, rows
+            rows[tc] = (curve.mul(curve.constant(tc), x), R.element(R.make(A, B, J)),
+                        R.element(R.make(A, poly.neg(F, B), J)))
+        return R, x, numerators, J, rows
 
-    R, rows = curve.memo(("line_table", rep.g, omega.g), table)
-    return (R, *rows[t])
+    return curve.memo(("line_table", rep.g, omega.g), table)
 
 
 def line_sums(curve: Curve, omega_L: Differential, omega: Differential):
-    """(x, S1, S2) as normal forms of K (`_line_data`)."""
-    return _line_data(curve, omega_L, omega)[1:4]
+    """(x, S1, S2) as normal forms of K for the flat form omega_L and the
+    second form omega: the row t of the line table of omega_L = s rep and
+    omega, t = 1/s (module docstring)."""
+    require_torsion(curve, omega_L)
+    t, rep = line_representative(omega_L)
+    return _line_table(curve, rep, omega)[4][t]
 
 
 def two_sums(curve: Curve, theta_L: Derivation, x: FunctionFieldElement):
@@ -248,51 +273,65 @@ def check_two_sums(curve: Curve, ab_L, ab) -> LemmaReport:
     )
 
 
-def _offdiag_psi(curve: Curve, R, omega_L: Differential, omega: Differential, x):
-    """The engine's psi of upper = [[0, x], [0, 1]] and lower = [[1, x], [0, 0]]
-    on the flat chart omega_L, as bare matrices over its l-local ring R.  Of
-    the two multiples s omega_L and -s omega_L, the first to ask runs both
-    shapes on its own chart and enters the other's pair through the flat
-    twist (module docstring): psi_upper(-s) = -psi_lower(s) and
-    psi_lower(-s) = -psi_upper(s), both in the engine table by t = 1/s."""
-    t, rep = line_representative(omega_L)
-    pairs = curve.memo(("offdiag_psi", rep.g, omega.g), dict)
-    if t not in pairs:
-        z, one, x = R.zero(), R.one(), R.lift(x)
-        upper = p_curvature_matrix(ConnectionMatrix(R, ((z, x), (z, one)), omega_L)).matrix
-        lower = p_curvature_matrix(ConnectionMatrix(R, ((one, x), (z, z)), omega_L)).matrix
+def offdiag_engine(curve: Curve, chart: Differential, x: FunctionFieldElement):
+    """psi of [[0, x], [0, 1]] and [[1, x], [0, 0]] on the chart itself, by
+    two plain engine runs over K: the per-multiple oracle of the engine
+    table (`recheck`, the tests)."""
+    z, one = curve.zero(), curve.one()
+    return tuple(p_curvature_matrix(ConnectionMatrix(curve, T, chart)).matrix
+                 for T in (((z, x), (z, one)), ((one, x), (z, z))))
 
-        def negated(M):
-            return tuple(tuple(R.neg(e) for e in row) for row in M)
 
-        pairs[t] = upper, lower
-        pairs[curve.field.neg(t)] = negated(lower), negated(upper)
-    return pairs[t]
+def _offdiag_psi(curve: Curve, rep: Differential, omega: Differential):
+    """The engine table of the line of rep and the second form omega, in
+    the curve's memo: (M, offdiag, zeros) with M = MultiplesRing(R).  The
+    engine runs once per shape, [[0, x], [0, z]] and [[z, x], [0, 0]] on the
+    chart rep (module docstring).  offdiag holds, per shape, psi[0][1] and
+    its difference from S1(z) or S2(z), and zeros the other six entries,
+    all canonical raws of M."""
+
+    def table():
+        # imported on first use: a process with no lemma check never compiles it
+        from .multiples import MultiplesRing
+
+        R, x, numerators, J, _ = _line_table(curve, rep, omega)
+        M, F = MultiplesRing(R), curve.field
+        zero, z, xz = M.zero(), M.z(), M.lift(x)
+        upper = p_curvature_matrix(ConnectionMatrix(M, ((zero, xz), (zero, z)), rep)).matrix
+        lower = p_curvature_matrix(ConnectionMatrix(M, ((z, xz), (zero, zero)), rep)).matrix
+        rows = numerators[::-1]  # z^i carries u_(p-1-i): S1(z) = sum z^(-k) u_k
+        sums = (M.from_slots(rows, J), M.from_slots([(A, poly.neg(F, B)) for A, B in rows], J))
+        offdiag = [(M.normal(psi[0][1]), M.normal(M.sub(psi[0][1], S)))
+                   for psi, S in zip((upper, lower), sums)]
+        zeros = [M.normal(psi[i][j]) for psi in (upper, lower) for i, j in ((0, 0), (1, 0), (1, 1))]
+        return M, offdiag, zeros
+
+    return curve.memo(("offdiag_psi", rep.g, omega.g), table)
 
 
 def check_offdiag_closed_forms(curve: Curve, ab_L, ab) -> LemmaReport:
     """Engine p-curvature of the triangular connections vs the two sums read
     off the line's orbit (`line_sums`), for forms given as in
-    `check_two_sums`; the engine runs once per pair of multiples {s, -s}
-    (`_offdiag_psi`)."""
+    `check_two_sums`; the engine runs for all multiples at once, per line
+    and second form (`_offdiag_psi`), and a multiple s reads its matrices at
+    z = s."""
     t0 = time.perf_counter()
     omega_L, ab_L = _as_global_form(curve, ab_L)
     omega, ab = _as_global_form(curve, ab)
-    R, x, S1, S2, S1_l, S2_l = _line_data(curve, omega_L, omega)
-    psi_upper, psi_lower = _offdiag_psi(curve, R, omega_L, omega, x)
-    ok = (
-        psi_upper[0][1] == S1_l
-        and psi_lower[0][1] == S2_l
-        and all(
-            R.is_zero(psi[i][j])
-            for psi in (psi_upper, psi_lower)
-            for (i, j) in ((0, 0), (1, 0), (1, 1))
-        )
-    )
+    _, S1, S2 = line_sums(curve, omega_L, omega)
+    t, rep = line_representative(omega_L)
+    M, offdiag, zeros = _offdiag_psi(curve, rep, omega)
+    R, s = M.base, curve.field.inv(t)
 
-    def witness(psi, S, S_l):  # a psi equal to its sum has the sum's normal form
-        return _ffe_witness(S if psi == S_l else R.element(psi))
+    def differs(u):  # u nonzero at z = s; u canonical, so zero is empty
+        return not M.is_zero(u) and not R.is_zero(M.evaluate(u, s))
 
+    def witness(psi, difference, S):  # psi = t psi(z = s) on the chart s rep
+        if not differs(difference):
+            return _ffe_witness(S)
+        return _ffe_witness(R.element(R.mul(R.lift(curve.constant(t)), M.evaluate(psi, s))))
+
+    ok = not any(differs(u) for u in [d for _, d in offdiag] + zeros)
     return LemmaReport(
         curve_id=curve_id(curve),
         lemma_id="offdiag-closed-forms",
@@ -302,8 +341,8 @@ def check_offdiag_closed_forms(curve: Curve, ab_L, ab) -> LemmaReport:
             "omega": _form_witness(ab),
             "S1": _ffe_witness(S1),
             "S2": _ffe_witness(S2),
-            "psiUpperOffdiag": witness(psi_upper[0][1], S1, S1_l),
-            "psiLowerOffdiag": witness(psi_lower[0][1], S2, S2_l),
+            "psiUpperOffdiag": witness(*offdiag[0], S1),
+            "psiLowerOffdiag": witness(*offdiag[1], S2),
         },
         timing=time.perf_counter() - t0,
     )
@@ -556,9 +595,17 @@ def recheck(curve: Curve, report: LemmaReport) -> bool:
         return _two_sums_status(x, S1, S2) == report.status and \
             _ffe_witness(S1) == w["S1"] and _ffe_witness(S2) == w["S2"]
     if report.lemma_id == "offdiag-closed-forms":
-        fresh = check_offdiag_closed_forms(curve, _witness_form(w["omegaL"]),
-                                           _witness_form(w["omega"]))
-        return fresh.status == report.status
+        # the per-multiple engine on the witness's own chart and direct sums
+        omega_L, _ = _as_global_form(curve, _witness_form(w["omegaL"]))
+        omega, _ = _as_global_form(curve, _witness_form(w["omega"]))
+        x = omega.ratio(omega_L)
+        S1, S2 = two_sums(curve, require_torsion(curve, omega_L), x)
+        upper, lower = offdiag_engine(curve, omega_L, x)
+        ok = upper[0][1] == S1 and lower[0][1] == S2 and all(
+            psi[i][j].is_zero() for psi in (upper, lower) for i, j in ((0, 0), (1, 0), (1, 1)))
+        return ("holds" if ok else "violated") == report.status and \
+            _ffe_witness(upper[0][1]) == w["psiUpperOffdiag"] and \
+            _ffe_witness(lower[0][1]) == w["psiLowerOffdiag"]
     if report.lemma_id == "split-connection-rigidity":
         _, fresh = rigidity_scan(curve, _witness_form(w["omegaL"]), mode=w["mode"])
         return fresh.status == report.status and \

@@ -629,14 +629,17 @@ GOLDEN = {
     # have a vanishing sum
     "verify --p 11 --f 5,1,3,9,1,1 --rigidity linear":
         "3d176ab608a497aef41f79d89f53071ab07d6e5a099c1b522de0560f733df85d",
-    # one flat F_31-line: 30 multiples in 15 pairs {s, -s}; in each pair one
-    # multiple's off-diagonal reports read the engine through the flat twist
+    # one flat F_31-line: 30 multiples, whose off-diagonal reports all read
+    # one engine run per shape and form over the multiples ring
     "verify --p 31 --f 28,23,22,16,29,1 --rigidity linear":
         "a2370f40d7715d88d2c86b2c608511097b41ece9509a8c2a4c136b1f9389ac87",
     # one flat F_61-line: theta_L-orbits and engine entries of degree about
     # 2p in l-coordinates
     "verify --p 61 --f 7,1,19,24,21,1 --rigidity linear":
         "4f3dc255f76d2e5cd4b02094745cfd4178f7ece083ac1258a0d419cf01093dbe",
+    # one flat F_101-line, the prime of the north star's verify target
+    "verify --p 101 --f 15,64,43,51,22,1 --rigidity linear":
+        "854c4d1d9c96cfcb1bb57f7de5bf2a5fae87f3d5d8acab58b8b1208771f48cd2",
     "scan --p 5 --count 6 --seed 1":
         "3ba5deb845906a466b3ca09c503988171acc987d4f5c421776d00285829ba7c5",
     "formulas --p 7":
@@ -698,10 +701,27 @@ def test_verify_refuses_too_much_lemma_work(capsys, monkeypatch):
     assert json.loads(out)["kind"] == "PrimeTooLarge"
 
 
+def test_scan_refuses_too_much_lemma_work(capsys, monkeypatch, tmp_path):
+    # the same guard as verify, per scan row with --lemmas: one flat F_211-line
+    # is refused after the torsion solve and before any theta_L-orbit
+    from g2frob import verify
+
+    def never(*args):
+        raise AssertionError("the guard should refuse before this runs")
+
+    monkeypatch.setattr(verify, "_orbit", never)
+    catalog = tmp_path / "one.json"
+    catalog.write_text(json.dumps([{"p": 211, "f": [98, 88, 198, 5, 142, 1]}]))
+    code, out = run(capsys, "scan", "--catalog", str(catalog), "--lemmas")
+    assert code == 3
+    assert out.count("\n") == 1
+    assert json.loads(out)["kind"] == "PrimeTooLarge"
+
+
 def test_verify_lemma_data_computed_once_per_line(capsys, monkeypatch):
     # one flat F_13-line: its p - 1 multiples share one flatness check, one
     # chart constant and one theta_L-orbit per basis form, and the engine
-    # runs both triangular connections once per pair {s, -s} and form
+    # runs both triangular connections once per form, for all multiples
     from g2frob import funcfield, pcurvature, verify
 
     p = 13
@@ -739,5 +759,5 @@ def test_verify_lemma_data_computed_once_per_line(capsys, monkeypatch):
     assert len(flat) == 1
     assert len(chart_steps) == 2  # the chart dx/y of the flatness check, and the line's
     assert len(orbits) == 2
-    assert engine.count(False) == 2 * (p - 1)
+    assert engine.count(False) == 2 * 2  # two shapes, two basis forms
     assert engine.count(True) == 6  # the linear rigidity solve

@@ -205,7 +205,8 @@ def test_recheck_recomputes_on_a_fresh_curve(monkeypatch):
         before = len(rank1)
         assert recheck(cv, report)
         assert len(rank1) > before  # the torsion check ran again
-    # a faulty two_sums is caught, although cv's memo holds the right sums
+    # a faulty two_sums is caught by both rechecks, although cv's memo holds
+    # the right sums
     real_two_sums = verify.two_sums
 
     def off_by_one(curve, theta_L, x):
@@ -214,6 +215,7 @@ def test_recheck_recomputes_on_a_fresh_curve(monkeypatch):
 
     monkeypatch.setattr(verify, "two_sums", off_by_one)
     assert not recheck(cv, r1)
+    assert not recheck(cv, r2)  # the per-multiple engine against the faulty S1
 
 
 def test_report_jsonable_shape(curve3):
@@ -271,8 +273,8 @@ ONE_LINE = [
 @pytest.mark.parametrize("spec, ab_L", ONE_LINE, ids=["F7", "F11", "F13", "F9"])
 def test_reports_do_not_depend_on_the_order_of_multiples(monkeypatch, spec, ab_L):
     # every multiple's two reports, asked in ascending and in descending order
-    # on fresh curves (so -s comes first for every pair {s, -s} in one of
-    # them): the same reports, and p - 1 engine runs over K per second form
+    # on fresh curves: the same reports, and two engine runs per second form,
+    # one per shape over the multiples ring, whichever multiple asks first
     from g2frob import verify
     from g2frob.funcfield import curve_from_spec
 
@@ -298,7 +300,7 @@ def test_reports_do_not_depend_on_the_order_of_multiples(monkeypatch, spec, ab_L
             for i, ab in enumerate(forms):
                 out[s, i] = [_untimed(check(cv, ab_s, ab))
                              for check in (check_two_sums, check_offdiag_closed_forms)]
-        assert engine.count(False) == (p - 1) * len(forms)
+        assert engine.count(False) == 2 * len(forms)
         return out
 
     assert reports(list) == reports(reversed)
@@ -308,3 +310,34 @@ def _untimed(report):
     d = report.to_jsonable()
     del d["timing"]
     return d
+
+
+def test_offdiag_reports_each_multiple_where_the_table_differs(monkeypatch):
+    # S1(z) and S2(z) moved by z - 1, which vanishes at z = 1 only: the
+    # representative's reports hold and every other multiple's are violated,
+    # each witness the psi of the per-multiple engine on that multiple's
+    # chart, and recheck, which reruns that engine, disagrees with exactly
+    # the violated reports
+    from g2frob.funcfield import curve_from_spec, line_representative
+    from g2frob.multiples import MultiplesRing
+    from g2frob.verify import _ffe_witness, offdiag_engine
+
+    real_from_slots = MultiplesRing.from_slots
+
+    def moved(self, rows, J):
+        return self.normal(self.add(real_from_slots(self, rows, J), self.sub(self.z(), self.one())))
+
+    monkeypatch.setattr(MultiplesRing, "from_slots", moved)
+    spec, ab_L = ONE_LINE[0]
+    cv = curve_from_spec(spec)
+    F, omega = cv.field, cv.global_form(cv.field.one(), cv.field.zero())
+    t0, _ = line_representative(cv.global_form(*(F.from_coeffs(c) for c in ab_L)))
+    for c in range(1, cv.p):
+        ab_s = tuple(F.mul(F.mul(F.from_int(c), t0), F.from_coeffs(a)) for a in ab_L)
+        report = check_offdiag_closed_forms(cv, ab_s, (F.one(), F.zero()))
+        assert report.status == ("holds" if c == 1 else "violated")
+        chart = cv.global_form(*ab_s)
+        upper, lower = offdiag_engine(cv, chart, omega.ratio(chart))
+        assert report.witness["psiUpperOffdiag"] == _ffe_witness(upper[0][1])
+        assert report.witness["psiLowerOffdiag"] == _ffe_witness(lower[0][1])
+        assert recheck(cv, report) == (c == 1)
