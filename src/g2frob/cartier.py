@@ -61,10 +61,11 @@ exactly when every coordinate is 0 (`_psi_rows`).  The combination splits as alp
 from b^p, b.  Every candidate is tested at one screen coordinate, a row that
 is not zero for every pair, against beta stored at that coordinate alone; only
 the candidates that pass are evaluated at the other coordinates.  No normal
-form is built per candidate.  The cost is the p - 1 derivation steps, the p
-steps of the chart constant that `p_curvature_rank1` welds the first
-solutions to, and |F|^2 comparisons: 0.8 s, 0.8 s and 0.2 s at p = 1009,
-3.3 s, 3.1 s and 1.0 s at p = 2039 (CPython 3.11 on a 2-vCPU VM).
+form is built per candidate.  The first four solutions are welded to
+`is_flat` on their own charts.  The cost is the p - 1 derivation steps, the
+|F|^2 comparisons and, if a nonzero form is flat, the p steps of its line's
+chart constant: 0.6 s, 0.04 s and 1.1 s at p = 1009, 3.5 s, 0.15 s and 4.6 s
+at p = 2039 (CPython 3.11 on a 2-vCPU VM, one run each).
 `check_brute_limit` refuses more than 2^22 candidates, the next prime 2053
 among them.
 """
@@ -84,11 +85,11 @@ from .funcfield import (
     dual_derivation,
 )
 from .linalg import enumerate_span_mod_p, kernel_basis_mod_p, rref_mod_p
-from .pcurvature import ConnectionMatrix, is_flat, p_curvature_rank1
+from .pcurvature import ConnectionMatrix, is_flat
 
 _DERIVATION_P_LIMIT = 1 << 14
 # brute tests |F|^2 candidates; at p = 2039 (4.2 * 10^6 of them) it takes
-# about 8 s, most of it derivation steps (module docstring)
+# 4 s to 8 s, nearly all of it derivation steps (module docstring)
 _BRUTE_CANDIDATE_LIMIT = 1 << 22
 # cartier_manin runs about 1.5 p recurrence steps, 1.7 s at p = 10^6 and
 # about 7 s at 2^22 under CPython 3.11 on a 2-vCPU VM (the F_p int kernel);
@@ -230,9 +231,9 @@ class TorsionSet:
 
 
 def _flat_form_data(curve: Curve):
-    """The brute oracle's precomputation: omega0 = dx/y, theta0 dual, x^p,
-    h = theta0^(p-1)(x) and c0 = <omega0, theta0^p> = omega0.g theta0(h),
-    which is chart_constant(omega0).
+    """The brute oracle's precomputation (xp, h, c0): x^p, h = theta0^(p-1)(x)
+    and c0 = <omega0, theta0^p> = omega0.g theta0(h), which is
+    chart_constant(omega0), for omega0 = dx/y and theta0 its dual.
 
     h takes p - 1 derivation steps, so check_derivation_limit applies.
     """
@@ -243,7 +244,7 @@ def _flat_form_data(curve: Curve):
     xp = curve.from_poly((F.zero(),) * curve.p + (F.one(),))
     h = theta0.apply_n(curve.x(), curve.p - 1)
     c0 = curve.mul(omega0.g, theta0.apply(h))
-    return omega0, theta0, xp, h, c0
+    return xp, h, c0
 
 
 def check_derivation_limit(curve: Curve):
@@ -333,12 +334,13 @@ def _torsion_brute(curve: Curve):
     screen, alpha(a) against -beta(b) with beta stored at the screen alone;
     one that passes is evaluated at every coordinate left.  The rows come
     from theta0^(p-1)(x), not from the Cartier-Manin matrix, and the first
-    four solutions are welded to p_curvature_rank1.  Refused before any
-    derivation step beyond `check_brute_limit`.
+    four solutions are welded to `is_flat`, each on its own chart, so the
+    check walks theta0 again only when the flat line is that of dx/y.
+    Refused before any derivation step beyond `check_brute_limit`.
     """
     F = curve.field
     check_brute_limit(F)
-    omega0, _, xp, h, c0 = _flat_form_data(curve)
+    xp, h, c0 = _flat_form_data(curve)
     _, _, alpha, beta = _psi_rows(curve, xp, h, c0)
     # e -> e^p u + e v is F_p-linear: it vanishes on F when it vanishes on
     # an F_p-basis.  With no coordinate left every pair is flat, and the
@@ -361,10 +363,9 @@ def _torsion_brute(curve: Curve):
                     F.is_zero(c) for c in _psi_coordinates(F, alpha, beta, a, b)):
                 continue
             found.append((a, b))
-            if spot < 4:  # weld the row evaluation to the closed form
-                T = curve.constant(a) + curve.constant(b) * curve.x()
-                if not p_curvature_rank1(T, omega0).is_zero():
-                    raise G2FrobError("factored psi disagrees with p_curvature_rank1")
+            if spot < 4:  # weld the row evaluation to the chart constant
+                if not is_flat(curve.global_form(a, b)):
+                    raise G2FrobError("factored psi disagrees with is_flat")
                 spot += 1
     return tuple(sorted(found))
 

@@ -51,7 +51,7 @@ def quotient_slope_bound(r: int, g: int, d: int, p: int) -> Fraction:
     return Fraction((2 * p - r - 1) * (g - 1) + d, p)
 
 
-# the operation names used by the CLI and older call sites
+# the short names the package exports; the CLI calls only `counts`
 mu_r = subbundle_slope_bound
 nu_r = quotient_slope_bound
 

@@ -32,7 +32,9 @@ F_p^* and t = 1/s, theta_(s omega0) = t theta0, since
                              = s^(1-p) <omega0, theta0^p> = <omega0, theta0^p>,
 
 for every chart, flat or not.  `chart_constant` takes its p steps once per
-line, on the representative of `funcfield.line_representative`.
+line, on the representative of `funcfield.line_representative`.  It also
+decides flatness: a nonzero omega is flat exactly when its chart constant
+is 1 (`is_flat`).
 
 psi is returned as a bare matrix over the connection's ring (K or K[eps],
 below); the implicit omega0^(tensor p) twist is never materialized because
@@ -81,7 +83,6 @@ from .funcfield import (
     FunctionFieldElement,
     dual_derivation,
     line_representative,
-    pair,
 )
 
 
@@ -178,19 +179,11 @@ def p_curvature_rank1(T: FunctionFieldElement, omega0: Differential) -> Function
 
 
 def is_flat(omega: Differential) -> bool:
-    """Whether d + omega has vanishing p-curvature (the zero form does):
-    the rank-1 closed form on the chart dx/y, once per F_p-line of forms (the
-    curve's memo), since psi(s T) = s psi(T) for s in F_p."""
-    if omega.is_zero():
-        return True
-    cv = omega.curve
-    _, rep = line_representative(omega)
-
-    def flat():
-        omega0 = cv.basis_forms()[0]
-        return p_curvature_rank1(pair(rep, dual_derivation(omega0)), omega0).is_zero()
-
-    return cv.memo(("is_flat", rep.g), flat)
+    """Whether d + omega has vanishing p-curvature: omega = 0, or its chart
+    constant is 1.  On omega's own chart T = 1, so the closed form gives
+    psi = 1 - <omega, theta_omega^p>, and whether psi vanishes does not
+    depend on the chart.  One chart constant per F_p-line, the engine's."""
+    return omega.is_zero() or chart_constant(omega) == omega.curve.one()
 
 
 def _mat_add(ring, A, B, r):

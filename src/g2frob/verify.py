@@ -43,8 +43,8 @@ returns t and omega_L for omega).  Then
 * theta_s = t theta_L: <s omega_L, t theta_L> = <omega_L, theta_L> = 1.
 * x_s = omega'/omega = t x for a second form omega' with x = omega'/omega_L.
 * psi is F_p-linear, so omega is flat exactly when omega_L is, and the
-  chart constants of omega and omega_L agree (`pcurvature`): `is_flat` and
-  `chart_constant` run once per line.
+  chart constants of omega and omega_L agree (`pcurvature`): one per line,
+  which also decides flatness (`is_flat`).
 * theta_s^k(x_s) = t^(k+1) u_k with u_k = theta_L^k(x), so
       S1(s) = sum_k t^(k+1) u_k,   S2(s) = sum_k (-1)^k t^(k+1) u_k,
   since C(p-1, k) = prod_(j<=k) (p-j)/j = (-1)^k mod p.
@@ -115,6 +115,7 @@ from .funcfield import (
     FunctionFieldElement,
     curve_id,
     dual_derivation,
+    hyperelliptic_involution,
     line_representative,
 )
 from .linalg import enumerate_span_mod_p
@@ -211,8 +212,8 @@ def _line_table(curve: Curve, rep: Differential, omega: Differential):
                 ct = F.mul(ct, tc)
                 A = poly.add(F, A, poly.scale(F, a, ct))
                 B = poly.add(F, B, poly.scale(F, b, ct))
-            rows[tc] = (curve.mul(curve.constant(tc), x), R.element(R.make(A, B, J)),
-                        R.element(R.make(A, poly.neg(F, B), J)))
+            S1 = R.element(R.make(A, B, J))
+            rows[tc] = (curve.mul(curve.constant(tc), x), S1, hyperelliptic_involution(S1))
         return R, x, numerators, J, rows
 
     return curve.memo(("line_table", rep.g, omega.g), table)

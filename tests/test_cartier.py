@@ -4,6 +4,7 @@ import pytest
 
 from g2frob import (
     FieldTooLargeForBrute,
+    G2FrobError,
     NonUnitError,
     NotFlat,
     NotSquarefree,
@@ -429,7 +430,7 @@ def test_psi_rows_against_normal_forms(curve):
     # for every candidate, the row combination over D is the normal-form psi,
     # and brute lists exactly the candidates whose psi is zero
     F = curve.field
-    _, _, xp, h, c0 = _flat_form_data(curve)
+    xp, h, c0 = _flat_form_data(curve)
     D, na, alpha, beta = _psi_rows(curve, xp, h, c0)
     flat = []
     for a in F.elements():
@@ -479,6 +480,26 @@ def test_torsion_set_differentials_are_flat(curve5):
         assert p_curvature_rank1(T, omega0).is_zero()
 
 
+def test_brute_weld_rejects_rows_that_accept_a_non_flat_pair(monkeypatch):
+    # rows that vanish for every pair let every candidate through; the weld
+    # to is_flat must refuse the first nonzero one on a curve whose only
+    # flat form is 0
+    from g2frob import cartier
+
+    cv = make_curve(PrimeField(3), NON_ORDINARY_3)
+    assert len(enumerate_p_torsion(cv, "semilinear")) == 1
+    real_rows = cartier._psi_rows
+
+    def zero_rows(curve, xp, h, c0):
+        D, na, alpha, beta = real_rows(curve, xp, h, c0)
+        z = curve.field.zero()
+        return D, na, [(z, z)] * len(alpha), [(z, z)] * len(beta)
+
+    monkeypatch.setattr(cartier, "_psi_rows", zero_rows)
+    with pytest.raises(G2FrobError, match="is_flat"):
+        enumerate_p_torsion(cv, "brute")
+
+
 def test_span_listing_is_guarded():
     # 2^17 vectors: refused before the first one is listed
     basis = [[int(i == j) for j in range(17)] for i in range(17)]
@@ -497,8 +518,9 @@ def _flat_data_curves():
 
 @pytest.mark.parametrize("curve", _flat_data_curves(), ids=["F3", "F13", "F27"])
 def test_flat_form_data_against_pow_and_derivation_steps(curve):
-    omega0, theta0, xp, h, c0 = _flat_form_data(curve)
-    x = curve.x()
+    xp, h, c0 = _flat_form_data(curve)
+    x, omega0 = curve.x(), curve.basis_forms()[0]
+    theta0 = dual_derivation(omega0)
     assert xp == curve.pow(x, curve.p)
     assert h == theta0.apply_n(x, curve.p - 1)
     assert c0 == chart_constant(omega0)

@@ -719,19 +719,16 @@ def test_scan_refuses_too_much_lemma_work(capsys, monkeypatch, tmp_path):
 
 
 def test_verify_lemma_data_computed_once_per_line(capsys, monkeypatch):
-    # one flat F_13-line: its p - 1 multiples share one flatness check, one
-    # chart constant and one theta_L-orbit per basis form, and the engine
-    # runs both triangular connections once per form, for all multiples
-    from g2frob import funcfield, pcurvature, verify
+    # one flat F_13-line: its p - 1 multiples share one chart constant, which
+    # decides flatness and is the one the engine reads, and one theta_L-orbit
+    # per basis form, and the engine runs both triangular connections once
+    # per form, for all multiples
+    from g2frob import funcfield, verify
 
     p = 13
-    flat, orbits, engine, chart_steps = [], [], [], []
-    real_rank1, real_orbit = pcurvature.p_curvature_rank1, verify._orbit
+    orbits, engine, chart_steps = [], [], []
+    real_orbit = verify._orbit
     real_matrix, real_apply_n = verify.p_curvature_matrix, funcfield.Derivation.apply_n
-
-    def counted_rank1(*args):
-        flat.append(args)
-        return real_rank1(*args)
 
     def counted_orbit(*args):
         orbits.append(args)
@@ -746,7 +743,6 @@ def test_verify_lemma_data_computed_once_per_line(capsys, monkeypatch):
             chart_steps.append(u)
         return real_apply_n(self, u, n)
 
-    monkeypatch.setattr(pcurvature, "p_curvature_rank1", counted_rank1)
     monkeypatch.setattr(verify, "_orbit", counted_orbit)
     monkeypatch.setattr(verify, "p_curvature_matrix", counted_matrix)
     monkeypatch.setattr(funcfield.Derivation, "apply_n", counted_apply_n)
@@ -756,8 +752,7 @@ def test_verify_lemma_data_computed_once_per_line(capsys, monkeypatch):
     payload = json.loads(out)
     assert payload["torsionCount"] == p and len(payload["rigidity"]) == 1
     assert len(payload["lemmas"]) == 4 * (p - 1)
-    assert len(flat) == 1
-    assert len(chart_steps) == 2  # the chart dx/y of the flatness check, and the line's
+    assert len(chart_steps) == 1  # the line's, for the flatness check and the engine
     assert len(orbits) == 2
     assert engine.count(False) == 2 * 2  # two shapes, two basis forms
     assert engine.count(True) == 6  # the linear rigidity solve

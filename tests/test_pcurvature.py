@@ -7,16 +7,21 @@ import pytest
 from g2frob import (
     ConnectionMatrix,
     DualRing,
+    PrimeField,
     RangeError,
     ZeroVector,
     coefficient_table,
     dual_derivation,
+    enumerate_p_torsion,
     make_curve,
+    make_field,
     p_curvature_matrix,
     p_curvature_rank1,
+    random_curve,
     second_fundamental_form,
 )
-from g2frob.pcurvature import chart_constant
+from g2frob.funcfield import pair
+from g2frob.pcurvature import chart_constant, is_flat
 
 from conftest import make_random_element, rng_for
 
@@ -46,6 +51,45 @@ def test_rank1_equals_rank1_recursion(curve3, curve5):
             closed = p_curvature_rank1(T, omega0)
             rec = p_curvature_matrix(ConnectionMatrix(cv, ((T,),), omega0))
             assert rec[0, 0] == closed
+
+
+def _flatness_curves():
+    """(field, f) for three random curves each over F_5, F_7 and F_9, among
+    them curves with one flat F_p-line, and an F_9 curve with a plane."""
+    F9 = make_field(3, 2)
+    out = [(F9, tuple(F9.from_int(c) for c in (1, 0, 1, 2, 2, 1)))]  # nine flat forms
+    for F in (PrimeField(5), PrimeField(7), F9):
+        rng = rng_for(f"is-flat-{F!r}")
+        out += [(F, random_curve(F, rng).f) for _ in range(3)]
+    return out
+
+
+_FLATNESS_CURVES = _flatness_curves()
+
+
+@pytest.mark.parametrize("field, f", _FLATNESS_CURVES,
+                         ids=[f"F{F.size}-{i}" for i, (F, _) in enumerate(_FLATNESS_CURVES)])
+def test_is_flat_against_the_closed_form_on_dx_over_y(field, f):
+    # is_flat reads each form's own chart constant; the oracle is the rank-1
+    # closed form of T = <omega, theta0> on the chart dx/y, on a second copy
+    # of the curve so that no memo entry is shared
+    curve, oracle = make_curve(field, f), make_curve(field, f)
+    omega0 = oracle.basis_forms()[0]
+    theta0 = dual_derivation(omega0)
+    flat = 0
+    for a in field.elements():
+        for b in field.elements():
+            expected = p_curvature_rank1(pair(oracle.global_form(a, b), theta0), omega0).is_zero()
+            assert is_flat(curve.global_form(a, b)) == expected
+            flat += expected
+    assert flat in (1, field.char, field.char ** 2)
+
+
+def test_flatness_curves_reach_a_line_and_a_plane():
+    # the differential test above runs on curves with a flat line and a plane
+    sizes = {(F.char, len(enumerate_p_torsion(make_curve(F, f), "semilinear")))
+             for F, f in _FLATNESS_CURVES}
+    assert {(5, 5), (7, 7), (3, 3), (3, 9)} <= sizes
 
 
 def test_matrix_zero_connection(curve3):

@@ -184,8 +184,25 @@ def test_reports_recheck(curve3):
     assert recheck(cv, r3)
 
 
+def _count_chart_constants(monkeypatch, p):
+    """The list of p-step derivation runs from now on: only a chart
+    constant takes p steps, and it decides flatness (`is_flat`)."""
+    from g2frob import funcfield
+
+    runs = []
+    real_apply_n = funcfield.Derivation.apply_n
+
+    def counted_apply_n(self, u, n):
+        if n == p:
+            runs.append(u)
+        return real_apply_n(self, u, n)
+
+    monkeypatch.setattr(funcfield.Derivation, "apply_n", counted_apply_n)
+    return runs
+
+
 def test_recheck_recomputes_on_a_fresh_curve(monkeypatch):
-    from g2frob import pcurvature, verify
+    from g2frob import verify
 
     cv = make_curve(make_field(3), CERTIFIED[3][0])
     F = cv.field
@@ -193,18 +210,12 @@ def test_recheck_recomputes_on_a_fresh_curve(monkeypatch):
     r1 = check_two_sums(cv, ab_L, (F.one(), F.zero()))
     r2 = check_offdiag_closed_forms(cv, ab_L, (F.one(), F.zero()))
     _, r3 = rigidity_scan(cv, ab_L, mode="linear")
-    rank1 = []
-    real_rank1 = pcurvature.p_curvature_rank1
-
-    def counting_rank1(*args):
-        rank1.append(args)
-        return real_rank1(*args)
-
-    monkeypatch.setattr(pcurvature, "p_curvature_rank1", counting_rank1)
+    chart_constants = _count_chart_constants(monkeypatch, cv.p)
     for report in (r1, r2, r3):
-        before = len(rank1)
+        before = len(chart_constants)
         assert recheck(cv, report)
-        assert len(rank1) > before  # the torsion check ran again
+        # the torsion check ran again, on the fresh curve's one chart constant
+        assert len(chart_constants) == before + 1
     # a faulty two_sums is caught by both rechecks, although cv's memo holds
     # the right sums
     real_two_sums = verify.two_sums
@@ -229,35 +240,30 @@ def test_report_jsonable_shape(curve3):
 
 
 def test_lemma_data_is_computed_once_per_curve(monkeypatch):
-    from g2frob import pcurvature, verify
+    from g2frob import verify
 
     p, f = 7, CERTIFIED[7][0]
     cv = make_curve(make_field(p), f)
     F = cv.field
     ab_L, ab = _flat_pair(cv), (F.one(), F.zero())
-    rank1 = []
-    real_rank1 = pcurvature.p_curvature_rank1
-
-    def counting_rank1(*args):
-        rank1.append(args)
-        return real_rank1(*args)
-
-    monkeypatch.setattr(pcurvature, "p_curvature_rank1", counting_rank1)
+    chart_constants = _count_chart_constants(monkeypatch, p)
     first = check_two_sums(cv, ab_L, ab)
     second = check_offdiag_closed_forms(cv, ab_L, ab)
-    assert len(rank1) == 1  # one torsion check of omega_L for both reports
+    # one chart constant of omega_L: the torsion check of both reports and
+    # the engine's constant
+    assert len(chart_constants) == 1
     omega_L = cv.global_form(*ab_L)
     theta_L = verify.require_torsion(cv, omega_L)
     x = cv.global_form(*ab).ratio(omega_L)
     S = two_sums(cv, theta_L, x)
     assert two_sums(cv, theta_L, x)[0] is S[0]  # a memo hit, not a recomputation
-    assert len(rank1) == 1
+    assert len(chart_constants) == 1
     # a fresh curve recomputes everything and agrees
     fresh = make_curve(make_field(p), f)
     for check, report in ((check_two_sums, first), (check_offdiag_closed_forms, second)):
         again = check(fresh, ab_L, ab)
         assert (again.status, again.witness) == (report.status, report.witness)
-    assert len(rank1) == 2
+    assert len(chart_constants) == 2
 
 
 # one flat F_p-line each, with its first nonzero form (a, b) as coefficient lists
