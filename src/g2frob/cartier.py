@@ -3,7 +3,8 @@
 The Cartier-Manin matrix of y^2 = f(x) is read off the expansion of
 h = f^n, n = (p-1)/2: A[i][j] is the coefficient of x^(i*p - j), indices
 i, j in {1, 2}.  The curve is ordinary exactly when det A != 0, and the
-p-rank is the stable rank of the associated semilinear operator.
+p-rank is the stable rank of the associated semilinear operator: the rank
+of A^(p) A, two steps (`CartierManinMatrix.p_rank` gives the argument).
 
 The four coefficients come from a linear recurrence in O(p) field
 operations rather than from expanding f^n (Bostan-Gaudry-Schost, SIAM J.
@@ -29,7 +30,10 @@ four older ones and the denominator by k, and one inverse at the end
 replaces the inverse of k per step, in O(1) memory.  Over F_{p^k} it is
 `poly.power_top_two_generic`, one field method call per operation and one
 inverse per step, which is also the oracle the tests run the F_p kernel
-against; `poly.pow` stays the oracle of the whole matrix.
+against; `poly.pow` stays the oracle of the whole matrix.  Descent: when
+f has F_p coefficients (every CLI `--f`), so does A, and both runs take the
+F_p kernel on those ints (`exactnum.prime_field_ints`), embedded by
+`from_int`; an f with a coefficient outside F_p keeps the generic run.
 
 A global form omega = (a + b x) dx/y defines the connection d + omega on the
 structure sheaf; its p-curvature against the standard chart (omega0 = dx/y,
@@ -77,7 +81,7 @@ from functools import partial
 
 from . import poly
 from .errors import FieldTooLargeForBrute, G2FrobError, NotFlat, PrimeTooLarge, RangeError
-from .exactnum import coords, make_field, prime_divisors, raw_to_json
+from .exactnum import PrimeField, coords, make_field, prime_divisors, prime_field_ints, raw_to_json
 from .funcfield import (
     Curve,
     Differential,
@@ -112,15 +116,16 @@ class CartierManinMatrix:
         return not self.field.is_zero(self.det())
 
     def p_rank(self) -> int:
-        """Stable rank of the semilinear Cartier operator (0, 1 or 2)."""
+        """Stable rank of the semilinear Cartier operator (0, 1 or 2), the
+        rank of N_2 = A^(p) A.  With N_0 = I, N_n = sigma(N_(n-1)) A and
+        sigma the Frobenius on entries, N_(n+1) = sigma^n(A) N_n, so
+        ker N_n lies in ker N_(n+1).  Once ker N_n = ker N_(n+1) it stays:
+        N_(n+2) v = 0 iff A v is in sigma(ker N_(n+1)) = sigma(ker N_n) iff
+        N_(n+1) v = 0.  On F^2 the kernel dimension rises at most twice, so
+        N_2 already has the stable kernel, hence the stable rank."""
         F, A = self.field, self.matrix
-        # N picks up the twisted factors A^(Frob^j) A^(Frob^(j-1)) ... A; the
-        # image chain of a rank <= 2 operator stabilizes well within these steps
-        N = Aj = A
-        for _ in range(max(4, 2 * F.degree + 2)):
-            Aj = tuple(tuple(F.frobenius(e) for e in row) for row in Aj)
-            N = _mat2_mul(F, Aj, N)
-        return _rank2(F, N)
+        Ap = tuple(tuple(F.frobenius(e) for e in row) for row in A)
+        return _rank2(F, _mat2_mul(F, Ap, A))
 
     def to_jsonable(self):
         return [[raw_to_json(e) for e in row] for row in self.matrix]
@@ -143,13 +148,16 @@ def cartier_manin(curve: Curve) -> CartierManinMatrix:
 
     def matrix():
         n = (p - 1) // 2
-        v = 1 if F.is_zero(f[0]) else 0
-        row1 = F.poly_power_top_two(f[v:], n, p - 1 - v * n)
+        ints = prime_field_ints(f)  # the descent to F_p (module docstring)
+        G, g = (F, f) if ints is None else (PrimeField(p), ints)
+        v = 1 if G.is_zero(g[0]) else 0
+        row1 = G.poly_power_top_two(g[v:], n, p - 1 - v * n)
         # x^(2p-1) and x^(2p-2) of f^n sit at (p-3)/2 and (p-1)/2 of the reversal
-        top, below = F.poly_power_top_two(f[::-1], n, (p - 1) // 2)
-        return CartierManinMatrix(
-            curve_id=curve_id(curve), matrix=(row1, (below, top)), field=F
-        )
+        top, below = G.poly_power_top_two(g[::-1], n, (p - 1) // 2)
+        rows = (row1, (below, top))
+        if ints is not None:
+            rows = tuple(tuple(map(F.from_int, row)) for row in rows)
+        return CartierManinMatrix(curve_id=curve_id(curve), matrix=rows, field=F)
 
     return curve.memo(("cartier_manin",), matrix)
 
@@ -371,12 +379,13 @@ def _torsion_brute(curve: Curve):
 
 
 def _torsion_semilinear(curve: Curve):
-    F = curve.field
+    """The span of `_flat_kernel`: a vector's coordinates in plane_basis(F)
+    are those of a, then those of b."""
+    F, k = curve.field, curve.field.degree
     basis = _flat_kernel(F, cartier_manin(curve).matrix)
-    unknowns = plane_basis(F)
     return tuple(sorted(
-        fp_combination(F, v, unknowns)
-        for v in enumerate_span_mod_p(basis, len(unknowns), curve.p)
+        (F.from_coeffs(v[:k]), F.from_coeffs(v[k:]))
+        for v in enumerate_span_mod_p(basis, 2 * k, curve.p)
     ))
 
 
@@ -422,17 +431,6 @@ def fp_kernel(ring, images):
             cols.append([x for c in coeffs for x in coords(c)])
         rows.extend(zip(*cols))
     return kernel_basis_mod_p(rows, len(images), F.char)
-
-
-def fp_combination(F, v, unknowns):
-    """sum_j v[j] * unknowns[j], componentwise, for unknowns that are tuples
-    of raw field values and v a vector of ints mod p."""
-    acc = [F.zero()] * len(unknowns[0])
-    for coeff, u in zip(v, unknowns):
-        if coeff:
-            s = F.from_int(coeff)
-            acc = [F.add(x, F.mul(s, y)) for x, y in zip(acc, u)]
-    return tuple(acc)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ type: `char`, `size`, `degree`, `zero()`, `one()`, `from_int(n)`,
 F_p), `frobenius`, `is_zero`, `eq`, `elements()`, `random(rng)`, `basis()`,
 the F_p-basis 1, t, ..., t^(k-1) as raw values (just (1,) on F_p),
 `frobenius_matrix()`, the Frobenius in that basis as a k x k F_p-matrix
-([[1]] on F_p), kept for the benchmark's input generator, and the
+([[1]] on F_p), whose columns `frobenius` combines on F_{p^k}, and the
 polynomial kernels `poly_normalize`, `poly_add`, `poly_sub`, `poly_neg`,
 `poly_scale`, `poly_derivative`, `poly_divide_at`, `poly_mul`, `poly_divmod`
 and `poly_gcd` behind the functions of `poly` of the same names, and
@@ -34,7 +34,8 @@ operation.  `cyclic_slots(n)` is the kernel of F[z]/(z^n - 1) under
 `multiples.MultiplesRing`: `PackedSlots` on F_p, n lazily reduced 64-bit
 slots in one int, and `TupleSlots` on F_{p^k}.  Raw values of any
 field go to JSON and back through `raw_to_json` / `raw_from_json`, and raws
-of one field sort in the order of their JSON form.
+of one field sort in the order of their JSON form; `prime_field_ints`
+reads raws that all lie in F_p as ints.
 
 The base of a DualRing may be a field context or a `funcfield.Curve`, the
 context of the curve's function field K, whose raws are function field
@@ -55,6 +56,7 @@ import operator
 import sys
 from array import array
 from functools import lru_cache
+from itertools import accumulate, repeat
 
 from . import poly
 from .errors import (
@@ -315,10 +317,14 @@ class ExtField:
     """F_{p^k} presented as F_p[t] modulo a monic irreducible of degree k.
 
     Raw values are k-tuples of ints; index i is the coefficient of t^i.
-    The modulus is checked for irreducibility at construction.
+    The modulus is checked for irreducibility at construction (once per
+    (p, modulus) in a process).  The Frobenius is F_p-linear: with columns
+    t^(i p), computed on first use by one `pow` and k - 1 products, a^p is
+    sum_i a_i t^(i p), one pass of k x k int multiply-adds (`frobenius`,
+    `frobenius_matrix`).
     """
 
-    __slots__ = ("p", "k", "modulus", "_red")
+    __slots__ = ("p", "k", "modulus", "_red", "_frob")
 
     def __init__(self, p: int, modulus):
         base = PrimeField(p)
@@ -332,7 +338,7 @@ class ExtField:
             raise RangeError("modulus must be monic")
         self.k = len(mod) - 1
         self.modulus = mod
-        if not _poly_is_irreducible(base, mod):
+        if not _is_irreducible_mod(self.p, mod):
             raise RangeError(f"modulus {mod} is reducible over F_{p}")
         # _red[i] = t^(k+i) reduced mod the modulus, enough for deg < k products
         self._red = []
@@ -343,6 +349,7 @@ class ExtField:
             top = cur.pop()
             if top:
                 cur = [(cur[i] - top * mod[i]) % p for i in range(self.k)]
+        self._frob = None
 
     @property
     def char(self) -> int:
@@ -417,7 +424,19 @@ class ExtField:
         return poly.power(a, n, self.one(), self.mul, self.inv)
 
     def frobenius(self, a):
-        return self.pow(a, self.p)
+        """a^p = sum_i a_i t^(i p), over the columns of `_frobenius_columns`."""
+        out = [0] * self.k
+        for x, col in zip(a, self._frob or self._frobenius_columns()):
+            if x:
+                out = [o + x * c for o, c in zip(out, col)]
+        p = self.p
+        return tuple([o % p for o in out])
+
+    def _frobenius_columns(self):
+        """t^(i p) for i < k, the powers of t^p by `pow`; stored on first use."""
+        tp = self.pow(self.gen(), self.p)
+        self._frob = tuple(accumulate(repeat(tp, self.k - 1), self.mul, initial=self.one()))
+        return self._frob
 
     def is_zero(self, a) -> bool:
         return all(x % self.p == 0 for x in a)
@@ -453,7 +472,7 @@ class ExtField:
 
     def frobenius_matrix(self):
         """Columns are t^(i*p) in the t-power basis (F_p-linear Frobenius)."""
-        cols = [self.frobenius(e) for e in self.basis()]
+        cols = self._frob or self._frobenius_columns()
         return [[cols[j][i] for j in range(self.k)] for i in range(self.k)]
 
     def basis(self):
@@ -704,6 +723,12 @@ def coords(raw):
     return raw if isinstance(raw, tuple) else (raw,)
 
 
+def prime_field_ints(raws):
+    """The raws as ints when every one lies in F_p, else None."""
+    cs = [coords(r) for r in raws]
+    return None if any(any(c[1:]) for c in cs) else [c[0] for c in cs]
+
+
 # ---------------------------------------------------------------------------
 # F_p polynomial arithmetic on int coefficient lists
 # ---------------------------------------------------------------------------
@@ -773,6 +798,12 @@ def _poly_is_irreducible(F, mod) -> bool:
     )
 
 
+@lru_cache(maxsize=256)
+def _is_irreducible_mod(p: int, mod: tuple) -> bool:
+    """`_poly_is_irreducible` over F_p, run once per (p, mod) in a process."""
+    return _poly_is_irreducible(PrimeField(p), mod)
+
+
 def prime_divisors(n: int):
     """The distinct primes dividing n >= 1, ascending, by trial division."""
     out = []
@@ -797,14 +828,14 @@ def find_irreducible(p: int, k: int, seed: int = 0):
         raise RangeError("extension degree must be >= 1")
     if k == 1:
         return (0, 1)
-    F = PrimeField(p)
+    PrimeField(p)  # refuses a p that is not an odd prime before the search
     rng = random.Random(((p * 1_000_003 + k) * 1_000_003 + seed))
     while True:
-        cand = [rng.randrange(p) for _ in range(k)] + [1]
+        cand = tuple([rng.randrange(p) for _ in range(k)] + [1])
         if cand[0] == 0:
             continue  # divisible by x
-        if _poly_is_irreducible(F, cand):
-            return tuple(cand)
+        if _is_irreducible_mod(p, cand):
+            return cand
 
 
 def make_field(p: int, k: int = 1, modulus=None, seed: int = 0):

@@ -57,7 +57,7 @@ from .errors import (
     RangeError,
     ZeroDifferential,
 )
-from .exactnum import ExtField, coords, field_arith, make_field, raw_to_json
+from .exactnum import ExtField, coords, field_arith, make_field, prime_field_ints, raw_to_json
 
 
 class Curve:
@@ -92,7 +92,10 @@ class Curve:
             raise DegreeNotFive(
                 f"f must be monic of degree 5, got degree {poly.degree(f)}"
             )
-        if not poly.is_squarefree(field, f):
+        # an F_p-rational f is squarefree over F_p exactly when over F_{p^k}
+        ints = prime_field_ints(f)
+        G, g = (field, f) if ints is None else (make_field(field.char), ints)
+        if not poly.is_squarefree(G, g):
             raise NotSquarefree("gcd(f, f') != 1: the model y^2 = f is singular")
         self.field = field
         self.f = f

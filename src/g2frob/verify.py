@@ -105,7 +105,7 @@ from dataclasses import dataclass
 from math import comb
 
 from . import poly
-from .cartier import fp_combination, fp_kernel, plane_basis
+from .cartier import fp_kernel, plane_basis
 from .errors import FieldTooLargeForBrute, NotTorsion, PrimeTooLarge, RangeError
 from .exactnum import DualRing, raw_from_json, raw_to_json
 from .funcfield import (
@@ -542,20 +542,18 @@ def _closed_forms_match(curve, theta_L, psi_companion, f11, f12, f21) -> bool:
 def _rigidity_linear(curve, omega_L):
     """Kernel of the F_p-linear map (w11, w12, w21) -> psi(deformation), the
     engine run over the chart's l-local ring R."""
-    F, R = curve.field, dual_derivation(omega_L).ring
-    unknowns, images = [], []  # unknowns flatten (a11, b11, a12, b12, a21, b21)
+    F, R, k = curve.field, dual_derivation(omega_L).ring, curve.field.degree
+    images = []  # unknown j: coordinate j of (a11, b11, a12, b12, a21, b21)
     for slot in range(3):
         for a, b in plane_basis(F):
-            raws, fs = [F.zero()] * 6, [R.zero()] * 3
-            raws[2 * slot], raws[2 * slot + 1] = a, b
+            fs = [R.zero()] * 3
             fs[slot] = R.lift(curve.global_form(a, b).ratio(omega_L))
             psi = _deformation_psi(R, omega_L, *fs, R.neg(fs[0]))
-            unknowns.append(tuple(raws))
             images.append(tuple(e for i in range(2) for j in range(2) for e in psi[i, j]))
     basis = fp_kernel(R, images)
     sols = set()
-    for v in enumerate_span_mod_p(basis, len(unknowns), curve.p):
-        w = fp_combination(F, v, unknowns)
+    for v in enumerate_span_mod_p(basis, len(images), curve.p):
+        w = [F.from_coeffs(v[i * k:(i + 1) * k]) for i in range(6)]
         sols.add(((w[0], w[1]), (w[2], w[3]), (w[4], w[5])))
     return tuple(sorted(sols))
 

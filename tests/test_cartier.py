@@ -28,7 +28,15 @@ from g2frob import (
     stabilization_degree,
 )
 from g2frob import poly
-from g2frob.cartier import _flat_form_data, _psi_coordinates, _psi_rows, check_brute_limit
+from g2frob.cartier import (
+    CartierManinMatrix,
+    _flat_form_data,
+    _mat2_mul,
+    _psi_coordinates,
+    _psi_rows,
+    _rank2,
+    check_brute_limit,
+)
 from g2frob.linalg import enumerate_span_mod_p, kernel_basis_mod_p
 from g2frob.pcurvature import chart_constant
 
@@ -101,6 +109,110 @@ def test_cartier_manin_recurrence_against_pow_oracle():
             A = cartier_manin(cv)
             assert A.matrix == _pow_oracle(cv), (F, cv.f)
             assert p_rank(cv) == A.p_rank()
+
+
+def _generic_recurrence_matrix(cv):
+    """The matrix from two field-method recurrence runs on f's own raws,
+    as `cartier_manin` ran them before the descent to F_p."""
+    F, f, p = cv.field, cv.f, cv.p
+    n = (p - 1) // 2
+    v = 1 if F.is_zero(f[0]) else 0
+    row1 = poly.power_top_two_generic(F, f[v:], n, p - 1 - v * n)
+    top, below = poly.power_top_two_generic(F, f[::-1], n, n)
+    return row1, (below, top)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (5, 2), (13, 2), (31, 3)])
+def test_prime_field_descent_against_extension_runs(monkeypatch, p, k):
+    # f with F_p coefficients over F_{p^k}: A from the F_p kernel equals the
+    # generic recurrence and poly.pow on the ExtField, and no ExtField run
+    # happens; the p-rank is the one over F_p
+    from g2frob import ExtField
+
+    ext_runs = []
+    monkeypatch.setattr(ExtField, "poly_power_top_two",
+                        lambda F, *args: ext_runs.append(args))
+    Fp, F = PrimeField(p), make_field(p, k)
+    rng = rng_for(f"cartier-descent-{p}-{k}")
+    for i in range(8):
+        base = _random_curve_through_origin(Fp, rng) if i % 3 == 0 else random_curve(Fp, rng)
+        cv = make_curve(F, [F.from_int(c) for c in base.f])
+        A = cartier_manin(cv)
+        assert A.matrix == _generic_recurrence_matrix(cv) == _pow_oracle(cv), (p, k, base.f)
+        assert A.matrix == tuple(tuple(map(F.from_int, row)) for row in cartier_manin(base).matrix)
+        assert A.p_rank() == cartier_manin(base).p_rank()
+    assert not ext_runs
+
+
+def test_prime_field_descent_keeps_non_squarefree_curves_out():
+    # squarefree over F_p exactly when squarefree over F_{p^k}, by the F_p
+    # gcd and by the generic gcd on the ExtField; x^5 + x + 1 = (x - 1)^2 ...
+    # over F_3 is refused over F_9 and F_27 too
+    import itertools
+
+    Fp = PrimeField(3)
+    for F in (make_field(3, 2), make_field(3, 3)):
+        with pytest.raises(NotSquarefree):
+            make_curve(F, [F.from_int(c) for c in (1, 1, 0, 0, 0, 1)])
+        for low in itertools.product(range(3), repeat=5):
+            f = list(low) + [1]
+            raws = tuple(F.from_int(c) for c in f)
+            generic = len(poly.gcd_generic(F, raws, poly.derivative_generic(F, raws))) == 1
+            assert generic == poly.is_squarefree(Fp, tuple(f)), f
+            try:
+                make_curve(F, raws)
+                built = True
+            except NotSquarefree:
+                built = False
+            assert built == generic, f
+
+
+def _p_rank_loop(F, A):
+    """The rank after max(4, 2k + 2) twisted products: the oracle of the
+    two-step `CartierManinMatrix.p_rank`."""
+    N = Aj = A
+    for _ in range(max(4, 2 * F.degree + 2)):
+        Aj = tuple(tuple(F.frobenius(e) for e in row) for row in Aj)
+        N = _mat2_mul(F, Aj, N)
+    return _rank2(F, N)
+
+
+@pytest.mark.parametrize("p,k", [(3, 2), (3, 3), (3, 5), (13, 4)])
+def test_two_step_p_rank_against_the_long_loop(p, k):
+    F = make_field(p, k)
+    rng = rng_for(f"p-rank-{p}-{k}")
+    ranks = set()
+    for i in range(700):
+        v = (F.random(rng), F.random(rng))
+        if i % 3 == 0:
+            A = (v, (F.random(rng), F.random(rng)))
+        else:  # a rank-1 product u v^T: A^(p) A = u^(p) (v^(p) . u) v^T
+            c = F.random(rng)
+            # every other one with v^(p) . u = 0, so the kernel rises twice
+            u = ((F.random(rng), F.random(rng)) if i % 3 == 1 else
+                 (F.mul(c, F.frobenius(v[1])), F.neg(F.mul(c, F.frobenius(v[0])))))
+            A = tuple(tuple(F.mul(x, y) for y in v) for x in u)
+        got = CartierManinMatrix(curve_id="", matrix=A, field=F).p_rank()
+        assert got == _p_rank_loop(F, A), A
+        ranks.add(got)
+    assert ranks == {0, 1, 2}
+
+
+def test_p_rank_is_invariant_under_base_change():
+    # the same integer f over F_p and over F_{p^k}, through the CLI's field
+    # constructor, with p-ranks 0, 1 and 2 among the curves
+    rng = rng_for("p-rank-base-change")
+    ranks = set()
+    for p, k in ((3, 2), (3, 5), (5, 3), (7, 2), (13, 4)):
+        Fp, F = PrimeField(p), make_field(p, k)
+        for _ in range(12):
+            base = random_curve(Fp, rng)
+            rank = p_rank(base)
+            assert p_rank(make_curve(F, [F.from_int(c) for c in base.f])) == rank, (p, k, base.f)
+            ranks.add(rank)
+    assert p_rank(make_curve(make_field(3, 4), [make_field(3, 4).from_int(c)
+                                                 for c in NON_ORDINARY_3])) == 0
+    assert ranks == {0, 1, 2}
 
 
 def _recurrence_shapes(F, rng):

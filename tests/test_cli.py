@@ -685,6 +685,33 @@ def test_cartier_manin_computed_once_per_call(capsys, monkeypatch, command):
     assert len(runs) == 2  # one matrix: one recurrence run per row
 
 
+def test_catalog_curve_with_an_extension_coefficient_keeps_the_generic_run(
+        tmp_path, capsys, monkeypatch):
+    # x^5 + x^4 + 1 + t over F_9 = F_3[t]/(t^2 + 1) has a coefficient outside F_3,
+    # so the matrix takes ExtField's two recurrence runs, not the descent
+    from g2frob import ExtField
+
+    runs = []
+    generic = ExtField.poly_power_top_two
+    monkeypatch.setattr(ExtField, "poly_power_top_two",
+                        lambda F, *args: runs.append(args) or generic(F, *args))
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps([{"p": 3, "ext": [1, 0, 1], "f": [[1, 1], 0, 0, 0, 1, 1]}]))
+    code, _ = run(capsys, "scan", "--catalog", str(path))
+    assert code == 0
+    assert len(runs) == 2
+
+
+def test_curve_over_an_extension_embeds_the_prime_field_matrix(capsys):
+    # an integer f gives the F_p matrix, each entry as [c, 0, 0], and the
+    # same p-rank
+    _, base = run(capsys, "curve", "--p", "31", "--f", "13,0,10,5,10,1")
+    _, ext = run(capsys, "curve", "--p", "31", "--ext-k", "3", "--f", "13,0,10,5,10,1")
+    base, ext = json.loads(base), json.loads(ext)
+    assert ext["A"] == [[[c, 0, 0] for c in row] for row in base["A"]]
+    assert (ext["pRank"], ext["ordinary"]) == (base["pRank"], base["ordinary"]) == (2, True)
+
+
 def test_verify_refuses_too_much_lemma_work(capsys, monkeypatch):
     # one flat F_211-line: 211^3 > 2^21, refused after the torsion solve and
     # before any theta_L-orbit or engine run

@@ -116,6 +116,60 @@ def test_frobenius_is_additive_and_multiplicative():
             assert F.frobenius(F.mul(a, b)) == F.mul(F.frobenius(a), F.frobenius(b))
 
 
+@pytest.mark.parametrize("p,k", [(3, 2), (5, 2), (3, 3), (7, 2)])
+def test_frobenius_against_pow_on_every_element(p, k):
+    F = make_field(p, k)
+    assert all(F.frobenius(a) == F.pow(a, p) for a in F.elements())
+
+
+@pytest.mark.parametrize("p,k", [(3, 10), (5, 8), (31, 3)])
+def test_frobenius_against_pow_on_random_elements(p, k):
+    # the pow(a, p) oracle, and the ring-map identities
+    F = make_field(p, k)
+    rng = rng_for(f"frobenius-pow-{p}-{k}")
+    assert F.frobenius(F.one()) == F.one() and F.frobenius(F.zero()) == F.zero()
+    for _ in range(200):
+        a, b = F.random(rng), F.random(rng)
+        assert F.frobenius(a) == F.pow(a, p)
+        assert F.frobenius(F.add(a, b)) == F.add(F.frobenius(a), F.frobenius(b))
+        assert F.frobenius(F.mul(a, b)) == F.mul(F.frobenius(a), F.frobenius(b))
+
+
+def test_frobenius_matrix_is_the_pow_of_the_basis():
+    # column j is t^(j p) by pow, whether or not `frobenius` ran first
+    assert ExtField(3, (1, 0, 1)).frobenius_matrix() == [[1, 0], [0, 2]]  # t^3 = -t
+    for p, k in ((3, 2), (3, 10), (5, 8), (13, 4), (31, 3)):
+        for warm in (False, True):
+            F = ExtField(p, find_irreducible(p, k))
+            if warm:
+                F.frobenius(F.gen())
+            cols = [F.pow(e, p) for e in F.basis()]
+            assert F.frobenius_matrix() == [[c[i] for c in cols] for i in range(k)]
+    F = ExtField(5, (2, 1))  # a degree-1 modulus: F_5 again, Frobenius the identity
+    assert F.frobenius_matrix() == [[1]]
+    assert all(F.frobenius(a) == a for a in F.elements())
+
+
+def test_irreducibility_checked_once_per_modulus(monkeypatch):
+    from g2frob import exactnum
+
+    exactnum._is_irreducible_mod.cache_clear()
+    find_irreducible.cache_clear()
+    calls = []
+    rabin_step = exactnum._x_power_minus_x
+    monkeypatch.setattr(exactnum, "_x_power_minus_x",
+                        lambda *args: calls.append(args) or rabin_step(*args))
+    F = make_field(7, 6)
+    searched = len(calls)
+    assert searched > 0
+    for _ in range(3):
+        assert make_field(7, 6) == ExtField(7, F.modulus) == F
+    assert len(calls) == searched
+    with pytest.raises(RangeError):
+        ExtField(7, (1, 0, 1, 0, 1, 0, 1))  # (t^2 + 1)(t^4 + 1)
+    assert len(calls) > searched
+
+
 def test_frobenius_rejected_on_duals():
     D = DualRing(PrimeField(5))
     with pytest.raises(UnsupportedRing):
