@@ -477,7 +477,7 @@ class ExtField:
 
     def basis(self):
         """1, t, ..., t^(k-1): the F_p-basis the raw tuples are coordinates in."""
-        return tuple(self.pow(self.gen(), i) for i in range(self.k))
+        return tuple((0,) * i + (1,) + (0,) * (self.k - 1 - i) for i in range(self.k))
 
     def __eq__(self, other):
         return (

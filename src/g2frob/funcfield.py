@@ -76,13 +76,10 @@ class Curve:
     The curve also owns a memo (`memo`): each module that asks for a
     result again and again keys it there, under a tuple that begins with a
     name of its own.  A value lives exactly as long as the curve: one CLI
-    call, or one scan row.  Next to it the curve keeps 1/y = y/f, which
-    is a normal form as it stands (f is monic and gcd(0, 1, f) = 1), so
-    `global_form` and `basis_forms` invert nothing.
+    call, or one scan row.
     """
 
-    __slots__ = ("field", "f", "fprime", "degree_cap", "_half_fprime", "_memo",
-                 "_inv_y")
+    __slots__ = ("field", "f", "fprime", "degree_cap", "_half_fprime", "_memo")
 
     def __init__(self, field, f_coeffs):
         if field.char == 2:
@@ -101,9 +98,8 @@ class Curve:
         self.f = f
         self.fprime = poly.derivative(field, f)
         self.degree_cap = 64 * field.char + 400
-        self._half_fprime = poly.scale(field, self.fprime, field.inv(field.from_int(2)))
+        self._half_fprime = poly.scale(field, self.fprime, field.from_int((field.char + 1) // 2))
         self._memo = {}
-        self._inv_y = FunctionFieldElement(self, (), poly.one(field), f)
 
     @property
     def p(self) -> int:
@@ -267,15 +263,20 @@ class Curve:
     # -- global regular differentials ---------------------------------------
     def basis_forms(self):
         """The basis (dx/y, x dx/y) of the global regular differentials."""
-        return (
-            Differential(self, self._inv_y),
-            Differential(self, self.mul(self.x(), self._inv_y)),
-        )
+        F = self.field
+        return self.global_form(F.one(), F.zero()), self.global_form(F.zero(), F.one())
 
     def global_form(self, a, b) -> "Differential":
-        """(a + b x) dx / y for raw field values a, b."""
-        g = self.mul(self.from_poly(poly.normalize(self.field, (a, b))), self._inv_y)
-        return Differential(self, g)
+        """(a + b x) dx / y for raw field values a, b: (a + b x) y / f is a
+        normal form as it stands (f is monic) unless b != 0 and f(-a/b) = 0,
+        the one case where `_make` divides out x + a/b."""
+        F = self.field
+        B = poly.normalize(F, (a, b))
+        if not B:
+            return Differential(self, self.zero())
+        if len(B) == 2 and F.is_zero(poly.divide_at(F, self.f, F.neg(F.div(a, b)))[1]):
+            return Differential(self, self._make((), B, self.f))
+        return Differential(self, FunctionFieldElement(self, (), B, self.f))
 
     def __repr__(self):
         return f"Curve({self.field!r}, f={self.f})"

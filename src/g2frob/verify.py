@@ -25,8 +25,9 @@ of the curve's field or ints, and a witness names it as {"a", "b"}.
   deformations T = [[w11, w12], [w21, -w11]] (entries global forms) of the
   split connection diag(d, d + omega_L) with vanishing p-curvature should be
   exactly the conjugation-trivial family {(0, c1 omega_L, c2 omega_L)}.
-  Along the way the scan verifies, for every deformation, the scalar-shift
-  identity
+  The linear mode solves for them as an F_p-linear kernel, psi in closed
+  form (below).  The brute mode runs the engine on every deformation and
+  verifies, for each, the scalar-shift identity
       psi(nabla_eps) = psi(nabla'_eps) + eps (f11 - theta_L^(p-1)(f11)) I
   where nabla'_eps drops the diagonal part (replacing [[f11, .], [., -f11]]
   by [[2 f11, .], [., 0]]); the eps^p = 0 collapse makes the p-th power of
@@ -61,12 +62,45 @@ multiples at once (below).
 All of it runs in the l-coordinates of theta_L's `funcfield.LocalRing`, so
 omega_L must be a global form: the orbit, the sums, both engine shapes (psi
 is compared with S1 and S2 there and converted only for a witness) and the
-rigidity scans; the linear one reads its F_p rows off the l-coordinates
-(`cartier.fp_kernel`).
+brute rigidity scan.  The linear rigidity solve reads its psi off the line
+tables (below) and its F_p rows off the l-coordinates (`cartier.fp_kernel`).
 
-`two_sums`, the direct per-form orbit sum, and `offdiag_engine`, the engine
-on one multiple's own chart, stay as the oracles that `recheck` and the
-tests compare with.
+`two_sums`, the direct per-form orbit sum, `offdiag_engine`, the engine
+on one multiple's own chart, and `_engine_images`, the K[eps] engine on
+each unknown of the rigidity solve, stay as the oracles that `recheck` and
+the tests compare with.
+
+The linear rigidity solve in closed form.  On the flat chart omega_L, with
+theta = theta_L, the deformation is T = J + eps N with J = diag(0, 1) and
+N = [[f11, f12], [f21, -f11]].  The engine computes T0^(p) - c T with
+T0^(1) = T, T0^(n+1) = T T0^(n) + theta(T0^(n)), and the chart constant c
+is 1 because omega_L is flat (`pcurvature.is_flat`).  J J = J and
+theta(J) = 0, so T0^(n) = J + eps Q^(n) with
+
+    Q^(1) = N,   Q^(n+1) = J Q^(n) + N J + theta(Q^(n)),
+
+and psi has body J - J = 0 and slope Q^(p) - N.  J Q keeps the second row
+of Q and N J = [[0, f12], [0, -f11]], so entry by entry, by induction on n,
+
+    Q11^(n) = theta^(n-1)(f11),          Q12^(n) = sum_(k<n) theta^k(f12),
+    Q21^(n) = (1 + theta)^(n-1)(f21),    Q22^(n) = -sum_(m<n) (1 + theta)^m(f11).
+
+At n = p, (1 + theta)^(p-1) = sum_k C(p-1, k) theta^k = sum_k (-1)^k theta^k,
+and sum_(m<p) (1 + theta)^m = theta^(p-1) in the domain F_p[theta], since
+theta times either side is (1 + theta)^p - 1 = theta^p.  So the slope is
+
+    [[theta^(p-1)(f11) - f11,               sum_(k=1..p-1) theta^k(f12)],
+     [sum_(k=1..p-1) (-1)^k theta^k(f21),   f11 - theta^(p-1)(f11)     ]].
+
+Let omega_L = s rep, t = 1/s, and f = omega/omega_L = t x with
+x = omega/rep for a second form omega.  Then theta_L^k(t x) = t^(k+1) u_k
+with u_k = theta_rep^k(x), and t^p = t, so f in slot 11 has the diagonal
++-t (u_(p-1) - x), f in slot 12 has S1(s) and f in slot 21 has S2(s): the
+row t of the line table, whose last orbit numerator is u_(p-1).  theta is
+F-linear, so the form e omega, e in F, has e times omega's image.  The
+unknowns of the solve are the plane_basis forms in each slot, so the line
+tables of the second forms (1, 0) and (0, 1), the ones the lemma checks
+fill, give every image, and no engine runs (`_rigidity_images`).
 
 All multiples in one engine run per shape.  The engine's psi on the chart
 omega against theta_omega is psi(theta_omega) of the connection, and psi
@@ -198,7 +232,8 @@ def _line_table(curve: Curve, rep: Differential, omega: Differential):
     second form omega, in the curve's memo: R the l-local ring of rep,
     x = omega/rep, the numerators (A_k, B_k) of the orbit u_1, ..., u_(p-1)
     over l^J, and the row t of the line table for every t in F_p^*: the
-    normal forms (x_t, S1, S2) of the multiple s rep, t = 1/s."""
+    normal forms (x_t, S1, S2) of the multiple s rep, t = 1/s, and S1 in
+    the l-coordinates of R (S2 there is (A, -B, j))."""
 
     def table():
         R, F = dual_derivation(rep).ring, curve.field
@@ -212,8 +247,9 @@ def _line_table(curve: Curve, rep: Differential, omega: Differential):
                 ct = F.mul(ct, tc)
                 A = poly.add(F, A, poly.scale(F, a, ct))
                 B = poly.add(F, B, poly.scale(F, b, ct))
-            S1 = R.element(R.make(A, B, J))
-            rows[tc] = (curve.mul(curve.constant(tc), x), S1, hyperelliptic_involution(S1))
+            s1 = R.make(A, B, J)
+            S1 = R.element(s1)
+            rows[tc] = (curve.mul(curve.constant(tc), x), S1, hyperelliptic_involution(S1), s1)
         return R, x, numerators, J, rows
 
     return curve.memo(("line_table", rep.g, omega.g), table)
@@ -225,7 +261,7 @@ def line_sums(curve: Curve, omega_L: Differential, omega: Differential):
     omega, t = 1/s (module docstring)."""
     require_torsion(curve, omega_L)
     t, rep = line_representative(omega_L)
-    return _line_table(curve, rep, omega)[4][t]
+    return _line_table(curve, rep, omega)[4][t][:3]
 
 
 def two_sums(curve: Curve, theta_L: Derivation, x: FunctionFieldElement):
@@ -435,7 +471,7 @@ def rigidity_scan(curve: Curve, ab_L, mode: str = "brute"):
     if mode == "brute":
         sols, identity_ok, identity_total, closed_ok = _rigidity_brute(curve, theta_L, omega_L)
     elif mode == "linear":
-        sols = _rigidity_linear(curve, omega_L)
+        sols = _rigidity_linear(curve, *_rigidity_images(curve, omega_L))
         identity_ok = identity_total = 0
         closed_ok = True
     else:
@@ -539,20 +575,49 @@ def _closed_forms_match(curve, theta_L, psi_companion, f11, f12, f21) -> bool:
     return True
 
 
-def _rigidity_linear(curve, omega_L):
-    """Kernel of the F_p-linear map (w11, w12, w21) -> psi(deformation), the
-    engine run over the chart's l-local ring R."""
-    F, R, k = curve.field, dual_derivation(omega_L).ring, curve.field.degree
+def _rigidity_images(curve, omega_L):
+    """(R, images): psi of each unknown's deformation, (body, slope) per
+    entry over R, the l-local ring of omega_L's line, in closed form off the
+    line tables of the second forms (1, 0) and (0, 1) (module docstring):
+    no engine run."""
+    F = curve.field
+    t, rep = line_representative(omega_L)
+    R = dual_derivation(rep).ring
+    zero, slopes = R.zero(), []  # per second form, per slot: the slope's four entries
+    for omega in curve.basis_forms():
+        _, x, numerators, J, rows = _line_table(curve, rep, omega)
+        s1 = rows[t][3]
+        s2 = (s1[0], poly.neg(F, s1[1]), s1[2])
+        # the diagonal t (u_(p-1) - x), u_(p-1) the orbit's last numerator over l^J
+        d = R.mul(R.lift(curve.constant(t)), R.sub(R.make(*numerators[-1], J), R.lift(x)))
+        slopes.append([(d, zero, zero, R.neg(d)), (zero, s1, zero, zero), (zero, zero, s2, zero)])
+    scalars = [R.lift(curve.constant(c)) for c in F.basis()]
+    return R, [tuple(e for u in slopes[form][slot] for e in (zero, R.mul(c, u)))
+               for slot in range(3) for form in range(2) for c in scalars]
+
+
+def _engine_images(curve, omega_L):
+    """(R, images) as in `_rigidity_images`, by one K[eps] engine run per
+    unknown on the chart omega_L: the oracle of the closed form (`recheck`,
+    the tests)."""
+    R = dual_derivation(omega_L).ring
     images = []  # unknown j: coordinate j of (a11, b11, a12, b12, a21, b21)
     for slot in range(3):
-        for a, b in plane_basis(F):
+        for a, b in plane_basis(curve.field):
             fs = [R.zero()] * 3
             fs[slot] = R.lift(curve.global_form(a, b).ratio(omega_L))
             psi = _deformation_psi(R, omega_L, *fs, R.neg(fs[0]))
             images.append(tuple(e for i in range(2) for j in range(2) for e in psi[i, j]))
-    basis = fp_kernel(R, images)
+    return R, images
+
+
+def _rigidity_linear(curve, R, images):
+    """Kernel of the F_p-linear map (w11, w12, w21) -> psi(deformation),
+    unknown j sent to images[j] (`_rigidity_images`, `_engine_images`), as
+    sorted triples of (a, b) pairs."""
+    F, k = curve.field, curve.field.degree
     sols = set()
-    for v in enumerate_span_mod_p(basis, len(images), curve.p):
+    for v in enumerate_span_mod_p(fp_kernel(R, images), len(images), curve.p):
         w = [F.from_coeffs(v[i * k:(i + 1) * k]) for i in range(6)]
         sols.add(((w[0], w[1]), (w[2], w[3]), (w[4], w[5])))
     return tuple(sorted(sols))
@@ -606,9 +671,16 @@ def recheck(curve: Curve, report: LemmaReport) -> bool:
             _ffe_witness(upper[0][1]) == w["psiUpperOffdiag"] and \
             _ffe_witness(lower[0][1]) == w["psiLowerOffdiag"]
     if report.lemma_id == "split-connection-rigidity":
-        _, fresh = rigidity_scan(curve, _witness_form(w["omegaL"]), mode=w["mode"])
-        return fresh.status == report.status and \
-            fresh.witness["solutionCount"] == w["solutionCount"]
+        if w["mode"] != "linear":
+            _, fresh = rigidity_scan(curve, _witness_form(w["omegaL"]), mode=w["mode"])
+            return fresh.status == report.status and \
+                fresh.witness["solutionCount"] == w["solutionCount"]
+        # the engine images, not the line tables that made the report
+        omega_L, ab_L = _as_global_form(curve, _witness_form(w["omegaL"]))
+        require_torsion(curve, omega_L)
+        sols = _rigidity_linear(curve, *_engine_images(curve, omega_L))
+        status = "holds" if sols == _trivial_family(curve.field, ab_L) else "violated"
+        return status == report.status and len(sols) == w["solutionCount"]
     raise RangeError(f"unknown lemma id {report.lemma_id!r}")
 
 

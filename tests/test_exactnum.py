@@ -261,6 +261,13 @@ def test_field_basis_coordinates_and_raw_codec():
         f5.from_coeffs([1, 2])
 
 
+def test_ext_basis_is_the_powers_of_t():
+    # the unit tuples, against t^i by `pow`, for k = 1 up to k = 10
+    for F in (ExtField(5, (2, 1)), ExtField(3, (1, 0, 1)), make_field(5, 2), make_field(3, 3),
+              make_field(7, 2), make_field(31, 3), make_field(5, 8), make_field(3, 10)):
+        assert F.basis() == tuple(F.pow(F.gen(), i) for i in range(F.degree))
+
+
 def test_make_field_checks_the_modulus_degree():
     assert make_field(3, 2, (1, 0, 1)) == ExtField(3, (1, 0, 1))
     with pytest.raises(RangeError):

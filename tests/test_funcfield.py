@@ -584,3 +584,49 @@ def test_packed_slots_fit_64_bits_at_p_127(monkeypatch):
     assert len(seen) >= 5 and max(bounds) <= 2 ** 64 - 1
     assert all(largest <= bound for largest, bound in seen)
     assert all(M.evaluate(a, s) == oracle[s] for s in points)
+
+
+@pytest.mark.parametrize("p, k", [(5, 1), (7, 1), (3, 2)], ids=["F5", "F7", "F9"])
+def test_global_form_against_the_product_by_one_over_y(p, k):
+    # every (a, b) on curves where f has a root in the field: (a + b x) y / f
+    # as it stands, or by `_make` where x + a/b divides f, equals the
+    # product (a + b x) * (1/y) in normal form; the `_make` case occurs
+    F, rng = make_field(p, k), rng_for(f"global-form-{p}-{k}")
+    elements = list(F.elements())
+    curves = []
+    while len(curves) < 2:
+        cv = random_curve(F, rng)
+        if any(F.is_zero(poly.divide_at(F, cv.f, r)[1]) for r in elements):
+            curves.append(cv)
+    reduced = 0
+    for cv in curves:
+        inv_y = cv.y().inverse()
+        for a in elements:
+            for b in elements:
+                g = cv.global_form(a, b).g
+                assert g == cv.mul(cv.from_poly(poly.normalize(F, (a, b))), inv_y)
+                reduced += len(g.D) < len(cv.f)
+    assert reduced
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (13, 1), (3, 2), (5, 3)])
+def test_half_fprime_is_fprime_over_two(p, k):
+    F = make_field(p, k)
+    cv = random_curve(F, rng_for(f"half-{p}-{k}"))
+    assert cv._half_fprime == poly.scale(F, cv.fprime, F.inv(F.from_int(2)))
+
+
+def test_curve_over_a_large_extension_takes_no_inverse(monkeypatch):
+    # 1/2 is (p + 1)/2, and an integer f is squarefree-tested over F_p: no
+    # Fermat power in F_(3^10)
+    F = make_field(3, 10)
+    calls = []
+    real_inv = ExtField.inv
+
+    def counted_inv(self, a):
+        calls.append(a)
+        return real_inv(self, a)
+
+    monkeypatch.setattr(ExtField, "inv", counted_inv)
+    cv = Curve(F, [F.from_int(c) for c in (1, 2, 0, 1, 2, 1)])
+    assert calls == [] and cv.f[0] == F.one()

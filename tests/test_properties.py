@@ -2,7 +2,8 @@
 off an F_p-line of flat forms, the chart constant and the dual derivation
 read off an F_p-line of charts, against the direct per-form computation;
 the engine over the multiples ring against the per-multiple engine at every
-multiple; the flat twist and the eigen-identities of the two sums; and the
+multiple; the closed-form psi of the linear rigidity solve against the
+K[eps] engine at every flat form; the flat twist and the eigen-identities of the two sums; and the
 ring axioms of K, of the l-local ring L = F[x, y][1/l], of K[eps] over both
 and of L[z]/(z^(p-1) - 1), with canonical normal forms."""
 
@@ -17,7 +18,9 @@ from g2frob.funcfield import line_representative
 from g2frob.multiples import MultiplesRing
 from g2frob.pcurvature import ConnectionMatrix, chart_constant, p_curvature_matrix
 from g2frob.verify import (
+    _engine_images,
     _ffe_witness,
+    _rigidity_images,
     check_offdiag_closed_forms,
     line_sums,
     offdiag_engine,
@@ -135,6 +138,61 @@ def test_multiples_ring_engine_against_every_multiple(field, seed):
                 for i in range(2):
                     for j in range(2):
                         assert R.element(R.mul(t, M.evaluate(psi[i][j], s))) == oracle[i][j]
+
+
+def _assert_rigidity_images_match_the_engine(cv, nonzero):
+    """At every nonzero flat form, every multiple of every flat line: the
+    closed-form psi of each unknown of the linear rigidity solve, body and
+    slope of all four entries, equals the K[eps] engine's, raw for raw."""
+    for ab_L in nonzero:
+        omega_L = cv.global_form(*ab_L)
+        R, closed = _rigidity_images(cv, omega_L)
+        engine_ring, engine = _engine_images(cv, omega_L)
+        assert engine_ring is R and len(closed) == 6 * cv.field.degree
+        assert closed == engine
+
+
+@pytest.mark.parametrize("field", [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2)],
+                         ids=["F3", "F5", "F7", "F11", "F13", "F9", "F25"])
+@settings(derandomize=True, database=None, max_examples=2, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_rigidity_closed_form_against_the_engine(field, seed):
+    F, rng = make_field(*field), random.Random(seed)
+    _assert_rigidity_images_match_the_engine(*_curve_with_flat_line(F, rng))
+
+
+# curves whose flat lines include a multiple of x dx/y (a = 0) or of dx/y
+# (b = 0), none over F_3, and over F_9 and F_25 the whole F_p-plane of flat
+# forms (p + 1 lines); coefficients in the basis of make_field(p, k)
+SPECIAL_LINES = [
+    ((3, 1), [2, 0, 1, 0, 1, 1], "a = 0"),
+    ((5, 1), [0, 3, 0, 0, 1, 1], "a = 0"),
+    ((5, 1), [1, 4, 0, 2, 0, 1], "b = 0"),
+    ((7, 1), [2, 2, 1, 3, 5, 1], "a = 0"),
+    ((7, 1), [1, 4, 6, 6, 6, 1], "b = 0"),
+    ((11, 1), [0, 5, 9, 10, 8, 1], "a = 0"),
+    ((11, 1), [0, 6, 7, 7, 4, 1], "b = 0"),
+    ((13, 1), [12, 12, 5, 10, 11, 1], "a = 0"),
+    ((13, 1), [6, 8, 2, 0, 11, 1], "b = 0"),
+    ((3, 2), [[0, 2], [0, 0], [0, 1], [0, 1], [0, 1], [1, 0]], "plane"),
+    ((5, 2), [[3, 3], [0, 1], [4, 3], [1, 2], [0, 0], [1, 0]], "b = 0"),
+    ((5, 2), [[2, 2], [4, 3], [1, 0], [1, 4], [2, 1], [1, 0]], "plane"),
+]
+
+
+@pytest.mark.parametrize("field, f, kind", SPECIAL_LINES,
+                         ids=[f"F{p ** k}-{kind}" for (p, k), _, kind in SPECIAL_LINES])
+def test_rigidity_closed_form_on_special_lines(field, f, kind):
+    F = make_field(*field)
+    cv = Curve(F, [F.from_coeffs(c if isinstance(c, list) else [c]) for c in f])
+    nonzero = enumerate_p_torsion(cv, "semilinear").nonzero(F)
+    p = cv.p
+    if kind == "plane":
+        assert len(nonzero) == p * p - 1
+    else:
+        i = 0 if kind == "a = 0" else 1
+        assert len(nonzero) == p - 1 and all(F.is_zero(ab[i]) for ab in nonzero)
+    _assert_rigidity_images_match_the_engine(cv, nonzero)
 
 
 @settings(derandomize=True, database=None, max_examples=20, deadline=None)

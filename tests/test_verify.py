@@ -347,3 +347,58 @@ def test_offdiag_reports_each_multiple_where_the_table_differs(monkeypatch):
         assert report.witness["psiUpperOffdiag"] == _ffe_witness(upper[0][1])
         assert report.witness["psiLowerOffdiag"] == _ffe_witness(lower[0][1])
         assert recheck(cv, report) == (c == 1)
+
+
+def test_recheck_of_a_linear_report_reruns_the_engine(monkeypatch):
+    # the closed form with the images of w11 dropped, as if the diagonal
+    # t (u_(p-1) - x) were lost: every w11 solves, so the report is violated
+    # with p^2 times the family, and recheck, which solves on the K[eps]
+    # engine's images, disagrees with it and agrees with the true report
+    from g2frob import verify
+
+    cv = make_curve(make_field(7), CERTIFIED[7][0])
+    ab_L = _flat_pair(cv)
+    _, good = rigidity_scan(cv, ab_L, mode="linear")
+    real_images = verify._rigidity_images
+
+    def diagonal_dropped(curve, omega_L):
+        R, images = real_images(curve, omega_L)
+        n = 2 * curve.field.degree  # the unknowns of w11 come first
+        return R, [tuple(R.zero() for _ in image) for image in images[:n]] + images[n:]
+
+    monkeypatch.setattr(verify, "_rigidity_images", diagonal_dropped)
+    _, bad = rigidity_scan(cv, ab_L, mode="linear")
+    assert good.status == "holds" and good.witness["solutionCount"] == 49
+    assert bad.status == "violated" and bad.witness["solutionCount"] == 49 * 49
+    assert recheck(cv, good) and not recheck(cv, bad)
+
+
+@pytest.mark.parametrize("spec, ab_L", ONE_LINE, ids=["F7", "F11", "F13", "F9"])
+def test_standalone_linear_rigidity_builds_two_orbits_and_no_engine(monkeypatch, spec, ab_L):
+    # no lemma check before it: the solve fills the line tables of the second
+    # forms (1, 0) and (0, 1), one orbit each, and runs no engine at all
+    from g2frob import verify
+    from g2frob.funcfield import curve_from_spec
+
+    orbits, engine = [], []
+    real_orbit, real_matrix = verify._orbit, verify.p_curvature_matrix
+
+    def counted_orbit(*args):
+        orbits.append(args)
+        return real_orbit(*args)
+
+    def counted_matrix(conn):
+        engine.append(conn.is_dual)
+        return real_matrix(conn)
+
+    monkeypatch.setattr(verify, "_orbit", counted_orbit)
+    monkeypatch.setattr(verify, "p_curvature_matrix", counted_matrix)
+    cv = curve_from_spec(spec)
+    F = cv.field
+    assert len(enumerate_p_torsion(cv, "semilinear").nonzero(F)) == cv.p - 1
+    _, report = rigidity_scan(cv, tuple(F.from_coeffs(c) for c in ab_L), mode="linear")
+    assert len(orbits) == 2 and engine == []
+    # the K[eps] engine finds the same solutions (the F_11 curve's exceed the
+    # family), one run per unknown
+    assert recheck(cv, report)
+    assert engine.count(True) == 6 * F.degree
