@@ -404,12 +404,20 @@ def _flat_kernel(F, A):
     """F_p-basis, in the coordinates of plane_basis(F), of the v in F^2 with
     A v = v^(p).  Column j of the linear system is A u_j - u_j^(p) for the
     j-th plane_basis vector u_j; Frobenius is F_p-linear, so this is the
-    multiplication matrix of each entry of A less frobenius_matrix()."""
-    cols = []
-    for u in plane_basis(F):
-        Au = (F.add(F.mul(r[0], u[0]), F.mul(r[1], u[1])) for r in A)
-        cols.append([x for w, c in zip(Au, u)
-                     for x in coords(F.sub(w, F.frobenius(c)))])
+    multiplication matrix of each entry of A less frobenius_matrix().  u_j
+    has one nonzero entry e, in slot j // k, so A u_j is that column of A
+    times e: e's F_p-coordinates scaled where the entry lies in F_p (every
+    A of an F_p-rational f), one F.mul only where it does not."""
+    k, cols = F.degree, []
+
+    def times(a, e):
+        c = prime_field_ints((a,))
+        return F.mul(a, e) if c is None else F.from_coeffs([c[0] * x for x in coords(e)])
+
+    for j, u in enumerate(plane_basis(F)):
+        Au = (times(r[j // k], u[j // k]) for r in A)
+        cols.append([x for w, v in zip(Au, u)
+                     for x in coords(F.sub(w, F.frobenius(v)))])
     return kernel_basis_mod_p(list(zip(*cols)), len(cols), F.char)
 
 

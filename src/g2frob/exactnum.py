@@ -30,12 +30,9 @@ and `poly_gcd` behind the functions of `poly` of the same names, and
 runs them as loops on the int coefficients with inline reduction mod p
 (the recurrence over one common denominator, with one inverse per run);
 F_{p^k} uses `poly`'s generic loops, one field method call per coefficient
-operation.  `cyclic_slots(n)` is the kernel of F[z]/(z^n - 1) under
-`multiples.MultiplesRing`: `PackedSlots` on F_p, n lazily reduced 64-bit
-slots in one int, and `TupleSlots` on F_{p^k}.  Raw values of any
-field go to JSON and back through `raw_to_json` / `raw_from_json`, and raws
-of one field sort in the order of their JSON form; `prime_field_ints`
-reads raws that all lie in F_p as ints.
+operation.  Raw values of any field go to JSON and back through
+`raw_to_json` / `raw_from_json`, and raws of one field sort in the order of
+their JSON form; `prime_field_ints` reads raws that all lie in F_p as ints.
 
 The base of a DualRing may be a field context or a `funcfield.Curve`, the
 context of the curve's function field K, whose raws are function field
@@ -52,9 +49,6 @@ it componentwise must say so by mapping over body and slope themselves.
 
 from __future__ import annotations
 
-import operator
-import sys
-from array import array
 from functools import lru_cache
 from itertools import accumulate, repeat
 
@@ -292,10 +286,6 @@ class PrimeField:
         inv = pow(c, -1, p)
         return w1 * inv % p, w2 * inv % p
 
-    def cyclic_slots(self, n: int):
-        """F_p[z]/(z^n - 1) with 64-bit slots packed into ints."""
-        return PackedSlots(self.p, n)
-
     # -- enumeration / sampling -------------------------------------------
     def elements(self):
         return range(self.p)
@@ -457,10 +447,6 @@ class ExtField:
     poly_gcd = poly.gcd_generic
     poly_power_top_two = poly.power_top_two_generic
 
-    def cyclic_slots(self, n: int):
-        """F_{p^k}[z]/(z^n - 1) as n-tuples of raws."""
-        return TupleSlots(self, n)
-
     def elements(self):
         from itertools import product
 
@@ -584,114 +570,6 @@ class DualRing:
 
     def __repr__(self):
         return f"DualRing({self.base!r})"
-
-
-class PackedSlots:
-    """F_p[z]/(z^n - 1) packed into ints: the coefficient kernel of
-    `multiples.MultiplesRing` over F_p (`PrimeField.cyclic_slots`).
-
-    A value is one int whose n slots of 64 bits hold the coefficients of
-    1, z, ..., z^(n-1), slot k in bits 64k to 64k + 63.  Slots are
-    nonnegative and need not be reduced mod p, so a sum, or a product by a
-    raw w in [0, p), is one int operation on every slot at once, as long as
-    no slot passes `limit`.  The caller keeps an upper bound on the slots:
-    a reduced value's is `reduced`, a product by w multiplies it by
-    `weight(w)`, and `reduce` comes before an operation that could pass
-    `limit`.  A product by z^k is a rotation by k slots.  Zero is 0; a
-    nonzero int may still be zero in every slot mod p (`is_zero`).
-    """
-
-    __slots__ = ("p", "n", "reduced", "_size", "_mask")
-    zero = 0
-    limit = (1 << 64) - 1
-    add = staticmethod(operator.add)
-    scale = staticmethod(operator.mul)
-
-    def __init__(self, p: int, n: int):
-        self.p, self.n, self.reduced = p, n, p - 1
-        self._size = 8 * n
-        self._mask = (1 << (64 * n)) - 1
-
-    def weight(self, w) -> int:
-        return w
-
-    def const(self, a):
-        return a
-
-    def rotate(self, c, k: int):
-        k %= self.n
-        return ((c << 64 * k) & self._mask) | (c >> 64 * (self.n - k))
-
-    def pack(self, values):
-        return int.from_bytes(array("Q", values).tobytes(), sys.byteorder)
-
-    def _unpack(self, c):
-        return memoryview(c.to_bytes(self._size, sys.byteorder)).cast("Q")
-
-    def slots(self, c):
-        """The n coefficients reduced into [0, p)."""
-        p = self.p
-        return [v % p for v in self._unpack(c)]
-
-    def reduce(self, cs):
-        """Every value of cs with its slots reduced, in one pass."""
-        p, size = self.p, self._size
-        data = b"".join(c.to_bytes(size, sys.byteorder) for c in cs)
-        red = array("Q", [v % p for v in memoryview(data).cast("Q")]).tobytes()
-        return [int.from_bytes(red[i:i + size], sys.byteorder) for i in range(0, len(red), size)]
-
-    def is_zero(self, c) -> bool:
-        p = self.p
-        return not c or not any(v % p for v in self._unpack(c))
-
-
-class TupleSlots:
-    """F[z]/(z^n - 1) as n-tuples of raws of a field context F, reduced by
-    every operation: the coefficient kernel of `multiples.MultiplesRing`
-    over F_{p^k} (`ExtField.cyclic_slots`), with the interface of
-    `PackedSlots`.  Zero is (); since nothing is left unreduced, every
-    bound is 0 and `reduce` changes nothing."""
-
-    __slots__ = ("F", "n")
-    zero = ()
-    limit = reduced = 0
-
-    def __init__(self, F, n: int):
-        self.F, self.n = F, n
-
-    def _nonzero(self, c):
-        return c if any(not self.F.is_zero(v) for v in c) else ()
-
-    def weight(self, w) -> int:
-        return 0
-
-    def add(self, c, d):
-        if not c or not d:
-            return c or d
-        return self._nonzero(tuple(map(self.F.add, c, d)))
-
-    def scale(self, c, w):
-        F = self.F
-        return tuple(F.mul(v, w) for v in c) if c and not F.is_zero(w) else ()
-
-    def const(self, a):
-        return self.pack((a,) + (self.F.zero(),) * (self.n - 1))
-
-    def rotate(self, c, k: int):
-        k %= self.n
-        return c[self.n - k:] + c[:self.n - k]
-
-    def pack(self, values):
-        return self._nonzero(tuple(values))
-
-    def slots(self, c):
-        return list(c) if c else [self.F.zero()] * self.n
-
-    def reduce(self, cs):
-        return list(cs)
-
-    def is_zero(self, c) -> bool:
-        return not c
 
 
 def field_arith(ring, a, b, op: str):

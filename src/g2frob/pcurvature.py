@@ -56,8 +56,7 @@ taken against (s omega_L)^(tensor p) and (-s omega_L)^(tensor p) =
 -(s omega_L)^(tensor p) (p is odd), so psi_lower(-s) = -psi_upper(s) entry
 by entry, and by s -> -s, psi_upper(-s) = -psi_lower(s).  This is a tested
 identity of the per-multiple engine; `verify` reads no report through it,
-since it runs all multiples of omega_L at once over
-`multiples.MultiplesRing`.
+since both psi have closed forms in the line's two sums (`verify`).
 
 The engine is generic over a ring context (see `exactnum`): a connection
 carries the ring its entries are raw values of, and the engine touches
@@ -67,9 +66,8 @@ itself for K, whose raws are function field elements, and `DualRing(curve)`
 for the first-order deformations K[eps], whose raws are pairs
 (body, slope) standing for body + eps * slope with eps^2 = 0 and on which
 theta acts componentwise.  On a flat global chart, whose chart constant is
-1, the chart's `funcfield.LocalRing` R may stand in for the curve, and
-`multiples.MultiplesRing(R)`, R[z]/(z^(p-1) - 1) with theta(z) = 0, for the
-curve with an F_p-multiple z adjoined.
+1, the chart's `funcfield.LocalRing` R may stand in for the curve, as in
+`verify`'s guard of the off-diagonal closed forms.
 """
 
 from __future__ import annotations
@@ -88,9 +86,8 @@ from .funcfield import (
 
 class ConnectionMatrix:
     """r x r matrix T over a ring context plus the chart form omega0: the
-    curve for K, DualRing(curve) for K[eps], the chart's LocalRing in their
-    place, or MultiplesRing over it.  The curve is the chart's; another ring
-    raises RangeError."""
+    curve for K, DualRing(curve) for K[eps], or the chart's LocalRing in
+    their place.  The curve is the chart's; another ring raises RangeError."""
 
     __slots__ = ("ring", "curve", "rank", "entries", "chart")
 
@@ -101,7 +98,7 @@ class ConnectionMatrix:
             raise RangeError("connection matrix must be square, rank >= 1")
         if chart.is_zero():
             raise RangeError("the chart differential must be nonzero")
-        base = getattr(ring, "base", ring)  # DualRing and MultiplesRing extend a base
+        base = getattr(ring, "base", ring)  # DualRing extends a base
         if base is None or base not in (chart.curve, dual_derivation(chart).ring):
             raise RangeError(f"{ring!r} is not a ring of the chart's curve")
         try:

@@ -50,25 +50,46 @@ returns t and omega_L for omega).  Then
       S1(s) = sum_k t^(k+1) u_k,   S2(s) = sum_k (-1)^k t^(k+1) u_k,
   since C(p-1, k) = prod_(j<=k) (p-j)/j = (-1)^k mod p.
 
-Two tables per (line, second form), in the curve's memo.  The line table
+One table per (line, second form), in the curve's memo.  The line table
 (`_line_table`) takes the one orbit u_1, ..., u_(p-1), over one power of l,
 and holds its numerators and, for every t in F_p^*, x_t, S1 and S2 in K.
 S1 is a scaled sum of the orbit's numerators and S2 its image under
 y -> -y: theta_L(x) = c y / l^e is odd and theta_L(y) even, so theta_L
-anticommutes with y -> -y and u_k, x in F(x), has the parity of k.  The
-engine table (`_offdiag_psi`) holds the engine's matrices for all
-multiples at once (below).
+anticommutes with y -> -y and u_k, x in F(x), has the parity of k.
 
 All of it runs in the l-coordinates of theta_L's `funcfield.LocalRing`, so
-omega_L must be a global form: the orbit, the sums, both engine shapes (psi
-is compared with S1 and S2 there and converted only for a witness) and the
-brute rigidity scan.  The linear rigidity solve reads its psi off the line
-tables (below) and its F_p rows off the l-coordinates (`cartier.fp_kernel`).
+omega_L must be a global form: the orbit, the sums, the engine guard of the
+off-diagonal check (below) and the brute rigidity scan.  The linear
+rigidity solve reads its psi off the line tables (below) and its F_p rows
+off the l-coordinates (`cartier.fp_kernel`).
 
 `two_sums`, the direct per-form orbit sum, `offdiag_engine`, the engine
 on one multiple's own chart, and `_engine_images`, the K[eps] engine on
 each unknown of the rigidity solve, stay as the oracles that `recheck` and
 the tests compare with.
+
+The off-diagonal check in closed form.  On the flat chart omega_s = s rep,
+with theta = theta_s and x_s = omega/omega_s, the engine computes
+T0^(p) - c T with T0^(1) = T, T0^(n+1) = T T0^(n) + theta(T0^(n)), and the
+chart constant c is 1.  Both shapes keep their zero second row:
+
+* upper, T = [[0, x_s], [0, 1]]: T0^(n) = [[0, a_n], [0, 1]] with a_1 = x_s
+  and a_(n+1) = x_s + theta(a_n), so a_p = sum_(k<p) theta^k(x_s) and
+      psi = [[0, a_p - x_s], [0, 0]] = [[0, S1(s)], [0, 0]];
+* lower, T = [[1, x_s], [0, 0]]: T0^(n) = [[1, b_n], [0, 0]] with b_1 = x_s
+  and b_(n+1) = (1 + theta)(b_n), so b_p = (1 + theta)^(p-1)(x_s) and
+      psi = [[0, b_p - x_s], [0, 0]] = [[0, S2(s)], [0, 0]],
+  since (1 + theta)^(p-1) = sum_k C(p-1, k) theta^k.
+
+So on a flat line the report holds at every multiple unless the engine or
+the line table is wrong, and its witnesses are S1(s) and S2(s), the row
+t = 1/s.  As the executable guard, the engine runs once per shape and
+(line, second form), at the representative s = 1 over R
+(`_offdiag_agrees`), and all four entries are compared with the row t = 1,
+which keeps S1 in l-coordinates (S2 there is (A, -B, j)).  Where the guard
+disagrees, each multiple's report is the per-multiple engine's on its own
+chart (`offdiag_engine`), so a violated report carries the engine's psi.
+`recheck` reruns that engine on the witness's own chart.
 
 The linear rigidity solve in closed form.  On the flat chart omega_L, with
 theta = theta_L, the deformation is T = J + eps N with J = diag(0, 1) and
@@ -101,35 +122,6 @@ F-linear, so the form e omega, e in F, has e times omega's image.  The
 unknowns of the solve are the plane_basis forms in each slot, so the line
 tables of the second forms (1, 0) and (0, 1), the ones the lemma checks
 fill, give every image, and no engine runs (`_rigidity_images`).
-
-All multiples in one engine run per shape.  The engine's psi on the chart
-omega against theta_omega is psi(theta_omega) of the connection, and psi
-is p-linear in the derivation: psi(f theta) = f^p psi(theta).  For the
-multiple s omega_L, theta_s = t theta_L with t^p = t, so psi on the chart
-s omega_L is t psi(theta_L).  Against theta_L the two connections have the
-matrices s [[0, x_s], [0, 1]] = [[0, x], [0, s]] and s [[1, x_s], [0, 0]] =
-[[s, x], [0, 0]] on the chart omega_L, since s x_s = x.  So with a
-variable z, theta(z) = 0, in R[z]/(z^(p-1) - 1) (`multiples.MultiplesRing`,
-R the l-local ring), the engine runs once per shape, on
-[[0, x], [0, z]] and [[z, x], [0, 0]] over the chart omega_L, and
-
-    psi_upper(s) = t psi_upper(z = s),   psi_lower(s) = t psi_lower(z = s),
-
-because evaluation at z = s is a ring map that commutes with theta and the
-engine uses nothing else.  The multiple s compares psi_upper(s)[0][1] with
-S1(s) = sum_k t^(k+1) u_k, that is psi_upper(z = s)[0][1] with the value at
-z = s of
-
-    S1(z) = sum_k z^(-k) u_k,   and likewise   S2(z) = sum_k (-1)^k z^(-k) u_k,
-
-with z^(-k) = z^(p-1-k): the orbit itself, one u_k per z-coefficient, over
-the line table's common power of l.  z^(p-1) - 1 is the product of the
-z - a over a in F_p^*, so evaluation at F_p^* is a ring isomorphism onto
-R^(p-1): the differences psi - S vanish in the ring exactly when every
-multiple's comparison holds.  The table keeps them, and a report evaluates
-a nonzero one at its own s, and only then computes its witness
-t psi(z = s); otherwise the witness is the sum's normal form.
-`recheck` reruns the per-multiple engine on the witness's own chart.
 """
 
 from __future__ import annotations
@@ -159,10 +151,11 @@ from .pcurvature import ConnectionMatrix, is_flat, p_curvature_matrix
 # (1.4 ms a triple at p = 5, 2.5 ms at p = 7), times p^2
 _BRUTE_WORK_LIMIT = 1 << 20
 # flat F_p-lines times p^3 for the lemma checks of `verify` (per line and
-# second form, the orbit and the line table's p - 1 sums, and 2(p - 1)
-# engine steps on p - 1 slots, all on entries of degree about p): one line
-# took 2.3 s at p = 101, 3.6 s at p = 127 and 14 s at p = 211 (CPython
-# 3.11, one core)
+# second form, the orbit, the line table's p - 1 sums and their Taylor
+# shifts, and the guard's 2(p - 1) engine steps, all on entries of degree
+# about p, then O(p^2) JSON): `verify --rigidity linear` on one line took
+# 0.75 s at p = 101, 1.2 s at p = 127 and 4.7 s at p = 211 (fresh process,
+# CPython 3.11, one core)
 _LEMMA_WORK_LIMIT = 1 << 21
 # evenly spaced brute triples whose auxiliary recursion meets its closed forms
 _CLOSED_FORM_SAMPLES = 16
@@ -312,74 +305,67 @@ def check_two_sums(curve: Curve, ab_L, ab) -> LemmaReport:
 
 def offdiag_engine(curve: Curve, chart: Differential, x: FunctionFieldElement):
     """psi of [[0, x], [0, 1]] and [[1, x], [0, 0]] on the chart itself, by
-    two plain engine runs over K: the per-multiple oracle of the engine
-    table (`recheck`, the tests)."""
+    two plain engine runs over K: the per-multiple oracle of the guard
+    (`check_offdiag_closed_forms`, `recheck`, the tests)."""
     z, one = curve.zero(), curve.one()
     return tuple(p_curvature_matrix(ConnectionMatrix(curve, T, chart)).matrix
                  for T in (((z, x), (z, one)), ((one, x), (z, z))))
 
 
-def _offdiag_psi(curve: Curve, rep: Differential, omega: Differential):
-    """The engine table of the line of rep and the second form omega, in
-    the curve's memo: (M, offdiag, zeros) with M = MultiplesRing(R).  The
-    engine runs once per shape, [[0, x], [0, z]] and [[z, x], [0, 0]] on the
-    chart rep (module docstring).  offdiag holds, per shape, psi[0][1] and
-    its difference from S1(z) or S2(z), and zeros the other six entries,
-    all canonical raws of M."""
+def _offdiag_status(psi, S1, S2) -> str:
+    """Whether the two matrices of `offdiag_engine` are [[0, S1], [0, 0]] and
+    [[0, S2], [0, 0]]."""
+    upper, lower = psi
+    ok = upper[0][1] == S1 and lower[0][1] == S2 and all(
+        m[i][j].is_zero() for m in psi for i, j in ((0, 0), (1, 0), (1, 1)))
+    return "holds" if ok else "violated"
 
-    def table():
-        # imported on first use: a process with no lemma check never compiles it
-        from .multiples import MultiplesRing
 
-        R, x, numerators, J, _ = _line_table(curve, rep, omega)
-        M, F = MultiplesRing(R), curve.field
-        zero, z, xz = M.zero(), M.z(), M.lift(x)
-        upper = p_curvature_matrix(ConnectionMatrix(M, ((zero, xz), (zero, z)), rep)).matrix
-        lower = p_curvature_matrix(ConnectionMatrix(M, ((z, xz), (zero, zero)), rep)).matrix
-        rows = numerators[::-1]  # z^i carries u_(p-1-i): S1(z) = sum z^(-k) u_k
-        sums = (M.from_slots(rows, J), M.from_slots([(A, poly.neg(F, B)) for A, B in rows], J))
-        offdiag = [(M.normal(psi[0][1]), M.normal(M.sub(psi[0][1], S)))
-                   for psi, S in zip((upper, lower), sums)]
-        zeros = [M.normal(psi[i][j]) for psi in (upper, lower) for i, j in ((0, 0), (1, 0), (1, 1))]
-        return M, offdiag, zeros
+def _offdiag_agrees(curve: Curve, rep: Differential, omega: Differential) -> bool:
+    """The guard of the line of rep and the second form omega, in the curve's
+    memo: whether the engine, run once per shape on the chart rep over its
+    l-local ring R, gives [[0, S1], [0, 0]] and [[0, S2], [0, 0]] for the
+    row t = 1 of the line table, entry for entry (module docstring)."""
 
-    return curve.memo(("offdiag_psi", rep.g, omega.g), table)
+    def agrees():
+        R, x, _, _, rows = _line_table(curve, rep, omega)
+        F = curve.field
+        s1 = rows[F.from_int(1)][3]
+        s2 = (s1[0], poly.neg(F, s1[1]), s1[2])
+        zero, one, xl = R.zero(), R.one(), R.lift(x)
+        return all(
+            p_curvature_matrix(ConnectionMatrix(R, T, rep)).matrix == ((zero, S), (zero, zero))
+            for T, S in ((((zero, xl), (zero, one)), s1), (((one, xl), (zero, zero)), s2)))
+
+    return curve.memo(("offdiag_agrees", rep.g, omega.g), agrees)
 
 
 def check_offdiag_closed_forms(curve: Curve, ab_L, ab) -> LemmaReport:
     """Engine p-curvature of the triangular connections vs the two sums read
     off the line's orbit (`line_sums`), for forms given as in
-    `check_two_sums`; the engine runs for all multiples at once, per line
-    and second form (`_offdiag_psi`), and a multiple s reads its matrices at
-    z = s."""
+    `check_two_sums`: "holds" with the sums as witnesses where the line's
+    guard agrees (`_offdiag_agrees`), else the per-multiple engine's report
+    on omega_L's own chart (`offdiag_engine`)."""
     t0 = time.perf_counter()
     omega_L, ab_L = _as_global_form(curve, ab_L)
     omega, ab = _as_global_form(curve, ab)
-    _, S1, S2 = line_sums(curve, omega_L, omega)
-    t, rep = line_representative(omega_L)
-    M, offdiag, zeros = _offdiag_psi(curve, rep, omega)
-    R, s = M.base, curve.field.inv(t)
-
-    def differs(u):  # u nonzero at z = s; u canonical, so zero is empty
-        return not M.is_zero(u) and not R.is_zero(M.evaluate(u, s))
-
-    def witness(psi, difference, S):  # psi = t psi(z = s) on the chart s rep
-        if not differs(difference):
-            return _ffe_witness(S)
-        return _ffe_witness(R.element(R.mul(R.lift(curve.constant(t)), M.evaluate(psi, s))))
-
-    ok = not any(differs(u) for u in [d for _, d in offdiag] + zeros)
+    x, S1, S2 = line_sums(curve, omega_L, omega)
+    if _offdiag_agrees(curve, line_representative(omega_L)[1], omega):
+        status, upper, lower = "holds", S1, S2
+    else:
+        psi = offdiag_engine(curve, omega_L, x)
+        status, upper, lower = _offdiag_status(psi, S1, S2), psi[0][0][1], psi[1][0][1]
     return LemmaReport(
         curve_id=curve_id(curve),
         lemma_id="offdiag-closed-forms",
-        status="holds" if ok else "violated",
+        status=status,
         witness={
             "omegaL": _form_witness(ab_L),
             "omega": _form_witness(ab),
             "S1": _ffe_witness(S1),
             "S2": _ffe_witness(S2),
-            "psiUpperOffdiag": witness(*offdiag[0], S1),
-            "psiLowerOffdiag": witness(*offdiag[1], S2),
+            "psiUpperOffdiag": _ffe_witness(upper),
+            "psiLowerOffdiag": _ffe_witness(lower),
         },
         timing=time.perf_counter() - t0,
     )
@@ -664,12 +650,10 @@ def recheck(curve: Curve, report: LemmaReport) -> bool:
         omega, _ = _as_global_form(curve, _witness_form(w["omega"]))
         x = omega.ratio(omega_L)
         S1, S2 = two_sums(curve, require_torsion(curve, omega_L), x)
-        upper, lower = offdiag_engine(curve, omega_L, x)
-        ok = upper[0][1] == S1 and lower[0][1] == S2 and all(
-            psi[i][j].is_zero() for psi in (upper, lower) for i, j in ((0, 0), (1, 0), (1, 1)))
-        return ("holds" if ok else "violated") == report.status and \
-            _ffe_witness(upper[0][1]) == w["psiUpperOffdiag"] and \
-            _ffe_witness(lower[0][1]) == w["psiLowerOffdiag"]
+        psi = offdiag_engine(curve, omega_L, x)
+        return _offdiag_status(psi, S1, S2) == report.status and \
+            _ffe_witness(psi[0][0][1]) == w["psiUpperOffdiag"] and \
+            _ffe_witness(psi[1][0][1]) == w["psiLowerOffdiag"]
     if report.lemma_id == "split-connection-rigidity":
         if w["mode"] != "linear":
             _, fresh = rigidity_scan(curve, _witness_form(w["omegaL"]), mode=w["mode"])

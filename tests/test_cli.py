@@ -630,7 +630,7 @@ GOLDEN = {
     "verify --p 11 --f 5,1,3,9,1,1 --rigidity linear":
         "3d176ab608a497aef41f79d89f53071ab07d6e5a099c1b522de0560f733df85d",
     # one flat F_31-line: 30 multiples, whose off-diagonal reports all read
-    # one engine run per shape and form over the multiples ring
+    # one guard run per shape and form, at the line's representative
     "verify --p 31 --f 28,23,22,16,29,1 --rigidity linear":
         "a2370f40d7715d88d2c86b2c608511097b41ece9509a8c2a4c136b1f9389ac87",
     # one flat F_61-line: theta_L-orbits and engine entries of degree about
@@ -749,11 +749,12 @@ def test_verify_lemma_data_computed_once_per_line(capsys, monkeypatch):
     # one flat F_13-line: its p - 1 multiples share one chart constant, which
     # decides flatness and is the one the engine reads, and one theta_L-orbit
     # per basis form, and the engine runs both triangular connections once
-    # per form, for all multiples; the rigidity solve runs no engine
+    # per form, at the representative over the line's l-local ring, for all
+    # multiples; the rigidity solve runs no engine
     from g2frob import funcfield, verify
 
     p = 13
-    orbits, engine, chart_steps = [], [], []
+    orbits, engine, rings, chart_steps = [], [], [], []
     real_orbit = verify._orbit
     real_matrix, real_apply_n = verify.p_curvature_matrix, funcfield.Derivation.apply_n
 
@@ -763,6 +764,7 @@ def test_verify_lemma_data_computed_once_per_line(capsys, monkeypatch):
 
     def counted_matrix(conn):
         engine.append(conn.is_dual)
+        rings.append(conn.ring)
         return real_matrix(conn)
 
     def counted_apply_n(self, u, n):
@@ -783,3 +785,4 @@ def test_verify_lemma_data_computed_once_per_line(capsys, monkeypatch):
     assert len(orbits) == 2
     assert engine.count(False) == 2 * 2  # two shapes, two basis forms
     assert engine.count(True) == 0  # the linear rigidity solve reads the line tables
+    assert all(isinstance(R, funcfield.LocalRing) for R in rings)

@@ -540,52 +540,6 @@ def test_combination_over_common_denominator_against_henrici_sums(field, rounds,
     assert R.element(scaled_sum(coeffs, orbit)) == henrici(coeffs, orbit)
 
 
-def test_packed_slots_fit_64_bits_at_p_127(monkeypatch):
-    # p = 127 is the largest prime check_lemma_work admits for one flat line
-    # (127^3 < 2^21 < 131^3).  One operation grows reduced slots by at most
-    # max_growth, within 64 bits; in 60 steps a -> x z^k + theta(a) of the
-    # engine's upper shape no slot bound passes 2^64 - 1 (every raw is made
-    # by _make), no slot passes its bound at a reduction, and every slot
-    # agrees with the l-local ring
-    from g2frob.multiples import MultiplesRing
-
-    p, F = 127, make_field(127)
-    cv = make_curve(F, [90, 18, 99, 10, 57, 1])
-    chart = cv.global_form(F.from_int(3), F.one())
-    theta = dual_derivation(chart)
-    L, M = theta.ring, MultiplesRing(theta.ring)
-    assert (p - 1) * M.max_growth() <= 2 ** 64 - 1
-    S = F.cyclic_slots(p - 1)  # every slot holds the kernel's limit
-    full = sum(S.limit << 64 * k for k in range(S.n))
-    assert S.reduce([full]) == [S.pack([S.limit % p] * S.n)]
-    seen, bounds = [], []
-    real_reduce, real_make = MultiplesRing._reduce, MultiplesRing._make
-
-    def recording(self, u):
-        slots = [(c >> 64 * k) & (2 ** 64 - 1) for c in u[0] + u[1] for k in range(self.n)]
-        seen.append((max(slots, default=0), u[3]))
-        return real_reduce(self, u)
-
-    def made(self, A, B, j, h):
-        bounds.append(h)
-        return real_make(self, A, B, j, h)
-
-    monkeypatch.setattr(MultiplesRing, "_reduce", recording)
-    monkeypatch.setattr(MultiplesRing, "_make", made)
-    x = cv.global_form(F.one(), F.zero()).ratio(chart)
-    points = [F.from_int(s) for s in (1, 2, 63, 126)]
-    a, zk, oracle = M.zero(), M.one(), {s: L.zero() for s in points}
-    for k in range(60):
-        a = M.add(M.mul(M.lift(x), zk), M.deriv(a, theta))
-        zk = M.mul(M.z(), zk)
-        for s in points:
-            oracle[s] = L.add(L.mul(L.lift(x), L.lift(cv.constant(F.pow(s, k)))),
-                              L.deriv(oracle[s], theta))
-    assert len(seen) >= 5 and max(bounds) <= 2 ** 64 - 1
-    assert all(largest <= bound for largest, bound in seen)
-    assert all(M.evaluate(a, s) == oracle[s] for s in points)
-
-
 @pytest.mark.parametrize("p, k", [(5, 1), (7, 1), (3, 2)], ids=["F5", "F7", "F9"])
 def test_global_form_against_the_product_by_one_over_y(p, k):
     # every (a, b) on curves where f has a root in the field: (a + b x) y / f

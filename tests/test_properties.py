@@ -1,11 +1,12 @@
 """Property tests (Hypothesis, derandomized): the lemma data `verify` reads
 off an F_p-line of flat forms, the chart constant and the dual derivation
 read off an F_p-line of charts, against the direct per-form computation;
-the engine over the multiples ring against the per-multiple engine at every
-multiple; the closed-form psi of the linear rigidity solve against the
-K[eps] engine at every flat form; the flat twist and the eigen-identities of the two sums; and the
-ring axioms of K, of the l-local ring L = F[x, y][1/l], of K[eps] over both
-and of L[z]/(z^(p-1) - 1), with canonical normal forms."""
+the off-diagonal closed forms, on the line's l-local ring at the
+representative and on K at every multiple, against the line table; the
+closed-form psi of the linear rigidity solve against the K[eps] engine at
+every flat form; the flat twist and the eigen-identities of the two sums;
+and the ring axioms of K, of the l-local ring L = F[x, y][1/l] and of K[eps]
+over both, with canonical normal forms."""
 
 import random
 
@@ -15,11 +16,11 @@ from hypothesis import strategies as st
 
 from g2frob import Curve, DualRing, dual_derivation, enumerate_p_torsion, make_field, poly, random_curve
 from g2frob.funcfield import line_representative
-from g2frob.multiples import MultiplesRing
 from g2frob.pcurvature import ConnectionMatrix, chart_constant, p_curvature_matrix
 from g2frob.verify import (
     _engine_images,
     _ffe_witness,
+    _line_table,
     _rigidity_images,
     check_offdiag_closed_forms,
     line_sums,
@@ -115,29 +116,31 @@ def _curve_with_flat_line(F, rng):
 @settings(derandomize=True, database=None, max_examples=2, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_multiples_ring_engine_against_every_multiple(field, seed):
-    # one engine run per shape over L[z]/(z^(p-1) - 1), [[0, x], [0, z]] and
-    # [[z, x], [0, 0]] on the line's representative chart, against the
-    # per-multiple engine over K on each chart s omega_L: all four entries
-    # of both shapes, at every s in F_p^*, are t = 1/s times the value at
-    # z = s (packed slots over F_p, tuples of raws over F_9 and F_25)
+    # the off-diagonal closed forms against the line table: (a) the guard's
+    # run, [[0, x], [0, 1]] and [[1, x], [0, 0]] on the representative chart
+    # over its l-local ring, is [[0, S1], [0, 0]] and [[0, S2], [0, 0]] for
+    # the row t = 1, raw for raw; (b) the per-multiple engine over K on each
+    # chart s rep is [[0, S1(s)], [0, 0]] and [[0, S2(s)], [0, 0]] for the
+    # row t = 1/s, at every s in F_p^*
     F, rng = make_field(*field), random.Random(seed)
     cv, nonzero = _curve_with_flat_line(F, rng)
     p, (t0, rep) = cv.p, line_representative(cv.global_form(*nonzero[0]))
     ab_rep = tuple(F.mul(t0, a) for a in nonzero[0])
-    R = dual_derivation(rep).ring
-    M = MultiplesRing(R)
     for ab in ((F.one(), F.zero()), (F.zero(), F.one())):
         omega = cv.global_form(*ab)
-        zero, z, x = M.zero(), M.z(), M.lift(omega.ratio(rep))
-        shapes = [p_curvature_matrix(ConnectionMatrix(M, T, rep)).matrix
-                  for T in (((zero, x), (zero, z)), ((z, x), (zero, zero)))]
+        R, x, _, _, rows = _line_table(cv, rep, omega)
+        s1 = rows[F.from_int(1)][3]
+        zero, one, xl = R.zero(), R.one(), R.lift(x)
+        for T, S in ((((zero, xl), (zero, one)), s1),
+                     (((one, xl), (zero, zero)), (s1[0], poly.neg(F, s1[1]), s1[2]))):
+            assert p_curvature_matrix(ConnectionMatrix(R, T, rep)).matrix == ((zero, S), (zero, zero))
         for c in range(1, p):
             s = F.from_int(c)
-            t, chart = R.lift(cv.constant(F.inv(s))), cv.global_form(*(F.mul(s, a) for a in ab_rep))
-            for psi, oracle in zip(shapes, offdiag_engine(cv, chart, omega.ratio(chart))):
-                for i in range(2):
-                    for j in range(2):
-                        assert R.element(R.mul(t, M.evaluate(psi[i][j], s))) == oracle[i][j]
+            _, S1, S2, _ = rows[F.from_int(pow(c, -1, p))]
+            chart = cv.global_form(*(F.mul(s, a) for a in ab_rep))
+            for psi, S in zip(offdiag_engine(cv, chart, omega.ratio(chart)), (S1, S2)):
+                assert psi[0][1] == S
+                assert all(psi[i][j].is_zero() for i, j in ((0, 0), (1, 0), (1, 1)))
 
 
 def _assert_rigidity_images_match_the_engine(cv, nonzero):
@@ -259,36 +262,14 @@ def _is_canonical(R, u):
             and _is_normal_form(R.element(u)) and R.lift(R.element(u)) == u)
 
 
-def _multiples_samples(M, liftable, rng):
-    """A sampler of M = L[z]/(z^(p-1) - 1): a constant of L, or
-    sum z^k u_k over up to three random k, each u_k a random constant."""
-    z = M.z()
-
-    def pick():
-        out = M.lift(rng.choice(liftable))
-        if rng.randrange(3):
-            for k in rng.sample(range(M.n), min(3, M.n)):
-                term = M.lift(rng.choice(liftable))
-                for _ in range(k):
-                    term = M.mul(z, term)
-                out = M.add(out, term)
-        return out
-
-    return pick
-
-
 @settings(derandomize=True, database=None, max_examples=30, deadline=None)
 @given(FIELDS, st.integers(0, 2 ** 32 - 1))
 def test_ring_axioms_with_normal_forms(field, seed):
     # K = curve, the l-local ring L of the orbit's theta, K[eps] =
-    # DualRing(curve), DualRing(L) and M = L[z]/(z^(p-1) - 1):
-    # associativity, commutativity, distributivity, a + (-a) = 0 and
-    # a - b = a + (-b), with every result a normal form (equality of normal
-    # forms is equality in K) or canonical in l-coordinates; lift and
-    # element are inverse on L.  M's raws need not be canonical, so they
-    # compare by `normal`, which keeps the value at z = s; evaluation at
-    # z = s is a ring map to L that commutes with theta (checked at two
-    # random points per triple; the engine's test checks every point)
+    # DualRing(curve) and DualRing(L): associativity, commutativity,
+    # distributivity, a + (-a) = 0 and a - b = a + (-b), with every result a
+    # normal form (equality of normal forms is equality in K) or canonical in
+    # l-coordinates; lift and element are inverse on L
     F, rng = make_field(*field), random.Random(seed)
     cv = random_curve(F, rng)
     theta, K = _ring_samples(cv, rng)
@@ -297,23 +278,12 @@ def test_ring_axioms_with_normal_forms(field, seed):
     assert len(local) >= 6  # all but the random denominator, at least
     assert all(L.element(L.lift(u)) == u for u in K if L.lift(u) is not None)
     assert L.lift(L.element(L.deriv(local[-1], theta))) == L.deriv(local[-1], theta)
-    M, points = MultiplesRing(L), [F.from_int(s) for s in range(1, cv.p)]
-
-    def same(u, v):
-        return u == v
-
-    def canonical_multiple(u):  # normal is idempotent and keeps the value
-        v, s = M.normal(u), rng.choice(points)
-        return M.normal(v) == v and M.evaluate(v, s) == M.evaluate(u, s)
-
-    for R, pick, parts, ok, eq in (
-        (cv, lambda: rng.choice(K), lambda u: (u,), _is_normal_form, same),
-        (DualRing(cv), lambda: (rng.choice(K), rng.choice(K)), lambda u: u, _is_normal_form, same),
-        (L, lambda: rng.choice(local), lambda u: (u,), lambda u: _is_canonical(L, u), same),
+    for R, pick, parts, ok in (
+        (cv, lambda: rng.choice(K), lambda u: (u,), _is_normal_form),
+        (DualRing(cv), lambda: (rng.choice(K), rng.choice(K)), lambda u: u, _is_normal_form),
+        (L, lambda: rng.choice(local), lambda u: (u,), lambda u: _is_canonical(L, u)),
         (DualRing(L), lambda: (rng.choice(local), rng.choice(local)), lambda u: u,
-         lambda u: _is_canonical(L, u), same),
-        (M, _multiples_samples(M, [u for u in K if L.lift(u) is not None], rng), lambda u: (u,),
-         canonical_multiple, lambda u, v: M.normal(u) == M.normal(v)),
+         lambda u: _is_canonical(L, u)),
     ):
         for _ in range(6):
             a, b, c = pick(), pick(), pick()
@@ -325,12 +295,6 @@ def test_ring_axioms_with_normal_forms(field, seed):
                 R.sub(a, b), R.add(a, R.neg(b)),
             ]
             for left, right in zip(results[::2], results[1::2]):
-                assert eq(left, right)
-            assert eq(R.add(a, R.neg(a)), R.zero()) and R.is_zero(R.add(a, R.neg(a)))
+                assert left == right
+            assert R.add(a, R.neg(a)) == R.zero() and R.is_zero(R.add(a, R.neg(a)))
             assert all(ok(u) for r in results for u in parts(r))
-            if R is M:
-                for s in rng.sample(points, 2):
-                    at = [M.evaluate(u, s) for u in (a, b)]
-                    assert M.evaluate(M.add(a, b), s) == L.add(*at)
-                    assert M.evaluate(M.mul(a, b), s) == L.mul(*at)
-                    assert M.evaluate(M.deriv(a, theta), s) == L.deriv(at[0], theta)

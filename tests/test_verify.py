@@ -280,15 +280,17 @@ ONE_LINE = [
 def test_reports_do_not_depend_on_the_order_of_multiples(monkeypatch, spec, ab_L):
     # every multiple's two reports, asked in ascending and in descending order
     # on fresh curves: the same reports, and two engine runs per second form,
-    # one per shape over the multiples ring, whichever multiple asks first
+    # the guard's, one per shape at the representative over the line's
+    # l-local ring, whichever multiple asks first
     from g2frob import verify
-    from g2frob.funcfield import curve_from_spec
+    from g2frob.funcfield import LocalRing, curve_from_spec
 
-    engine = []
+    engine, rings = [], []
     real_matrix = verify.p_curvature_matrix
 
     def counted_matrix(conn):
         engine.append(conn.is_dual)
+        rings.append(conn.ring)
         return real_matrix(conn)
 
     monkeypatch.setattr(verify, "p_curvature_matrix", counted_matrix)
@@ -301,12 +303,14 @@ def test_reports_do_not_depend_on_the_order_of_multiples(monkeypatch, spec, ab_L
         forms = ((F.one(), F.zero()), (F.zero(), F.one()))
         out = {}
         engine.clear()
+        rings.clear()
         for s in order(range(1, p)):
             ab_s = tuple(F.mul(F.from_int(s), c) for c in ab_L_raw)
             for i, ab in enumerate(forms):
                 out[s, i] = [_untimed(check(cv, ab_s, ab))
                              for check in (check_two_sums, check_offdiag_closed_forms)]
         assert engine.count(False) == 2 * len(forms)
+        assert all(isinstance(R, LocalRing) for R in rings)
         return out
 
     assert reports(list) == reports(reversed)
@@ -319,34 +323,80 @@ def _untimed(report):
 
 
 def test_offdiag_reports_each_multiple_where_the_table_differs(monkeypatch):
-    # S1(z) and S2(z) moved by z - 1, which vanishes at z = 1 only: the
-    # representative's reports hold and every other multiple's are violated,
-    # each witness the psi of the per-multiple engine on that multiple's
-    # chart, and recheck, which reruns that engine, disagrees with exactly
-    # the violated reports
+    # the row t = 1 of the line table with its S1 moved by one: the guard
+    # disagrees, so every multiple's report comes from the per-multiple
+    # engine on that multiple's chart, one call each, with that engine's
+    # psi as witnesses; the engine and the sums are right, so every report
+    # holds, and recheck, which reruns that engine, agrees
+    from g2frob import verify
     from g2frob.funcfield import curve_from_spec, line_representative
-    from g2frob.multiples import MultiplesRing
     from g2frob.verify import _ffe_witness, offdiag_engine
 
-    real_from_slots = MultiplesRing.from_slots
+    real_table, real_engine, charts = verify._line_table, verify.offdiag_engine, []
 
-    def moved(self, rows, J):
-        return self.normal(self.add(real_from_slots(self, rows, J), self.sub(self.z(), self.one())))
+    def moved(curve, rep, omega):
+        R, x, numerators, J, rows = real_table(curve, rep, omega)
+        one = curve.field.from_int(1)
+        rows = {**rows, one: rows[one][:3] + (R.add(rows[one][3], R.one()),)}
+        return R, x, numerators, J, rows
 
-    monkeypatch.setattr(MultiplesRing, "from_slots", moved)
+    def counted_engine(curve, chart, x):
+        charts.append(chart)
+        return real_engine(curve, chart, x)
+
+    monkeypatch.setattr(verify, "_line_table", moved)
+    monkeypatch.setattr(verify, "offdiag_engine", counted_engine)
     spec, ab_L = ONE_LINE[0]
     cv = curve_from_spec(spec)
     F, omega = cv.field, cv.global_form(cv.field.one(), cv.field.zero())
     t0, _ = line_representative(cv.global_form(*(F.from_coeffs(c) for c in ab_L)))
     for c in range(1, cv.p):
         ab_s = tuple(F.mul(F.mul(F.from_int(c), t0), F.from_coeffs(a)) for a in ab_L)
+        charts.clear()
         report = check_offdiag_closed_forms(cv, ab_s, (F.one(), F.zero()))
-        assert report.status == ("holds" if c == 1 else "violated")
         chart = cv.global_form(*ab_s)
+        assert charts == [chart] and report.status == "holds"
         upper, lower = offdiag_engine(cv, chart, omega.ratio(chart))
         assert report.witness["psiUpperOffdiag"] == _ffe_witness(upper[0][1])
         assert report.witness["psiLowerOffdiag"] == _ffe_witness(lower[0][1])
-        assert recheck(cv, report) == (c == 1)
+        assert recheck(cv, report)
+
+
+# (i, j) of the entry moved, and whether the upper shape [[0, x], [0, 1]]
+# (else the lower [[1, x], [0, 0]]) carries it
+MUTANTS = [(i, j, upper) for upper in (True, False) for i in range(2) for j in range(2)]
+
+
+@pytest.mark.parametrize("i, j, upper", MUTANTS,
+                         ids=[f"{'upper' if u else 'lower'}{i}{j}" for i, j, u in MUTANTS])
+def test_offdiag_never_holds_when_the_engine_moves_one_entry(monkeypatch, i, j, upper):
+    # the engine with one entry of one shape moved by one, over the l-local
+    # ring of the guard and over K alike: no multiple's report holds, and
+    # recheck, which reruns the moved engine, agrees with each
+    from g2frob import verify
+    from g2frob.funcfield import curve_from_spec
+    from g2frob.pcurvature import PCurvature
+
+    real_matrix = verify.p_curvature_matrix
+
+    def moved(conn):
+        psi, R = real_matrix(conn), conn.ring
+        if R.is_zero(conn.entries[1][1]) != upper:  # the upper shape has T[1][1] = 1
+            rows = [list(row) for row in psi.matrix]
+            rows[i][j] = R.add(rows[i][j], R.one())
+            psi = PCurvature(matrix=tuple(map(tuple, rows)), chart=psi.chart, ring=R)
+        return psi
+
+    monkeypatch.setattr(verify, "p_curvature_matrix", moved)
+    spec, ab_L = ONE_LINE[0]
+    cv = curve_from_spec(spec)
+    F = cv.field
+    for c in range(1, cv.p):
+        ab_s = tuple(F.mul(F.from_int(c), F.from_coeffs(a)) for a in ab_L)
+        for ab in ((F.one(), F.zero()), (F.zero(), F.one())):
+            report = check_offdiag_closed_forms(cv, ab_s, ab)
+            assert report.status == "violated"
+            assert recheck(cv, report)
 
 
 def test_recheck_of_a_linear_report_reruns_the_engine(monkeypatch):
