@@ -36,6 +36,7 @@ from .funcfield import (
     line_representative,
     random_curve,
 )
+from .linalg import check_span
 from .verify import (
     check_brute_rigidity,
     check_lemma_work,
@@ -138,6 +139,8 @@ def _verify_payload(curve: Curve, rigidity_mode: str | None) -> dict:
     basis_pairs = [(F.one(), F.zero()), (F.zero(), F.one())]
     nonzero = ts.nonzero(F)
     check_lemma_work(curve, len(nonzero) // (curve.p - 1))  # before any orbit
+    if rigidity_mode == "linear" and nonzero:  # the kernel holds the q^2 trivial triples
+        check_span(curve.p, 2 * F.degree)
     for ab_L in nonzero:
         for ab in basis_pairs:
             lemmas.append(check_two_sums(curve, ab_L, ab).to_jsonable())

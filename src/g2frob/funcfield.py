@@ -30,8 +30,8 @@ f'/2 = psi(l) expanded at r once and l' = 1, the quotient rule gives
     theta((A + B y) / l^j)
       = c [(l B' - j B) phi + l B psi + (l A' - j A) y] / l^(j+1+e),
 where l A' - j A = sum (m - j) a_m l^m: no gcd and no product by a power
-of l.  Back in K (`LocalRing.element`), D = (x - r)^j and gcd(A, B, D) = 1:
-a normal form with no gcd.
+of l.  Back in K (`LocalRing.element`), D = (x - r)^j, one stored power per
+ring and j, and gcd(A, B, D) = 1: a normal form with no gcd.
 
 Differentials are represented on the affine chart as g dx with g in K.
 A derivation theta is determined by theta(x) (the chain rule extends it to
@@ -450,7 +450,7 @@ class LocalRing:
     (A(l) + B(l) y) / l^j; `lift` takes K to it (None off the ring) and
     `element` back."""
 
-    __slots__ = ("curve", "r", "_phi", "_psi")
+    __slots__ = ("curve", "r", "_phi", "_psi", "_powers")
 
     def __init__(self, curve: Curve, r):
         F = curve.field
@@ -458,6 +458,7 @@ class LocalRing:
         self.r = r
         self._phi = _taylor(F, curve.f, r)  # f = phi(l)
         self._psi = _taylor(F, curve._half_fprime, r)  # f'/2 = psi(l)
+        self._powers = [poly.one(F)]  # (x - r)^j at index j
 
     def make(self, A, B, j: int):
         """The canonical (A + B y) / l^j: common factors l, at most j, sliced off."""
@@ -516,19 +517,28 @@ class LocalRing:
         F, J = self.curve.field, max(u[2] for u in us)
         return [(_shift(F, A, J - j), _shift(F, B, J - j)) for A, B, j in us], J
 
+    def power(self, j: int):
+        """(x - r)^j, l^j in the x-basis: computed once per ring and j."""
+        F, powers = self.curve.field, self._powers
+        while len(powers) <= j:
+            powers.append(poly.mul(F, powers[-1], (F.neg(self.r), F.one())))
+        return powers[j]
+
     def lift(self, u: FunctionFieldElement):
         """u in l-coordinates, the Taylor expansions of uA and uB at r; None
         when uD is not a power of l."""
         F, j = self.curve.field, len(u.D) - 1
-        if j and u.D != poly.pow(F, (F.neg(self.r), F.one()), j):
+        if j and u.D != self.power(j):
             return None
         return _taylor(F, u.A, self.r), _taylor(F, u.B, self.r), j
 
+    def to_x(self, a):
+        """A polynomial a in l as the polynomial a(x - r) in x."""
+        return _taylor(self.curve.field, a, self.curve.field.neg(self.r))
+
     def element(self, u) -> FunctionFieldElement:
         """The normal form (A(x - r) + B(x - r) y) / (x - r)^j: no gcd."""
-        F, s = self.curve.field, self.curve.field.neg(self.r)
-        D = poly.pow(F, (s, F.one()), u[2])
-        return FunctionFieldElement(self.curve, _taylor(F, u[0], s), _taylor(F, u[1], s), D)
+        return FunctionFieldElement(self.curve, self.to_x(u[0]), self.to_x(u[1]), self.power(u[2]))
 
     def deriv(self, u, theta: Derivation):
         """theta(u) for theta(x) = c y / l^e by the one-step formula of the
@@ -665,16 +675,14 @@ def curve_spec(curve: Curve) -> dict:
 
 
 def curve_id(curve: Curve) -> str:
-    """Canonical hash of (p, k, modulus, f); stable across runs."""
+    """Canonical hash of (p, k, modulus, f), stable across runs; one per curve."""
     field = curve.field
-    key = {
+    return curve.memo(("curve_id",), lambda: hashlib.sha256(json.dumps({
         "p": curve.p,
         "k": getattr(field, "k", 1),
         "modulus": list(getattr(field, "modulus", [])),
         "f": _f_json(curve),
-    }
-    blob = json.dumps(key, sort_keys=True, separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()[:16]
+    }, sort_keys=True, separators=(",", ":")).encode()).hexdigest()[:16])
 
 
 def random_curve(field, rng) -> Curve:

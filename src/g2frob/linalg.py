@@ -49,17 +49,20 @@ def kernel_basis_mod_p(rows, ncols: int, p: int):
     return basis
 
 
+def check_span(p: int, dim: int):
+    """Raise ResourceGuardError when a span of p^dim vectors exceeds _SPAN_LIMIT."""
+    if p ** dim > _SPAN_LIMIT:
+        raise ResourceGuardError(f"{p}^{dim} vectors exceed the span guard {_SPAN_LIMIT}")
+
+
 def enumerate_span_mod_p(basis, ncols: int, p: int):
     """All F_p-combinations of the basis vectors (p^len(basis) of them).
 
     Raises ResourceGuardError, before listing any, if there are more than
-    _SPAN_LIMIT."""
+    _SPAN_LIMIT (`check_span`)."""
     from itertools import product
 
-    if p ** len(basis) > _SPAN_LIMIT:
-        raise ResourceGuardError(
-            f"{p}^{len(basis)} vectors exceed the span guard {_SPAN_LIMIT}"
-        )
+    check_span(p, len(basis))
     if not basis:
         yield [0] * ncols
         return

@@ -20,8 +20,9 @@ kernels.  The same holds for `power_top_two_generic`, the Cartier-Manin
 recurrence run that `cartier` calls as `F.poly_power_top_two`: over F_p an
 int kernel with one inverse per run.  Products are schoolbook and gcds
 plain Euclid: degrees stay small (in a p = 13 `verify` the longest product
-has 37 coefficients and the median one 11), and at those sizes a
-Kronecker-packed product measured slower than the int loops.
+has 37 coefficients and the median one 11), and at those sizes a single
+Kronecker-packed product measured slower than the int loops.  Packing pays
+for many scalings of fixed vectors instead (`verify`'s line table).
 """
 
 from __future__ import annotations

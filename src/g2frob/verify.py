@@ -50,12 +50,18 @@ returns t and omega_L for omega).  Then
       S1(s) = sum_k t^(k+1) u_k,   S2(s) = sum_k (-1)^k t^(k+1) u_k,
   since C(p-1, k) = prod_(j<=k) (p-j)/j = (-1)^k mod p.
 
-One table per (line, second form), in the curve's memo.  The line table
-(`_line_table`) takes the one orbit u_1, ..., u_(p-1), over one power of l,
-and holds its numerators and, for every t in F_p^*, x_t, S1 and S2 in K.
-S1 is a scaled sum of the orbit's numerators and S2 its image under
-y -> -y: theta_L(x) = c y / l^e is odd and theta_L(y) even, so theta_L
-anticommutes with y -> -y and u_k, x in F(x), has the parity of k.
+One table per (line, second form), one entry per form and per pair, in the
+curve's memo.  The line table (`_line_table`) takes the one orbit
+u_1, ..., u_(p-1) over one power l^J and holds, for every t in F_p^*, x_t,
+S1 and S2 in K.  S1(t) = sum_k t^(k+1) (A_k, B_k) scales fixed vectors by
+F_p ints, so one packed pass (`_fp_combinations`) over the numerators and
+their Taylor shifts to the x-basis gives every row; where `LocalRing.make`
+strips l^m off a row, (x - r)^m divides its x-basis numerators.  S2 is its
+image under y -> -y: theta_L(x) = c y / l^e is odd and theta_L(y) even, so
+theta_L anticommutes with y -> -y and u_k, x in F(x), has the parity of k.
+A report reads its form's entry (torsion check, representative) and its
+pair's (row t, witnesses of x, S1 and S2), which the off-diagonal report
+shares where its guard agrees (`_lemma_data`).
 
 All of it runs in the l-coordinates of theta_L's `funcfield.LocalRing`, so
 omega_L must be a global form: the orbit, the sums, the engine guard of the
@@ -126,14 +132,16 @@ fill, give every image, and no engine runs (`_rigidity_images`).
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 
 from . import poly
 from .cartier import fp_kernel, plane_basis
 from .errors import FieldTooLargeForBrute, NotTorsion, PrimeTooLarge, RangeError
-from .exactnum import DualRing, raw_from_json, raw_to_json
+from .exactnum import DualRing, coords, raw_from_json, raw_to_json
 from .funcfield import (
     Curve,
     Derivation,
@@ -151,11 +159,10 @@ from .pcurvature import ConnectionMatrix, is_flat, p_curvature_matrix
 # (1.4 ms a triple at p = 5, 2.5 ms at p = 7), times p^2
 _BRUTE_WORK_LIMIT = 1 << 20
 # flat F_p-lines times p^3 for the lemma checks of `verify` (per line and
-# second form, the orbit, the line table's p - 1 sums and their Taylor
-# shifts, and the guard's 2(p - 1) engine steps, all on entries of degree
-# about p, then O(p^2) JSON): `verify --rigidity linear` on one line took
-# 0.75 s at p = 101, 1.2 s at p = 127 and 4.7 s at p = 211 (fresh process,
-# CPython 3.11, one core)
+# second form, the orbit, its 2(p - 1) Taylor shifts, the packed rows and the
+# guard's 2(p - 1) engine steps on entries of degree about p, then O(p^2)
+# JSON): `verify --rigidity linear` on one line took 0.35 s at p = 101,
+# 0.58 s at p = 127 and 1.6 s at p = 211 (fresh process, CPython 3.11)
 _LEMMA_WORK_LIMIT = 1 << 21
 # evenly spaced brute triples whose auxiliary recursion meets its closed forms
 _CLOSED_FORM_SAMPLES = 16
@@ -190,12 +197,10 @@ class RigiditySolutionSet:
         return len(self.solutions)
 
 
-def _as_global_form(curve: Curve, ab):
-    """(a + b x) dx/y and (a, b) as raws, for a pair of raws or of ints."""
+def _as_pair(curve: Curve, ab):
+    """(a, b) as raws, for a pair of raws or of ints."""
     a, b = ab
-    if isinstance(a, int):
-        a, b = curve.field.from_int(a), curve.field.from_int(b)
-    return curve.global_form(a, b), (a, b)
+    return (curve.field.from_int(a), curve.field.from_int(b)) if isinstance(a, int) else (a, b)
 
 
 def require_torsion(curve: Curve, omega_L: Differential) -> Derivation:
@@ -220,28 +225,48 @@ def _orbit(R, theta: Derivation, u):
     return out
 
 
+def _fp_combinations(F, vectors, scalars):
+    """sum_k c_k vectors[k], a list of polynomials over F, for each row c of
+    `scalars`, ints in [0, p): each vector's F_p coordinates (`coords`) in
+    one int of 64-bit slots, which hold len(vectors) (p - 1)^2, one sum of
+    int multiples per row, read back by `from_coeffs`, which reduces mod p."""
+    from array import array
+
+    p, k, zero = F.char, F.degree, F.zero()
+    lens = [max(len(v[i]) for v in vectors) for i in range(len(vectors[0]))]
+    if len(vectors) * (p - 1) ** 2 >> 64:
+        raise PrimeTooLarge(f"p = {p} overflows the 64-bit slots of the line table")
+    packed = [int.from_bytes(array("Q", [
+        c for a, n in zip(v, lens) for raw in a + (zero,) * (n - len(a)) for c in coords(raw)
+    ]).tobytes(), sys.byteorder) for v in vectors]
+    size, out = 8 * k * sum(lens), []
+    for row in scalars:
+        slots = array("Q", sum(c * P for c, P in zip(row, packed)).to_bytes(size, sys.byteorder))
+        raws = map(F.from_coeffs, zip(*[iter(slots)] * k))
+        out.append([poly.normalize(F, list(islice(raws, n))) for n in lens])
+    return out
+
+
 def _line_table(curve: Curve, rep: Differential, omega: Differential):
     """(R, x, numerators, J, rows) for the line representative rep and the
     second form omega, in the curve's memo: R the l-local ring of rep,
     x = omega/rep, the numerators (A_k, B_k) of the orbit u_1, ..., u_(p-1)
     over l^J, and the row t of the line table for every t in F_p^*: the
     normal forms (x_t, S1, S2) of the multiple s rep, t = 1/s, and S1 in
-    the l-coordinates of R (S2 there is (A, -B, j))."""
+    the l-coordinates of R (S2 there is (A, -B, j)), by one packed pass."""
 
     def table():
-        R, F = dual_derivation(rep).ring, curve.field
-        x = omega.ratio(rep)
-        numerators, J = R.numerators(_orbit(R, dual_derivation(rep), R.lift(x)))
+        theta, F, p = dual_derivation(rep), curve.field, curve.p
+        R, x = theta.ring, omega.ratio(rep)
+        numerators, J = R.numerators(_orbit(R, theta, R.lift(x)))
+        vectors = [(a, b, R.to_x(a), R.to_x(b)) for a, b in numerators]
+        powers = [[pow(c, k, p) for k in range(2, p + 1)] for c in range(1, p)]
         rows = {}
-        for c in range(1, curve.p):  # S1(tc) = sum tc^(k+1) u_k
-            tc = ct = F.from_int(c)
-            A = B = ()
-            for a, b in numerators:
-                ct = F.mul(ct, tc)
-                A = poly.add(F, A, poly.scale(F, a, ct))
-                B = poly.add(F, B, poly.scale(F, b, ct))
-            s1 = R.make(A, B, J)
-            S1 = R.element(s1)
+        for c, (a, b, ax, bx) in enumerate(_fp_combinations(F, vectors, powers), 1):
+            s1 = R.make(a, b, J)
+            if s1[2] < J and not R.is_zero(s1):  # l^m stripped: (x - r)^m divides ax, bx
+                ax, bx = (poly.divmod_(F, v, R.power(J - s1[2]))[0] for v in (ax, bx))
+            S1, tc = FunctionFieldElement(curve, ax, bx, R.power(s1[2])), F.from_int(c)
             rows[tc] = (curve.mul(curve.constant(tc), x), S1, hyperelliptic_involution(S1), s1)
         return R, x, numerators, J, rows
 
@@ -281,26 +306,36 @@ def _two_sums_status(x, S1, S2) -> str:
     return "holds" if not S1.is_zero() and not S2.is_zero() else "violated"
 
 
+def _lemma_data(curve: Curve, ab_L, ab):
+    """What both lemma reports of omega_L and omega (forms as in
+    `check_two_sums`) read: one memo entry per form and one per pair."""
+    ab_L, ab = _as_pair(curve, ab_L), _as_pair(curve, ab)
+
+    def form():
+        omega_L = curve.global_form(*ab_L)
+        require_torsion(curve, omega_L)
+        return (omega_L,) + line_representative(omega_L)
+
+    def pair():
+        omega_L, t, rep = curve.memo(("lemma_form",) + ab_L, form)
+        omega = curve.global_form(*ab)
+        x, S1, S2 = _line_table(curve, rep, omega)[4][t][:3]
+        return dict(omega_L=omega_L, rep=rep, omega=omega, x=x, S1=S1, S2=S2, wx=_ffe_witness(x),
+                    forms={"omegaL": _form_witness(ab_L), "omega": _form_witness(ab)},
+                    sums={"S1": _ffe_witness(S1), "S2": _ffe_witness(S2)})
+
+    return curve.memo(("lemma_pair", ab_L, ab), pair)
+
+
 def check_two_sums(curve: Curve, ab_L, ab) -> LemmaReport:
     """The two-sums lemma for the flat form omega_L and the second form omega,
     given as (a, b) pairs of (a + b x) dx/y, raws or ints."""
     t0 = time.perf_counter()
-    omega_L, ab_L = _as_global_form(curve, ab_L)
-    omega, ab = _as_global_form(curve, ab)
-    x, S1, S2 = line_sums(curve, omega_L, omega)
-    return LemmaReport(
-        curve_id=curve_id(curve),
-        lemma_id="two-sums-nonvanishing",
-        status=_two_sums_status(x, S1, S2),
-        witness={
-            "omegaL": _form_witness(ab_L),
-            "omega": _form_witness(ab),
-            "x": _ffe_witness(x),
-            "S1": _ffe_witness(S1),
-            "S2": _ffe_witness(S2),
-        },
-        timing=time.perf_counter() - t0,
-    )
+    d = _lemma_data(curve, ab_L, ab)
+    return LemmaReport(curve_id=curve_id(curve), lemma_id="two-sums-nonvanishing",
+                       status=_two_sums_status(d["x"], d["S1"], d["S2"]),
+                       witness={**d["forms"], "x": d["wx"], **d["sums"]},
+                       timing=time.perf_counter() - t0)
 
 
 def offdiag_engine(curve: Curve, chart: Differential, x: FunctionFieldElement):
@@ -347,28 +382,16 @@ def check_offdiag_closed_forms(curve: Curve, ab_L, ab) -> LemmaReport:
     guard agrees (`_offdiag_agrees`), else the per-multiple engine's report
     on omega_L's own chart (`offdiag_engine`)."""
     t0 = time.perf_counter()
-    omega_L, ab_L = _as_global_form(curve, ab_L)
-    omega, ab = _as_global_form(curve, ab)
-    x, S1, S2 = line_sums(curve, omega_L, omega)
-    if _offdiag_agrees(curve, line_representative(omega_L)[1], omega):
-        status, upper, lower = "holds", S1, S2
+    d = _lemma_data(curve, ab_L, ab)
+    if _offdiag_agrees(curve, d["rep"], d["omega"]):
+        status, upper, lower = "holds", d["sums"]["S1"], d["sums"]["S2"]
     else:
-        psi = offdiag_engine(curve, omega_L, x)
-        status, upper, lower = _offdiag_status(psi, S1, S2), psi[0][0][1], psi[1][0][1]
-    return LemmaReport(
-        curve_id=curve_id(curve),
-        lemma_id="offdiag-closed-forms",
-        status=status,
-        witness={
-            "omegaL": _form_witness(ab_L),
-            "omega": _form_witness(ab),
-            "S1": _ffe_witness(S1),
-            "S2": _ffe_witness(S2),
-            "psiUpperOffdiag": _ffe_witness(upper),
-            "psiLowerOffdiag": _ffe_witness(lower),
-        },
-        timing=time.perf_counter() - t0,
-    )
+        psi = offdiag_engine(curve, d["omega_L"], d["x"])
+        status = _offdiag_status(psi, d["S1"], d["S2"])
+        upper, lower = _ffe_witness(psi[0][0][1]), _ffe_witness(psi[1][0][1])
+    return LemmaReport(curve_id=curve_id(curve), lemma_id="offdiag-closed-forms", status=status,
+                       witness={**d["forms"], **d["sums"], "psiUpperOffdiag": upper,
+                                "psiLowerOffdiag": lower}, timing=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +475,8 @@ def rigidity_scan(curve: Curve, ab_L, mode: str = "brute"):
     identity held for every scanned deformation (brute mode).
     """
     t0 = time.perf_counter()
-    omega_L, ab_L = _as_global_form(curve, ab_L)
+    ab_L = _as_pair(curve, ab_L)
+    omega_L = curve.global_form(*ab_L)
     theta_L = require_torsion(curve, omega_L)
     if mode == "brute":
         sols, identity_ok, identity_total, closed_ok = _rigidity_brute(curve, theta_L, omega_L)
@@ -638,16 +662,16 @@ def recheck(curve: Curve, report: LemmaReport) -> bool:
     w = report.witness
     if report.lemma_id == "two-sums-nonvanishing":
         # the direct per-form sums, not the line's orbit that made the report
-        omega_L, _ = _as_global_form(curve, _witness_form(w["omegaL"]))
-        omega, _ = _as_global_form(curve, _witness_form(w["omega"]))
+        omega_L = curve.global_form(*_witness_form(curve, w["omegaL"]))
+        omega = curve.global_form(*_witness_form(curve, w["omega"]))
         x = omega.ratio(omega_L)
         S1, S2 = two_sums(curve, require_torsion(curve, omega_L), x)
         return _two_sums_status(x, S1, S2) == report.status and \
             _ffe_witness(S1) == w["S1"] and _ffe_witness(S2) == w["S2"]
     if report.lemma_id == "offdiag-closed-forms":
         # the per-multiple engine on the witness's own chart and direct sums
-        omega_L, _ = _as_global_form(curve, _witness_form(w["omegaL"]))
-        omega, _ = _as_global_form(curve, _witness_form(w["omega"]))
+        omega_L = curve.global_form(*_witness_form(curve, w["omegaL"]))
+        omega = curve.global_form(*_witness_form(curve, w["omega"]))
         x = omega.ratio(omega_L)
         S1, S2 = two_sums(curve, require_torsion(curve, omega_L), x)
         psi = offdiag_engine(curve, omega_L, x)
@@ -656,11 +680,12 @@ def recheck(curve: Curve, report: LemmaReport) -> bool:
             _ffe_witness(psi[1][0][1]) == w["psiLowerOffdiag"]
     if report.lemma_id == "split-connection-rigidity":
         if w["mode"] != "linear":
-            _, fresh = rigidity_scan(curve, _witness_form(w["omegaL"]), mode=w["mode"])
+            _, fresh = rigidity_scan(curve, _witness_form(curve, w["omegaL"]), mode=w["mode"])
             return fresh.status == report.status and \
                 fresh.witness["solutionCount"] == w["solutionCount"]
         # the engine images, not the line tables that made the report
-        omega_L, ab_L = _as_global_form(curve, _witness_form(w["omegaL"]))
+        ab_L = _witness_form(curve, w["omegaL"])
+        omega_L = curve.global_form(*ab_L)
         require_torsion(curve, omega_L)
         sols = _rigidity_linear(curve, *_engine_images(curve, omega_L))
         status = "holds" if sols == _trivial_family(curve.field, ab_L) else "violated"
@@ -668,5 +693,5 @@ def recheck(curve: Curve, report: LemmaReport) -> bool:
     raise RangeError(f"unknown lemma id {report.lemma_id!r}")
 
 
-def _witness_form(wf: dict):
-    return raw_from_json(wf["a"]), raw_from_json(wf["b"])
+def _witness_form(curve: Curve, wf: dict):
+    return _as_pair(curve, (raw_from_json(wf["a"]), raw_from_json(wf["b"])))

@@ -786,3 +786,52 @@ def test_verify_lemma_data_computed_once_per_line(capsys, monkeypatch):
     assert engine.count(False) == 2 * 2  # two shapes, two basis forms
     assert engine.count(True) == 0  # the linear rigidity solve reads the line tables
     assert all(isinstance(R, funcfield.LocalRing) for R in rings)
+
+
+def test_verify_derives_each_form_and_pair_once(capsys, monkeypatch):
+    # the verify-midp curve of the test above, one flat F_13-line: 12 forms,
+    # each with two second forms; x, S1 and S2 are encoded once per (form,
+    # second form) and both reports read them, the torsion check runs once
+    # per form and once for the rigidity report, and the curve id is hashed
+    # once for the whole call
+    import types
+
+    from g2frob import funcfield, verify
+
+    encoded, checked, hashed = [], [], []
+    real_witness, real_torsion = verify._ffe_witness, verify.require_torsion
+    real_sha256 = funcfield.hashlib.sha256
+    monkeypatch.setattr(verify, "_ffe_witness", lambda u: encoded.append(u) or real_witness(u))
+    monkeypatch.setattr(verify, "require_torsion",
+                        lambda cv, omega: checked.append(omega) or real_torsion(cv, omega))
+    monkeypatch.setattr(funcfield, "hashlib", types.SimpleNamespace(
+        sha256=lambda blob: hashed.append(blob) or real_sha256(blob)))
+    code, out = run(capsys, "verify", "--p", "13", "--f", "11,7,3,9,6,1",
+                    "--rigidity", "linear")
+    assert code == 0
+    payload = json.loads(out)
+    forms, pairs = payload["torsionCount"] - 1, len(payload["lemmas"]) // 2
+    assert (forms, pairs, len(payload["rigidity"])) == (12, 24, 1)
+    assert len(encoded) == 3 * pairs == 72
+    assert len(checked) == forms + 1
+    assert len(hashed) == 1
+    assert all(r["curveId"] == payload["curveId"] for r in payload["lemmas"])
+
+
+def test_verify_refuses_the_rigidity_span_before_any_orbit(capsys, monkeypatch):
+    # over F_(3^10) the trivial family alone has q^2 = 3^20 > 2^16 triples, so
+    # the linear rigidity solve is refused after the torsion solve and before
+    # any theta_L-orbit; without the solve, the lemma checks run
+    from g2frob import verify
+
+    orbits = []
+    real_orbit = verify._orbit
+    monkeypatch.setattr(verify, "_orbit", lambda *args: orbits.append(args) or real_orbit(*args))
+    argv = ["verify", "--p", "3", "--ext-k", "10", "--f", "2,0,1,1,1,1"]
+    code, out = run(capsys, *argv)
+    assert code == 3
+    assert out.count("\n") == 1
+    assert json.loads(out)["kind"] == "ResourceGuardError"
+    assert orbits == []
+    code, out = run(capsys, *argv, "--rigidity", "off")
+    assert code == 0 and len(json.loads(out)["lemmas"]) == 8 and orbits

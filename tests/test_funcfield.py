@@ -584,3 +584,36 @@ def test_curve_over_a_large_extension_takes_no_inverse(monkeypatch):
     monkeypatch.setattr(ExtField, "inv", counted_inv)
     cv = Curve(F, [F.from_int(c) for c in (1, 2, 0, 1, 2, 1)])
     assert calls == [] and cv.f[0] == F.one()
+
+
+@pytest.mark.parametrize("field", [PrimeField(5), PrimeField(13), make_field(3, 2)],
+                         ids=["F5", "F13", "F9"])
+def test_local_ring_powers_against_poly_pow(field, monkeypatch):
+    # (x - r)^j from the ring's store, asked in a shuffled order for every
+    # j up to 2p, is poly.pow's power, and a second ask returns the stored
+    # one; lift and element read their powers there, so the one-element
+    # path of Derivation.apply_n takes no poly.pow
+    from g2frob.funcfield import LocalRing
+
+    rng = rng_for(f"local-powers-{field!r}")
+    cv = random_curve(field, rng)
+    r = field.random(rng)
+    R = LocalRing(cv, r)
+    js = list(range(2 * field.char + 1))
+    rng.shuffle(js)
+    for j in js:
+        assert R.power(j) == poly.pow(field, (field.neg(r), field.one()), j)
+        assert R.power(j) is R.power(j)
+
+    def three_steps(curve):  # theta_L^3(x) for omega_L = (1 + x) dx/y, l = x + 1
+        omega = curve.global_form(field.one(), field.one())
+        theta = dual_derivation(omega)
+        assert theta.ring is not None
+        return theta.apply_n(curve.basis_forms()[1].ratio(omega), 3)
+
+    def never(*args):
+        raise AssertionError("the power should come from the ring's store")
+
+    want = three_steps(cv)
+    monkeypatch.setattr(poly, "pow", never)
+    assert three_steps(Curve(field, cv.f)) == want

@@ -452,3 +452,64 @@ def test_standalone_linear_rigidity_builds_two_orbits_and_no_engine(monkeypatch,
     # family), one run per unknown
     assert recheck(cv, report)
     assert engine.count(True) == 6 * F.degree
+
+
+# (field, seed of random_curve, whether R.make strips a power of l off some
+# nonzero row): each curve has a nonzero flat line
+PACKED_CASES = [((3, 1), 6, False), ((5, 1), 1, False), ((7, 1), 60, True),
+                ((11, 1), 1, False), ((13, 1), 69, True), ((3, 2), 1, False),
+                ((5, 2), 2, False)]
+
+
+def _rows_by_loop(cv, R, x, numerators, J):
+    """The per-t loop: S1(t) = sum_k t^(k+1) (A_k, B_k) over l^J, one row at
+    a time, then canonical in R, and in K as the gcd normal form of its
+    Taylor shift over poly.pow's (x - r)^j."""
+    from g2frob import poly
+    from g2frob.funcfield import hyperelliptic_involution
+
+    F, rows = cv.field, {}
+    for c in range(1, cv.p):
+        tc = ct = F.from_int(c)
+        A = B = ()
+        for a, b in numerators:
+            ct = F.mul(ct, tc)
+            A = poly.add(F, A, poly.scale(F, a, ct))
+            B = poly.add(F, B, poly.scale(F, b, ct))
+        s1 = R.make(A, B, J)
+        D = poly.pow(F, (F.neg(R.r), F.one()), s1[2])
+        S1 = cv._make(R.to_x(s1[0]), R.to_x(s1[1]), D)
+        rows[tc] = (cv.mul(cv.constant(tc), x), S1, hyperelliptic_involution(S1), s1)
+    return rows
+
+
+@pytest.mark.parametrize("field, seed, strips", PACKED_CASES,
+                         ids=["F3", "F5", "F7", "F11", "F13", "F9", "F25"])
+def test_packed_line_table_against_the_per_t_loop(field, seed, strips):
+    # every row of the packed table, raw for raw, against the per-t loop,
+    # for the basis forms and the flat form itself, whose x is constant and
+    # whose rows are all zero; on the F_7 and F_13 curves some nonzero rows
+    # lose a power of l to R.make
+    import random
+
+    from g2frob import random_curve
+    from g2frob.funcfield import line_representative
+    from g2frob.verify import _line_table
+
+    F = make_field(*field)
+    cv = random_curve(F, random.Random(seed))
+    ab_L = enumerate_p_torsion(cv, "semilinear").nonzero(F)[0]
+    _, rep = line_representative(cv.global_form(*ab_L))
+    stripped = zero = 0
+    for ab in ((F.one(), F.zero()), (F.zero(), F.one()), ab_L):
+        R, x, numerators, J, rows = _line_table(cv, rep, cv.global_form(*ab))
+        want = _rows_by_loop(cv, R, x, numerators, J)
+        assert list(rows) == list(want)
+        for t, row in rows.items():
+            assert [(u.A, u.B, u.D) for u in row[:3]] == [(u.A, u.B, u.D) for u in want[t][:3]]
+            assert row[3] == want[t][3]
+            nonzero = not R.is_zero(row[3])
+            stripped += nonzero and row[3][2] < J
+            zero += not nonzero
+    assert zero >= cv.p - 1
+    assert (stripped > 0) == strips
