@@ -92,8 +92,8 @@ def _curve_payload(curve: Curve) -> dict:
 
 
 def cmd_curve(args) -> int:
-    curve = _build_curve(args)
-    _emit(_curve_payload(curve), args.out)
+    with _build_curve(args) as curve:
+        _emit(_curve_payload(curve), args.out)
     return EXIT_OK
 
 
@@ -119,10 +119,10 @@ def _torsion_payload(curve: Curve, method: str, crosscheck: bool) -> dict:
 
 
 def cmd_torsion(args) -> int:
-    curve = _build_curve(args)
-    t0 = time.perf_counter()
-    payload = _torsion_payload(curve, args.method, args.crosscheck)
-    payload["timing"] = {"seconds": time.perf_counter() - t0}
+    with _build_curve(args) as curve:
+        t0 = time.perf_counter()
+        payload = _torsion_payload(curve, args.method, args.crosscheck)
+        payload["timing"] = {"seconds": time.perf_counter() - t0}
     _emit(payload, args.out)
     return EXIT_OK
 
@@ -165,11 +165,10 @@ def _verify_payload(curve: Curve, rigidity_mode: str | None) -> dict:
 
 
 def cmd_verify(args) -> int:
-    curve = _build_curve(args)
-    t0 = time.perf_counter()
-    mode = None if args.rigidity == "off" else args.rigidity
-    payload = _verify_payload(curve, mode)
-    payload["timing"] = {"seconds": time.perf_counter() - t0}
+    with _build_curve(args) as curve:
+        t0 = time.perf_counter()
+        payload = _verify_payload(curve, None if args.rigidity == "off" else args.rigidity)
+        payload["timing"] = {"seconds": time.perf_counter() - t0}
     _emit(payload, args.out)
     return EXIT_OK
 
@@ -179,23 +178,23 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _scan_row(spec: dict, index: int, with_lemmas: bool) -> dict:
-    curve = curve_from_spec(spec)
-    F = curve.field
-    row = _curve_payload(curve)
-    ts_b = enumerate_p_torsion(curve, method="brute")
-    ts_s = enumerate_p_torsion(curve, method="semilinear")
-    row.update(index=index, agree=ts_b.forms == ts_s.forms, **_torsion_fields(curve, ts_b))
-    if with_lemmas:
-        statuses = []
-        nonzero = ts_b.nonzero(F)
-        check_lemma_work(curve, len(nonzero) // (curve.p - 1))  # before any orbit
-        for ab_L in nonzero:
-            ab = _independent_basis_form(F, ab_L)
-            statuses.append(check_two_sums(curve, ab_L, ab).status)
-            statuses.append(check_offdiag_closed_forms(curve, ab_L, ab).status)
-        row["lemmaStatuses"] = statuses
-        row["lemmaViolations"] = sum(1 for s in statuses if s == "violated")
-    return row
+    with curve_from_spec(spec) as curve:
+        F = curve.field
+        row = _curve_payload(curve)
+        ts_b = enumerate_p_torsion(curve, method="brute")
+        ts_s = enumerate_p_torsion(curve, method="semilinear")
+        row.update(index=index, agree=ts_b.forms == ts_s.forms, **_torsion_fields(curve, ts_b))
+        if with_lemmas:
+            statuses = []
+            nonzero = ts_b.nonzero(F)
+            check_lemma_work(curve, len(nonzero) // (curve.p - 1))  # before any orbit
+            for ab_L in nonzero:
+                ab = _independent_basis_form(F, ab_L)
+                statuses.append(check_two_sums(curve, ab_L, ab).status)
+                statuses.append(check_offdiag_closed_forms(curve, ab_L, ab).status)
+            row["lemmaStatuses"] = statuses
+            row["lemmaViolations"] = sum(1 for s in statuses if s == "violated")
+        return row
 
 
 def _independent_basis_form(F, ab_L):

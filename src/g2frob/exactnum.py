@@ -17,7 +17,8 @@ compatibility cheaply.
 
 Both field contexts share one interface, so callers never branch on the field
 type: `char`, `size`, `degree`, `zero()`, `one()`, `from_int(n)`,
-`from_coeffs(cs)` (at most `degree` ints in the basis below), `add`, `sub`,
+`from_coeffs(cs)` (at most `degree` ints in the basis below), `unpack(ints)`
+(the raws whose coordinates in that basis run through ints), `add`, `sub`,
 `neg`, `mul`, `inv`, `div`, `pow` (`poly.power` on F_{p^k}, the builtin on
 F_p), `frobenius`, `is_zero`, `eq`, `elements()`, `random(rng)`, `basis()`,
 the F_p-basis 1, t, ..., t^(k-1) as raw values (just (1,) on F_p),
@@ -25,14 +26,17 @@ the F_p-basis 1, t, ..., t^(k-1) as raw values (just (1,) on F_p),
 ([[1]] on F_p), whose columns `frobenius` combines on F_{p^k}, and the
 polynomial kernels `poly_normalize`, `poly_add`, `poly_sub`, `poly_neg`,
 `poly_scale`, `poly_derivative`, `poly_divide_at`, `poly_mul`, `poly_divmod`
-and `poly_gcd` behind the functions of `poly` of the same names, and
-`poly_power_top_two`, the Cartier-Manin recurrence run of `cartier`.  F_p
-runs them as loops on the int coefficients with inline reduction mod p
-(the recurrence over one common denominator, with one inverse per run);
-F_{p^k} uses `poly`'s generic loops, one field method call per coefficient
-operation.  Raw values of any field go to JSON and back through
-`raw_to_json` / `raw_from_json`, and raws of one field sort in the order of
-their JSON form; `prime_field_ints` reads raws that all lie in F_p as ints.
+and `poly_gcd` behind the functions of `poly` of the same names,
+`poly_power_top_two`, the Cartier-Manin recurrence run of `cartier`, and
+`poly_theta_step`, the numerators of one derivation step in l-coordinates
+(`funcfield.LocalRing.deriv`).  F_p runs them as loops on the int
+coefficients with inline reduction mod p (the recurrence over one common
+denominator, with one inverse per run; the theta step with one reduction
+per coefficient); F_{p^k} uses `poly`'s generic loops, one field method
+call per coefficient operation.  Raw values of any field go to JSON and
+back through `raw_to_json` / `raw_from_json`, and raws of one field sort in
+the order of their JSON form; `prime_field_ints` reads raws that all lie in
+F_p as ints.
 
 The base of a DualRing may be a field context or a `funcfield.Curve`, the
 context of the curve's function field K, whose raws are function field
@@ -139,6 +143,11 @@ class PrimeField:
             raise RangeError("too many coefficients for a prime field")
         return coeffs[0] % self.p if coeffs else 0
 
+    def unpack(self, ints):
+        """The raws whose coordinates run through ints, reduced mod p."""
+        p = self.p
+        return [c % p for c in ints]
+
     def basis(self):
         return (1,)
 
@@ -237,6 +246,21 @@ class PrimeField:
     def poly_mul(self, a, b):
         p = self.p
         return tuple([c % p for c in _int_mul(a, b)])
+
+    def poly_theta_step(self, A, B, j: int, phi, psi, c):
+        """`poly.theta_step_generic` on ints: the coefficient m of B adds
+        (m - j) b phi + b l psi at l^m, and each sum is scaled by c and
+        reduced once."""
+        p, nA = self.p, [0] * (len(B) + max(len(phi) - 1, len(psi)))
+        for m, b in enumerate(B):
+            if b:
+                e = (m - j) * b
+                for i, f in enumerate(phi, m):
+                    nA[i] += e * f
+                for i, g in enumerate(psi, m + 1):
+                    nA[i] += b * g
+        return (self.poly_normalize([v * c % p for v in nA]),
+                self.poly_normalize([(m - j) * a * c % p for m, a in enumerate(A)]))
 
     def poly_divmod(self, a, b):
         if not b:
@@ -374,6 +398,11 @@ class ExtField:
             raise RangeError("too many coefficients for this extension")
         return tuple(c + [0] * (self.k - len(c)))
 
+    def unpack(self, ints):
+        """The raws whose coordinates run through ints, k at a time, reduced mod p."""
+        p, k = self.p, self.k
+        return [tuple([x % p for x in ints[i:i + k]]) for i in range(0, len(ints), k)]
+
     def add(self, a, b):
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
@@ -443,6 +472,7 @@ class ExtField:
     poly_derivative = poly.derivative_generic
     poly_divide_at = poly.divide_at_generic
     poly_mul = poly.mul_generic
+    poly_theta_step = poly.theta_step_generic
     poly_divmod = poly.divmod_generic
     poly_gcd = poly.gcd_generic
     poly_power_top_two = poly.power_top_two_generic

@@ -30,8 +30,11 @@ f'/2 = psi(l) expanded at r once and l' = 1, the quotient rule gives
     theta((A + B y) / l^j)
       = c [(l B' - j B) phi + l B psi + (l A' - j A) y] / l^(j+1+e),
 where l A' - j A = sum (m - j) a_m l^m: no gcd and no product by a power
-of l.  Back in K (`LocalRing.element`), D = (x - r)^j, one stored power per
-ring and j, and gcd(A, B, D) = 1: a normal form with no gcd.
+of l.  `LocalRing.deriv` takes both numerators from one kernel of the
+field context, `poly_theta_step` (`exactnum`): over F_p one int loop with
+one reduction mod p per coefficient.  Back in K (`LocalRing.element`),
+D = (x - r)^j, one stored power per ring and j, and gcd(A, B, D) = 1: a
+normal form with no gcd.
 
 Differentials are represented on the affine chart as g dx with g in K.
 A derivation theta is determined by theta(x) (the chain rule extends it to
@@ -75,11 +78,13 @@ class Curve:
 
     The curve also owns a memo (`memo`): each module that asks for a
     result again and again keys it there, under a tuple that begins with a
-    name of its own.  A value lives exactly as long as the curve: one CLI
-    call, or one scan row.
+    name of its own.  Memo values refer back to the curve, so a curve used
+    as a context manager clears its memo on exit: refcounting, not the
+    cyclic garbage collector, then frees both once the CLI call or scan row
+    that built the curve lets it go.
     """
 
-    __slots__ = ("field", "f", "fprime", "degree_cap", "_half_fprime", "_memo")
+    __slots__ = ("field", "f", "fprime", "degree_cap", "_half_fprime", "_memo", "__weakref__")
 
     def __init__(self, field, f_coeffs):
         if field.char == 2:
@@ -115,6 +120,12 @@ class Curve:
         if key not in self._memo:
             self._memo[key] = compute()
         return self._memo[key]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._memo.clear()
 
     # -- element constructors ----------------------------------------------
     def element(self, A, B=(), D=None) -> "FunctionFieldElement":
@@ -542,15 +553,14 @@ class LocalRing:
 
     def deriv(self, u, theta: Derivation):
         """theta(u) for theta(x) = c y / l^e by the one-step formula of the
-        module docstring; c and e are read off theta(x)."""
+        module docstring, one field kernel (`poly_theta_step`) for both
+        numerators; c and e are read off theta(x), and `make` strips."""
         A, B, j = u
         if not B and not j and len(A) <= 1:  # a constant, zero included
             return self.zero()
-        F, c = self.curve.field, theta.value_on_x.B[0]
-        nA = poly.add(F, poly.mul(F, _euler(F, B, j), self._phi),
-                      _shift(F, poly.mul(F, B, self._psi), 1))
-        return self.make(poly.scale(F, nA, c), poly.scale(F, _euler(F, A, j), c),
-                         j + len(theta.value_on_x.D))
+        v = theta.value_on_x
+        nA, nB = self.curve.field.poly_theta_step(A, B, j, self._phi, self._psi, v.B[0])
+        return self.make(nA, nB, j + len(v.D))
 
 
 def _taylor(F, a, r):
@@ -565,11 +575,6 @@ def _taylor(F, a, r):
 def _shift(F, a, n: int):
     """l^n a for a polynomial a in l."""
     return (F.zero(),) * n + a if a else ()
-
-
-def _euler(F, a, j: int):
-    """l a' - j a = sum (m - j) a_m l^m for a polynomial a in l."""
-    return poly.sub(F, _shift(F, poly.derivative(F, a), 1), poly.scale(F, a, F.from_int(j)))
 
 
 # ---------------------------------------------------------------------------

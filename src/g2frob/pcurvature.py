@@ -68,11 +68,17 @@ for the first-order deformations K[eps], whose raws are pairs
 theta acts componentwise.  On a flat global chart, whose chart constant is
 1, the chart's `funcfield.LocalRing` R may stand in for the curve, as in
 `verify`'s guard of the off-diagonal closed forms.
+
+A run reads T's nonzero pattern once and each step that of T0^(n): no
+`mul`, `deriv` or `add` touches a zero entry of either, and a zero
+derivative (of a constant) is not added.  The program's connections are
+sparse, so most entries of a step are zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import RangeError, ZeroVector
 from .exactnum import DualRing
@@ -187,46 +193,41 @@ def _mat_add(ring, A, B, r):
     return tuple(tuple(ring.add(A[i][j], B[i][j]) for j in range(r)) for i in range(r))
 
 
-def _mat_mul(ring, A, B, r):
-    """A B, with no product taken where either operand is zero (the zero
-    and constant entries of T leave many)."""
-    add, mul, is_zero = ring.add, ring.mul, ring.is_zero
-    nz_a = [[not is_zero(e) for e in row] for row in A]
-    nz_b = [[not is_zero(e) for e in row] for row in B]
+def _support(ring, T):
+    """T's nonzero pattern, read once per run: row i lists (k, T[i][k]) for
+    the nonzero entries."""
+    return tuple(tuple((k, e) for k, e in enumerate(row) if not ring.is_zero(e)) for row in T)
+
+
+def _step(ring, support, M, theta):
+    """T M + theta(M), the recursion's step on one coefficient matrix, for
+    T given by its `_support`: no product, derivative or sum is taken of a
+    zero entry of T or of M, nor a sum with a zero derivative."""
+    is_zero, add, mul, deriv = ring.is_zero, ring.add, ring.mul, ring.deriv
+    live = [[not is_zero(e) for e in row] for row in M]
     out = []
-    for i in range(r):
-        row = []
-        for j in range(r):
-            acc = None
-            for k in range(r):
-                if nz_a[i][k] and nz_b[k][j]:
-                    prod = mul(A[i][k], B[k][j])
-                    acc = prod if acc is None else add(acc, prod)
-            row.append(ring.zero() if acc is None else acc)
-        out.append(tuple(row))
+    for i, row in enumerate(M):
+        new = []
+        for j, e in enumerate(row):
+            terms = [mul(t, M[k][j]) for k, t in support[i] if live[k][j]]
+            if live[i][j] and not is_zero(d := deriv(e, theta)):
+                terms.append(d)
+            new.append(reduce(add, terms) if terms else ring.zero())
+        out.append(tuple(new))
     return tuple(out)
 
 
-def _mat_theta(ring, M, theta, r):
-    return tuple(tuple(ring.deriv(M[i][j], theta) for j in range(r)) for i in range(r))
-
-
-def _step(ring, T, M, theta, r):
-    """T M + theta(M), the recursion's step on one coefficient matrix."""
-    return _mat_add(ring, _mat_mul(ring, T, M, r), _mat_theta(ring, M, theta, r), r)
-
-
 def p_curvature_matrix(conn: ConnectionMatrix) -> PCurvature:
-    """psi via the recursion T0^(n+1) = T T0^(n) + theta0(T0^(n))."""
-    R, r, T = conn.ring, conn.rank, conn.entries
-    theta0 = dual_derivation(conn.chart)
+    """psi via the recursion T0^(n+1) = T T0^(n) + theta0(T0^(n)), skipping
+    zero entries (`_step`)."""
+    R, T = conn.ring, conn.entries
+    theta0, support = dual_derivation(conn.chart), _support(R, T)
     T0 = T
     for _ in range(conn.curve.p - 1):
-        T0 = _step(R, T, T0, theta0, r)
+        T0 = _step(R, support, T0, theta0)
     c0 = R.lift(chart_constant(conn.chart))
-    psi = tuple(
-        tuple(R.sub(T0[i][j], R.mul(c0, T[i][j])) for j in range(r)) for i in range(r)
-    )
+    psi = tuple(tuple(e if R.is_zero(t) else R.sub(e, R.mul(c0, t)) for e, t in zip(row0, row))
+                for row0, row in zip(T0, T))
     return PCurvature(matrix=psi, chart=conn.chart, ring=R)
 
 
@@ -237,10 +238,10 @@ def coefficient_table(conn: ConnectionMatrix, n: int) -> CoefficientTable:
     if not 1 <= n <= conn.curve.p:
         raise RangeError(f"table order must satisfy 1 <= n <= p, got {n}")
     ident = tuple(tuple(R.one() if i == j else R.zero() for j in range(r)) for i in range(r))
-    row = [T, ident]  # n = 1
+    row, support = [T, ident], _support(R, T)  # n = 1
     for _ in range(n - 1):
         # T_k^(n+1) = T T_k^(n) + theta0(T_k^(n)) + T_(k-1)^(n); the top stays I
-        nxt = [_step(R, T, M, theta0, r) for M in row]
+        nxt = [_step(R, support, M, theta0) for M in row]
         for k in range(1, len(nxt)):
             nxt[k] = _mat_add(R, nxt[k], row[k - 1], r)
         row = nxt + [row[-1]]

@@ -18,11 +18,14 @@ end of this module (`add_generic`, ..., `gcd_generic`), one field method
 call per coefficient operation, which are also the test oracle for the F_p
 kernels.  The same holds for `power_top_two_generic`, the Cartier-Manin
 recurrence run that `cartier` calls as `F.poly_power_top_two`: over F_p an
-int kernel with one inverse per run.  Products are schoolbook and gcds
-plain Euclid: degrees stay small (in a p = 13 `verify` the longest product
-has 37 coefficients and the median one 11), and at those sizes a single
-Kronecker-packed product measured slower than the int loops.  Packing pays
-for many scalings of fixed vectors instead (`verify`'s line table).
+int kernel with one inverse per run; and for `theta_step_generic`, one
+derivation step in l-coordinates that `funcfield.LocalRing.deriv` calls as
+`F.poly_theta_step`: over F_p one int loop with one reduction mod p per
+coefficient.  Products are schoolbook and gcds plain Euclid: degrees stay
+small (in a p = 13 `verify` the longest product has 37 coefficients and
+the median one 11), and at those sizes a single Kronecker-packed product
+measured slower than the int loops.  Packing pays for many scalings of
+fixed vectors instead (`verify`'s line table).
 """
 
 from __future__ import annotations
@@ -203,6 +206,18 @@ def mul_generic(F, a, b):
             for j, d in enumerate(b):
                 out[i + j] = F.add(out[i + j], F.mul(c, d))
     return normalize(F, out)
+
+
+def theta_step_generic(F, A, B, j: int, phi, psi, c):
+    """The numerators (c [(l B' - j B) phi + l B psi], c (l A' - j A)) of one
+    theta step in l-coordinates (`funcfield.LocalRing.deriv`), where
+    l a' - j a = sum (m - j) a_m l^m; not stripped of common factors l."""
+    def euler(a):
+        return [F.mul(F.from_int(m - j), x) for m, x in enumerate(a)]
+
+    lBpsi = mul_generic(F, B, psi)
+    nA = add_generic(F, mul_generic(F, euler(B), phi), (F.zero(),) + lBpsi if lBpsi else ())
+    return scale_generic(F, nA, c), scale_generic(F, euler(A), c)
 
 
 def divmod_generic(F, a, b):

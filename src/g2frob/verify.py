@@ -128,15 +128,25 @@ F-linear, so the form e omega, e in F, has e times omega's image.  The
 unknowns of the solve are the plane_basis forms in each slot, so the line
 tables of the second forms (1, 0) and (0, 1), the ones the lemma checks
 fill, give every image, and no engine runs (`_rigidity_images`).
+
+The verdict from the kernel basis b_1, ..., b_d (`cartier.fp_kernel`):
+there are p^d solutions, and the trivial family is an F_p-subspace of
+dimension 2k, k = [F : F_p], with q^2 elements.  So the kernel is the
+family exactly when d = 2k and every b_i has w11 = 0 and w12 = (a, b), w21
+on the F-line of omega_L = (a_L, b_L): a b_L - b a_L = 0.  No solution is
+listed for the report; `RigiditySolutionSet.solutions` lists them, through
+`enumerate_span_mod_p` and its span guard, when read.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
-from itertools import islice
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import accumulate
 from math import comb
+from typing import Callable
 
 from . import poly
 from .cartier import fp_kernel, plane_basis
@@ -161,8 +171,8 @@ _BRUTE_WORK_LIMIT = 1 << 20
 # flat F_p-lines times p^3 for the lemma checks of `verify` (per line and
 # second form, the orbit, its 2(p - 1) Taylor shifts, the packed rows and the
 # guard's 2(p - 1) engine steps on entries of degree about p, then O(p^2)
-# JSON): `verify --rigidity linear` on one line took 0.35 s at p = 101,
-# 0.58 s at p = 127 and 1.6 s at p = 211 (fresh process, CPython 3.11)
+# JSON): `verify --rigidity linear` on one line took 0.27 s at p = 101,
+# 0.43 s at p = 127 and 1.3 s at p = 211 (fresh process, CPython 3.11)
 _LEMMA_WORK_LIMIT = 1 << 21
 # evenly spaced brute triples whose auxiliary recursion meets its closed forms
 _CLOSED_FORM_SAMPLES = 16
@@ -189,12 +199,19 @@ class LemmaReport:
 @dataclass(frozen=True)
 class RigiditySolutionSet:
     curve_id: str
-    solutions: tuple  # sorted triples ((a,b), (a,b), (a,b)) of raw pairs
+    count: int
     is_trivial_family: bool
     mode: str
+    listing: Callable = field(repr=False, compare=False)
+
+    @cached_property
+    def solutions(self):
+        """Sorted triples ((a,b), (a,b), (a,b)) of raw pairs, listed by
+        `listing` when first read."""
+        return self.listing()
 
     def __len__(self):
-        return len(self.solutions)
+        return self.count
 
 
 def _as_pair(curve: Curve, ab):
@@ -229,21 +246,21 @@ def _fp_combinations(F, vectors, scalars):
     """sum_k c_k vectors[k], a list of polynomials over F, for each row c of
     `scalars`, ints in [0, p): each vector's F_p coordinates (`coords`) in
     one int of 64-bit slots, which hold len(vectors) (p - 1)^2, one sum of
-    int multiples per row, read back by `from_coeffs`, which reduces mod p."""
+    int multiples per row, read back by one `unpack`, which reduces mod p."""
     from array import array
 
-    p, k, zero = F.char, F.degree, F.zero()
+    p, zero = F.char, F.zero()
     lens = [max(len(v[i]) for v in vectors) for i in range(len(vectors[0]))]
     if len(vectors) * (p - 1) ** 2 >> 64:
         raise PrimeTooLarge(f"p = {p} overflows the 64-bit slots of the line table")
     packed = [int.from_bytes(array("Q", [
         c for a, n in zip(v, lens) for raw in a + (zero,) * (n - len(a)) for c in coords(raw)
     ]).tobytes(), sys.byteorder) for v in vectors]
-    size, out = 8 * k * sum(lens), []
+    size, starts, out = 8 * F.degree * sum(lens), list(accumulate(lens, initial=0)), []
     for row in scalars:
-        slots = array("Q", sum(c * P for c, P in zip(row, packed)).to_bytes(size, sys.byteorder))
-        raws = map(F.from_coeffs, zip(*[iter(slots)] * k))
-        out.append([poly.normalize(F, list(islice(raws, n))) for n in lens])
+        total = sum(c * P for c, P in zip(row, packed))
+        raws = F.unpack(array("Q", total.to_bytes(size, sys.byteorder)))
+        out.append([poly.normalize(F, raws[i:i + n]) for i, n in zip(starts, lens)])
     return out
 
 
@@ -480,29 +497,26 @@ def rigidity_scan(curve: Curve, ab_L, mode: str = "brute"):
     theta_L = require_torsion(curve, omega_L)
     if mode == "brute":
         sols, identity_ok, identity_total, closed_ok = _rigidity_brute(curve, theta_L, omega_L)
+        count, listing = len(sols), lambda: sols
+        is_family = sols == _trivial_family(curve.field, ab_L)
     elif mode == "linear":
-        sols = _rigidity_linear(curve, *_rigidity_images(curve, omega_L))
+        R, images = _rigidity_images(curve, omega_L)
+        count, is_family, listing = _rigidity_linear(curve, ab_L, R, images)
         identity_ok = identity_total = 0
         closed_ok = True
     else:
         raise RangeError(f"unknown mode {mode!r}")
-    family = _trivial_family(curve.field, ab_L)
-    is_family = sols == family
-    status = "holds" if is_family and (mode == "linear" or (identity_ok == identity_total and closed_ok)) else "violated"
-    solset = RigiditySolutionSet(
-        curve_id=curve_id(curve),
-        solutions=sols,
-        is_trivial_family=is_family,
-        mode=mode,
-    )
+    status = "holds" if is_family and identity_ok == identity_total and closed_ok else "violated"
+    solset = RigiditySolutionSet(curve_id=curve_id(curve), count=count,
+                                 is_trivial_family=is_family, mode=mode, listing=listing)
     report = LemmaReport(
         curve_id=curve_id(curve),
         lemma_id="split-connection-rigidity",
         status=status,
         witness={
             "omegaL": _form_witness(ab_L),
-            "solutionCount": len(sols),
-            "familyCount": len(family),
+            "solutionCount": count,
+            "familyCount": curve.field.size ** 2,
             "isTrivialFamily": is_family,
             "scalarShiftIdentity": {"checked": identity_total, "held": identity_ok},
             "closedFormsSampled": closed_ok,
@@ -621,16 +635,29 @@ def _engine_images(curve, omega_L):
     return R, images
 
 
-def _rigidity_linear(curve, R, images):
-    """Kernel of the F_p-linear map (w11, w12, w21) -> psi(deformation),
-    unknown j sent to images[j] (`_rigidity_images`, `_engine_images`), as
-    sorted triples of (a, b) pairs."""
-    F, k = curve.field, curve.field.degree
-    sols = set()
-    for v in enumerate_span_mod_p(fp_kernel(R, images), len(images), curve.p):
+def _rigidity_linear(curve, ab_L, R, images):
+    """(count, is_family, listing) for the kernel of the F_p-linear map
+    (w11, w12, w21) -> psi(deformation), unknown j sent to images[j]
+    (`_rigidity_images`, `_engine_images`), read off `fp_kernel`'s basis
+    (module docstring): p^dim solutions, whether they are the trivial
+    family of omega_L = ab_L, and a function listing them as sorted
+    triples of (a, b) pairs."""
+    F, k, p = curve.field, curve.field.degree, curve.p
+    basis = fp_kernel(R, images)
+
+    def triple(v):
         w = [F.from_coeffs(v[i * k:(i + 1) * k]) for i in range(6)]
-        sols.add(((w[0], w[1]), (w[2], w[3]), (w[4], w[5])))
-    return tuple(sorted(sols))
+        return (w[0], w[1]), (w[2], w[3]), (w[4], w[5])
+
+    def in_family(v):  # w11 = 0, and w12, w21 on the F-line of ab_L
+        (a11, b11), *rest = triple(v)
+        return F.is_zero(a11) and F.is_zero(b11) and all(
+            F.eq(F.mul(a, ab_L[1]), F.mul(b, ab_L[0])) for a, b in rest)
+
+    def listing():
+        return tuple(sorted({triple(v) for v in enumerate_span_mod_p(basis, len(images), p)}))
+
+    return p ** len(basis), len(basis) == 2 * k and all(map(in_family, basis)), listing
 
 
 def _trivial_family(F, ab_L):
@@ -687,9 +714,9 @@ def recheck(curve: Curve, report: LemmaReport) -> bool:
         ab_L = _witness_form(curve, w["omegaL"])
         omega_L = curve.global_form(*ab_L)
         require_torsion(curve, omega_L)
-        sols = _rigidity_linear(curve, *_engine_images(curve, omega_L))
-        status = "holds" if sols == _trivial_family(curve.field, ab_L) else "violated"
-        return status == report.status and len(sols) == w["solutionCount"]
+        count, is_family, _ = _rigidity_linear(curve, ab_L, *_engine_images(curve, omega_L))
+        status = "holds" if is_family else "violated"
+        return status == report.status and count == w["solutionCount"]
     raise RangeError(f"unknown lemma id {report.lemma_id!r}")
 
 

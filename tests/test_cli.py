@@ -835,3 +835,43 @@ def test_verify_refuses_the_rigidity_span_before_any_orbit(capsys, monkeypatch):
     assert orbits == []
     code, out = run(capsys, *argv, "--rigidity", "off")
     assert code == 0 and len(json.loads(out)["lemmas"]) == 8 and orbits
+
+
+def test_a_finished_call_frees_its_curve_without_the_cycle_collector(capsys, monkeypatch):
+    # the memo's values refer back to the curve; with the cyclic garbage
+    # collector off, the curve of a verify call and of each scan row is
+    # freed by refcounting alone as soon as the call or row is done
+    import gc
+    import weakref
+
+    from g2frob import cli
+
+    refs, dead = [], []
+
+    def recorded(build):
+        def built(*args):
+            curve = build(*args)
+            refs.append(weakref.ref(curve))
+            return curve
+        return built
+
+    real_row = cli._scan_row
+
+    def row(*job):
+        out = real_row(*job)
+        dead.append(refs[-1]() is None)
+        return out
+
+    monkeypatch.setattr(cli, "_build_curve", recorded(cli._build_curve))
+    monkeypatch.setattr(cli, "curve_from_spec", recorded(cli.curve_from_spec))
+    monkeypatch.setattr(cli, "_scan_row", row)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        code, _ = run(capsys, "verify", "--p", "7", "--f", ",".join(map(str, CERTIFIED[7][0])))
+        assert code == 0 and len(refs) == 1 and refs[0]() is None
+        code, _ = run(capsys, "scan", "--p", "7", "--count", "4")
+    finally:
+        if enabled:
+            gc.enable()
+    assert code == 0 and dead == [True] * 4

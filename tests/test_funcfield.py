@@ -617,3 +617,41 @@ def test_local_ring_powers_against_poly_pow(field, monkeypatch):
     want = three_steps(cv)
     monkeypatch.setattr(poly, "pow", never)
     assert three_steps(Curve(field, cv.f)) == want
+
+
+@pytest.mark.parametrize("field", [PrimeField(3), PrimeField(5), PrimeField(13),
+                                   PrimeField(101), make_field(3, 2)],
+                         ids=["F3", "F5", "F13", "F101", "F9"])
+def test_theta_step_kernel_against_the_generic_loop(field):
+    # the field's poly_theta_step, raw for raw, against poly's generic loop
+    # on seeded random (A, B, j), empty A or B and j = 0 among them, with
+    # the phi, psi and c of theta(x) = c y / l^e for e = 0 (r = 0, the chart
+    # dx/y) and e = 1; and LocalRing.deriv, which calls it, against the gcd
+    # path of a twin curve
+    rng = rng_for(f"ff-theta-step-{field!r}")
+    cv = random_curve(field, rng)
+    twin, F = Curve(field, cv.f), field
+
+    def nonzero():
+        while True:
+            c = F.random(rng)
+            if not F.is_zero(c):
+                return c
+
+    thetas = [dual_derivation(cv.basis_forms()[0]),
+              dual_derivation(cv.global_form(F.random(rng), nonzero()))]
+    assert [len(t.value_on_x.D) - 1 for t in thetas] == [0, 1]
+    for theta in thetas:
+        R, c = theta.ring, theta.value_on_x.B[0]
+        for n in range(60):
+            A = poly.normalize(F, [F.random(rng) for _ in range(rng.randrange(0, 8) if n % 3 else 0)])
+            B = poly.normalize(F, [F.random(rng) for _ in range(rng.randrange(0, 8) if n % 5 else 0)])
+            j = rng.randrange(0, 2 * cv.p + 2) if n % 4 else 0
+            got = F.poly_theta_step(A, B, j, R._phi, R._psi, c)
+            assert got == poly.theta_step_generic(F, A, B, j, R._phi, R._psi, c)
+            assert all(type(a) is tuple and (not a or not F.is_zero(a[-1])) for a in got)
+            u = R.make(A, B, j)
+            if R.is_zero(u):
+                continue
+            step = R.deriv(u, theta)
+            assert R.element(step) == twin.mul(twin.d_coefficient(R.element(u)), theta.value_on_x)

@@ -1,5 +1,6 @@
 """Engine tests: closed form vs recursion, tables, fundamental form, duals."""
 
+from functools import reduce
 from math import comb
 
 import pytest
@@ -23,7 +24,7 @@ from g2frob import (
 from g2frob.funcfield import pair
 from g2frob.pcurvature import chart_constant, is_flat
 
-from conftest import make_random_element, rng_for
+from conftest import CERTIFIED, make_random_element, rng_for
 
 
 def _chart(curve):
@@ -357,6 +358,51 @@ def test_dual_engine_on_lifted_connection_is_lifted_psi(curve3, curve5):
             for i in range(2):
                 for j in range(2):
                     assert psi_eps[i, j] == D.lift(psi[i, j])
+
+
+def _dense_psi(conn):
+    """The recursion with every entry taken: T M + theta(M) summed over all
+    products and derivatives, zero or not, then T0^(p) - c T."""
+    R, T, r = conn.ring, conn.entries, conn.rank
+    theta = dual_derivation(conn.chart)
+    M = T
+    for _ in range(conn.curve.p - 1):
+        M = tuple(tuple(reduce(R.add, [R.mul(T[i][k], M[k][j]) for k in range(r)]
+                               + [R.deriv(M[i][j], theta)]) for j in range(r)) for i in range(r))
+    c0 = R.lift(chart_constant(conn.chart))
+    return tuple(tuple(R.sub(M[i][j], R.mul(c0, T[i][j])) for j in range(r)) for i in range(r))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_zero_skipping_engine_against_the_dense_step(p):
+    # psi over K, over the flat chart's l-local ring R and over K[eps] and
+    # R[eps], on matrices whose entries are zero, one or random, against the
+    # dense step; over K also on the non-flat chart dx/y
+    from g2frob.funcfield import line_representative
+
+    cv = make_curve(PrimeField(p), CERTIFIED[p][0])
+    F, rng = cv.field, rng_for(f"engine-dense-{p}")
+    omega_L = cv.global_form(*(F.from_int(c) for c in CERTIFIED[p][1]))
+    _, omega_L = line_representative(omega_L)
+    R = dual_derivation(omega_L).ring
+    ratios = [cv.global_form(F.random(rng), F.random(rng)).ratio(omega_L) for _ in range(6)]
+
+    def entry(ring, draw):
+        k = rng.randrange(6)
+        return ring.zero() if k < 2 else ring.one() if k == 2 else draw()
+
+    rings = [
+        (cv, lambda: rng.choice(ratios), (omega_L, cv.basis_forms()[0])),
+        (R, lambda: R.lift(rng.choice(ratios)), (omega_L,)),
+        (DualRing(cv), lambda: (rng.choice(ratios), rng.choice(ratios)), (omega_L,)),
+        (DualRing(R), lambda: (R.lift(rng.choice(ratios)), R.lift(rng.choice(ratios))), (omega_L,)),
+    ]
+    for ring, draw, charts in rings:
+        for chart in charts:
+            for r in (1, 2, 2, 2):
+                T = [[entry(ring, draw) for _ in range(r)] for _ in range(r)]
+                conn = ConnectionMatrix(ring, T, chart)
+                assert p_curvature_matrix(conn).matrix == _dense_psi(conn)
 
 
 # ---------------------------------------------------------------------------

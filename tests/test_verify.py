@@ -513,3 +513,117 @@ def test_packed_line_table_against_the_per_t_loop(field, seed, strips):
             zero += not nonzero
     assert zero >= cv.p - 1
     assert (stripped > 0) == strips
+
+
+def test_guard_runs_take_no_step_on_a_zero_entry(monkeypatch):
+    # every LocalRing deriv, mul and add inside the guard's engine runs on
+    # the p = 13 one-line curve gets nonzero operands: the engine reads T's
+    # zero pattern and skips zero entries of T and of T0^(n)
+    from g2frob import verify
+    from g2frob.funcfield import LocalRing, curve_from_spec
+
+    calls, inside = [], []
+    real_matrix = verify.p_curvature_matrix
+
+    def marked_matrix(conn):
+        inside.append(conn)
+        try:
+            return real_matrix(conn)
+        finally:
+            inside.pop()
+
+    def recorded(name):
+        real = getattr(LocalRing, name)
+
+        def op(self, u, v):
+            if inside:
+                calls.append((name, self.is_zero(u) or
+                              (name != "deriv" and self.is_zero(v))))
+            return real(self, u, v)
+        return op
+
+    monkeypatch.setattr(verify, "p_curvature_matrix", marked_matrix)
+    for name in ("deriv", "mul", "add"):
+        monkeypatch.setattr(LocalRing, name, recorded(name))
+    spec, ab_L = ONE_LINE[2]
+    cv = curve_from_spec(spec)
+    F = cv.field
+    for ab in ((F.one(), F.zero()), (F.zero(), F.one())):
+        report = check_offdiag_closed_forms(cv, tuple(F.from_coeffs(c) for c in ab_L), ab)
+        assert report.status == "holds"
+    # two forms, two shapes, p - 1 steps, each with two nonzero entries to
+    # derive (a_n or b_n, and the constant 1) of the four
+    assert sum(name == "deriv" for name, _ in calls) == 8 * (cv.p - 1)
+    assert not any(zero for _, zero in calls)
+
+
+def _listed_verdict(curve, ab_L, solset):
+    from g2frob.verify import _trivial_family
+
+    sols, family = solset.solutions, _trivial_family(curve.field, ab_L)
+    return "holds" if sols == family else "violated", len(sols), len(family), sols == family
+
+
+def _report_verdict(report):
+    w = report.witness
+    return report.status, w["solutionCount"], w["familyCount"], w["isTrivialFamily"]
+
+
+# the unknowns' images with a fault (n = 2k unknowns per slot: w11, w12, w21)
+_IMAGE_FAULTS = {
+    "none": lambda R, im, n: im,
+    # w11's images dropped: every w11 solves, a kernel larger than the family
+    "diagonal_dropped": lambda R, im, n: [tuple(R.zero() for _ in e) for e in im[:n]] + im[n:],
+    # w11 and w12 exchanged: a kernel of the family's size with w11 != 0
+    "w11_w12_exchanged": lambda R, im, n: im[n:2 * n] + im[:n] + im[2 * n:],
+    # w12's a and b unknowns exchanged: w12 leaves the F-line of omega_L
+    "w12_a_b_exchanged": lambda R, im, n: (im[:n] + im[n + n // 2:2 * n] + im[n:n + n // 2]
+                                           + im[2 * n:]),
+    # w21 pinned to zero by entries of its own: a kernel inside the family
+    "w21_pinned": lambda R, im, n: [e + tuple(R.one() if i == 2 * n + m else R.zero()
+                                              for m in range(n)) for i, e in enumerate(im)],
+}
+
+
+@pytest.mark.parametrize("spec, ab_L", ONE_LINE, ids=["F7", "F11", "F13", "F9"])
+def test_linear_rigidity_verdict_from_the_basis_matches_the_listed_set(monkeypatch, spec, ab_L):
+    # the report, read off the kernel basis, against the verdict from the
+    # listed solution set, which runs through verify.enumerate_span_mod_p
+    # only when read, with the true images and with each fault
+    from g2frob import verify
+    from g2frob.funcfield import curve_from_spec
+
+    listed = []
+    real_span, real_images = verify.enumerate_span_mod_p, verify._rigidity_images
+    monkeypatch.setattr(verify, "enumerate_span_mod_p",
+                        lambda *args: listed.append(args) or real_span(*args))
+    statuses = {}
+    for name, fault in _IMAGE_FAULTS.items():
+        def images(curve, omega_L, fault=fault):
+            R, im = real_images(curve, omega_L)
+            return R, fault(R, im, 2 * curve.field.degree)
+
+        monkeypatch.setattr(verify, "_rigidity_images", images)
+        cv = curve_from_spec(spec)
+        ab = tuple(cv.field.from_coeffs(c) for c in ab_L)
+        solset, report = rigidity_scan(cv, ab, mode="linear")
+        assert listed == [] and len(solset) == report.witness["solutionCount"]
+        assert _report_verdict(report) == _listed_verdict(cv, ab, solset)
+        assert len(listed) == 1
+        listed.clear()
+        statuses[name] = report.status
+    assert statuses["diagonal_dropped"] == statuses["w11_w12_exchanged"] == "violated"
+    assert statuses["w21_pinned"] == "violated"
+
+
+def test_cli_verify_lists_no_rigidity_span(capsys, monkeypatch):
+    from g2frob import verify
+    from g2frob.cli import main
+
+    listed = []
+    real_span = verify.enumerate_span_mod_p
+    monkeypatch.setattr(verify, "enumerate_span_mod_p",
+                        lambda *args: listed.append(args) or real_span(*args))
+    assert main(["verify", "--p", "13", "--f", "11,7,3,9,6,1", "--rigidity", "linear"]) == 0
+    assert '"split-connection-rigidity"' in capsys.readouterr().out
+    assert listed == []
