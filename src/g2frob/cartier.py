@@ -50,26 +50,31 @@ Both enumeration methods are exposed, and they take independent routes.
 `semilinear` solves A v = v^(p) linearized over F_p: O(p) field operations
 for A, then the kernel of a 2k x 2k matrix over F_{p^k}.  `brute` evaluates
 the p-curvature of every candidate pair from h = theta0^(p-1)(x), which takes
-p - 1 derivation steps, and stays the normative oracle.  So `scan`'s
+p - 1 polynomial steps, and stays the normative oracle.  So `scan`'s
 `agree` and `torsion --crosscheck` compare two independent computations.
 
-The brute rows.  For T = a + b x,
+The brute rows.  On the chart dx/y, theta0(x) = y and theta0(y) = f'/2, so
 
-    psi(a, b) = a^p + b^p x^p + b h - a c0 - b x c0,    c0 = <dx/y, theta0^p>,
+    theta0(A + B y) = (B' f + B f'/2) + A' y
 
-a combination of five fixed elements of K with coefficients a^p, b^p, b,
--a, -b.  Over D, the lcm of their denominators (computed once per curve),
-psi D is the same F-combination of five coordinate rows (the coefficients
-of A, then of B, in A + B y), and K has basis 1, y over F(x), so psi = 0
-exactly when every coordinate is 0 (`_psi_rows`).  The combination splits as alpha(a) + beta(b), from a^p, a and
-from b^p, b.  Every candidate is tested at one screen coordinate, a row that
-is not zero for every pair, against beta stored at that coordinate alone; only
-the candidates that pass are evaluated at the other coordinates.  No normal
-form is built per candidate.  The first four solutions are welded to
-`is_flat` on their own charts.  The cost is the p - 1 derivation steps, the
-|F|^2 comparisons and, if a nonzero form is flat, the p steps of its line's
-chart constant: 0.6 s, 0.04 s and 1.1 s at p = 1009, 3.5 s, 0.15 s and 4.6 s
-at p = 2039 (CPython 3.11 on a 2-vCPU VM, one run each).
+maps F[x, y] into itself and swaps the parity in y (`_theta0_step`).  From
+x, p - 1 steps, an even number, give h = theta0^(p-1)(x) in F[x], and
+c0 = <dx/y, theta0^p> = (1/y) theta0(h) = (1/y) h' y = h'.  For T = a + b x,
+
+    psi(a, b) = a^p + b^p x^p + b h - (a + b x) h',
+
+a polynomial in x, so psi = 0 exactly when every coefficient is 0.  It is
+the F-combination, with coefficients a^p, b^p, b, -a and -b, of the
+coefficient rows of 1, x^p, h, h' and x h' (`_psi_rows`), and it splits as
+alpha(a) + beta(b), from a^p, a and from b^p, b.  Each candidate is tested
+at one screen coefficient first (`_torsion_brute`).  No normal form is built
+per candidate, and the rows share no code with `Derivation` or `LocalRing`.
+The first four solutions are welded to `is_flat` on their own charts, whose
+chart constants `Derivation` walks, so the weld is an independent check on
+every line, that of dx/y included.  The cost is the p - 1 polynomial steps,
+the |F|^2 comparisons and, if a nonzero form is flat, the p steps of its
+line's chart constant: 0.34 s, 0.02 s and 0.47 s at p = 1009, 1.4 s,
+0.07 s and 2.1 s at p = 2039 (CPython 3.11 on a 2-vCPU VM, one run each).
 `check_brute_limit` refuses more than 2^22 candidates, the next prime 2053
 among them.
 """
@@ -82,18 +87,14 @@ from functools import partial
 from . import poly
 from .errors import FieldTooLargeForBrute, G2FrobError, NotFlat, PrimeTooLarge, RangeError
 from .exactnum import PrimeField, coords, make_field, prime_divisors, prime_field_ints, raw_to_json
-from .funcfield import (
-    Curve,
-    Differential,
-    curve_id,
-    dual_derivation,
-)
+from .funcfield import Curve, Differential, curve_id
 from .linalg import enumerate_span_mod_p, kernel_basis_mod_p, rref_mod_p
 from .pcurvature import ConnectionMatrix, is_flat
 
 _DERIVATION_P_LIMIT = 1 << 14
 # brute tests |F|^2 candidates; at p = 2039 (4.2 * 10^6 of them) it takes
-# 4 s to 8 s, nearly all of it derivation steps (module docstring)
+# 1.5 s to 3.7 s, nearly all of it theta0 steps, those of the weld included
+# (module docstring)
 _BRUTE_CANDIDATE_LIMIT = 1 << 22
 # cartier_manin runs about 1.5 p recurrence steps, 1.7 s at p = 10^6 and
 # about 7 s at 2^22 under CPython 3.11 on a 2-vCPU VM (the F_p int kernel);
@@ -238,21 +239,23 @@ class TorsionSet:
         return [[raw_to_json(a), raw_to_json(b)] for a, b in self.forms]
 
 
-def _flat_form_data(curve: Curve):
-    """The brute oracle's precomputation (xp, h, c0): x^p, h = theta0^(p-1)(x)
-    and c0 = <omega0, theta0^p> = omega0.g theta0(h), which is
-    chart_constant(omega0), for omega0 = dx/y and theta0 its dual.
+def _theta0_step(F, f, half_fprime, A, B):
+    """theta0(A + B y) = (B' f + B f'/2) + A' y, theta0 dual to dx/y."""
+    return (poly.add(F, poly.mul(F, poly.derivative(F, B), f), poly.mul(F, B, half_fprime)),
+            poly.derivative(F, A))
 
-    h takes p - 1 derivation steps, so check_derivation_limit applies.
-    """
+
+def _flat_form_data(curve: Curve):
+    """(h, h') for h = theta0^(p-1)(x) in F[x]; h' is c0, the chart constant
+    of dx/y (module docstring).  p - 1 `_theta0_step`s cost about p^2, so
+    check_derivation_limit applies."""
     check_derivation_limit(curve)
     F = curve.field
-    omega0 = curve.basis_forms()[0]
-    theta0 = dual_derivation(omega0)
-    xp = curve.from_poly((F.zero(),) * curve.p + (F.one(),))
-    h = theta0.apply_n(curve.x(), curve.p - 1)
-    c0 = curve.mul(omega0.g, theta0.apply(h))
-    return xp, h, c0
+    half_fprime = poly.scale(F, curve.fprime, F.from_int((F.char + 1) // 2))
+    A, B = poly.x(F), ()
+    for _ in range(curve.p - 1):
+        A, B = _theta0_step(F, curve.f, half_fprime, A, B)
+    return A, poly.derivative(F, A)
 
 
 def check_derivation_limit(curve: Curve):
@@ -274,35 +277,15 @@ def check_brute_limit(field):
         )
 
 
-def _psi_rows(curve: Curve, xp, h, c0):
-    """psi(a, b) = a^p + b^p x^p + b h - a c0 - b x c0 (module docstring)
-    times one denominator D, as rows over F.
-
-    D is the monic lcm of the five terms' denominators, and each term times
-    D is A + B y; coordinate i is a coefficient of A, or of B from index na
-    on.  Per coordinate, alpha holds (u, v) and beta (s, t) with
-        (psi(a, b) D)_i = (a^p u + a v) + (b^p s + b t).
-    Returns (D, na, alpha, beta).
-    """
-    F = curve.field
-    terms = (curve.one(), xp, h, c0, curve.mul(curve.x(), c0))
-    D = poly.one(F)
-    for u in terms:
-        D = poly.mul(F, D, poly.divmod_(F, u.D, poly.gcd(F, D, u.D))[0])
-    parts = []
-    for u in terms:
-        m = poly.divmod_(F, D, u.D)[0]
-        parts.append((poly.mul(F, u.A, m), poly.mul(F, u.B, m)))
-    na = max(len(A) for A, _ in parts)
-    nb = max(len(B) for _, B in parts)
-    one, xp_row, h_row, c0_row, xc0_row = (
-        [poly.coefficient(F, A, i) for i in range(na)]
-        + [poly.coefficient(F, B, i) for i in range(nb)]
-        for A, B in parts
-    )
-    alpha = [(u, F.neg(v)) for u, v in zip(one, c0_row)]
-    beta = [(s, F.sub(t, w)) for s, t, w in zip(xp_row, h_row, xc0_row)]
-    return D, na, alpha, beta
+def _psi_rows(F, h, dh):
+    """psi(a, b) = a^p + b^p x^p + b h - (a + b x) h' (module docstring), for
+    dh = h', as one row (alpha, beta) per coefficient: alpha = (u, v) and
+    beta = (s, t) read off 1, -h', x^p and h - x h', and
+        psi(a, b)_i = (a^p u + a v) + (b^p s + b t)."""
+    z, one, p, c = F.zero(), F.one(), F.char, partial(poly.coefficient, F)
+    return [((one if i == 0 else z, F.neg(c(dh, i))),
+             (one if i == p else z, F.sub(c(h, i), c(dh, i - 1))))
+            for i in range(max(p + 1, len(h), len(dh) + 1))]
 
 
 def _frobenius_affine(F, row, e, ep):
@@ -310,12 +293,12 @@ def _frobenius_affine(F, row, e, ep):
     return F.add(F.mul(ep, row[0]), F.mul(e, row[1]))
 
 
-def _psi_coordinates(F, alpha, beta, a, b):
-    """The coordinates of psi(a, b) D (`_psi_rows`), lazily, in order."""
+def _psi_coordinates(F, rows, a, b):
+    """The coefficients of psi(a, b) at `_psi_rows` rows, lazily, in order."""
     ap, bp = F.frobenius(a), F.frobenius(b)
     return (
         F.add(_frobenius_affine(F, r, a, ap), _frobenius_affine(F, s, b, bp))
-        for r, s in zip(alpha, beta)
+        for r, s in rows
     )
 
 
@@ -335,30 +318,26 @@ def enumerate_p_torsion(curve: Curve, method: str = "brute") -> TorsionSet:
 
 
 def _torsion_brute(curve: Curve):
-    """Every (a, b) in F^2 with psi(a, b) D = 0 (`_psi_rows`).
+    """Every (a, b) in F^2 with psi(a, b) = 0 (`_psi_rows`).
 
-    Coordinates that vanish for every pair are dropped; psi lies in K^p, so
-    most do.  Each candidate is tested at the first coordinate left, the
-    screen, alpha(a) against -beta(b) with beta stored at the screen alone;
-    one that passes is evaluated at every coordinate left.  The rows come
-    from theta0^(p-1)(x), not from the Cartier-Manin matrix, and the first
-    four solutions are welded to `is_flat`, each on its own chart, so the
-    check walks theta0 again only when the flat line is that of dx/y.
-    Refused before any derivation step beyond `check_brute_limit`.
+    Coefficients that vanish for every pair are dropped; psi lies in K^p,
+    so most do.  Each candidate is tested at the first coefficient left,
+    the screen, alpha(a) against -beta(b) with beta stored at the screen
+    alone; one that passes is evaluated at every coefficient left.  The
+    first four solutions are welded to `is_flat`, each on its own chart, a
+    route independent of the rows (module docstring).  Refused before any
+    derivation step beyond `check_brute_limit`.
     """
     F = curve.field
     check_brute_limit(F)
-    xp, h, c0 = _flat_form_data(curve)
-    _, _, alpha, beta = _psi_rows(curve, xp, h, c0)
     # e -> e^p u + e v is F_p-linear: it vanishes on F when it vanishes on
-    # an F_p-basis.  With no coordinate left every pair is flat, and the
+    # an F_p-basis.  With no coefficient left every pair is flat, and the
     # zero screen keeps them all
     basis = [(e, F.frobenius(e)) for e in F.basis()]
-    live = [rows for rows in zip(alpha, beta)
+    live = [rows for rows in _psi_rows(F, *_flat_form_data(curve))
             if any(not F.is_zero(_frobenius_affine(F, r, e, ep))
                    for r in rows for e, ep in basis)]
     z = F.zero()
-    alpha, beta = zip(*live) if live else ((), ())
     screen_a, screen_b = live[0] if live else ((z, z), (z, z))
     elements = list(F.elements())
     beta0 = [_frobenius_affine(F, screen_b, b, F.frobenius(b)) for b in elements]
@@ -368,7 +347,7 @@ def _torsion_brute(curve: Curve):
         target = F.neg(_frobenius_affine(F, screen_a, a, F.frobenius(a)))
         for b, v in zip(elements, beta0):
             if v != target or not all(
-                    F.is_zero(c) for c in _psi_coordinates(F, alpha, beta, a, b)):
+                    F.is_zero(c) for c in _psi_coordinates(F, live, a, b)):
                 continue
             found.append((a, b))
             if spot < 4:  # weld the row evaluation to the chart constant

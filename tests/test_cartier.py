@@ -35,8 +35,10 @@ from g2frob.cartier import (
     _psi_coordinates,
     _psi_rows,
     _rank2,
+    _theta0_step,
     check_brute_limit,
 )
+from g2frob.exactnum import prime_field_ints
 from g2frob.linalg import enumerate_span_mod_p, kernel_basis_mod_p
 from g2frob.pcurvature import chart_constant
 
@@ -539,21 +541,90 @@ _ROW_CURVES = _row_oracle_curves()
 @pytest.mark.parametrize("curve", _ROW_CURVES,
                          ids=[f"F{c.field.size}-{i}" for i, c in enumerate(_ROW_CURVES)])
 def test_psi_rows_against_normal_forms(curve):
-    # for every candidate, the row combination over D is the normal-form psi,
-    # and brute lists exactly the candidates whose psi is zero
-    F = curve.field
-    xp, h, c0 = _flat_form_data(curve)
-    D, na, alpha, beta = _psi_rows(curve, xp, h, c0)
+    # for every candidate, the row combination is the normal-form psi, built
+    # from x^p by curve.pow and from h and c0 by Derivation steps, and brute
+    # lists exactly the candidates whose psi is zero
+    F, x, omega0 = curve.field, curve.x(), curve.basis_forms()[0]
+    xp, c0 = curve.pow(x, curve.p), chart_constant(omega0)
+    h = dual_derivation(omega0).apply_n(x, curve.p - 1)
+    rows = _psi_rows(F, *_flat_form_data(curve))
     flat = []
     for a in F.elements():
         for b in F.elements():
             psi = _psi_of_pair(curve, a, b, xp, h, c0)
-            coords = list(_psi_coordinates(F, alpha, beta, a, b))
-            assert curve.element(coords[:na], coords[na:], D) == psi
+            assert curve.from_poly(list(_psi_coordinates(F, rows, a, b))) == psi
             if psi.is_zero():
                 flat.append((a, b))
     assert 1 <= len(flat) < F.size ** 2
     assert enumerate_p_torsion(curve, "brute").forms == tuple(sorted(flat))
+
+
+@pytest.mark.parametrize("curve", _ROW_CURVES,
+                         ids=[f"F{c.field.size}-{i}" for i, c in enumerate(_ROW_CURVES)])
+def test_psi_rows_against_p_curvature_rank1(curve):
+    # the rows' psi is the rank-1 closed form of d + (a + b x) dx/y on the
+    # chart dx/y, where T = a + b x, for every candidate
+    F, omega0 = curve.field, curve.basis_forms()[0]
+    rows = _psi_rows(F, *_flat_form_data(curve))
+    for a in F.elements():
+        for b in F.elements():
+            T = curve.constant(a) + curve.constant(b) * curve.x()
+            psi = curve.from_poly(list(_psi_coordinates(F, rows, a, b)))
+            assert psi == p_curvature_rank1(T, omega0)
+
+
+def _theta0_step_curves():
+    F9, F27 = make_field(3, 2), make_field(3, 3)
+    return [
+        make_curve(PrimeField(3), CERTIFIED[3][0]),
+        make_curve(PrimeField(5), CERTIFIED[5][0]),
+        make_curve(PrimeField(13), [8, 2, 3, 8, 11, 1]),
+        make_curve(PrimeField(101), [1, 2, 3, 4, 5, 1]),
+        random_curve(F9, rng_for("theta0-step-F9")),
+        random_curve(F27, rng_for("theta0-step-F27")),
+    ]
+
+
+@pytest.mark.parametrize("curve", _theta0_step_curves(),
+                         ids=["F3", "F5", "F13", "F101", "F9", "F27"])
+def test_theta0_step_against_derivation(curve):
+    # k polynomial steps from x are theta0^k(x), k <= p, by Derivation on
+    # dx/y; over F_9 and F_27 f has coefficients outside F_p
+    F, x = curve.field, curve.x()
+    assert F.degree == 1 or prime_field_ints(curve.f) is None
+    theta0 = dual_derivation(curve.basis_forms()[0])
+    half_fprime = poly.scale(F, poly.derivative(F, curve.f), F.inv(F.from_int(2)))
+    A, B = poly.x(F), ()
+    for k in range(curve.p + 1):
+        assert curve.element(A, B) == theta0.apply_n(x, k)
+        A, B = _theta0_step(F, curve.f, half_fprime, A, B)
+
+
+def test_brute_rows_take_no_derivation_step(monkeypatch):
+    # the flat line of p = 5, f = x^5 + x^2 + x is that of dx/y: with the
+    # weld stubbed brute makes no Derivation or LocalRing step, and unstubbed
+    # the weld's is_flat walks theta0 once, for dx/y's chart constant
+    from g2frob import cartier
+    from g2frob.funcfield import Derivation, LocalRing
+
+    runs, derivs = [], []
+    real_apply_n, real_deriv = Derivation.apply_n, LocalRing.deriv
+    monkeypatch.setattr(Derivation, "apply_n",
+                        lambda self, u, n: runs.append(n) or real_apply_n(self, u, n))
+    monkeypatch.setattr(LocalRing, "deriv",
+                        lambda self, u, theta: derivs.append(u) or real_deriv(self, u, theta))
+    curve = make_curve(PrimeField(5), [0, 1, 1, 0, 0, 1])
+    with monkeypatch.context() as m:
+        m.setattr(cartier, "is_flat", lambda omega: True)
+        forms = enumerate_p_torsion(curve, "brute").forms
+    assert forms == tuple((a, 0) for a in range(5))
+    assert not runs and not derivs
+
+    welds, real_is_flat = [], cartier.is_flat
+    monkeypatch.setattr(cartier, "is_flat", lambda omega: welds.append(omega) or real_is_flat(omega))
+    curve = make_curve(PrimeField(5), [0, 1, 1, 0, 0, 1])
+    assert enumerate_p_torsion(curve, "brute").forms == forms
+    assert len(welds) == 4 and runs == [5] and len(derivs) == 5
 
 
 def test_canonical_connection(curve3, flat3):
@@ -602,10 +673,9 @@ def test_brute_weld_rejects_rows_that_accept_a_non_flat_pair(monkeypatch):
     assert len(enumerate_p_torsion(cv, "semilinear")) == 1
     real_rows = cartier._psi_rows
 
-    def zero_rows(curve, xp, h, c0):
-        D, na, alpha, beta = real_rows(curve, xp, h, c0)
-        z = curve.field.zero()
-        return D, na, [(z, z)] * len(alpha), [(z, z)] * len(beta)
+    def zero_rows(F, h, dh):
+        z = F.zero()
+        return [((z, z), (z, z))] * len(real_rows(F, h, dh))
 
     monkeypatch.setattr(cartier, "_psi_rows", zero_rows)
     with pytest.raises(G2FrobError, match="is_flat"):
@@ -630,13 +700,16 @@ def _flat_data_curves():
 
 @pytest.mark.parametrize("curve", _flat_data_curves(), ids=["F3", "F13", "F27"])
 def test_flat_form_data_against_pow_and_derivation_steps(curve):
-    xp, h, c0 = _flat_form_data(curve)
+    # h and c0 = h' as elements of K are the Derivation walks of dx/y, and
+    # the rows' b^p column is x^p
+    h, c0 = _flat_form_data(curve)
     x, omega0 = curve.x(), curve.basis_forms()[0]
     theta0 = dual_derivation(omega0)
-    assert xp == curve.pow(x, curve.p)
-    assert h == theta0.apply_n(x, curve.p - 1)
-    assert c0 == chart_constant(omega0)
-    assert c0 == curve.mul(omega0.g, theta0.apply_n(x, curve.p))
+    assert curve.from_poly(h) == theta0.apply_n(x, curve.p - 1)
+    assert curve.from_poly(c0) == chart_constant(omega0)
+    assert curve.from_poly(c0) == curve.mul(omega0.g, theta0.apply_n(x, curve.p))
+    rows = _psi_rows(curve.field, h, c0)
+    assert curve.from_poly([beta[0] for _, beta in rows]) == curve.pow(x, curve.p)
 
 
 def test_flat_form_data_guard():
