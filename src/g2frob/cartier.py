@@ -48,10 +48,22 @@ genus-2 curve.  `stabilization_degree` computes how large is large enough.
 
 Both enumeration methods are exposed, and they take independent routes.
 `semilinear` solves A v = v^(p) linearized over F_p: O(p) field operations
-for A, then the kernel of a 2k x 2k matrix over F_{p^k}.  `brute` evaluates
-the p-curvature of every candidate pair from h = theta0^(p-1)(x), which takes
-p - 1 polynomial steps, and stays the normative oracle.  So `scan`'s
-`agree` and `torsion --crosscheck` compare two independent computations.
+for A, then the kernel below.  `brute` evaluates the p-curvature of every
+candidate pair from h = theta0^(p-1)(x), which takes p - 1 polynomial steps,
+and stays the normative oracle.  So `scan`'s `agree` and
+`torsion --crosscheck` compare two independent computations.
+
+The semilinear kernel.  Let A have F_p entries (every CLI `--f`) and sigma
+be the Frobenius of F = F_{p^k}.  If A v = sigma(v), then sigma^j(v) = A^j v,
+and sigma^k = 1 on F gives v = A^k v: v lies in W (x) F for the F_p-space
+W = ker(A^k - I), of dimension d <= 2, which A maps into itself.  With a
+basis B of W, A B = B M and v = B c, the equation is sigma(c) = M c, where
+M^k = I.  By Lang's theorem it has exactly p^d solutions over the algebraic
+closure, and each is rational, since sigma^k(c) = M^k c = c.  On the
+F_p-coordinates of c it is the dk x dk system M (x) I_k - I_d (x) Phi, with
+Phi = `frobenius_matrix()`; d = 0 needs no solve, and d is
+`rational_flat_dimension`.  An A with an entry outside F_p takes the
+2k x 2k system over F instead (`_flat_kernel_generic`), the oracle.
 
 The brute rows.  On the chart dx/y, theta0(x) = y and theta0(y) = f'/2, so
 
@@ -86,7 +98,7 @@ from functools import partial
 
 from . import poly
 from .errors import FieldTooLargeForBrute, G2FrobError, NotFlat, PrimeTooLarge, RangeError
-from .exactnum import PrimeField, coords, make_field, prime_divisors, prime_field_ints, raw_to_json
+from .exactnum import PrimeField, coords, prime_divisors, prime_field_ints, raw_to_json
 from .funcfield import Curve, Differential, curve_id
 from .linalg import enumerate_span_mod_p, kernel_basis_mod_p, rref_mod_p
 from .pcurvature import ConnectionMatrix, is_flat
@@ -381,23 +393,43 @@ def plane_basis(F):
 
 def _flat_kernel(F, A):
     """F_p-basis, in the coordinates of plane_basis(F), of the v in F^2 with
-    A v = v^(p).  Column j of the linear system is A u_j - u_j^(p) for the
-    j-th plane_basis vector u_j; Frobenius is F_p-linear, so this is the
-    multiplication matrix of each entry of A less frobenius_matrix().  u_j
-    has one nonzero entry e, in slot j // k, so A u_j is that column of A
-    times e: e's F_p-coordinates scaled where the entry lies in F_p (every
-    A of an F_p-rational f), one F.mul only where it does not."""
+    A v = v^(p).  For A over F_p (module docstring): B from the 2 x 2 kernel
+    of A^k - I, the basis vectors v = B c for c in the kernel of the dk x dk
+    int system M (x) I_k - I_d (x) Phi, or none when d = 0."""
+    ints = prime_field_ints([e for row in A for e in row])
+    if ints is None:
+        return _flat_kernel_generic(F, A)
+    k, p, A = F.degree, F.char, (ints[:2], ints[2:])
+    B = _fixed_basis(A, k, p)
+    if not B:
+        return []
+    # A b_j in the basis B, read where b_i is 1: B = I when d = 2, and
+    # A b = lambda b when d = 1
+    M = [[sum(x * y for x, y in zip(A[bi.index(1)], bj)) for bj in B] for bi in B]
+    phi, d = F.frobenius_matrix(), len(B)
+    rows = [[M[i][j] * (r == s) - (i == j) * phi[r][s] for j in range(d) for s in range(k)]
+            for i in range(d) for r in range(k)]
+    return [[sum(b[m] * c[j * k + r] for j, b in enumerate(B)) % p
+             for m in range(2) for r in range(k)]
+            for c in kernel_basis_mod_p(rows, d * k, p)]
+
+
+def _flat_kernel_generic(F, A):
+    """`_flat_kernel` for any A over F, the oracle of the F_p path: column j
+    of the system is A u_j - u_j^(p) for the j-th plane_basis vector u_j,
+    which has one nonzero entry, in slot j // k."""
     k, cols = F.degree, []
-
-    def times(a, e):
-        c = prime_field_ints((a,))
-        return F.mul(a, e) if c is None else F.from_coeffs([c[0] * x for x in coords(e)])
-
     for j, u in enumerate(plane_basis(F)):
-        Au = (times(r[j // k], u[j // k]) for r in A)
+        Au = (F.mul(r[j // k], u[j // k]) for r in A)
         cols.append([x for w, v in zip(Au, u)
                      for x in coords(F.sub(w, F.frobenius(v)))])
     return kernel_basis_mod_p(list(zip(*cols)), len(cols), F.char)
+
+
+def _fixed_basis(A, k: int, p: int):
+    """F_p-basis of W = ker(A^k - I) for an int matrix A over F_p."""
+    Ak = _mat2_pow(PrimeField(p), A, k)
+    return kernel_basis_mod_p([[Ak[0][0] - 1, Ak[0][1]], [Ak[1][0], Ak[1][1] - 1]], 2, p)
 
 
 def fp_kernel(ring, images):
@@ -425,17 +457,15 @@ def fp_kernel(ring, images):
 # ---------------------------------------------------------------------------
 
 def rational_flat_dimension(curve: Curve, k: int = 1) -> int:
-    """F_p-dimension of the flat forms rational over F_{p^k}.
-
-    Solves A v = v^(p) over F_{p^k} (`_flat_kernel`).  Requires a
-    prime-field curve; the answer is independent of the modulus used to
-    present F_{p^k}.
+    """F_p-dimension of the flat forms rational over F_{p^k}: that of
+    ker(A^k - I) over F_p (module docstring), so no extension is built.
+    Requires a prime-field curve and k >= 1.
     """
     if curve.field.degree != 1:
         raise RangeError("rational_flat_dimension expects a prime-field curve")
-    F = make_field(curve.p, k)
-    A = tuple(tuple(F.from_int(e) for e in row) for row in cartier_manin(curve).matrix)
-    return len(_flat_kernel(F, A))
+    if k < 1:
+        raise RangeError("extension degree must be >= 1")
+    return len(_fixed_basis(cartier_manin(curve).matrix, k, curve.p))
 
 
 def stabilization_degree(curve: Curve, k_max: int = 20000) -> int:

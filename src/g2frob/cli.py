@@ -177,8 +177,8 @@ def cmd_verify(args) -> int:
 # scan
 # ---------------------------------------------------------------------------
 
-def _scan_row(spec: dict, index: int, with_lemmas: bool) -> dict:
-    with curve_from_spec(spec) as curve:
+def _scan_row(curve: Curve, index: int, with_lemmas: bool) -> dict:
+    with curve:
         F = curve.field
         row = _curve_payload(curve)
         ts_b = enumerate_p_torsion(curve, method="brute")
@@ -257,10 +257,10 @@ def cmd_scan(args) -> int:
     specs = _scan_specs(args)
     done_ids = _resume_ids(args.out) if args.out else set()
     jobs = []
-    for i, spec in enumerate(specs):
-        cid = curve_id(curve_from_spec(spec))
-        if cid not in done_ids:
-            jobs.append((spec, i, args.lemmas))
+    for i, spec in enumerate(specs):  # a malformed record exits before any row
+        curve = curve_from_spec(spec)
+        if curve_id(curve) not in done_ids:
+            jobs.append((curve, i, args.lemmas))
     procs = min(args.workers, len(jobs), os.cpu_count() or 1)
     curves = ordinary = violations = 0
     matches = True

@@ -59,9 +59,9 @@ their Taylor shifts to the x-basis gives every row; where `LocalRing.make`
 strips l^m off a row, (x - r)^m divides its x-basis numerators.  S2 is its
 image under y -> -y: theta_L(x) = c y / l^e is odd and theta_L(y) even, so
 theta_L anticommutes with y -> -y and u_k, x in F(x), has the parity of k.
-A report reads its form's entry (torsion check, representative) and its
-pair's (row t, witnesses of x, S1 and S2), which the off-diagonal report
-shares where its guard agrees (`_lemma_data`).
+A report reads its form's entry (representative, torsion-checked once per
+line) and its pair's (row t, witnesses of x, S1 and S2), which the
+off-diagonal report shares where its guard agrees (`_lemma_data`).
 
 All of it runs in the l-coordinates of theta_L's `funcfield.LocalRing`, so
 omega_L must be a global form: the orbit, the sums, the engine guard of the
@@ -325,13 +325,18 @@ def _two_sums_status(x, S1, S2) -> str:
 
 def _lemma_data(curve: Curve, ab_L, ab):
     """What both lemma reports of omega_L and omega (forms as in
-    `check_two_sums`) read: one memo entry per form and one per pair."""
+    `check_two_sums`) read: one memo entry per form and one per pair, and
+    one per F_p-line, whose representative is checked by `require_torsion`:
+    flatness and the global-form condition hold for the whole line or not."""
     ab_L, ab = _as_pair(curve, ab_L), _as_pair(curve, ab)
 
     def form():
         omega_L = curve.global_form(*ab_L)
-        require_torsion(curve, omega_L)
-        return (omega_L,) + line_representative(omega_L)
+        if omega_L.is_zero():
+            raise NotTorsion("omega_L must be nonzero")
+        t, rep = line_representative(omega_L)
+        curve.memo(("lemma_line", rep.g), lambda: require_torsion(curve, rep))
+        return omega_L, t, rep
 
     def pair():
         omega_L, t, rep = curve.memo(("lemma_form",) + ab_L, form)

@@ -31,6 +31,8 @@ from g2frob import poly
 from g2frob.cartier import (
     CartierManinMatrix,
     _flat_form_data,
+    _flat_kernel,
+    _flat_kernel_generic,
     _mat2_mul,
     _psi_coordinates,
     _psi_rows,
@@ -39,7 +41,7 @@ from g2frob.cartier import (
     check_brute_limit,
 )
 from g2frob.exactnum import prime_field_ints
-from g2frob.linalg import enumerate_span_mod_p, kernel_basis_mod_p
+from g2frob.linalg import enumerate_span_mod_p, kernel_basis_mod_p, rref_mod_p
 from g2frob.pcurvature import chart_constant
 
 from conftest import CERTIFIED, NON_ORDINARY_3, rng_for
@@ -379,6 +381,82 @@ def test_is_subspace_rejects_non_subspaces(p, k):
     assert not is_subspace(line[:-1] + [(F.one(), z)])
 
 
+def _full_flat_dimension(cv, k):
+    """The flat dimension over F_{p^k} by the 2k x 2k solve over that field."""
+    F = make_field(cv.p, k)
+    A = tuple(tuple(F.from_int(e) for e in row) for row in cartier_manin(cv).matrix)
+    return len(_flat_kernel_generic(F, A))
+
+
+def _span(F, basis):
+    """The reduced echelon form of an F_p-span in plane_basis coordinates."""
+    return rref_mod_p(basis, 2 * F.degree, F.char)[0]
+
+
+def test_flat_kernel_on_w_against_the_generic_system():
+    # every A over F_3 at k <= 6 and over F_5 at k <= 4 (singular, nilpotent
+    # and the identity among them), and random F_p-matrices over four larger
+    # fields: the W path spans what the 2k x 2k system over F_{p^k} does
+    from itertools import product
+
+    dims, cases = set(), []
+    for p, top in ((3, 6), (5, 4)):
+        for k in range(1, top + 1):
+            cases += [(make_field(p, k), e) for e in product(range(p), repeat=4)]
+    rng = rng_for("cartier-flat-kernel-w")
+    for p, k in ((7, 3), (13, 2), (31, 3), (3, 10)):
+        F = make_field(p, k)
+        cases += [(F, [rng.randrange(p) for _ in range(4)]) for _ in range(40)]
+    for F, e in cases:
+        A = tuple(tuple(F.from_int(c) for c in e[i:i + 2]) for i in (0, 2))
+        fast = _flat_kernel(F, A)
+        assert _span(F, fast) == _span(F, _flat_kernel_generic(F, A))
+        assert len(fast) == len(_span(F, fast))  # a basis, not just a spanning set
+        dims.add(len(fast))
+    assert dims == {0, 1, 2}
+
+
+def test_generic_flat_kernel_solves_the_frobenius_equation():
+    # the oracle itself, where A has entries outside F_p: each basis vector
+    # v = (a, b) satisfies A v = v^(p), and an extension entry takes it
+    F = make_field(3, 10)
+    k, rng, solved = F.degree, rng_for("cartier-flat-kernel-generic"), 0
+    for _ in range(20):
+        A = tuple(tuple(F.random(rng) for _ in range(2)) for _ in range(2))
+        if prime_field_ints([e for row in A for e in row]) is not None:
+            continue
+        assert _flat_kernel(F, A) == _flat_kernel_generic(F, A)
+        for v in _flat_kernel(F, A):
+            a, b = F.from_coeffs(v[:k]), F.from_coeffs(v[k:])
+            for row, w in zip(A, (a, b)):
+                assert F.add(F.mul(row[0], a), F.mul(row[1], b)) == F.frobenius(w)
+            solved += 1
+    assert solved
+
+
+def test_flat_kernel_solves_only_the_2x2_when_w_is_zero(monkeypatch):
+    # over F_729: a curve with ker(A^6 - I) = 0 runs one kernel, of the 2 x 2
+    # A^6 - I; the curves with d = 1 and d = 2 run the 6d x 6d system next
+    from g2frob import cartier
+
+    calls = []
+
+    def recorded(rows, ncols, p):
+        calls.append((len(rows), ncols))
+        return kernel_basis_mod_p(rows, ncols, p)
+
+    monkeypatch.setattr(cartier, "kernel_basis_mod_p", recorded)
+    F, rng = make_field(3, 6), rng_for("cartier-flat-kernel-d0")
+    cv3 = random_curve(PrimeField(3), rng)
+    while rational_flat_dimension(cv3, 6):
+        cv3 = random_curve(PrimeField(3), rng)
+    for f, d in ((cv3.f, 0), ((1, 0, 1, 2, 0, 1), 1), ((0, 2, 0, 2, 1, 1), 2)):
+        calls.clear()
+        ts = enumerate_p_torsion(make_curve(F, [F.from_int(c) for c in f]), "semilinear")
+        assert len(ts) == 3 ** d
+        assert calls == [(2, 2)] + ([(6 * d, 6 * d)] if d else [])
+
+
 def test_stabilization_degree_is_least_k_with_full_dimension():
     # checked on seeded curves of p-rank 1 and 2 against the flat dimension
     # over F_{p^k}, k <= 12; a longer order must exceed k_max = 12
@@ -391,7 +469,9 @@ def test_stabilization_degree_is_least_k_with_full_dimension():
             if rank == 0 or seen[rank] == 2:
                 continue
             seen[rank] += 1
-            full = [k for k in range(1, 13) if rational_flat_dimension(cv, k) == rank]
+            dims = [rational_flat_dimension(cv, k) for k in range(1, 13)]
+            assert dims == [_full_flat_dimension(cv, k) for k in range(1, 13)]
+            full = [k for k, d in enumerate(dims, 1) if d == rank]
             if full:
                 assert stabilization_degree(cv) == full[0]
             else:
@@ -429,24 +509,29 @@ def test_stabilization_degree_certifies_the_order():
             k = stabilization_degree(cv)
             assert k == _least_order_by_iteration(cartier_manin(cv).matrix, p)
             if k <= 30:
-                assert rational_flat_dimension(cv, k) == rank
+                assert rational_flat_dimension(cv, k) == _full_flat_dimension(cv, k) == rank
                 flat_checked += 1
     assert flat_checked >= 10
 
 
 def test_stabilization_degree_builds_no_extension_field(monkeypatch):
     # f = (3, 1, 4, 5, 0, 1) over F_7 has order 48, certified without
-    # building F_{7^48}; an order above k_max still raises
-    from g2frob import cartier
+    # building F_{7^48}; an order above k_max still raises.  Nor does the
+    # rational flat dimension build F_{7^k}: at k = 48 it is the p-rank
+    from g2frob.exactnum import ExtField
 
     def refuse(*args, **kwargs):
         raise AssertionError("an extension field was built")
 
-    monkeypatch.setattr(cartier, "make_field", refuse)
+    monkeypatch.setattr(ExtField, "__init__", refuse)
     cv = make_curve(PrimeField(7), [3, 1, 4, 5, 0, 1])
     assert stabilization_degree(cv) == 48
     with pytest.raises(RangeError):
         stabilization_degree(cv, k_max=47)
+    assert rational_flat_dimension(cv, 48) == p_rank(cv) == 2
+    assert [rational_flat_dimension(cv, k) for k in (1, 16, 24)] == [0, 0, 0]
+    with pytest.raises(RangeError):
+        rational_flat_dimension(cv, 0)
 
 
 def test_rational_count_law():
@@ -465,7 +550,7 @@ def test_rational_count_law():
             dim = len(kernel_basis_mod_p(rows, 2, p))
             ts = enumerate_p_torsion(cv, "semilinear")
             assert len(ts) == p ** dim
-            assert rational_flat_dimension(cv, 1) == dim
+            assert rational_flat_dimension(cv, 1) == _full_flat_dimension(cv, 1) == dim
 
 
 def test_non_ordinary_curve_has_small_torsion():

@@ -516,6 +516,26 @@ def test_scan_rejects_malformed_catalog_entries(tmp_path, capsys):
     assert row["curve"]["f"] == [[2, 1], [0, 0], [1, 0], [1, 0], [1, 0], [1, 0]]
 
 
+def test_scan_builds_each_curve_once_and_every_one_before_any_row(tmp_path, capsys, monkeypatch):
+    # each record's curve is built once, for its resume id, and handed to its
+    # row; a malformed record after good ones exits 2 before any row is written
+    from g2frob import cli
+
+    built, real_build = [], cli.curve_from_spec
+    monkeypatch.setattr(cli, "curve_from_spec", lambda spec: built.append(spec) or real_build(spec))
+    good = [{"p": p, "f": f} for p, (f, _) in sorted(CERTIFIED.items())]
+    cat, rows, torn = tmp_path / "cat.json", tmp_path / "rows.jsonl", tmp_path / "torn.jsonl"
+    cat.write_text(json.dumps(good))
+    code, _ = run(capsys, "scan", "--catalog", str(cat), "--out", str(rows))
+    assert code == 0 and built == good and len(rows.read_text().splitlines()) == 3
+    cat.write_text(json.dumps(good + [{"p": 3, "f": [1, 2]}]))
+    code, out = run(capsys, "scan", "--catalog", str(cat), "--out", str(torn))
+    assert code == 2 and json.loads(out)["kind"] == "DegreeNotFive"
+    assert not torn.exists()
+    code, out = run(capsys, "scan", "--catalog", str(cat))
+    assert code == 2 and out.count("\n") == 1
+
+
 def test_scan_resume_recomputes_a_torn_final_line(tmp_path, capsys):
     path = tmp_path / "scan.jsonl"
     args = ["scan", "--p", "3", "--count", "3", "--seed", "7", "--out", str(path)]
@@ -792,8 +812,8 @@ def test_verify_derives_each_form_and_pair_once(capsys, monkeypatch):
     # the verify-midp curve of the test above, one flat F_13-line: 12 forms,
     # each with two second forms; x, S1 and S2 are encoded once per (form,
     # second form) and both reports read them, the torsion check runs once
-    # per form and once for the rigidity report, and the curve id is hashed
-    # once for the whole call
+    # for the line, on its representative, and once for the rigidity
+    # report, and the curve id is hashed once for the whole call
     import types
 
     from g2frob import funcfield, verify
@@ -813,7 +833,8 @@ def test_verify_derives_each_form_and_pair_once(capsys, monkeypatch):
     forms, pairs = payload["torsionCount"] - 1, len(payload["lemmas"]) // 2
     assert (forms, pairs, len(payload["rigidity"])) == (12, 24, 1)
     assert len(encoded) == 3 * pairs == 72
-    assert len(checked) == forms + 1
+    assert len(checked) == 2
+    assert checked[0].g == funcfield.line_representative(checked[0])[1].g
     assert len(hashed) == 1
     assert all(r["curveId"] == payload["curveId"] for r in payload["lemmas"])
 
@@ -839,14 +860,17 @@ def test_verify_refuses_the_rigidity_span_before_any_orbit(capsys, monkeypatch):
 
 def test_a_finished_call_frees_its_curve_without_the_cycle_collector(capsys, monkeypatch):
     # the memo's values refer back to the curve; with the cyclic garbage
-    # collector off, the curve of a verify call and of each scan row is
-    # freed by refcounting alone as soon as the call or row is done
+    # collector off, the curve of a verify call is freed by refcounting alone
+    # as soon as the call is done.  scan builds every curve before its first
+    # row (a malformed record exits first) and hands it to its row, which
+    # empties its memo as soon as the row is done; once the scan returns,
+    # refcounting alone has freed every curve
     import gc
     import weakref
 
     from g2frob import cli
 
-    refs, dead = [], []
+    refs, emptied = [], []
 
     def recorded(build):
         def built(*args):
@@ -857,9 +881,9 @@ def test_a_finished_call_frees_its_curve_without_the_cycle_collector(capsys, mon
 
     real_row = cli._scan_row
 
-    def row(*job):
-        out = real_row(*job)
-        dead.append(refs[-1]() is None)
+    def row(curve, *job):
+        out = real_row(curve, *job)
+        emptied.append(not curve._memo)
         return out
 
     monkeypatch.setattr(cli, "_build_curve", recorded(cli._build_curve))
@@ -874,4 +898,5 @@ def test_a_finished_call_frees_its_curve_without_the_cycle_collector(capsys, mon
     finally:
         if enabled:
             gc.enable()
-    assert code == 0 and dead == [True] * 4
+    assert code == 0 and emptied == [True] * 4
+    assert len(refs) == 5 and all(ref() is None for ref in refs)
