@@ -24,15 +24,18 @@ never by the singular k = p, where the recurrence would lose h_p.
 
 A run is the field context's kernel `poly_power_top_two`, in the pattern of
 the `poly_*` kernels.  Over F_p it is a loop on plain ints: g has degree
-<= 5, so the window of the last five h_k is five locals, kept over the
-common denominator (k-1)!; a step takes the new numerator, multiplies the
-four older ones and the denominator by k, and one inverse at the end
-replaces the inverse of k per step, in O(1) memory.  Over F_{p^k} it is
-`poly.power_top_two_generic`, one field method call per operation and one
-inverse per step, which is also the oracle the tests run the F_p kernel
-against; `poly.pow` stays the oracle of the whole matrix.  Descent: when
-f has F_p coefficients (every CLI `--f`), so does A, and both runs take the
-F_p kernel on those ints (`exactnum.prime_field_ints`), embedded by
+<= 5, so the window of the last five h_k is five locals, and step k is the
+sum of five products with taps c_j = (n + 1) j d_j - k d_j (d_j = g_j / g0),
+which step down by d_j, times 1/k: six products and one reduction mod p.
+The 1/k come from one table of (p-1)/2 ints (`PrimeField.inverses`, by
+1/k = -(p div k) / (p mod k)) that `cartier_manin` builds once per call and
+both runs read; above (p-1)/2, 1/k = -1/(p-k) is the table read backwards.
+Over F_{p^k} it is `poly.power_top_two_generic`, one field method call per
+operation and one inverse per step, which is also the oracle the tests run
+the F_p kernel against; `poly.pow` stays the oracle of the whole matrix, and
+the point count of `tests/test_arithmetic.py` checks its trace.  Descent:
+when f has F_p coefficients (every CLI `--f`), so does A, and both runs take
+the F_p kernel on those ints (`exactnum.prime_field_ints`), embedded by
 `from_int`; an f with a coefficient outside F_p keeps the generic run.
 
 A global form omega = (a + b x) dx/y defines the connection d + omega on the
@@ -108,9 +111,10 @@ _DERIVATION_P_LIMIT = 1 << 14
 # 1.5 s to 3.7 s, nearly all of it theta0 steps, those of the weld included
 # (module docstring)
 _BRUTE_CANDIDATE_LIMIT = 1 << 22
-# cartier_manin runs about 1.5 p recurrence steps, 1.7 s at p = 10^6 and
-# about 7 s at 2^22 under CPython 3.11 on a 2-vCPU VM (the F_p int kernel);
-# the limit stays until a sublinear path in p moves it
+# cartier_manin runs about 1.5 p recurrence steps and builds a table of p/2
+# inverses: a CLI `curve` call took 0.9-1.3 s at p = 10^6 and 3.7-4.8 s
+# (101 MB peak RSS) at 2^22 under CPython 3.11 on a 2-vCPU VM; the limit
+# stays until a sublinear path in p moves it
 _CARTIER_P_LIMIT = 1 << 22
 
 
@@ -135,9 +139,11 @@ class CartierManinMatrix:
         ker N_n lies in ker N_(n+1).  Once ker N_n = ker N_(n+1) it stays:
         N_(n+2) v = 0 iff A v is in sigma(ker N_(n+1)) = sigma(ker N_n) iff
         N_(n+1) v = 0.  On F^2 the kernel dimension rises at most twice, so
-        N_2 already has the stable kernel, hence the stable rank."""
+        N_2 already has the stable kernel, hence the stable rank.  A with
+        F_p entries (every integer f) is its own A^(p)."""
         F, A = self.field, self.matrix
-        Ap = tuple(tuple(F.frobenius(e) for e in row) for row in A)
+        Ap = A if prime_field_ints(A[0] + A[1]) else tuple(
+            tuple(F.frobenius(e) for e in row) for row in A)
         return _rank2(F, _mat2_mul(F, Ap, A))
 
     def to_jsonable(self):
@@ -163,10 +169,12 @@ def cartier_manin(curve: Curve) -> CartierManinMatrix:
         n = (p - 1) // 2
         ints = prime_field_ints(f)  # the descent to F_p (module docstring)
         G, g = (F, f) if ints is None else (PrimeField(p), ints)
+        # one table of inverses for both F_p runs; the generic run inverts k itself
+        inv = None if ints is None else G.inverses()
         v = 1 if G.is_zero(g[0]) else 0
-        row1 = G.poly_power_top_two(g[v:], n, p - 1 - v * n)
+        row1 = G.poly_power_top_two(g[v:], n, p - 1 - v * n, inv)
         # x^(2p-1) and x^(2p-2) of f^n sit at (p-3)/2 and (p-1)/2 of the reversal
-        top, below = G.poly_power_top_two(g[::-1], n, (p - 1) // 2)
+        top, below = G.poly_power_top_two(g[::-1], n, (p - 1) // 2, inv)
         rows = (row1, (below, top))
         if ints is not None:
             rows = tuple(tuple(map(F.from_int, row)) for row in rows)

@@ -204,7 +204,9 @@ def _independent_basis_form(F, ab_L):
     return (F.one(), F.zero())
 
 
-def _scan_specs(args):
+def _scan_curves(args):
+    """The curves to scan, each built once; a malformed catalog record raises
+    before any row is written."""
     if args.catalog:
         try:
             with open(args.catalog, encoding="utf-8") as fh:
@@ -213,17 +215,14 @@ def _scan_specs(args):
             raise RangeError(f"malformed catalog: {exc}")
         if not isinstance(data, list):
             raise RangeError("catalog must be a JSON array of curve records")
-        return data
+        return [curve_from_spec(spec) for spec in data]
     if args.count is None:
         raise RangeError("scan needs --catalog or --count")
     field = make_field(args.p)
     import random
 
-    specs = []
-    for i in range(args.count):
-        rng = random.Random((args.seed or 0) * 1_000_003 + i)
-        specs.append(curve_spec(random_curve(field, rng)))
-    return specs
+    return [random_curve(field, random.Random((args.seed or 0) * 1_000_003 + i))
+            for i in range(args.count)]
 
 
 def _resume_ids(path) -> set:
@@ -254,13 +253,10 @@ def cmd_scan(args) -> int:
     t0 = time.perf_counter()
     if args.workers < 1:
         raise RangeError(f"--workers must be at least 1, got {args.workers}")
-    specs = _scan_specs(args)
+    curves_in = _scan_curves(args)
     done_ids = _resume_ids(args.out) if args.out else set()
-    jobs = []
-    for i, spec in enumerate(specs):  # a malformed record exits before any row
-        curve = curve_from_spec(spec)
-        if curve_id(curve) not in done_ids:
-            jobs.append((curve, i, args.lemmas))
+    jobs = [(curve, i, args.lemmas) for i, curve in enumerate(curves_in)
+            if curve_id(curve) not in done_ids]
     procs = min(args.workers, len(jobs), os.cpu_count() or 1)
     curves = ordinary = violations = 0
     matches = True
@@ -285,7 +281,7 @@ def cmd_scan(args) -> int:
     aggregate = {
         "aggregate": {
             "curves": curves,
-            "skippedExisting": len(specs) - len(jobs),
+            "skippedExisting": len(curves_in) - len(jobs),
             "ordinaryFraction": str(Fraction(ordinary, curves)) if curves else "0",
             "lemmaViolations": violations,
             "torsionMatchesOrdinarity": matches,

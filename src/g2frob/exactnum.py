@@ -30,10 +30,10 @@ and `poly_gcd` behind the functions of `poly` of the same names,
 `poly_power_top_two`, the Cartier-Manin recurrence run of `cartier`, and
 `poly_theta_step`, the numerators of one derivation step in l-coordinates
 (`funcfield.LocalRing.deriv`).  F_p runs them as loops on the int
-coefficients with inline reduction mod p (the recurrence over one common
-denominator, with one inverse per run; the theta step with one reduction
-per coefficient); F_{p^k} uses `poly`'s generic loops, one field method
-call per coefficient operation.  Raw values of any field go to JSON and
+coefficients with inline reduction mod p (the recurrence with one reduction
+per step, reading 1/k from the table `inverses()`; the theta step with one
+reduction per coefficient); F_{p^k} uses `poly`'s generic loops, one field
+method call per coefficient operation.  Raw values of any field go to JSON and
 back through `raw_to_json` / `raw_from_json`, and raws of one field sort in
 the order of their JSON form; `prime_field_ints` reads raws that all lie in
 F_p as ints.
@@ -54,7 +54,7 @@ it componentwise must say so by mapping over body and slope themselves.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 
 from . import poly
 from .errors import (
@@ -279,15 +279,22 @@ class PrimeField:
         inv = pow(a[-1], -1, p)
         return tuple([c * inv % p for c in a])
 
-    def poly_power_top_two(self, g, n: int, top: int):
-        """`poly.power_top_two_generic` on ints, for deg g <= 5.
+    def inverses(self):
+        """[0, 1/1, ..., 1/h] mod p, h = (p-1)/2, by 1/k = -(p div k) / (p mod k)."""
+        p, inv = self.p, [0, 1]
+        for k in range(2, p // 2 + 1):
+            inv.append(-(p // k) * inv[p % k] % p)
+        return inv
 
-        The window h_(k-1), ..., h_(k-5) is five locals w1..w5 over the
-        common denominator c = (k-1)!, so step k is
-            h_k = sum_j (e_j - k d_j) w_j / (k c),    e_j = (n + 1) j d_j:
-        the sum becomes w1, the four older entries are multiplied by k, and
-        c by k.  One inverse of c = top! at the end replaces the per-step
-        inverses of k; every k <= top < p is a unit.
+    def poly_power_top_two(self, g, n: int, top: int, inv):
+        """`poly.power_top_two_generic` on ints, for deg g <= 5, with the
+        table inv = `inverses()`.
+
+        The window h_(k-1), ..., h_(k-5) is five locals w1..w5, and step k is
+            h_k = (sum_j c_j w_j) (1/k),    c_j = (n + 1) j d_j - k d_j,
+        one reduction per step; the taps c_j step down by d_j, unreduced.
+        Up to h = (p-1)/2, 1/k is read from inv; above h, 1/k = -1/(p-k):
+        inv read backwards, with the taps negated.
         """
         p = self.p
         if len(g) > 6:
@@ -295,20 +302,31 @@ class PrimeField:
         g0 = g[0] % p
         if not g0:
             raise NonUnitError("the recurrence needs g(0) != 0")
-        inv = pow(g0, -1, p)
-        d = [c * inv % p for c in g[1:]] + [0] * (6 - len(g))
-        d1, d2, d3, d4, d5 = d
-        e1, e2, e3, e4, e5 = [(n + 1) * j * c % p for j, c in enumerate(d, 1)]
-        w1, w2, w3, w4, w5, c = pow(g0, n, p), 0, 0, 0, 0, 1
-        for k in range(1, top + 1):
+        i0, m = pow(g0, -1, p), n + 1
+        d1, d2, d3, d4, d5 = [c * i0 % p for c in g[1:]] + [0] * (6 - len(g))
+        c1, c2, c3, c4, c5 = ((m - 1) * d1, (2 * m - 1) * d2, (3 * m - 1) * d3,
+                              (4 * m - 1) * d4, (5 * m - 1) * d5)
+        w1, w2, w3, w4, w5 = pow(g0, n, p), 0, 0, 0, 0
+        h = p // 2
+        for t in islice(inv, 1, min(top, h) + 1):
             w1, w2, w3, w4, w5 = (
-                (e1 * w1 + e2 * w2 + e3 * w3 + e4 * w4 + e5 * w5
-                 - k * (d1 * w1 + d2 * w2 + d3 * w3 + d4 * w4 + d5 * w5)) % p,
-                w1 * k % p, w2 * k % p, w3 * k % p, w4 * k % p,
-            )
-            c = c * k % p
-        inv = pow(c, -1, p)
-        return w1 * inv % p, w2 * inv % p
+                (c1 * w1 + c2 * w2 + c3 * w3 + c4 * w4 + c5 * w5) * t % p, w1, w2, w3, w4)
+            c1 -= d1
+            c2 -= d2
+            c3 -= d3
+            c4 -= d4
+            c5 -= d5
+        if top > h:
+            c1, c2, c3, c4, c5 = -c1 % p, -c2 % p, -c3 % p, -c4 % p, -c5 % p
+            for t in islice(reversed(inv), top - h):
+                w1, w2, w3, w4, w5 = (
+                    (c1 * w1 + c2 * w2 + c3 * w3 + c4 * w4 + c5 * w5) * t % p, w1, w2, w3, w4)
+                c1 += d1
+                c2 += d2
+                c3 += d3
+                c4 += d4
+                c5 += d5
+        return w1, w2
 
     # -- enumeration / sampling -------------------------------------------
     def elements(self):

@@ -18,7 +18,7 @@ end of this module (`add_generic`, ..., `gcd_generic`), one field method
 call per coefficient operation, which are also the test oracle for the F_p
 kernels.  The same holds for `power_top_two_generic`, the Cartier-Manin
 recurrence run that `cartier` calls as `F.poly_power_top_two`: over F_p an
-int kernel with one inverse per run; and for `theta_step_generic`, one
+int kernel with one reduction per step; and for `theta_step_generic`, one
 derivation step in l-coordinates that `funcfield.LocalRing.deriv` calls as
 `F.poly_theta_step`: over F_p one int loop with one reduction mod p per
 coefficient.  Products are schoolbook and gcds plain Euclid: degrees stay
@@ -245,9 +245,10 @@ def gcd_generic(F, a, b):
     return monic(F, a)
 
 
-def power_top_two_generic(F, g, n: int, top: int):
+def power_top_two_generic(F, g, n: int, top: int, inv=None):
     """The coefficients of x^top and x^(top-1) in g^n, for 1 <= top < p, by
-    the recurrence of `cartier` (its module docstring).
+    the recurrence of `cartier` (its module docstring).  inv, the F_p
+    kernel's table of inverses, is not read: this loop inverts each k itself.
 
     g is a coefficient tuple of degree >= 2 with g[0] != 0.  With d_j =
     g_j / g0 the recurrence reads h_k = k^(-1) s1 - s2, where s1 = sum_j

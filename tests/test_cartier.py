@@ -219,6 +219,23 @@ def test_p_rank_is_invariant_under_base_change():
     assert ranks == {0, 1, 2}
 
 
+def test_p_rank_of_an_integer_f_builds_no_frobenius_columns():
+    # A of an integer f over F_{3^10} has F_p entries, so A^(p) = A and
+    # p_rank needs no Frobenius; the rank is still that of A^(p) A
+    rng = rng_for("p-rank-no-frobenius")
+    ranks = set()
+    for _ in range(12):
+        F = make_field(3, 10)
+        base = random_curve(PrimeField(3), rng)
+        A = cartier_manin(make_curve(F, [F.from_int(c) for c in base.f]))
+        rank = A.p_rank()
+        assert F._frob is None, base.f
+        Ap = tuple(tuple(F.frobenius(e) for e in row) for row in A.matrix)
+        assert rank == _rank2(F, _mat2_mul(F, Ap, A.matrix)) == p_rank(base), base.f
+        ranks.add(rank)
+    assert len(ranks) > 1
+
+
 def _recurrence_shapes(F, rng):
     """The shapes `cartier_manin` runs the recurrence on, from two random
     monic quintics f, one with f(0) not in {0, 1} and one with f(0) = 0 and
@@ -236,29 +253,38 @@ def test_fp_recurrence_kernel_against_generic_loop():
     # cartier_manin at larger p
     for p in (3, 5, 7, 11, 13, 31):
         F = PrimeField(p)
+        inv = F.inverses()
         rng = rng_for(f"cartier-kernel-{p}")
         for _ in range(4):
             for g in _recurrence_shapes(F, rng):
                 for n in ((p - 1) // 2, rng.randrange(1, 3 * p)):
                     for top in range(1, p):
-                        assert F.poly_power_top_two(g, n, top) == \
+                        assert F.poly_power_top_two(g, n, top, inv) == \
                             poly.power_top_two_generic(F, g, n, top), (p, g, n, top)
     for p in (101, 1009, 65521):
         F = PrimeField(p)
-        n = (p - 1) // 2
+        n, inv = (p - 1) // 2, F.inverses()
         forward, shifted, reversal, reversal0 = _recurrence_shapes(
             F, rng_for(f"cartier-kernel-{p}"))
         for g, top in ((forward, p - 1), (shifted, p - 1 - n), (reversal, n), (reversal0, n)):
-            assert F.poly_power_top_two(g, n, top) == \
+            assert F.poly_power_top_two(g, n, top, inv) == \
                 poly.power_top_two_generic(F, g, n, top), (p, g, top)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 31, 101, 1009, 65521])
+def test_inverse_table_against_pow(p):
+    # the recursion 1/k = -(p div k) / (p mod k) against Python's modular inverse
+    inv = PrimeField(p).inverses()
+    assert len(inv) == (p + 1) // 2 and inv[0] == 0
+    assert all(inv[k] == pow(k, -1, p) for k in range(1, len(inv)))
 
 
 def test_fp_recurrence_kernel_refuses_what_it_cannot_run():
     F = PrimeField(7)
     with pytest.raises(RangeError):
-        F.poly_power_top_two((1, 2, 3, 4, 5, 6, 1), 3, 6)  # deg g = 6
+        F.poly_power_top_two((1, 2, 3, 4, 5, 6, 1), 3, 6, F.inverses())  # deg g = 6
     with pytest.raises(NonUnitError):
-        F.poly_power_top_two((0, 2, 3, 4, 5, 1), 3, 6)
+        F.poly_power_top_two((0, 2, 3, 4, 5, 1), 3, 6, F.inverses())
 
 
 def test_coefficient_extraction_on_invalid_curve_input():

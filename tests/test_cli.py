@@ -536,6 +536,23 @@ def test_scan_builds_each_curve_once_and_every_one_before_any_row(tmp_path, caps
     assert code == 2 and out.count("\n") == 1
 
 
+def test_scan_count_builds_each_random_curve_once(capsys, monkeypatch):
+    # scan --count scans the very curves random_curve drew: one accepted
+    # Curve per row, none rebuilt from its catalog record
+    from g2frob.funcfield import Curve, curve_id
+
+    built, real_init = [], Curve.__init__
+
+    def init(self, *args):
+        real_init(self, *args)
+        built.append(curve_id(self))
+
+    monkeypatch.setattr(Curve, "__init__", init)
+    code, out = run(capsys, "scan", "--p", "5", "--count", "6", "--seed", "3")
+    rows = [json.loads(line) for line in out.splitlines()[:-1]]
+    assert code == 0 and built == [row["curveId"] for row in rows] and len(rows) == 6
+
+
 def test_scan_resume_recomputes_a_torn_final_line(tmp_path, capsys):
     path = tmp_path / "scan.jsonl"
     args = ["scan", "--p", "3", "--count", "3", "--seed", "7", "--out", str(path)]
@@ -888,6 +905,7 @@ def test_a_finished_call_frees_its_curve_without_the_cycle_collector(capsys, mon
 
     monkeypatch.setattr(cli, "_build_curve", recorded(cli._build_curve))
     monkeypatch.setattr(cli, "curve_from_spec", recorded(cli.curve_from_spec))
+    monkeypatch.setattr(cli, "random_curve", recorded(cli.random_curve))
     monkeypatch.setattr(cli, "_scan_row", row)
     enabled = gc.isenabled()
     gc.disable()
