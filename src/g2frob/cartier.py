@@ -102,7 +102,7 @@ from functools import partial
 from . import poly
 from .errors import FieldTooLargeForBrute, G2FrobError, NotFlat, PrimeTooLarge, RangeError
 from .exactnum import PrimeField, coords, prime_divisors, prime_field_ints, raw_to_json
-from .funcfield import Curve, Differential, curve_id
+from .funcfield import Curve, Differential
 from .linalg import enumerate_span_mod_p, kernel_basis_mod_p, rref_mod_p
 from .pcurvature import ConnectionMatrix, is_flat
 
@@ -122,7 +122,6 @@ _CARTIER_P_LIMIT = 1 << 22
 class CartierManinMatrix:
     """2x2 matrix over the curve's field; entries are raw field values."""
 
-    curve_id: str
     matrix: tuple  # ((a11, a12), (a21, a22))
     field: object
 
@@ -178,7 +177,7 @@ def cartier_manin(curve: Curve) -> CartierManinMatrix:
         rows = (row1, (below, top))
         if ints is not None:
             rows = tuple(tuple(map(F.from_int, row)) for row in rows)
-        return CartierManinMatrix(curve_id=curve_id(curve), matrix=rows, field=F)
+        return CartierManinMatrix(matrix=rows, field=F)
 
     return curve.memo(("cartier_manin",), matrix)
 
@@ -220,9 +219,7 @@ class TorsionSet:
     size is a power of p.
     """
 
-    curve_id: str
     forms: tuple  # tuple of (a_raw, b_raw) pairs
-    method: str
 
     def __len__(self):
         return len(self.forms)
@@ -271,10 +268,9 @@ def _flat_form_data(curve: Curve):
     check_derivation_limit applies."""
     check_derivation_limit(curve)
     F = curve.field
-    half_fprime = poly.scale(F, curve.fprime, F.from_int((F.char + 1) // 2))
     A, B = poly.x(F), ()
     for _ in range(curve.p - 1):
-        A, B = _theta0_step(F, curve.f, half_fprime, A, B)
+        A, B = _theta0_step(F, curve.f, curve._half_fprime, A, B)
     return A, poly.derivative(F, A)
 
 
@@ -334,7 +330,7 @@ def enumerate_p_torsion(curve: Curve, method: str = "brute") -> TorsionSet:
         forms = _torsion_semilinear(curve)
     else:
         raise RangeError(f"unknown method {method!r}")
-    return TorsionSet(curve_id=curve_id(curve), forms=forms, method=method)
+    return TorsionSet(forms=forms)
 
 
 def _torsion_brute(curve: Curve):

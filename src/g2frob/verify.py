@@ -198,10 +198,8 @@ class LemmaReport:
 
 @dataclass(frozen=True)
 class RigiditySolutionSet:
-    curve_id: str
     count: int
     is_trivial_family: bool
-    mode: str
     listing: Callable = field(repr=False, compare=False)
 
     @cached_property
@@ -512,8 +510,7 @@ def rigidity_scan(curve: Curve, ab_L, mode: str = "brute"):
     else:
         raise RangeError(f"unknown mode {mode!r}")
     status = "holds" if is_family and identity_ok == identity_total and closed_ok else "violated"
-    solset = RigiditySolutionSet(curve_id=curve_id(curve), count=count,
-                                 is_trivial_family=is_family, mode=mode, listing=listing)
+    solset = RigiditySolutionSet(count=count, is_trivial_family=is_family, listing=listing)
     report = LemmaReport(
         curve_id=curve_id(curve),
         lemma_id="split-connection-rigidity",

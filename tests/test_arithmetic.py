@@ -10,11 +10,31 @@ s1 = tr A (mod p).  The model has one point at infinity (deg f = 5), so
 
 with chi(a) = a^((p-1)/2) mod p by Euler's criterion.  The count evaluates f
 by Horner's rule on plain ints.
+
+Over F_{p^2} = F_p[s]/(s^2 - n), n a non-residue, the quadratic character
+is chi(a + b s) = chi(a^2 - n b^2), read through the norm, and the count is
+N2 = p^2 + 1 + sum_v chi(f(v)).  With s1 = p + 1 - N1 and
+s2 = (s1^2 - (p^2 + 1 - N2)) / 2 the characteristic polynomial of Frobenius
+is t^4 - s1 t^3 + s2 t^2 - p s1 t + p^2, which is t^2 det(t - A) mod p, so
+s2 = det A (mod p), and #J(F_p) = L(1) = (N1^2 + N2) / 2 - p.
+
+Frobenius induces the Verschiebung V_J, and on F_p-points the relative
+Frobenius is a bijection, so J(F_p)[p] is the kernel of V_J on F_p-points:
+the p^d flat forms, d = dim ker(A - I).  So p^d divides #J(F_p), and d >= 1
+exactly when p divides #J(F_p).
 """
 
 import pytest
 
-from g2frob import NotSquarefree, PrimeField, cartier_manin, make_curve, random_curve
+from g2frob import (
+    NotSquarefree,
+    PrimeField,
+    cartier_manin,
+    enumerate_p_torsion,
+    make_curve,
+    random_curve,
+    rational_flat_dimension,
+)
 
 from conftest import CERTIFIED, NON_ORDINARY_3, rng_for
 
@@ -29,6 +49,28 @@ def character_sum(f, p):
         if v:
             total += 1 if pow(v, e, p) == 1 else -1
     return total
+
+
+def norm_character_sum(f, p):
+    """sum over v in F_p[s]/(s^2 - n) of chi(f(v)), n the least non-residue,
+    with chi(a + b s) = chi(a^2 - n b^2)."""
+    e = (p - 1) // 2
+    n = next(c for c in range(2, p) if pow(c, e, p) == p - 1)
+    total = 0
+    for a in range(p):
+        for b in range(p):
+            u = w = 0  # f(a + b s) = u + w s, by Horner's rule
+            for c in reversed(f):
+                u, w = (u * a + n * w * b + c) % p, (u * b + w * a) % p
+            m = (u * u - n * w * w) % p
+            if m:
+                total += 1 if pow(m, e, p) == 1 else -1
+    return total
+
+
+def point_counts(f, p):
+    """(#X(F_p), #X(F_{p^2})), each with its one point at infinity."""
+    return p + 1 + character_sum(f, p), p * p + 1 + norm_character_sum(f, p)
 
 
 def _trace(A):
@@ -68,3 +110,65 @@ def test_character_sum_of_a_known_curve():
     # and #X(F_3) = 4; over F_5, f(x) = x + 1 takes 1, 2, 3, 4, 0
     assert character_sum(NON_ORDINARY_3, 3) == 0
     assert character_sum(NON_ORDINARY_3, 5) == 0
+
+
+def test_norm_character_sum_of_a_known_curve():
+    # x -> x^5 permutes F_{p^2} when p = 5 or p^2 != 1 (mod 5), so x^5 + 1
+    # takes every value of F_{p^2} once and the character sums to 0
+    for p in (3, 5, 7, 13):
+        assert norm_character_sum(NON_ORDINARY_3, p) == 0
+
+
+def _small_curves(p, count):
+    # every third curve has f(0) = 0, the run on f / x
+    F = PrimeField(p)
+    rng = rng_for(f"arithmetic-det-{p}")
+    return [_curve(F, rng, i % 3 == 0) for i in range(count)]
+
+
+_SMALL = [(3, 9), (5, 9), (7, 9), (11, 9), (13, 9), (17, 6), (31, 6), (101, 3)]
+_PINNED = [(p, f) for p, (f, _) in CERTIFIED.items()] + [(3, NON_ORDINARY_3)]
+
+
+def _check_det(cv):
+    p, A = cv.p, cartier_manin(cv).matrix
+    N1, N2 = point_counts(cv.f, p)
+    s1 = p + 1 - N1
+    s2, odd = divmod(s1 * s1 - (p * p + 1 - N2), 2)
+    assert odd == 0
+    assert (s2 - (A[0][0] * A[1][1] - A[0][1] * A[1][0])) % p == 0, (p, cv.f)
+
+
+def _check_jacobian_order(cv):
+    p = cv.p
+    N1, N2 = point_counts(cv.f, p)
+    order, odd = divmod(N1 * N1 + N2, 2)
+    order -= p
+    assert odd == 0 and order > 0
+    d = rational_flat_dimension(cv, 1)
+    assert (d >= 1) == (order % p == 0), (p, cv.f, d, order)
+    assert order % p ** d == 0, (p, cv.f, d, order)
+    for method in ("brute", "semilinear"):
+        assert len(enumerate_p_torsion(cv, method)) == p ** d, (p, cv.f, method)
+
+
+@pytest.mark.parametrize("p,count", _SMALL)
+def test_det_against_the_point_counts(p, count):
+    for cv in _small_curves(p, count):
+        _check_det(cv)
+
+
+def test_det_on_the_pinned_curves():
+    for p, f in _PINNED:
+        _check_det(make_curve(PrimeField(p), f))
+
+
+@pytest.mark.parametrize("p,count", _SMALL)
+def test_flat_forms_against_the_jacobian_order(p, count):
+    for cv in _small_curves(p, count):
+        _check_jacobian_order(cv)
+
+
+def test_flat_forms_on_the_pinned_curves():
+    for p, f in _PINNED:
+        _check_jacobian_order(make_curve(PrimeField(p), f))

@@ -196,7 +196,7 @@ def test_two_step_p_rank_against_the_long_loop(p, k):
             u = ((F.random(rng), F.random(rng)) if i % 3 == 1 else
                  (F.mul(c, F.frobenius(v[1])), F.neg(F.mul(c, F.frobenius(v[0])))))
             A = tuple(tuple(F.mul(x, y) for y in v) for x in u)
-        got = CartierManinMatrix(curve_id="", matrix=A, field=F).p_rank()
+        got = CartierManinMatrix(matrix=A, field=F).p_rank()
         assert got == _p_rank_loop(F, A), A
         ranks.add(got)
     assert ranks == {0, 1, 2}
@@ -395,7 +395,7 @@ def test_is_subspace_rejects_non_subspaces(p, k):
     line = [(F.mul(F.from_int(s), g), F.from_int(s)) for s in range(p)]
 
     def is_subspace(forms):
-        return TorsionSet(curve_id="", forms=tuple(sorted(forms)), method="").is_subspace(F)
+        return TorsionSet(forms=tuple(sorted(forms))).is_subspace(F)
 
     assert is_subspace(line)
     # the plane spanned by the line and (1, 0)

@@ -150,10 +150,13 @@ def test_verify_on_a_field_above_the_brute_limit(capsys):
     payload = json.loads(out)
     assert payload["torsionCount"] == 3
     assert len(payload["lemmas"]) == 8
-    # the linear rigidity scan would list 3^20 vectors: the span guard
+    # the linear rigidity solve reads its verdict off the kernel basis: the
+    # family's 3^20 triples are counted, not listed
     code, out = run(capsys, *argv)
-    assert code == 3
-    assert json.loads(out)["kind"] == "ResourceGuardError"
+    assert code == 0
+    (report,) = json.loads(out)["rigidity"]
+    assert report["status"] == "holds"
+    assert report["witness"]["solutionCount"] == report["witness"]["familyCount"] == 3 ** 20
 
 
 def test_huge_prime_exits_with_the_guard(capsys):
@@ -161,11 +164,13 @@ def test_huge_prime_exits_with_the_guard(capsys):
     code, out = run(capsys, "curve", "--p", "2305843009213693951", "--f", "1,0,0,0,0,1")
     assert code == 3
     assert json.loads(out)["kind"] == "PrimeTooLarge"
-    # verify's lemma checks, p derivation steps each, refuse p above 2^14
-    # before any work
+    # no flat form, so verify runs no lemma check and no derivation step:
+    # Cartier-Manin and the semilinear solve alone
     code, out = run(capsys, "verify", "--p", "20011", "--f", "1,0,0,0,1,1")
-    assert code == 3
-    assert json.loads(out)["kind"] == "PrimeTooLarge"
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["lemmas"] == [] and payload["rigidity"] == []
+    assert payload["note"] == "no nonzero rational flat forms over this field"
     # the semilinear solver needs only the Cartier-Manin matrix, which has
     # no fixed vector here: the zero form alone
     code, out = run(capsys, "torsion", "--method", "semilinear", "--p", "16411",
@@ -365,6 +370,41 @@ def test_out_file_writing(tmp_path, capsys):
     assert code == 0 and out == ""
     payload = json.loads(path.read_text())
     assert payload["ordinary"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "--p", "3", "--f", "2,0,1,1,1,1"],
+    ["torsion", "--p", "3", "--f", "2,0,1,1,1,1"],
+    ["verify", "--p", "3", "--f", "2,0,1,1,1,1"],
+    ["formulas", "--p", "3"],
+    ["scan", "--p", "3", "--count", "2"],
+])
+def test_an_unwritable_out_is_an_input_error(tmp_path, capsys, argv):
+    # a directory, and a path under a missing directory: one JSON error line
+    # and exit 2, not a traceback
+    for out in (tmp_path, tmp_path / "missing" / "out.json"):
+        code, text = run(capsys, *argv, "--out", str(out))
+        assert code == 2 and text.count("\n") == 1
+        assert json.loads(text)["kind"] == "RangeError"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_refused_run_leaves_its_out_file_as_it_was(tmp_path, capsys):
+    # the output is opened only once it is built
+    path = tmp_path / "out.json"
+    path.write_text("kept\n")
+    code, _ = run(capsys, "curve", "--p", "3", "--f", "0,1,0,1,0,1", "--out", str(path))
+    assert code == 2 and path.read_text() == "kept\n"
+    code, _ = run(capsys, "verify", "--p", "211", "--f", "98,88,198,5,142,1", "--out", str(path))
+    assert code == 3 and path.read_text() == "kept\n"
+
+
+def test_scan_refuses_a_negative_count(tmp_path, capsys):
+    path = tmp_path / "scan.jsonl"
+    code, out = run(capsys, "scan", "--count", "-3", "--out", str(path))
+    assert code == 2 and out.count("\n") == 1
+    assert json.loads(out)["kind"] == "RangeError"
+    assert not path.exists()
 
 
 def test_extension_options_build_the_field_asked_for(capsys):
@@ -857,22 +897,19 @@ def test_verify_derives_each_form_and_pair_once(capsys, monkeypatch):
 
 
 def test_verify_refuses_the_rigidity_span_before_any_orbit(capsys, monkeypatch):
-    # over F_(3^10) the trivial family alone has q^2 = 3^20 > 2^16 triples, so
-    # the linear rigidity solve is refused after the torsion solve and before
-    # any theta_L-orbit; without the solve, the lemma checks run
+    # over F_(3^10) the trivial family alone has q^2 = 3^20 > 2^16 triples,
+    # past the span guard; the linear rigidity solve lists no span, so the
+    # run completes
     from g2frob import verify
 
-    orbits = []
-    real_orbit = verify._orbit
-    monkeypatch.setattr(verify, "_orbit", lambda *args: orbits.append(args) or real_orbit(*args))
-    argv = ["verify", "--p", "3", "--ext-k", "10", "--f", "2,0,1,1,1,1"]
-    code, out = run(capsys, *argv)
-    assert code == 3
+    def never(*args):
+        raise AssertionError("verify lists no rigidity span")
+
+    monkeypatch.setattr(verify, "enumerate_span_mod_p", never)
+    code, out = run(capsys, "verify", "--p", "3", "--ext-k", "10", "--f", "2,0,1,1,1,1")
+    assert code == 0
     assert out.count("\n") == 1
-    assert json.loads(out)["kind"] == "ResourceGuardError"
-    assert orbits == []
-    code, out = run(capsys, *argv, "--rigidity", "off")
-    assert code == 0 and len(json.loads(out)["lemmas"]) == 8 and orbits
+    assert len(json.loads(out)["rigidity"]) == 1
 
 
 def test_a_finished_call_frees_its_curve_without_the_cycle_collector(capsys, monkeypatch):
