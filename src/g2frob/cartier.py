@@ -106,7 +106,6 @@ from .funcfield import Curve, Differential
 from .linalg import enumerate_span_mod_p, kernel_basis_mod_p, rref_mod_p
 from .pcurvature import ConnectionMatrix, is_flat
 
-_DERIVATION_P_LIMIT = 1 << 14
 # brute tests |F|^2 candidates; at p = 2039 (4.2 * 10^6 of them) it takes
 # 1.5 s to 3.7 s, nearly all of it theta0 steps, those of the weld included
 # (module docstring)
@@ -264,23 +263,14 @@ def _theta0_step(F, f, half_fprime, A, B):
 
 def _flat_form_data(curve: Curve):
     """(h, h') for h = theta0^(p-1)(x) in F[x]; h' is c0, the chart constant
-    of dx/y (module docstring).  p - 1 `_theta0_step`s cost about p^2, so
-    check_derivation_limit applies."""
-    check_derivation_limit(curve)
+    of dx/y (module docstring).  p - 1 `_theta0_step`s cost about p^2; its
+    one caller, `_torsion_brute`, runs `check_brute_limit` first, which
+    refuses every p >= 2053."""
     F = curve.field
     A, B = poly.x(F), ()
     for _ in range(curve.p - 1):
         A, B = _theta0_step(F, curve.f, curve._half_fprime, A, B)
     return A, poly.derivative(F, A)
-
-
-def check_derivation_limit(curve: Curve):
-    """Raise PrimeTooLarge when p > _DERIVATION_P_LIMIT: p - 1 derivation
-    steps cost about p^2, and the brute guard already refuses such primes."""
-    if curve.p > _DERIVATION_P_LIMIT:
-        raise PrimeTooLarge(
-            f"p = {curve.p} exceeds the derivation limit {_DERIVATION_P_LIMIT}"
-        )
 
 
 def check_brute_limit(field):

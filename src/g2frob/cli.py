@@ -80,7 +80,7 @@ def _parse_ints(flag: str, s: str):
 
 def _build_curve(args) -> Curve:
     modulus = _parse_ints("--ext-modulus", args.ext_modulus) if args.ext_modulus else None
-    field = make_field(args.p, args.ext_k, modulus, seed=args.seed)
+    field = make_field(args.p, args.ext_k, modulus)
     coeffs = _parse_ints("--f", args.f)
     if len(coeffs) != 6:
         raise RangeError("--f expects exactly six coefficients c0,...,c5")
@@ -330,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="work over F_{p^k} (modulus searched deterministically)")
         sp.add_argument("--ext-modulus", type=str, default=None,
                         help="explicit modulus coefficients c0,...,ck of degree --ext-k")
-        sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", type=str, default=None)
 
     sp = sub.add_parser("curve", help="validate a curve, print its Cartier-Manin data")

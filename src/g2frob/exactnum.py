@@ -764,13 +764,13 @@ def find_irreducible(p: int, k: int, seed: int = 0):
             return cand
 
 
-def make_field(p: int, k: int = 1, modulus=None, seed: int = 0):
+def make_field(p: int, k: int = 1, modulus=None):
     """Build F_p (k=1 without a modulus) or F_{p^k} with a caller-supplied or
-    seeded modulus, whose degree must be k."""
+    searched modulus (`find_irreducible`), whose degree must be k."""
     if modulus is None:
         if k == 1:
             return PrimeField(p)
-        modulus = find_irreducible(p, k, seed)
+        modulus = find_irreducible(p, k)
     f = ExtField(p, modulus)
     if f.k != k:
         raise RangeError(f"modulus degree {f.k} does not match requested k={k}")

@@ -31,7 +31,7 @@ def _check_genus(g: int):
         raise RangeError(f"genus must be an integer >= 2, got {g}")
 
 
-def subbundle_slope_bound(r: int, g: int, d: int, p: int) -> Fraction:
+def mu_r(r: int, g: int, d: int, p: int) -> Fraction:
     """Largest possible slope of a rank-r subbundle of the pushforward of a
     degree-d line bundle under Frobenius: ((r-1)(g-1) + d) / p."""
     _check_odd_prime(p)
@@ -41,7 +41,7 @@ def subbundle_slope_bound(r: int, g: int, d: int, p: int) -> Fraction:
     return Fraction((r - 1) * (g - 1) + d, p)
 
 
-def quotient_slope_bound(r: int, g: int, d: int, p: int) -> Fraction:
+def nu_r(r: int, g: int, d: int, p: int) -> Fraction:
     """Smallest possible slope of a rank-r quotient sheaf of the same
     pushforward: ((2p - r - 1)(g-1) + d) / p."""
     _check_odd_prime(p)
@@ -49,11 +49,6 @@ def quotient_slope_bound(r: int, g: int, d: int, p: int) -> Fraction:
     if not 1 <= r <= p:
         raise RangeError(f"need 1 <= r <= p, got r={r}")
     return Fraction((2 * p - r - 1) * (g - 1) + d, p)
-
-
-# the short names the package exports; the CLI calls only `counts`
-mu_r = subbundle_slope_bound
-nu_r = quotient_slope_bound
 
 
 def nagata_segre(r: int, delta: int, n: int, g: int):
@@ -92,14 +87,11 @@ def counts(p: int, g: int = 2) -> dict:
         "maxDestabDegree": g - 1,
     }
     if g == 2:
-        base_locus = 2 * (p ** 3 - p)
-        versch = p ** 3 + 2 * p
-        if base_locus % 3 or versch % 3:
-            raise RangeError("divisibility by 3 failed; p is not coprime to 3?")
+        # 3 divides p^3 - p = (p - 1) p (p + 1), so p^3 + 2p = (p^3 - p) + 3p
         out.update(
             {
-                "baseLocusLength": base_locus // 3,
-                "verschiebungDegree": versch // 3,
+                "baseLocusLength": 2 * (p ** 3 - p) // 3,
+                "verschiebungDegree": (p ** 3 + 2 * p) // 3,
                 "hbarDegree": 2 * (p - 1),
                 "preimageDegree": 4 * p,
             }

@@ -55,7 +55,6 @@ from .errors import (
     DegreeNotFive,
     DegreeOverflow,
     DivisionByZero,
-    EvenCharacteristic,
     NotSquarefree,
     RangeError,
     ZeroDifferential,
@@ -87,8 +86,6 @@ class Curve:
     __slots__ = ("field", "f", "fprime", "degree_cap", "_half_fprime", "_memo", "__weakref__")
 
     def __init__(self, field, f_coeffs):
-        if field.char == 2:
-            raise EvenCharacteristic("the curve model needs p odd")
         f = poly.normalize(field, tuple(f_coeffs))
         if poly.degree(f) != 5 or not field.eq(f[-1], field.one()):
             raise DegreeNotFive(
@@ -582,8 +579,8 @@ def _shift(F, a, n: int):
 # ---------------------------------------------------------------------------
 
 def make_curve(field, f_coeffs) -> Curve:
-    """Validate and build a curve; raises EvenCharacteristic / DegreeNotFive /
-    NotSquarefree on bad input."""
+    """Validate and build a curve; raises DegreeNotFive / NotSquarefree on
+    bad input (the field context has already refused p = 2)."""
     return Curve(field, f_coeffs)
 
 

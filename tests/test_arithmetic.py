@@ -22,6 +22,12 @@ Frobenius induces the Verschiebung V_J, and on F_p-points the relative
 Frobenius is a bijection, so J(F_p)[p] is the kernel of V_J on F_p-points:
 the p^d flat forms, d = dim ker(A - I).  So p^d divides #J(F_p), and d >= 1
 exactly when p divides #J(F_p).
+
+The same holds over F_{p^2} with d2 = dim ker(A^2 - I), and the order needs
+no count over F_{p^4}.  With L(T) = 1 - s1 T + s2 T^2 - p s1 T^3 + p^2 T^4
+the reversed characteristic polynomial of Frobenius, the Frobenius
+eigenvalues over F_{p^2} are the squares of those over F_p, so
+L_{p^2}(T^2) = L(T) L(-T) and #J(F_{p^2}) = L_{p^2}(1) = L(1) L(-1).
 """
 
 import pytest
@@ -32,6 +38,7 @@ from g2frob import (
     cartier_manin,
     enumerate_p_torsion,
     make_curve,
+    make_field,
     random_curve,
     rational_flat_dimension,
 )
@@ -172,3 +179,38 @@ def test_flat_forms_against_the_jacobian_order(p, count):
 def test_flat_forms_on_the_pinned_curves():
     for p, f in _PINNED:
         _check_jacobian_order(make_curve(PrimeField(p), f))
+
+
+def _check_jacobian_order_over_fp2(cv):
+    # #J(F_{p^2}) = L(1) L(-1) from N1 and N2 alone; d2 is read off A^2 with
+    # no extension built, and then checked against the flat forms counted
+    # over F_{p^2} by both methods (p^4 <= 13^4 candidates for brute)
+    p = cv.p
+    N1, N2 = point_counts(cv.f, p)
+    s1 = p + 1 - N1
+    s2, odd = divmod(s1 * s1 - (p * p + 1 - N2), 2)
+    assert odd == 0
+
+    def L(t):
+        return 1 - s1 * t + s2 * t ** 2 - p * s1 * t ** 3 + p * p * t ** 4
+
+    order = L(1) * L(-1)
+    assert order > 0
+    d2 = rational_flat_dimension(cv, 2)
+    assert (d2 >= 1) == (order % p == 0), (p, cv.f, d2, order)
+    assert order % p ** d2 == 0, (p, cv.f, d2, order)
+    F = make_field(p, 2)
+    cv2 = make_curve(F, [F.from_int(c) for c in cv.f])
+    for method in ("brute", "semilinear"):
+        assert len(enumerate_p_torsion(cv2, method)) == p ** d2, (p, cv.f, method)
+
+
+@pytest.mark.parametrize("p,count", [(p, count) for p, count in _SMALL if p <= 13])
+def test_flat_forms_over_fp2_against_the_jacobian_order(p, count):
+    for cv in _small_curves(p, count):
+        _check_jacobian_order_over_fp2(cv)
+
+
+def test_flat_forms_over_fp2_on_the_pinned_curves():
+    for p, f in _PINNED:
+        _check_jacobian_order_over_fp2(make_curve(PrimeField(p), f))

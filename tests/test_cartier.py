@@ -9,7 +9,6 @@ from g2frob import (
     NotFlat,
     NotSquarefree,
     PrimeField,
-    PrimeTooLarge,
     RangeError,
     ResourceGuardError,
     TorsionSet,
@@ -821,12 +820,6 @@ def test_flat_form_data_against_pow_and_derivation_steps(curve):
     assert curve.from_poly(c0) == curve.mul(omega0.g, theta0.apply_n(x, curve.p))
     rows = _psi_rows(curve.field, h, c0)
     assert curve.from_poly([beta[0] for _, beta in rows]) == curve.pow(x, curve.p)
-
-
-def test_flat_form_data_guard():
-    curve = make_curve(PrimeField(16411), [1, 0, 0, 0, 1, 1])
-    with pytest.raises(PrimeTooLarge):
-        _flat_form_data(curve)
 
 
 @pytest.mark.parametrize("p,f", [(3, CERTIFIED[3][0]), (7, CERTIFIED[7][0]),

@@ -272,6 +272,7 @@ def test_curve_input_fuzz(tail):
 @pytest.mark.parametrize("argv", [
     "curve --p 5 --f -1,0,0,0,0,1",  # -1,... reads as an option: --f has no value
     "curve --f 1,0,0,0,0,1",  # no --p
+    "curve --p 3 --ext-k 2 --seed 1 --f 2,0,1,1,1,1",  # --seed is scan's alone
     "formulas --p 7 --g x",
     "bogus --p 5",
     "",
@@ -894,22 +895,6 @@ def test_verify_derives_each_form_and_pair_once(capsys, monkeypatch):
     assert checked[0].g == funcfield.line_representative(checked[0])[1].g
     assert len(hashed) == 1
     assert all(r["curveId"] == payload["curveId"] for r in payload["lemmas"])
-
-
-def test_verify_refuses_the_rigidity_span_before_any_orbit(capsys, monkeypatch):
-    # over F_(3^10) the trivial family alone has q^2 = 3^20 > 2^16 triples,
-    # past the span guard; the linear rigidity solve lists no span, so the
-    # run completes
-    from g2frob import verify
-
-    def never(*args):
-        raise AssertionError("verify lists no rigidity span")
-
-    monkeypatch.setattr(verify, "enumerate_span_mod_p", never)
-    code, out = run(capsys, "verify", "--p", "3", "--ext-k", "10", "--f", "2,0,1,1,1,1")
-    assert code == 0
-    assert out.count("\n") == 1
-    assert len(json.loads(out)["rigidity"]) == 1
 
 
 def test_a_finished_call_frees_its_curve_without_the_cycle_collector(capsys, monkeypatch):

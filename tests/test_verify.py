@@ -1,5 +1,7 @@
 """Lemma checks: two sums, off-diagonal closed forms, deformation rigidity."""
 
+import json
+
 import pytest
 
 from g2frob import (
@@ -616,7 +618,14 @@ def test_linear_rigidity_verdict_from_the_basis_matches_the_listed_set(monkeypat
     assert statuses["w21_pinned"] == "violated"
 
 
-def test_cli_verify_lists_no_rigidity_span(capsys, monkeypatch):
+@pytest.mark.parametrize("argv", [
+    "verify --p 13 --f 11,7,3,9,6,1 --rigidity linear",
+    # over F_(3^10) the trivial family alone has q^2 = 3^20 > 2^16 triples,
+    # past the span guard; the linear rigidity solve lists no span, so the
+    # run completes
+    "verify --p 3 --ext-k 10 --f 2,0,1,1,1,1",
+], ids=["F13", "F3^10"])
+def test_cli_verify_lists_no_rigidity_span(capsys, monkeypatch, argv):
     from g2frob import verify
     from g2frob.cli import main
 
@@ -624,6 +633,9 @@ def test_cli_verify_lists_no_rigidity_span(capsys, monkeypatch):
     real_span = verify.enumerate_span_mod_p
     monkeypatch.setattr(verify, "enumerate_span_mod_p",
                         lambda *args: listed.append(args) or real_span(*args))
-    assert main(["verify", "--p", "13", "--f", "11,7,3,9,6,1", "--rigidity", "linear"]) == 0
-    assert '"split-connection-rigidity"' in capsys.readouterr().out
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1
+    rigidity = json.loads(out)["rigidity"]
+    assert [r["lemmaId"] for r in rigidity] == ["split-connection-rigidity"]
     assert listed == []
