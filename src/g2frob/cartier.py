@@ -81,17 +81,19 @@ c0 = <dx/y, theta0^p> = (1/y) theta0(h) = (1/y) h' y = h'.  For T = a + b x,
 a polynomial in x, so psi = 0 exactly when every coefficient is 0.  It is
 the F-combination, with coefficients a^p, b^p, b, -a and -b, of the
 coefficient rows of 1, x^p, h, h' and x h' (`_psi_rows`), and it splits as
-alpha(a) + beta(b), from a^p, a and from b^p, b.  Each candidate is tested
-at one screen coefficient first (`_torsion_brute`).  No normal form is built
-per candidate, and the rows share no code with `Derivation` or `LocalRing`.
-The first four solutions are welded to `is_flat` on their own charts, whose
-chart constants `Derivation` walks, so the weld is an independent check on
-every line, that of dx/y included.  The cost is the p - 1 polynomial steps,
-the |F|^2 comparisons and, if a nonzero form is flat, the p steps of its
-line's chart constant: 0.34 s, 0.02 s and 0.47 s at p = 1009, 1.4 s,
-0.07 s and 2.1 s at p = 2039 (CPython 3.11 on a 2-vCPU VM, one run each).
-`check_brute_limit` refuses more than 2^22 candidates, the next prime 2053
-among them.
+alpha(a) + beta(b), from a^p, a and from b^p, b, so psi(a, b) = 0 exactly
+when beta(b) = -alpha(a): a join on that vector (`_torsion_brute`).  No
+normal form is built per candidate, and the rows share no code with
+`Derivation` or `LocalRing`.  The first four solutions are welded to
+`is_flat` on their own charts, whose chart constants `Derivation` walks, so
+the weld is an independent check on every line, that of dx/y included.  The
+cost is the p - 1 polynomial steps, the join's 2 |F| evaluations and, if a
+nonzero form is flat, the p steps of its line's chart constant: 0.47 s,
+0.006 s and 0.64 s at p = 1009, 2.0 s, 0.01 s and 3.0 s at p = 2039, and a
+join of 0.03-0.04 s over F_729, F_1331 and F_1849 (CPython 3.11 on a
+2-vCPU Xeon VM, best of three runs, five for the join).
+`check_brute_limit` refuses more than 2^22 candidate pairs, the next prime
+2053 among them.
 """
 
 from __future__ import annotations
@@ -106,9 +108,10 @@ from .funcfield import Curve, Differential
 from .linalg import enumerate_span_mod_p, kernel_basis_mod_p, rref_mod_p
 from .pcurvature import ConnectionMatrix, is_flat
 
-# brute tests |F|^2 candidates; at p = 2039 (4.2 * 10^6 of them) it takes
-# 1.5 s to 3.7 s, nearly all of it theta0 steps, those of the weld included
-# (module docstring)
+# brute lists the flat pairs among |F|^2 candidates by 2 |F| evaluations;
+# at p = 2039 (4.2 * 10^6 candidates) it takes about 5 s, nearly all of it
+# theta0 steps, those of the weld included (module docstring).  The bound on
+# |F|^2 is kept as it stands, so the refused inputs do not change
 _BRUTE_CANDIDATE_LIMIT = 1 << 22
 # cartier_manin runs about 1.5 p recurrence steps and builds a table of p/2
 # inverses: a CLI `curve` call took 0.9-1.3 s at p = 10^6 and 3.7-4.8 s
@@ -274,8 +277,10 @@ def _flat_form_data(curve: Curve):
 
 
 def check_brute_limit(field):
-    """Raise FieldTooLargeForBrute when brute would test more than
-    _BRUTE_CANDIDATE_LIMIT pairs, |field|^2 of them."""
+    """Raise FieldTooLargeForBrute when |field|^2, the candidate pairs that
+    brute's join covers by 2 |field| evaluations, exceeds
+    _BRUTE_CANDIDATE_LIMIT.  The bound on |field|^2 is kept on purpose, so
+    the refused inputs stay those of the pairwise scan it replaced."""
     if field.size ** 2 > _BRUTE_CANDIDATE_LIMIT:
         raise FieldTooLargeForBrute(
             f"|field|^2 = {field.size ** 2} candidates exceed the brute-force "
@@ -299,20 +304,12 @@ def _frobenius_affine(F, row, e, ep):
     return F.add(F.mul(ep, row[0]), F.mul(e, row[1]))
 
 
-def _psi_coordinates(F, rows, a, b):
-    """The coefficients of psi(a, b) at `_psi_rows` rows, lazily, in order."""
-    ap, bp = F.frobenius(a), F.frobenius(b)
-    return (
-        F.add(_frobenius_affine(F, r, a, ap), _frobenius_affine(F, s, b, bp))
-        for r, s in rows
-    )
-
-
 def enumerate_p_torsion(curve: Curve, method: str = "brute") -> TorsionSet:
     """All (a, b) with vanishing p-curvature of d + (a+bx)dx/y.
 
-    `brute` scans all |field|^2 candidates (guarded); `semilinear` solves
-    A v = v^(p) for the Cartier-Manin matrix A and returns the identical set.
+    `brute` covers all |field|^2 candidates by a join on psi's two halves
+    (guarded); `semilinear` solves A v = v^(p) for the Cartier-Manin matrix
+    A and returns the identical set.
     """
     if method == "brute":
         forms = _torsion_brute(curve)
@@ -327,40 +324,34 @@ def _torsion_brute(curve: Curve):
     """Every (a, b) in F^2 with psi(a, b) = 0 (`_psi_rows`).
 
     Coefficients that vanish for every pair are dropped; psi lies in K^p,
-    so most do.  Each candidate is tested at the first coefficient left,
-    the screen, alpha(a) against -beta(b) with beta stored at the screen
-    alone; one that passes is evaluated at every coefficient left.  The
-    first four solutions are welded to `is_flat`, each on its own chart, a
-    route independent of the rows (module docstring).  Refused before any
-    derivation step beyond `check_brute_limit`.
+    so most do.  psi(a, b) = alpha(a) + beta(b) on the coefficients left,
+    so one pass over F keys each a by the vector -alpha(a) and one pass
+    looks up each b by beta(b).  The first four solutions are welded to
+    `is_flat`, each on its own chart, a route independent of the rows
+    (module docstring).  Refused before any derivation step beyond
+    `check_brute_limit`.
     """
     F = curve.field
     check_brute_limit(F)
     # e -> e^p u + e v is F_p-linear: it vanishes on F when it vanishes on
-    # an F_p-basis.  With no coefficient left every pair is flat, and the
-    # zero screen keeps them all
+    # an F_p-basis
     basis = [(e, F.frobenius(e)) for e in F.basis()]
     live = [rows for rows in _psi_rows(F, *_flat_form_data(curve))
             if any(not F.is_zero(_frobenius_affine(F, r, e, ep))
                    for r in rows for e, ep in basis)]
-    z = F.zero()
-    screen_a, screen_b = live[0] if live else ((z, z), (z, z))
-    elements = list(F.elements())
-    beta0 = [_frobenius_affine(F, screen_b, b, F.frobenius(b)) for b in elements]
-    found = []
-    spot = 0
-    for a in elements:
-        target = F.neg(_frobenius_affine(F, screen_a, a, F.frobenius(a)))
-        for b, v in zip(elements, beta0):
-            if v != target or not all(
-                    F.is_zero(c) for c in _psi_coordinates(F, live, a, b)):
-                continue
-            found.append((a, b))
-            if spot < 4:  # weld the row evaluation to the chart constant
-                if not is_flat(curve.global_form(a, b)):
-                    raise G2FrobError("factored psi disagrees with is_flat")
-                spot += 1
-    return tuple(sorted(found))
+
+    def values(rows, e):
+        ep = F.frobenius(e)
+        return tuple(_frobenius_affine(F, r, e, ep) for r in rows)
+
+    alpha, beta, by_key = [r for r, _ in live], [s for _, s in live], {}
+    for a in F.elements():
+        by_key.setdefault(tuple(map(F.neg, values(alpha, a))), []).append(a)
+    found = sorted((a, b) for b in F.elements() for a in by_key.get(values(beta, b), ()))
+    for a, b in found[:4]:  # weld the row evaluation to the chart constant
+        if not is_flat(curve.global_form(a, b)):
+            raise G2FrobError("factored psi disagrees with is_flat")
+    return tuple(found)
 
 
 def _torsion_semilinear(curve: Curve):

@@ -228,7 +228,7 @@ def _scan_curves(args):
     field = make_field(args.p)
     import random
 
-    return [random_curve(field, random.Random((args.seed or 0) * 1_000_003 + i))
+    return [random_curve(field, random.Random(args.seed * 1_000_003 + i))
             for i in range(args.count)]
 
 

@@ -683,7 +683,9 @@ def _form_witness(ab):
 
 def recheck(curve: Curve, report: LemmaReport) -> bool:
     """Re-run the stated computation on the report's witness; True iff the
-    stored status (and the S1/S2 values, where present) reproduce exactly.
+    stored status (and the S1/S2 values, where present) reproduce exactly,
+    and, for a linear rigidity report, the closed-form images equal the
+    engine's entry for entry.
 
     The computation runs on a fresh copy of the curve, so nothing comes from
     the memo of the curve that produced the report."""
@@ -712,13 +714,16 @@ def recheck(curve: Curve, report: LemmaReport) -> bool:
             _, fresh = rigidity_scan(curve, _witness_form(curve, w["omegaL"]), mode=w["mode"])
             return fresh.status == report.status and \
                 fresh.witness["solutionCount"] == w["solutionCount"]
-        # the engine images, not the line tables that made the report
+        # the engine images, not the line tables that made the report, and
+        # the closed form's images entry for entry against them
         ab_L = _witness_form(curve, w["omegaL"])
         omega_L = curve.global_form(*ab_L)
         require_torsion(curve, omega_L)
-        count, is_family, _ = _rigidity_linear(curve, ab_L, *_engine_images(curve, omega_L))
+        R, images = _engine_images(curve, omega_L)
+        count, is_family, _ = _rigidity_linear(curve, ab_L, R, images)
         status = "holds" if is_family else "violated"
-        return status == report.status and count == w["solutionCount"]
+        return status == report.status and count == w["solutionCount"] and \
+            _rigidity_images(curve, omega_L)[1] == images
     raise RangeError(f"unknown lemma id {report.lemma_id!r}")
 
 

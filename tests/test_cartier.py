@@ -33,7 +33,6 @@ from g2frob.cartier import (
     _flat_kernel,
     _flat_kernel_generic,
     _mat2_mul,
-    _psi_coordinates,
     _psi_rows,
     _rank2,
     _theta0_step,
@@ -624,6 +623,14 @@ def test_brute_guard_on_large_fields():
             check_brute_limit(F)
 
 
+def _psi_coordinates(F, rows, a, b):
+    """The coefficients of psi(a, b) at `_psi_rows` rows, one per row:
+    a^p u + a v + b^p s + b t for the row ((u, v), (s, t))."""
+    ap, bp = F.frobenius(a), F.frobenius(b)
+    return [F.add(F.add(F.mul(ap, u), F.mul(a, v)), F.add(F.mul(bp, s), F.mul(b, t)))
+            for (u, v), (s, t) in rows]
+
+
 def _psi_of_pair(curve, a, b, xp, h, c0):
     """The normal-form oracle: psi(d + (a + b x) dx/y) = T^p + theta0^(p-1)(T)
     - c0 T for T = a + b x, with T^p = a^p + b^p x^p and theta0 linear over
@@ -662,7 +669,7 @@ def test_psi_rows_against_normal_forms(curve):
     for a in F.elements():
         for b in F.elements():
             psi = _psi_of_pair(curve, a, b, xp, h, c0)
-            assert curve.from_poly(list(_psi_coordinates(F, rows, a, b))) == psi
+            assert curve.from_poly(_psi_coordinates(F, rows, a, b)) == psi
             if psi.is_zero():
                 flat.append((a, b))
     assert 1 <= len(flat) < F.size ** 2
@@ -679,7 +686,7 @@ def test_psi_rows_against_p_curvature_rank1(curve):
     for a in F.elements():
         for b in F.elements():
             T = curve.constant(a) + curve.constant(b) * curve.x()
-            psi = curve.from_poly(list(_psi_coordinates(F, rows, a, b)))
+            psi = curve.from_poly(_psi_coordinates(F, rows, a, b))
             assert psi == p_curvature_rank1(T, omega0)
 
 
@@ -735,6 +742,24 @@ def test_brute_rows_take_no_derivation_step(monkeypatch):
     curve = make_curve(PrimeField(5), [0, 1, 1, 0, 0, 1])
     assert enumerate_p_torsion(curve, "brute").forms == forms
     assert len(welds) == 4 and runs == [5] and len(derivs) == 5
+
+
+@pytest.mark.parametrize("curve", [make_curve(PrimeField(5), [0, 1, 1, 0, 0, 1]), _ROW_CURVES[0]],
+                         ids=["F5", "F9"])
+def test_brute_welds_the_first_four_flat_pairs(monkeypatch, curve):
+    # the weld hands is_flat the first four pairs of the full |F|^2
+    # evaluation of the rows' psi, in sort order, (0, 0) first
+    from g2frob import cartier
+
+    F = curve.field
+    rows = _psi_rows(F, *_flat_form_data(curve))
+    flat = sorted((a, b) for a in F.elements() for b in F.elements()
+                  if all(F.is_zero(c) for c in _psi_coordinates(F, rows, a, b)))
+    welds, real_is_flat = [], cartier.is_flat
+    monkeypatch.setattr(cartier, "is_flat", lambda omega: welds.append(omega.g) or real_is_flat(omega))
+    assert enumerate_p_torsion(curve, "brute").forms == tuple(flat)
+    assert len(flat) > 4
+    assert welds == [curve.global_form(a, b).g for a, b in flat[:4]]
 
 
 def test_canonical_connection(curve3, flat3):

@@ -405,7 +405,9 @@ def test_recheck_of_a_linear_report_reruns_the_engine(monkeypatch):
     # the closed form with the images of w11 dropped, as if the diagonal
     # t (u_(p-1) - x) were lost: every w11 solves, so the report is violated
     # with p^2 times the family, and recheck, which solves on the K[eps]
-    # engine's images, disagrees with it and agrees with the true report
+    # engine's images, disagrees with it and agrees with the true report;
+    # while the fault stands, recheck's comparison of the closed form's
+    # images with the engine's rejects both reports
     from g2frob import verify
 
     cv = make_curve(make_field(7), CERTIFIED[7][0])
@@ -418,8 +420,10 @@ def test_recheck_of_a_linear_report_reruns_the_engine(monkeypatch):
         n = 2 * curve.field.degree  # the unknowns of w11 come first
         return R, [tuple(R.zero() for _ in image) for image in images[:n]] + images[n:]
 
-    monkeypatch.setattr(verify, "_rigidity_images", diagonal_dropped)
-    _, bad = rigidity_scan(cv, ab_L, mode="linear")
+    with monkeypatch.context() as m:
+        m.setattr(verify, "_rigidity_images", diagonal_dropped)
+        _, bad = rigidity_scan(cv, ab_L, mode="linear")
+        assert not recheck(cv, good) and not recheck(cv, bad)
     assert good.status == "holds" and good.witness["solutionCount"] == 49
     assert bad.status == "violated" and bad.witness["solutionCount"] == 49 * 49
     assert recheck(cv, good) and not recheck(cv, bad)
@@ -581,6 +585,9 @@ _IMAGE_FAULTS = {
     # w12's a and b unknowns exchanged: w12 leaves the F-line of omega_L
     "w12_a_b_exchanged": lambda R, im, n: (im[:n] + im[n + n // 2:2 * n] + im[n:n + n // 2]
                                            + im[2 * n:]),
+    # w12 and w21 exchanged (S1 read as S2 and back): the kernel keeps its
+    # size and the verdict its status
+    "w12_w21_exchanged": lambda R, im, n: im[:n] + im[2 * n:3 * n] + im[n:2 * n],
     # w21 pinned to zero by entries of its own: a kernel inside the family
     "w21_pinned": lambda R, im, n: [e + tuple(R.one() if i == 2 * n + m else R.zero()
                                               for m in range(n)) for i, e in enumerate(im)],
@@ -599,7 +606,7 @@ def test_linear_rigidity_verdict_from_the_basis_matches_the_listed_set(monkeypat
     real_span, real_images = verify.enumerate_span_mod_p, verify._rigidity_images
     monkeypatch.setattr(verify, "enumerate_span_mod_p",
                         lambda *args: listed.append(args) or real_span(*args))
-    statuses = {}
+    statuses, rechecked = {}, {}
     for name, fault in _IMAGE_FAULTS.items():
         def images(curve, omega_L, fault=fault):
             R, im = real_images(curve, omega_L)
@@ -613,9 +620,19 @@ def test_linear_rigidity_verdict_from_the_basis_matches_the_listed_set(monkeypat
         assert _report_verdict(report) == _listed_verdict(cv, ab, solset)
         assert len(listed) == 1
         listed.clear()
-        statuses[name] = report.status
-    assert statuses["diagonal_dropped"] == statuses["w11_w12_exchanged"] == "violated"
-    assert statuses["w21_pinned"] == "violated"
+        statuses[name] = report.status, report.witness["solutionCount"]
+        # recheck compares the closed form's images with the engine's, so it
+        # rejects every fault that moves an image (over F_9 the w12 images of
+        # a and b coincide, and exchanging them moves none)
+        R, true_images = real_images(cv, cv.global_form(*ab))
+        rechecked[name] = recheck(cv, report)
+        assert rechecked[name] == (fault(R, true_images, 2 * cv.field.degree) == true_images)
+    # the w12/w21 exchange keeps the status and the count, so only the images
+    # tell it apart
+    assert statuses["w12_w21_exchanged"] == statuses["none"]
+    assert rechecked["none"] and not rechecked["w12_w21_exchanged"]
+    assert statuses["diagonal_dropped"][0] == statuses["w11_w12_exchanged"][0] == "violated"
+    assert statuses["w21_pinned"][0] == "violated"
 
 
 @pytest.mark.parametrize("argv", [
