@@ -88,10 +88,10 @@ normal form is built per candidate, and the rows share no code with
 `is_flat` on their own charts, whose chart constants `Derivation` walks, so
 the weld is an independent check on every line, that of dx/y included.  The
 cost is the p - 1 polynomial steps, the join's 2 |F| evaluations and, if a
-nonzero form is flat, the p steps of its line's chart constant: 0.47 s,
-0.006 s and 0.64 s at p = 1009, 2.0 s, 0.01 s and 3.0 s at p = 2039, and a
-join of 0.03-0.04 s over F_729, F_1331 and F_1849 (CPython 3.11 on a
-2-vCPU Xeon VM, best of three runs, five for the join).
+nonzero form is flat, the p steps of its line's chart constant: 0.17 s,
+0.008 s and 0.20 s at p = 1009, 0.66 s, 0.01 s and 0.81 s at p = 2039, and
+a join of 0.03-0.04 s over F_729, F_1331 and F_1849 (CPython 3.11 on a
+2-vCPU VM, CPU time, best of three runs, five for the join).
 `check_brute_limit` refuses more than 2^22 candidate pairs, the next prime
 2053 among them.
 """
@@ -109,7 +109,7 @@ from .linalg import enumerate_span_mod_p, kernel_basis_mod_p, rref_mod_p
 from .pcurvature import ConnectionMatrix, is_flat
 
 # brute lists the flat pairs among |F|^2 candidates by 2 |F| evaluations;
-# at p = 2039 (4.2 * 10^6 candidates) it takes about 5 s, nearly all of it
+# at p = 2039 (4.2 * 10^6 candidates) it takes about 1.5 s, nearly all of it
 # theta0 steps, those of the weld included (module docstring).  The bound on
 # |F|^2 is kept as it stands, so the refused inputs do not change
 _BRUTE_CANDIDATE_LIMIT = 1 << 22
@@ -422,18 +422,14 @@ def fp_kernel(ring, images):
     images[j], a tuple of raws of a `funcfield.LocalRing` (the same length
     for every j).  Each entry is read off its l-coordinates over one power
     of l per position (`LocalRing.numerators`), an injective F_p-linear
-    image of K, so the kernel is the one on K."""
+    image of K, so the kernel is the one on K; each numerator's F_p
+    coordinates come from one field call (`poly_coords`)."""
     F, rows = ring.curve.field, []
     for entry in zip(*images):
         numerators, _ = ring.numerators(entry)
         na = max(len(A) for A, _ in numerators)
         nb = max(len(B) for _, B in numerators)
-        cols = []
-        for A, B in numerators:
-            coeffs = [poly.coefficient(F, A, i) for i in range(na)]
-            coeffs += [poly.coefficient(F, B, i) for i in range(nb)]
-            cols.append([x for c in coeffs for x in coords(c)])
-        rows.extend(zip(*cols))
+        rows.extend(zip(*(F.poly_coords(A, na) + F.poly_coords(B, nb) for A, B in numerators)))
     return kernel_basis_mod_p(rows, len(images), F.char)
 
 

@@ -41,6 +41,7 @@ from .verify import (
     check_lemma_work,
     check_offdiag_closed_forms,
     check_two_sums,
+    independent_basis_form,
     rigidity_scan,
 )
 
@@ -196,17 +197,10 @@ def _scan_row(curve: Curve, index: int, with_lemmas: bool) -> dict:
         row.update(index=index, agree=ts_b.forms == ts_s.forms, **_torsion_fields(curve, ts_b))
         if with_lemmas:
             statuses = [r.status for r in _lemma_reports(
-                curve, ts_b.nonzero(F), lambda ab_L: (_independent_basis_form(F, ab_L),))]
+                curve, ts_b.nonzero(F), lambda ab_L: (independent_basis_form(F, ab_L),))]
             row["lemmaStatuses"] = statuses
             row["lemmaViolations"] = sum(1 for s in statuses if s == "violated")
         return row
-
-
-def _independent_basis_form(F, ab_L):
-    # (1, 0) unless omega_L is a multiple of dx/y, then (0, 1)
-    if F.is_zero(ab_L[1]):
-        return (F.zero(), F.one())
-    return (F.one(), F.zero())
 
 
 def _scan_curves(args):

@@ -25,18 +25,19 @@ the F_p-basis 1, t, ..., t^(k-1) as raw values (just (1,) on F_p),
 `frobenius_matrix()`, the Frobenius in that basis as a k x k F_p-matrix
 ([[1]] on F_p), whose columns `frobenius` combines on F_{p^k}, and the
 polynomial kernels `poly_normalize`, `poly_add`, `poly_sub`, `poly_neg`,
-`poly_scale`, `poly_derivative`, `poly_divide_at`, `poly_mul`, `poly_divmod`
-and `poly_gcd` behind the functions of `poly` of the same names,
-`poly_power_top_two`, the Cartier-Manin recurrence run of `cartier`, and
-`poly_theta_step`, the numerators of one derivation step in l-coordinates
-(`funcfield.LocalRing.deriv`).  F_p runs them as loops on the int
-coefficients with inline reduction mod p (the recurrence with one reduction
-per step, reading 1/k from the table `inverses()`; the theta step with one
-reduction per coefficient); F_{p^k} uses `poly`'s generic loops, one field
-method call per coefficient operation.  Raw values of any field go to JSON and
-back through `raw_to_json` / `raw_from_json`, and raws of one field sort in
-the order of their JSON form; `prime_field_ints` reads raws that all lie in
-F_p as ints.
+`poly_scale`, `poly_derivative`, `poly_divide_at`, `poly_taylor`,
+`poly_mul`, `poly_divmod` and `poly_gcd` behind the functions of `poly` of
+the same names, `poly_power_top_two`, the Cartier-Manin recurrence run of
+`cartier`, and `poly_theta_step`, the numerators of one derivation step in
+l-coordinates (`funcfield.LocalRing.deriv`).  F_p runs them on the int
+coefficients with inline reduction mod p (the recurrence reads 1/k from the
+table `inverses()`), long products as one product of ints in 64-bit slots
+(`pack_slots`, the `poly` docstring); F_{p^k} uses `poly`'s generic loops,
+one field method call per coefficient operation.  Raw values go to JSON and
+back through `raw_to_json` / `raw_from_json` (a polynomial's through
+`poly_to_json`, its F_p coordinates through `poly_coords`), and raws of one
+field sort in the order of their JSON form; `prime_field_ints` reads raws
+that all lie in F_p as ints.
 
 The base of a DualRing may be a field context or a `funcfield.Curve`, the
 context of the curve's function field K, whose raws are function field
@@ -53,6 +54,8 @@ it componentwise must say so by mapping over body and slope themselves.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache
 from itertools import accumulate, islice, repeat
 
@@ -67,6 +70,11 @@ from .errors import (
 )
 
 _MAX_P = 1 << 61  # machine-word guard; everything here targets small p anyway
+# operand lengths from which the F_p kernels pack into 64-bit slots: below
+# them the int loops measured faster (the `poly` docstring has the figures)
+_PACKED_MUL_MIN = 4  # the shorter factor of `poly_mul`
+_PACKED_STEP_MIN = 5  # B of `poly_theta_step`
+_TAYLOR_CONV_MIN = 16  # min(len a, p) of `poly_taylor`
 # k^4 log2(p), about k Rabin tests of k^3 log2(p) work: searches near the limit
 # (k = 45, 32, 19 at p = 3, 101, 2^61 - 1) took 0.2-5 s, at k = 80, p = 3 16 s
 _EXT_WORK_LIMIT = 1 << 23
@@ -105,7 +113,7 @@ def is_prime(n: int) -> bool:
 class PrimeField:
     """The field F_p for an odd prime p, acting on ints reduced into [0, p)."""
 
-    __slots__ = ("p",)
+    __slots__ = ("p", "_fact")
 
     def __init__(self, p: int):
         if isinstance(p, int) and p == 2:
@@ -115,6 +123,7 @@ class PrimeField:
         if p >= _MAX_P:
             raise RangeError(f"p must be below 2^61, got {p}")
         self.p = p
+        self._fact = [1], [1]
 
     # -- ring structure ---------------------------------------------------
     @property
@@ -188,7 +197,7 @@ class PrimeField:
     def eq(self, a, b) -> bool:
         return (a - b) % self.p == 0
 
-    # -- polynomial kernels (see `poly`): int loops, reduced mod p ---------
+    # -- polynomial kernels (see `poly`): ints, reduced mod p --------------
     def poly_normalize(self, coeffs):
         p, c = self.p, list(coeffs)
         while c and not c[-1] % p:
@@ -244,14 +253,28 @@ class PrimeField:
         return tuple(q), acc
 
     def poly_mul(self, a, b):
+        """One packed product when the shorter factor's n coefficients reach
+        _PACKED_MUL_MIN and a slot holds n (p - 1)^2, else `_int_mul`."""
         p = self.p
-        return tuple([c % p for c in _int_mul(a, b)])
+        if (len(a) < _PACKED_MUL_MIN or len(b) < _PACKED_MUL_MIN
+                or min(len(a), len(b)) * (p - 1) ** 2 >> 64):
+            return tuple([c % p for c in _int_mul(a, b)])
+        return tuple([c % p for c in unpack_slots(pack_slots(a) * pack_slots(b),
+                                                  len(a) + len(b) - 1)])
 
     def poly_theta_step(self, A, B, j: int, phi, psi, c):
-        """`poly.theta_step_generic` on ints: the coefficient m of B adds
-        (m - j) b phi + b l psi at l^m, and each sum is scaled by c and
-        reduced once."""
-        p, nA = self.p, [0] * (len(B) + max(len(phi) - 1, len(psi)))
+        """`poly.theta_step_generic` on ints: (m - j) b_m against c phi plus
+        B against c psi one slot up, as two packed products while a slot
+        holds (len phi + len psi) (p - 1)^2; on a short B an int loop."""
+        p = self.p
+        nB = self.poly_normalize([(m - j) * a * c % p for m, a in enumerate(A)])
+        n = len(B) + max(len(phi) - 1, len(psi))
+        if len(B) >= _PACKED_STEP_MIN and not (len(phi) + len(psi)) * (p - 1) ** 2 >> 64:
+            E = pack_slots([(m - j) * b % p for m, b in enumerate(B)])
+            nA = (E * pack_slots([f * c % p for f in phi])
+                  + (pack_slots(B) * pack_slots([g * c % p for g in psi]) << 64))
+            return self.poly_normalize([v % p for v in unpack_slots(nA, n)]), nB
+        nA = [0] * n
         for m, b in enumerate(B):
             if b:
                 e = (m - j) * b
@@ -259,8 +282,44 @@ class PrimeField:
                     nA[i] += e * f
                 for i, g in enumerate(psi, m + 1):
                     nA[i] += b * g
-        return (self.poly_normalize([v * c % p for v in nA]),
-                self.poly_normalize([(m - j) * a * c % p for m, a in enumerate(A)]))
+        return self.poly_normalize([v * c % p for v in nA]), nB
+
+    def poly_taylor(self, a, r):
+        """`poly.taylor_generic` on ints: while min(len a, p) is below
+        _TAYLOR_CONV_MIN or a slot cannot hold len(a) (p - 1)^2, its Horner
+        passes in place on one list; else, for deg a < p, the convolution
+        i! b_i = sum_m (m! a_m) r^(m-i) / (m-i)! as one packed product, and
+        above, T(a) = T(lo + r hi) + l^p T(hi) for a = lo + x^p hi, since
+        x^p = l^p + r^p and r^p = r."""
+        p, n = self.p, len(a)
+        if n < _TAYLOR_CONV_MIN or p < _TAYLOR_CONV_MIN or n * (p - 1) ** 2 >> 64:
+            b = list(a)
+            for i in range(n - 1):
+                acc = b[-1]
+                for m in range(n - 2, i - 1, -1):
+                    acc = b[m] = (b[m] + r * acc) % p
+            return tuple(b)
+        if n > p:
+            lo, hi = a[:p], a[p:]
+            return self.poly_add(self.poly_taylor(self.poly_add(lo, self.poly_scale(hi, r)), r),
+                                 (0,) * p + self.poly_taylor(hi, r))
+        fact, inv = self._fact  # k! and 1/k! for k < m, kept on the field
+        if len(fact) < n:
+            m = min(p, 2 * n)
+            fact = list(accumulate(range(1, m), lambda f, k: f * k % p, initial=1))
+            inv = list(accumulate(range(m - 1, 0, -1), lambda f, k: f * k % p,
+                                  initial=pow(fact[-1], -1, p)))[::-1]
+            self._fact = fact, inv
+        rk = accumulate(repeat(r, n - 1), lambda u, v: u * v % p, initial=1)
+        s = unpack_slots(pack_slots([c * f % p for c, f in zip(a[::-1], fact[n - 1::-1])])
+                         * pack_slots([u * v % p for u, v in zip(rk, inv)]), 2 * n - 1)
+        return tuple([s[n - 1 - i] * inv[i] % p for i in range(n)])
+
+    def poly_coords(self, a, n: int):  # padded to n coefficients
+        return list(a) + [0] * (n - len(a))
+
+    def poly_to_json(self, a):
+        return list(a)
 
     def poly_divmod(self, a, b):
         if not b:
@@ -489,11 +548,18 @@ class ExtField:
     poly_scale = poly.scale_generic
     poly_derivative = poly.derivative_generic
     poly_divide_at = poly.divide_at_generic
+    poly_taylor = poly.taylor_generic
     poly_mul = poly.mul_generic
     poly_theta_step = poly.theta_step_generic
     poly_divmod = poly.divmod_generic
     poly_gcd = poly.gcd_generic
     poly_power_top_two = poly.power_top_two_generic
+
+    def poly_coords(self, a, n: int):  # padded to n coefficients
+        return [c for raw in a for c in raw] + [0] * (self.k * (n - len(a)))
+
+    def poly_to_json(self, a):
+        return [list(raw) for raw in a]
 
     def elements(self):
         from itertools import product
@@ -658,6 +724,22 @@ def prime_field_ints(raws):
 # ---------------------------------------------------------------------------
 # F_p polynomial arithmetic on int coefficient lists
 # ---------------------------------------------------------------------------
+
+def pack_slots(ints):
+    """ints in [0, 2^64) as one int, ints[i] in bits 64 i to 64 i + 63."""
+    a = array("Q", ints)
+    if sys.byteorder == "big":
+        a.byteswap()
+    return int.from_bytes(a.tobytes(), "little")
+
+
+def unpack_slots(total: int, n: int):
+    """The n 64-bit slots of 0 <= total < 2^(64 n): `pack_slots` inverted."""
+    a = array("Q", total.to_bytes(8 * n, "little"))
+    if sys.byteorder == "big":
+        a.byteswap()
+    return a
+
 
 def _int_mul(a, b):
     """Schoolbook product of int coefficient sequences, not reduced."""

@@ -31,8 +31,9 @@ f'/2 = psi(l) expanded at r once and l' = 1, the quotient rule gives
       = c [(l B' - j B) phi + l B psi + (l A' - j A) y] / l^(j+1+e),
 where l A' - j A = sum (m - j) a_m l^m: no gcd and no product by a power
 of l.  `LocalRing.deriv` takes both numerators from one kernel of the
-field context, `poly_theta_step` (`exactnum`): over F_p one int loop with
-one reduction mod p per coefficient.  Back in K (`LocalRing.element`),
+field context, `poly_theta_step` (`exactnum`): over F_p two products of
+packed ints, or an int loop on short B.  Lifts and their inverse are the
+field's Taylor shift `poly_taylor`.  Back in K (`LocalRing.element`),
 D = (x - r)^j, one stored power per ring and j, and gcd(A, B, D) = 1: a
 normal form with no gcd.
 
@@ -464,8 +465,8 @@ class LocalRing:
         F = curve.field
         self.curve = curve
         self.r = r
-        self._phi = _taylor(F, curve.f, r)  # f = phi(l)
-        self._psi = _taylor(F, curve._half_fprime, r)  # f'/2 = psi(l)
+        self._phi = poly.taylor(F, curve.f, r)  # f = phi(l)
+        self._psi = poly.taylor(F, curve._half_fprime, r)  # f'/2 = psi(l)
         self._powers = [poly.one(F)]  # (x - r)^j at index j
 
     def make(self, A, B, j: int):
@@ -538,11 +539,11 @@ class LocalRing:
         F, j = self.curve.field, len(u.D) - 1
         if j and u.D != self.power(j):
             return None
-        return _taylor(F, u.A, self.r), _taylor(F, u.B, self.r), j
+        return poly.taylor(F, u.A, self.r), poly.taylor(F, u.B, self.r), j
 
     def to_x(self, a):
         """A polynomial a in l as the polynomial a(x - r) in x."""
-        return _taylor(self.curve.field, a, self.curve.field.neg(self.r))
+        return poly.taylor(self.curve.field, a, self.curve.field.neg(self.r))
 
     def element(self, u) -> FunctionFieldElement:
         """The normal form (A(x - r) + B(x - r) y) / (x - r)^j: no gcd."""
@@ -558,15 +559,6 @@ class LocalRing:
         v = theta.value_on_x
         nA, nB = self.curve.field.poly_theta_step(A, B, j, self._phi, self._psi, v.B[0])
         return self.make(nA, nB, j + len(v.D))
-
-
-def _taylor(F, a, r):
-    """The coefficients b_i of a = sum b_i (x - r)^i: one Horner pass each."""
-    out = []
-    while a:
-        a, rem = poly.divide_at(F, a, r)
-        out.append(rem)
-    return tuple(out)
 
 
 def _shift(F, a, n: int):

@@ -50,18 +50,34 @@ returns t and omega_L for omega).  Then
       S1(s) = sum_k t^(k+1) u_k,   S2(s) = sum_k (-1)^k t^(k+1) u_k,
   since C(p-1, k) = prod_(j<=k) (p-j)/j = (-1)^k mod p.
 
-One table per (line, second form), one entry per form and per pair, in the
-curve's memo.  The line table (`_line_table`) takes the one orbit
-u_1, ..., u_(p-1) over one power l^J and holds, for every t in F_p^*, x_t,
-S1 and S2 in K.  S1(t) = sum_k t^(k+1) (A_k, B_k) scales fixed vectors by
-F_p ints, so one packed pass (`_fp_combinations`) over the numerators and
+One orbit per line, one table per (line, second form), one entry per form
+and per pair, in the curve's memo.  With rep = (a_L + b_L x) dx/y, let
+omega* = (1, 0) if b_L != 0, else (0, 1) (`independent_basis_form`): rep
+and omega* are an F-basis of the global forms, so a second form splits as
+omega = alpha rep + beta omega*, with beta = det(rep, omega) /
+det(rep, omega*) (`_beta`), and x = omega/rep = alpha + beta x* for
+x* = omega*/rep.  theta_L is F-linear and kills the constant alpha, so
+    u_k = theta_L^k(x) = beta theta_L^k(x*)   for k >= 1.
+beta in F is a constant: scaling (A, B) by beta != 0 keeps gcd(A, B, D)
+and D monic, and l divides beta A and beta B exactly when it divides A and
+B.  So the orbit numerators over the same l^J, S1, S2 and each row's
+l-coordinates are beta times those of x*, normal form for normal form, and
+beta = 0 (omega on the line of rep, x constant) gives zero rows and J = 0.
+The line's one orbit table (`_orbit_table`) takes the orbit
+u_1, ..., u_(p-1) of x* over one power l^J and holds, for every t in
+F_p^*, S1 in K and in l-coordinates.  A second form's table (`_line_table`)
+is beta times it, with x_t = t x computed directly and S2 read off S1
+(below).  S1(t) = sum_k t^(k+1) (A_k, B_k) scales fixed vectors by F_p
+ints, so one packed pass (`_fp_combinations`) over the numerators and
 their Taylor shifts to the x-basis gives every row; where `LocalRing.make`
-strips l^m off a row, (x - r)^m divides its x-basis numerators.  S2 is its
-image under y -> -y: theta_L(x) = c y / l^e is odd and theta_L(y) even, so
-theta_L anticommutes with y -> -y and u_k, x in F(x), has the parity of k.
-A report reads its form's entry (representative, torsion-checked once per
-line) and its pair's (row t, witnesses of x, S1 and S2), which the
-off-diagonal report shares where its guard agrees (`_lemma_data`).
+strips l^m off a row, (x - r)^m divides its x-basis numerators.  S2 is
+S1's image under y -> -y: theta_L(x) = c y / l^e is odd and theta_L(y)
+even, so theta_L anticommutes with y -> -y and u_k, x in F(x), has the
+parity of k.  A report reads its form's entry (representative,
+torsion-checked once per line) and its pair's (row t, witnesses of x, S1
+and S2), which the off-diagonal report shares where its guard agrees
+(`_lemma_data`); the guard runs the engine on every (line, second form),
+so it checks the scaling too.
 
 All of it runs in the l-coordinates of theta_L's `funcfield.LocalRing`, so
 omega_L must be a global form: the orbit, the sums, the engine guard of the
@@ -140,7 +156,6 @@ listed for the report; `RigiditySolutionSet.solutions` lists them, through
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -151,7 +166,7 @@ from typing import Callable
 from . import poly
 from .cartier import fp_kernel, plane_basis
 from .errors import FieldTooLargeForBrute, NotTorsion, PrimeTooLarge, RangeError
-from .exactnum import DualRing, coords, raw_from_json, raw_to_json
+from .exactnum import DualRing, pack_slots, raw_from_json, raw_to_json, unpack_slots
 from .funcfield import (
     Curve,
     Derivation,
@@ -168,11 +183,12 @@ from .pcurvature import ConnectionMatrix, is_flat, p_curvature_matrix
 # |F|^6 deformation triples, each two K[eps] engine runs of about p^2 work
 # (1.4 ms a triple at p = 5, 2.5 ms at p = 7), times p^2
 _BRUTE_WORK_LIMIT = 1 << 20
-# flat F_p-lines times p^3 for the lemma checks of `verify` (per line and
-# second form, the orbit, its 2(p - 1) Taylor shifts, the packed rows and the
-# guard's 2(p - 1) engine steps on entries of degree about p, then O(p^2)
-# JSON): `verify --rigidity linear` on one line took 0.27 s at p = 101,
-# 0.43 s at p = 127 and 1.3 s at p = 211 (fresh process, CPython 3.11)
+# flat F_p-lines times p^3 for the lemma checks of `verify` (per line, the
+# one orbit, its 2(p - 1) Taylor shifts and the packed rows; per line and
+# second form, the guard's 2(p - 1) engine steps on entries of degree about
+# p, then O(p^2) JSON): `verify --rigidity linear` on one line took 0.22 s
+# at p = 101, 0.33 s at p = 127 and 0.83 s at p = 211 with the guard lifted
+# (fresh process, best of three, CPython 3.11 on a 2-vCPU VM)
 _LEMMA_WORK_LIMIT = 1 << 21
 # evenly spaced brute triples whose auxiliary recursion meets its closed forms
 _CLOSED_FORM_SAMPLES = 16
@@ -242,48 +258,97 @@ def _orbit(R, theta: Derivation, u):
 
 def _fp_combinations(F, vectors, scalars):
     """sum_k c_k vectors[k], a list of polynomials over F, for each row c of
-    `scalars`, ints in [0, p): each vector's F_p coordinates (`coords`) in
-    one int of 64-bit slots, which hold len(vectors) (p - 1)^2, one sum of
-    int multiples per row, read back by one `unpack`, which reduces mod p."""
-    from array import array
-
-    p, zero = F.char, F.zero()
+    `scalars`, ints in [0, p): each vector's F_p coordinates in one int of
+    64-bit slots (`pack_slots`), which hold len(vectors) (p - 1)^2, one sum
+    of int multiples per row, read back by one `unpack`, which reduces mod p."""
+    p = F.char
     lens = [max(len(v[i]) for v in vectors) for i in range(len(vectors[0]))]
     if len(vectors) * (p - 1) ** 2 >> 64:
         raise PrimeTooLarge(f"p = {p} overflows the 64-bit slots of the line table")
-    packed = [int.from_bytes(array("Q", [
-        c for a, n in zip(v, lens) for raw in a + (zero,) * (n - len(a)) for c in coords(raw)
-    ]).tobytes(), sys.byteorder) for v in vectors]
-    size, starts, out = 8 * F.degree * sum(lens), list(accumulate(lens, initial=0)), []
+    packed = [pack_slots([c for a, n in zip(v, lens) for c in F.poly_coords(a, n)])
+              for v in vectors]
+    size, starts, out = F.degree * sum(lens), list(accumulate(lens, initial=0)), []
     for row in scalars:
-        total = sum(c * P for c, P in zip(row, packed))
-        raws = F.unpack(array("Q", total.to_bytes(size, sys.byteorder)))
+        raws = F.unpack(unpack_slots(sum(c * P for c, P in zip(row, packed)), size))
         out.append([poly.normalize(F, raws[i:i + n]) for i, n in zip(starts, lens)])
     return out
+
+
+def independent_basis_form(F, ab_L):
+    """omega* of the line of omega_L = ab_L: the basis form (1, 0), or (0, 1)
+    when omega_L is a multiple of dx/y, as a pair of raws."""
+    if F.is_zero(ab_L[1]):
+        return (F.zero(), F.one())
+    return (F.one(), F.zero())
+
+
+def _form_pair(form: Differential):
+    """(a, b) of the global form (a + b x) dx/y, off its g = (a + b x) y / f,
+    which `Curve.global_form` reduces by x - r where f(r) = 0."""
+    cv = form.curve
+    F = cv.field
+    ab = poly.mul(F, form.g.B, poly.divmod_(F, cv.f, form.g.D)[0])
+    return poly.coefficient(F, ab, 0), poly.coefficient(F, ab, 1)
+
+
+def _beta(F, ab_rep, ab):
+    """beta in omega = alpha rep + beta omega* (module docstring), for the
+    pairs of rep and omega: det(rep, omega) / det(rep, omega*)."""
+    star = independent_basis_form(F, ab_rep)
+    return F.div(*(F.sub(F.mul(ab_rep[0], v[1]), F.mul(ab_rep[1], v[0])) for v in (ab, star)))
+
+
+def _orbit_table(curve: Curve, rep: Differential):
+    """(R, x*, numerators, J, sums), in the curve's memo: R the l-local ring
+    of rep, x* = omega*/rep, the numerators (A_k, B_k) of the line's one
+    orbit, that of x*, over l^J, and S1 of x* at every t in F_p^*, in K and
+    in l-coordinates, by one packed pass."""
+
+    def table():
+        theta, F, p = dual_derivation(rep), curve.field, curve.p
+        star = curve.global_form(*independent_basis_form(F, _form_pair(rep)))
+        R, xs = theta.ring, star.ratio(rep)
+        numerators, J = R.numerators(_orbit(R, theta, R.lift(xs)))
+        vectors = [(a, b, R.to_x(a), R.to_x(b)) for a, b in numerators]
+        powers = [[pow(c, k, p) for k in range(2, p + 1)] for c in range(1, p)]
+        sums = {}
+        for c, (a, b, ax, bx) in enumerate(_fp_combinations(F, vectors, powers), 1):
+            s1 = R.make(a, b, J)
+            if s1[2] < J and not R.is_zero(s1):  # l^m stripped: (x - r)^m divides ax, bx
+                ax, bx = (poly.divmod_(F, v, R.power(J - s1[2]))[0] for v in (ax, bx))
+            sums[F.from_int(c)] = (FunctionFieldElement(curve, ax, bx, R.power(s1[2])), s1)
+        return R, xs, numerators, J, sums
+
+    return curve.memo(("orbit_table", rep.g), table)
 
 
 def _line_table(curve: Curve, rep: Differential, omega: Differential):
     """(R, x, numerators, J, rows) for the line representative rep and the
     second form omega, in the curve's memo: R the l-local ring of rep,
-    x = omega/rep, the numerators (A_k, B_k) of the orbit u_1, ..., u_(p-1)
-    over l^J, and the row t of the line table for every t in F_p^*: the
-    normal forms (x_t, S1, S2) of the multiple s rep, t = 1/s, and S1 in
-    the l-coordinates of R (S2 there is (A, -B, j)), by one packed pass."""
+    x = omega/rep, the numerators (A_k, B_k) of the orbit of x over l^J, and
+    the row t of the line table for every t in F_p^*: the normal forms
+    (x_t, S1, S2) of the multiple s rep, t = 1/s, and S1 in the
+    l-coordinates of R (S2 there is (A, -B, j)); all but x_t are beta times
+    the `_orbit_table`'s (module docstring).  x is omega/rep itself, not
+    alpha + beta x*, so the guard's engine, which reads x, checks beta; x is
+    in F(x), and x_t = t x scales its numerator."""
 
     def table():
-        theta, F, p = dual_derivation(rep), curve.field, curve.p
-        R, x = theta.ring, omega.ratio(rep)
-        numerators, J = R.numerators(_orbit(R, theta, R.lift(x)))
-        vectors = [(a, b, R.to_x(a), R.to_x(b)) for a, b in numerators]
-        powers = [[pow(c, k, p) for k in range(2, p + 1)] for c in range(1, p)]
-        rows = {}
-        for c, (a, b, ax, bx) in enumerate(_fp_combinations(F, vectors, powers), 1):
-            s1 = R.make(a, b, J)
-            if s1[2] < J and not R.is_zero(s1):  # l^m stripped: (x - r)^m divides ax, bx
-                ax, bx = (poly.divmod_(F, v, R.power(J - s1[2]))[0] for v in (ax, bx))
-            S1, tc = FunctionFieldElement(curve, ax, bx, R.power(s1[2])), F.from_int(c)
-            rows[tc] = (curve.mul(curve.constant(tc), x), S1, hyperelliptic_involution(S1), s1)
-        return R, x, numerators, J, rows
+        F = curve.field
+        R, xs, numerators, J, sums = _orbit_table(curve, rep)
+        ab_rep, ab = _form_pair(rep), _form_pair(omega)
+        x = xs if ab == independent_basis_form(F, ab_rep) else omega.ratio(rep)
+        beta = _beta(F, ab_rep, ab)
+        c, unit, rows = curve.constant(beta), F.eq(beta, F.one()), {}
+
+        def scaled(A, B, j):  # canonical: `make` strips a zero down to l^0
+            return (A, B, j) if unit else R.make(poly.scale(F, A, beta), poly.scale(F, B, beta), j)
+
+        for t, (S, s1) in sums.items():
+            S1, xt = curve.mul(c, S), (poly.scale(F, x.A, t), poly.scale(F, x.B, t), x.D)
+            rows[t] = (FunctionFieldElement(curve, *xt), S1, hyperelliptic_involution(S1),
+                       scaled(*s1))
+        return (R, x) + R.numerators([scaled(A, B, J) for A, B in numerators]) + (rows,)
 
     return curve.memo(("line_table", rep.g, omega.g), table)
 
@@ -670,11 +735,8 @@ def _trivial_family(F, ab_L):
 
 
 def _ffe_witness(u: FunctionFieldElement):
-    return {
-        "A": [raw_to_json(c) for c in u.A],
-        "B": [raw_to_json(c) for c in u.B],
-        "D": [raw_to_json(c) for c in u.D],
-    }
+    F = u.curve.field
+    return {"A": F.poly_to_json(u.A), "B": F.poly_to_json(u.B), "D": F.poly_to_json(u.D)}
 
 
 def _form_witness(ab):

@@ -825,10 +825,11 @@ def test_scan_refuses_too_much_lemma_work(capsys, monkeypatch, tmp_path):
 
 def test_verify_lemma_data_computed_once_per_line(capsys, monkeypatch):
     # one flat F_13-line: its p - 1 multiples share one chart constant, which
-    # decides flatness and is the one the engine reads, and one theta_L-orbit
-    # per basis form, and the engine runs both triangular connections once
-    # per form, at the representative over the line's l-local ring, for all
-    # multiples; the rigidity solve runs no engine
+    # decides flatness and is the one the engine reads, and one theta_L-orbit,
+    # whose multiples by beta are the tables of both basis forms, and the
+    # engine runs both triangular connections once per form, at the
+    # representative over the line's l-local ring, for all multiples; the
+    # rigidity solve runs no engine
     from g2frob import funcfield, verify
 
     p = 13
@@ -860,7 +861,7 @@ def test_verify_lemma_data_computed_once_per_line(capsys, monkeypatch):
     assert payload["torsionCount"] == p and len(payload["rigidity"]) == 1
     assert len(payload["lemmas"]) == 4 * (p - 1)
     assert len(chart_steps) == 1  # the line's, for the flatness check and the engine
-    assert len(orbits) == 2
+    assert len(orbits) == 1
     assert engine.count(False) == 2 * 2  # two shapes, two basis forms
     assert engine.count(True) == 0  # the linear rigidity solve reads the line tables
     assert all(isinstance(R, funcfield.LocalRing) for R in rings)
@@ -940,3 +941,21 @@ def test_a_finished_call_frees_its_curve_without_the_cycle_collector(capsys, mon
             gc.enable()
     assert code == 0 and emptied == [True] * 4
     assert len(refs) == 5 and all(ref() is None for ref in refs)
+
+
+def test_python_dash_m_runs_the_cli():
+    # the package runs as a module: `python -m g2frob` exits 0 and prints
+    # the same JSON as `python -m g2frob.cli`
+    import os
+    import subprocess
+    import sys
+
+    import g2frob
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(g2frob.__file__))}
+    outs = [subprocess.run([sys.executable, "-m", module, "formulas", "--p", "5"], env=env,
+                           capture_output=True, text=True, timeout=60)
+            for module in ("g2frob", "g2frob.cli")]
+    assert [r.returncode for r in outs] == [0, 0]
+    assert json.loads(outs[0].stdout) == json.loads(outs[1].stdout)
+    assert outs[0].stdout == outs[1].stdout

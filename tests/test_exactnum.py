@@ -18,7 +18,7 @@ from g2frob import (
     frobenius,
     make_field,
 )
-from g2frob.exactnum import _poly_is_irreducible, is_prime, raw_from_json, raw_to_json
+from g2frob.exactnum import _poly_is_irreducible, coords, is_prime, raw_from_json, raw_to_json
 
 from conftest import rng_for
 
@@ -259,6 +259,19 @@ def test_field_basis_coordinates_and_raw_codec():
         assert [raw_to_json(a) for a in sorted(raws)] == sorted(raw_to_json(a) for a in raws)
     with pytest.raises(RangeError):
         f5.from_coeffs([1, 2])
+
+
+def test_polynomial_coordinates_and_json_against_the_per_raw_codec():
+    # the per-polynomial calls against coords and raw_to_json per raw, a
+    # zero raw's coordinates for each padded coefficient
+    rng = rng_for("poly-coords")
+    for F in (PrimeField(5), ExtField(3, (1, 0, 1)), make_field(5, 3)):
+        for n in range(6):
+            a = tuple(F.random(rng) for _ in range(n))
+            for pad in (0, 1, 3):
+                want = [c for raw in a + (F.zero(),) * pad for c in coords(raw)]
+                assert F.poly_coords(a, n + pad) == want
+            assert F.poly_to_json(a) == [raw_to_json(raw) for raw in a]
 
 
 def test_ext_basis_is_the_powers_of_t():

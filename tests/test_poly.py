@@ -1,5 +1,7 @@
 """Polynomial layer: division, gcd, derivatives, squarefreeness."""
 
+from math import factorial
+
 import pytest
 
 from g2frob import DivisionByZero, ExtField, NotSquarefree, PrimeField, RangeError, make_curve
@@ -278,3 +280,115 @@ def test_negative_power_without_an_inverse_is_a_range_error():
         poly.pow(F, (1, 1), -1)
     with pytest.raises(RangeError):
         _mat2_pow(F, ((1, 2), (3, 4)), -1)
+
+
+# ---------------------------------------------------------------------------
+# the packed F_p kernels against their oracles, on both sides of each
+# measured operand length and of the 64-bit slot bound; "always" lowers the
+# measured length so that every operand the bound admits is packed
+# ---------------------------------------------------------------------------
+
+# p - 1 < 2^32 / sqrt(11) for the first, so a slot holds the theta step's
+# 11 (p - 1)^2; not for the second, where 6 (p - 1)^2 still fits
+_STEP_BOUND_PRIMES = (1294981361, 1330000013)
+# 16 (p - 1)^2 < 2^64 <= 17 (p - 1)^2 for the first: the shortest
+# convolution fits, one coefficient more does not; for the second no
+# convolution fits, and one of 31 coefficients overflows a slot about twice
+_TAYLOR_BOUND_PRIMES = (1073741789, 1500000001)
+
+
+def _operand(p, n, fill, rng):
+    """n coefficients, all p - 1 (the largest slot sums), (p - 1) / m! at m
+    (the largest for a Taylor convolution, which weights a_m by m!, n <= p)
+    or random, with a nonzero top one."""
+    if fill == "max":
+        return (p - 1,) * n
+    if fill == "conv":
+        return tuple(-pow(factorial(m), -1, p) % p for m in range(n))
+    return tuple(rng.randrange(p) for _ in range(n - 1)) + (rng.randrange(1, p),) if n else ()
+
+
+@pytest.mark.parametrize("packed_from", [None, 1], ids=["measured", "always"])
+@pytest.mark.parametrize("p", (13, 2039, 2**31 - 1, 2**61 - 1))
+def test_packed_mul_against_the_int_loop(monkeypatch, p, packed_from):
+    # every pair of lengths up to 9, and 37 and 64; at p = 2^31 - 1 a slot
+    # holds 4 (p - 1)^2 but not 5, so the shorter factor meets the bound
+    # from both sides
+    from g2frob import exactnum
+    from g2frob.exactnum import _int_mul
+
+    if packed_from:
+        monkeypatch.setattr(exactnum, "_PACKED_MUL_MIN", packed_from)
+    if p == 2**31 - 1:
+        assert 4 * (p - 1) ** 2 < 2**64 <= 5 * (p - 1) ** 2
+    F, rng = PrimeField(p), rng_for(f"packed-mul-{p}")
+    lens = list(range(10)) + [37, 64]
+    for la in lens:
+        for lb in lens:
+            for fill in ("max", "random"):
+                a, b = _operand(p, la, fill, rng), _operand(p, lb, fill, rng)
+                got = F.poly_mul(a, b)
+                assert type(got) is tuple and got == tuple([c % p for c in _int_mul(a, b)])
+
+
+@pytest.mark.parametrize("packed_from", [None, 0], ids=["measured", "always"])
+@pytest.mark.parametrize("p", (13, 2039) + _STEP_BOUND_PRIMES + (2**61 - 1,))
+def test_packed_theta_step_against_the_generic_loop(monkeypatch, p, packed_from):
+    # B of every length up to 9, and 40, the empty B included, A empty or
+    # not, and j = 0, inside B and above its top degree (j > m for every m);
+    # phi and psi of the lengths a LocalRing has (6 and 5), all p - 1 or
+    # random, c = 1 or random: with j = 0 and every coefficient p - 1 a slot
+    # sum comes within O(p) of 11 (p - 1)^2
+    from g2frob import exactnum
+
+    if packed_from is not None:
+        monkeypatch.setattr(exactnum, "_PACKED_STEP_MIN", packed_from)
+    assert [11 * (q - 1) ** 2 < 2**64 for q in _STEP_BOUND_PRIMES] == [True, False]
+    F, rng = PrimeField(p), rng_for(f"packed-theta-{p}")
+    for n in list(range(10)) + [40]:
+        for fill in ("max", "random"):
+            phi, psi = _operand(p, 6, fill, rng), _operand(p, 5, fill, rng)
+            B = _operand(p, n, fill, rng)
+            for A in ((), _operand(p, n + 1, fill, rng)):
+                for j in (0, n // 2, n + 7):
+                    for c in (1, rng.randrange(1, p)):
+                        got = F.poly_theta_step(A, B, j, phi, psi, c)
+                        assert got == poly.theta_step_generic(F, A, B, j, phi, psi, c)
+
+
+@pytest.mark.parametrize("conv_from", [None, 1], ids=["measured", "always"])
+@pytest.mark.parametrize("p", (3, 13, 17, 31, 127) + _TAYLOR_BOUND_PRIMES + (2**61 - 1,))
+def test_taylor_kernel_against_horner(monkeypatch, p, conv_from):
+    # degrees below p, p - 1, p and above, past 2p (the split at x^p taken
+    # twice), r = 0, 1, p - 1 and random; the convolution runs from
+    # min(len a, p) = 16 at the measured length, so from p = 17, and meets
+    # the slot bound from both sides at _TAYLOR_BOUND_PRIMES
+    from g2frob import exactnum
+
+    if conv_from:
+        monkeypatch.setattr(exactnum, "_TAYLOR_CONV_MIN", conv_from)
+    q, q2 = _TAYLOR_BOUND_PRIMES
+    assert 16 * (q - 1) ** 2 < 2**64 <= 17 * (q - 1) ** 2 and 16 * (q2 - 1) ** 2 >= 2**64
+    F, rng = PrimeField(p), rng_for(f"taylor-{p}")
+    small = min(p, 40)
+    degrees = sorted({*range(-1, 33), small - 2, small - 1, small, small + 1,
+                      *(d for d in (p - 1, p, p + 1, 2 * p - 1, 2 * p, 2 * p + 3) if d < 300)})
+    for d in degrees:
+        for fill in ("max", "conv", "random"):
+            if fill == "conv" and d >= p:
+                continue
+            a = _operand(p, d + 1, fill, rng)
+            for r in (0, 1, p - 1, rng.randrange(p)):
+                assert F.poly_taylor(a, r) == poly.taylor_generic(F, a, r)
+
+
+def test_taylor_shift_expands_back():
+    # the oracle itself: sum b_i (x - r)^i gives a back, over F_13 and F_9
+    rng = rng_for("taylor-expand")
+    for F in (PrimeField(13), ExtField(3, (1, 0, 1))):
+        for _ in range(30):
+            a, r = rand_poly(F, rng, max_deg=20), F.random(rng)
+            b, l, total = poly.taylor(F, a, r), (F.neg(r), F.one()), ()
+            for i, c in enumerate(b):
+                total = poly.add(F, total, poly.scale(F, poly.pow(F, l, i), c))
+            assert total == a and len(b) == len(a)

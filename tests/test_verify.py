@@ -432,7 +432,8 @@ def test_recheck_of_a_linear_report_reruns_the_engine(monkeypatch):
 @pytest.mark.parametrize("spec, ab_L", ONE_LINE, ids=["F7", "F11", "F13", "F9"])
 def test_standalone_linear_rigidity_builds_two_orbits_and_no_engine(monkeypatch, spec, ab_L):
     # no lemma check before it: the solve fills the line tables of the second
-    # forms (1, 0) and (0, 1), one orbit each, and runs no engine at all
+    # forms (1, 0) and (0, 1) from the line's one orbit, and runs no engine at
+    # all
     from g2frob import verify
     from g2frob.funcfield import curve_from_spec
 
@@ -453,7 +454,7 @@ def test_standalone_linear_rigidity_builds_two_orbits_and_no_engine(monkeypatch,
     F = cv.field
     assert len(enumerate_p_torsion(cv, "semilinear").nonzero(F)) == cv.p - 1
     _, report = rigidity_scan(cv, tuple(F.from_coeffs(c) for c in ab_L), mode="linear")
-    assert len(orbits) == 2 and engine == []
+    assert len(orbits) == 1 and engine == []
     # the K[eps] engine finds the same solutions (the F_11 curve's exceed the
     # family), one run per unknown
     assert recheck(cv, report)
@@ -519,6 +520,130 @@ def test_packed_line_table_against_the_per_t_loop(field, seed, strips):
             zero += not nonzero
     assert zero >= cv.p - 1
     assert (stripped > 0) == strips
+
+
+def _assert_rows_are_the_direct_sums(cv, ab_L, second_forms):
+    """Every row of the line tables of omega_L's line and each second form
+    against the direct orbit sums `two_sums` of the multiple s rep on a
+    fresh curve: x_t, S1 and S2 at t = 1/s."""
+    from g2frob import Curve, dual_derivation
+    from g2frob.funcfield import line_representative
+    from g2frob.verify import _line_table
+
+    F, direct = cv.field, Curve(cv.field, cv.f)
+    t0, rep = line_representative(cv.global_form(*ab_L))
+    for ab in second_forms:
+        rows = _line_table(cv, rep, cv.global_form(*ab))[4]
+        for c in range(1, cv.p):
+            chart = direct.global_form(*(F.mul(F.from_int(c), F.mul(t0, a)) for a in ab_L))
+            x = direct.global_form(*ab).ratio(chart)
+            want = (x,) + two_sums(direct, dual_derivation(chart), x)
+            assert rows[F.from_int(pow(c, -1, cv.p))][:3] == want
+
+
+def test_form_pair_reads_every_global_form_back():
+    # every (a, b) over F_7 and F_9 back from its global form, on curves
+    # where f has roots, so that (a + b x) y / f loses x - r for b != 0 and
+    # f(-a/b) = 0
+    from g2frob.verify import _form_pair
+
+    for F, f in ((make_field(7), [0, 1, 0, 0, 3, 1]), (make_field(3, 2), [0, 2, 0, 0, 1, 1])):
+        cv = make_curve(F, [F.from_int(c) for c in f])
+        reduced = 0
+        for a in F.elements():
+            for b in F.elements():
+                form = cv.global_form(a, b)
+                reduced += len(form.g.D) < 6
+                assert _form_pair(form) == (a, b)
+        assert reduced >= F.size - 1
+
+
+# curves whose flat line is that of dx/y (b = 0); coefficients in the basis
+# of make_field(p, k)
+DX_OVER_Y_LINES = [((5, 1), [1, 4, 0, 2, 0, 1]), ((7, 1), [1, 4, 6, 6, 6, 1]),
+                   ((5, 2), [[3, 3], [0, 1], [4, 3], [1, 2], [0, 0], [1, 0]])]
+
+
+@pytest.mark.parametrize("field, f", DX_OVER_Y_LINES, ids=["F5", "F7", "F25"])
+def test_line_table_of_the_line_through_dx_over_y(field, f):
+    # omega_L = a dx/y: omega* is (0, 1), and the second form (1, 0) lies on
+    # omega_L's line, beta = 0: x is constant, the orbit and every row are
+    # zero and J = 0; every row of both tables against two_sums
+    from g2frob.funcfield import line_representative
+    from g2frob.verify import _beta, _form_pair, _line_table, independent_basis_form
+
+    F = make_field(*field)
+    cv = make_curve(F, [F.from_coeffs(c if isinstance(c, list) else [c]) for c in f])
+    ab_L = enumerate_p_torsion(cv, "semilinear").nonzero(F)[0]
+    _, rep = line_representative(cv.global_form(*ab_L))
+    assert F.is_zero(ab_L[1]) and independent_basis_form(F, ab_L) == (F.zero(), F.one())
+    dx_y = (F.one(), F.zero())
+    assert F.is_zero(_beta(F, _form_pair(rep), dx_y))
+    R, x, numerators, J, rows = _line_table(cv, rep, cv.global_form(*dx_y))
+    assert x.is_constant() and J == 0 and numerators == [((), ())] * (cv.p - 1)
+    assert all(S1.is_zero() and S2.is_zero() and R.is_zero(s1) for _, S1, S2, s1 in rows.values())
+    _assert_rows_are_the_direct_sums(cv, ab_L, [dx_y, (F.zero(), F.one())])
+
+
+def test_line_tables_for_beta_outside_the_prime_field():
+    # over F_9, second forms whose beta, their coordinate along omega*, lies
+    # outside F_3: every row is beta times the line's one orbit table, and
+    # equals the direct sums of every multiple on a fresh curve
+    from g2frob.exactnum import coords
+    from g2frob.funcfield import curve_from_spec, line_representative
+    from g2frob.verify import _beta, _form_pair
+
+    spec, ab_L = ONE_LINE[3]
+    cv = curve_from_spec(spec)
+    F = cv.field
+    ab_L = tuple(F.from_coeffs(c) for c in ab_L)
+    g = F.gen()
+    forms = [(F.one(), F.zero()), (F.zero(), F.one()), (g, F.zero()), (F.one(), g),
+             (g, F.mul(g, g))]
+    ab_rep = _form_pair(line_representative(cv.global_form(*ab_L))[1])
+    betas = [_beta(F, ab_rep, ab) for ab in forms]
+    assert sum(any(coords(b)[1:]) for b in betas) >= 2
+    _assert_rows_are_the_direct_sums(cv, ab_L, forms)
+
+
+@pytest.mark.parametrize("spec, ab_L", ONE_LINE, ids=["F7", "F11", "F13", "F9"])
+def test_a_sign_flipped_beta_reads_violated(monkeypatch, spec, ab_L):
+    # beta negated: each second form's table is minus the true one, which a
+    # two-sums report, asking only for nonzero sums, cannot see; the guard's
+    # engine, run once per shape and second form, disagrees with the row
+    # t = 1, so every off-diagonal report is the per-multiple engine's
+    # against the negated sums and reads violated, which recheck refuses,
+    # unless both sums vanish at that multiple
+    from g2frob import verify
+    from g2frob.funcfield import LocalRing, curve_from_spec
+
+    real_beta, engine = verify._beta, []
+    real_matrix = verify.p_curvature_matrix
+
+    def counted_matrix(conn):
+        engine.append(conn.ring)
+        return real_matrix(conn)
+
+    monkeypatch.setattr(verify, "_beta", lambda F, ab_rep, ab: F.neg(real_beta(F, ab_rep, ab)))
+    monkeypatch.setattr(verify, "p_curvature_matrix", counted_matrix)
+    cv = curve_from_spec(spec)
+    F = cv.field
+    ab_L = tuple(F.from_coeffs(c) for c in ab_L)
+    violated = 0
+    for c in range(1, cv.p):
+        ab_s = tuple(F.mul(F.from_int(c), a) for a in ab_L)
+        for ab in ((F.one(), F.zero()), (F.zero(), F.one())):
+            report = check_offdiag_closed_forms(cv, ab_s, ab)
+            w = report.witness
+            vanish = not any(w[S][AB] for S in ("S1", "S2") for AB in ("A", "B"))
+            assert report.status == ("holds" if vanish else "violated")
+            assert recheck(cv, report) == vanish
+            violated += not vanish
+    assert violated >= cv.p - 1
+    # the guard ran at the representative over the line's l-local ring once
+    # per second form, where the first shape already disagrees; the other
+    # runs are the per-multiple engine's over K
+    assert sum(isinstance(R, LocalRing) for R in engine) == 2
 
 
 def test_guard_runs_take_no_step_on_a_zero_entry(monkeypatch):
