@@ -5,6 +5,13 @@ p-curvature of connections on the trivial bundle over y^2 = f(x), the
 Cartier-Manin matrix and ordinarity, the flat global differential forms,
 first-order deformation rigidity of the canonical split connection, and the
 closed-form numeric invariants that tie into the genus-2 moduli bookkeeping.
+
+The names of `formulas` (counts, mu_r, nagata_segre, nu_r) and of `verify`
+(LemmaReport, RigiditySolutionSet, check_offdiag_closed_forms,
+check_two_sums, recheck, rigidity_scan), and the two submodules themselves,
+are imported on first access (`__getattr__`), so that `import g2frob.cli`
+loads only what `curve` and `torsion` run; every other name is imported
+with the package.
 """
 
 __version__ = "0.1.0"
@@ -74,12 +81,27 @@ from .cartier import (
     rational_flat_dimension,
     stabilization_degree,
 )
-from .formulas import counts, mu_r, nagata_segre, nu_r
-from .verify import (
-    LemmaReport,
-    RigiditySolutionSet,
-    check_offdiag_closed_forms,
-    check_two_sums,
-    recheck,
-    rigidity_scan,
-)
+
+# name -> the submodule that defines it, imported on first access
+_LAZY = {
+    **dict.fromkeys(("counts", "mu_r", "nagata_segre", "nu_r"), "formulas"),
+    **dict.fromkeys(("LemmaReport", "RigiditySolutionSet", "check_offdiag_closed_forms",
+                     "check_two_sums", "recheck", "rigidity_scan"), "verify"),
+    "formulas": "formulas",
+    "verify": "verify",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    module = importlib.import_module(f".{_LAZY[name]}", __name__)
+    value = module if name == _LAZY[name] else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

@@ -10,6 +10,10 @@ scan writes JSON lines, one record per curve, ordered by generation index,
 and flushes each as soon as it is computed; rerunning with the same --out
 skips curve ids that are already present, so an interrupted scan can be
 resumed.
+
+Each command imports what it runs: `curve` and `torsion` load neither
+`verify` nor `formulas`, which `verify`, `scan --lemmas` and `formulas`
+import inside the functions that call them.
 """
 
 from __future__ import annotations
@@ -21,28 +25,17 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .cartier import cartier_manin, enumerate_p_torsion
 from .errors import InputError, RangeError, ResourceGuardError
 from .exactnum import make_field
-from .formulas import counts
 from .funcfield import (
     Curve,
     curve_from_spec,
     curve_id,
     curve_spec,
-    line_representative,
     random_curve,
-)
-from .verify import (
-    check_brute_rigidity,
-    check_lemma_work,
-    check_offdiag_closed_forms,
-    check_two_sums,
-    independent_basis_form,
-    rigidity_scan,
 )
 
 EXIT_OK = 0
@@ -140,15 +133,19 @@ def _lemma_reports(curve: Curve, nonzero, second_forms) -> list:
     """The two-sums and off-diagonal reports of each flat form ab_L in
     `nonzero` against each form of second_forms(ab_L), in that order; the
     lemma-work guard, by the number of flat F_p-lines, runs before any orbit.
-    The checks are read from this module at each call (perfbench wraps them)."""
-    check_lemma_work(curve, len(nonzero) // (curve.p - 1))
+    The checks are read from `verify` at each call (perfbench wraps them)."""
+    from . import verify
+
+    verify.check_lemma_work(curve, len(nonzero) // (curve.p - 1))
     return [check(curve, ab_L, ab) for ab_L in nonzero for ab in second_forms(ab_L)
-            for check in (check_two_sums, check_offdiag_closed_forms)]
+            for check in (verify.check_two_sums, verify.check_offdiag_closed_forms)]
 
 
 def _verify_payload(curve: Curve, rigidity_mode: str | None) -> dict:
+    from . import verify
+
     if rigidity_mode == "brute":  # refused before any engine run
-        check_brute_rigidity(curve)
+        verify.check_brute_rigidity(curve)
     F = curve.field
     ts = enumerate_p_torsion(curve, method="semilinear")
     payload = _curve_payload(curve)
@@ -157,12 +154,13 @@ def _verify_payload(curve: Curve, rigidity_mode: str | None) -> dict:
     nonzero = ts.nonzero(F)
     lemmas = [r.to_jsonable() for r in _lemma_reports(curve, nonzero, lambda _: basis_pairs)]
     # one pair per F_p-line of the torsion space, its first, is enough: the
-    # deformation problem only depends on omega_L up to scaling
+    # deformation problem only depends on omega_L up to scaling; the lemma
+    # reports have already found each form's line
     lines = {}
     if rigidity_mode:
         for ab_L in nonzero:
-            lines.setdefault(line_representative(curve.global_form(*ab_L))[1], ab_L)
-    rig_reports = [rigidity_scan(curve, ab_L, mode=rigidity_mode)[1].to_jsonable()
+            lines.setdefault(verify.line_of(curve, ab_L), ab_L)
+    rig_reports = [verify.rigidity_scan(curve, ab_L, mode=rigidity_mode)[1].to_jsonable()
                    for ab_L in lines.values()]
     payload["lemmas"] = lemmas
     payload["rigidity"] = rig_reports
@@ -196,8 +194,10 @@ def _scan_row(curve: Curve, index: int, with_lemmas: bool) -> dict:
         ts_s = enumerate_p_torsion(curve, method="semilinear")
         row.update(index=index, agree=ts_b.forms == ts_s.forms, **_torsion_fields(curve, ts_b))
         if with_lemmas:
+            from . import verify
+
             statuses = [r.status for r in _lemma_reports(
-                curve, ts_b.nonzero(F), lambda ab_L: (independent_basis_form(F, ab_L),))]
+                curve, ts_b.nonzero(F), lambda ab_L: (verify.independent_basis_form(F, ab_L),))]
             row["lemmaStatuses"] = statuses
             row["lemmaViolations"] = sum(1 for s in statuses if s == "violated")
         return row
@@ -277,6 +277,8 @@ def cmd_scan(args) -> int:
             ordinary += row["ordinary"]
             violations += row.get("lemmaViolations", 0)
             matches = matches and (row["pRank"] == 2) == row["ordinary"]
+    from fractions import Fraction
+
     aggregate = {
         "aggregate": {
             "curves": curves,
@@ -293,6 +295,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_formulas(args) -> int:
+    from .formulas import counts
+
     record = counts(args.p, args.g)
     record["version"] = __version__
     _emit(record, args.out)

@@ -386,12 +386,11 @@ def _two_sums_status(x, S1, S2) -> str:
     return "holds" if not S1.is_zero() and not S2.is_zero() else "violated"
 
 
-def _lemma_data(curve: Curve, ab_L, ab):
-    """What both lemma reports of omega_L and omega (forms as in
-    `check_two_sums`) read: one memo entry per form and one per pair, and
-    one per F_p-line, whose representative is checked by `require_torsion`:
+def _lemma_form(curve: Curve, ab_L):
+    """(omega_L, t, rep) of the form ab_L, a pair of raws, with rep =
+    t omega_L its F_p-line's representative: one memo entry per form, and
+    one per line, whose representative is checked by `require_torsion`:
     flatness and the global-form condition hold for the whole line or not."""
-    ab_L, ab = _as_pair(curve, ab_L), _as_pair(curve, ab)
 
     def form():
         omega_L = curve.global_form(*ab_L)
@@ -401,8 +400,23 @@ def _lemma_data(curve: Curve, ab_L, ab):
         curve.memo(("lemma_line", rep.g), lambda: require_torsion(curve, rep))
         return omega_L, t, rep
 
+    return curve.memo(("lemma_form",) + ab_L, form)
+
+
+def line_of(curve: Curve, ab_L) -> Differential:
+    """The representative of the F_p-line of the flat form ab_L (as in
+    `check_two_sums`), read from the entry its lemma reports fill."""
+    return _lemma_form(curve, _as_pair(curve, ab_L))[2]
+
+
+def _lemma_data(curve: Curve, ab_L, ab):
+    """What both lemma reports of omega_L and omega (forms as in
+    `check_two_sums`) read: the form's entry (`_lemma_form`) and one memo
+    entry per pair."""
+    ab_L, ab = _as_pair(curve, ab_L), _as_pair(curve, ab)
+
     def pair():
-        omega_L, t, rep = curve.memo(("lemma_form",) + ab_L, form)
+        omega_L, t, rep = _lemma_form(curve, ab_L)
         omega = curve.global_form(*ab)
         x, S1, S2 = _line_table(curve, rep, omega)[4][t][:3]
         return dict(omega_L=omega_L, rep=rep, omega=omega, x=x, S1=S1, S2=S2, wx=_ffe_witness(x),

@@ -959,3 +959,51 @@ def test_python_dash_m_runs_the_cli():
     assert [r.returncode for r in outs] == [0, 0]
     assert json.loads(outs[0].stdout) == json.loads(outs[1].stdout)
     assert outs[0].stdout == outs[1].stdout
+
+
+_FRESH_CALLS = """
+import contextlib, io, json, sys
+from g2frob.cli import main
+
+def call(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv.split())
+    return [code, buf.getvalue()]
+
+out = [call(argv) for argv in sys.argv[1:3]]
+out.append([m for m in ("g2frob.verify", "g2frob.formulas", "fractions") if m in sys.modules])
+out += [call(argv) for argv in sys.argv[3:]]
+print(json.dumps(out))
+"""
+
+
+def test_curve_and_torsion_load_neither_verify_nor_formulas(capsys):
+    # in a fresh interpreter, curve and torsion import neither verify nor
+    # formulas (nor fractions); verify, scan --lemmas and formulas, run after
+    # them in the same process, import what they need and print what they
+    # print in this session, `timing` dropped
+    import os
+    import subprocess
+    import sys
+
+    import g2frob
+
+    f13 = "11,7,3,9,6,1"  # one flat F_13-line
+    argvs = [f"curve --p 13 --f {f13}", f"torsion --p 13 --f {f13} --method semilinear",
+             f"verify --p 13 --f {f13} --rigidity linear", "scan --p 5 --count 2 --lemmas",
+             "formulas --p 5"]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(g2frob.__file__))}
+    proc = subprocess.run([sys.executable, "-c", _FRESH_CALLS, *argvs], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    first, loaded, later = out[:2], out[2], out[3:]
+    assert loaded == []
+
+    def stripped(text):
+        return [_strip_timing(json.loads(line)) for line in text.splitlines() if line.strip()]
+
+    for argv, (code, text) in zip(argvs, first + later):
+        assert code == 0
+        assert stripped(text) == stripped(run(capsys, *argv.split())[1])

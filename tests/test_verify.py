@@ -430,7 +430,7 @@ def test_recheck_of_a_linear_report_reruns_the_engine(monkeypatch):
 
 
 @pytest.mark.parametrize("spec, ab_L", ONE_LINE, ids=["F7", "F11", "F13", "F9"])
-def test_standalone_linear_rigidity_builds_two_orbits_and_no_engine(monkeypatch, spec, ab_L):
+def test_standalone_linear_rigidity_builds_one_orbit_and_no_engine(monkeypatch, spec, ab_L):
     # no lemma check before it: the solve fills the line tables of the second
     # forms (1, 0) and (0, 1) from the line's one orbit, and runs no engine at
     # all
