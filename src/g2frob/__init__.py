@@ -6,11 +6,14 @@ Cartier-Manin matrix and ordinarity, the flat global differential forms,
 first-order deformation rigidity of the canonical split connection, and the
 closed-form numeric invariants that tie into the genus-2 moduli bookkeeping.
 
-The names of `formulas` (counts, mu_r, nagata_segre, nu_r) and of `verify`
+The names of `formulas` (counts, mu_r, nagata_segre, nu_r), of `verify`
 (LemmaReport, RigiditySolutionSet, check_offdiag_closed_forms,
-check_two_sums, recheck, rigidity_scan), and the two submodules themselves,
-are imported on first access (`__getattr__`), so that `import g2frob.cli`
-loads only what `curve` and `torsion` run; every other name is imported
+check_two_sums, recheck, rigidity_scan) and of the p-curvature engine
+`pcurvature` (CoefficientTable, ConnectionMatrix, PCurvature,
+coefficient_table, p_curvature_matrix, p_curvature_rank1,
+second_fundamental_form), and the three submodules themselves, are imported
+on first access (`__getattr__`), so that `import g2frob.cli` loads only what
+`curve` and `torsion --method semilinear` run; every other name is imported
 with the package.
 """
 
@@ -61,15 +64,6 @@ from .funcfield import (
     pair,
     random_curve,
 )
-from .pcurvature import (
-    CoefficientTable,
-    ConnectionMatrix,
-    PCurvature,
-    coefficient_table,
-    p_curvature_matrix,
-    p_curvature_rank1,
-    second_fundamental_form,
-)
 from .cartier import (
     CartierManinMatrix,
     TorsionSet,
@@ -87,8 +81,10 @@ _LAZY = {
     **dict.fromkeys(("counts", "mu_r", "nagata_segre", "nu_r"), "formulas"),
     **dict.fromkeys(("LemmaReport", "RigiditySolutionSet", "check_offdiag_closed_forms",
                      "check_two_sums", "recheck", "rigidity_scan"), "verify"),
-    "formulas": "formulas",
-    "verify": "verify",
+    **dict.fromkeys(("CoefficientTable", "ConnectionMatrix", "PCurvature", "coefficient_table",
+                     "p_curvature_matrix", "p_curvature_rank1", "second_fundamental_form"),
+                    "pcurvature"),
+    **{module: module for module in ("formulas", "pcurvature", "verify")},
 }
 
 

@@ -98,15 +98,13 @@ a join of 0.03-0.04 s over F_729, F_1331 and F_1849 (CPython 3.11 on a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from . import poly
 from .errors import FieldTooLargeForBrute, G2FrobError, NotFlat, PrimeTooLarge, RangeError
-from .exactnum import PrimeField, coords, prime_divisors, prime_field_ints, raw_to_json
+from .exactnum import coords, prime_divisors, prime_field_ints, raw_to_json
 from .funcfield import Curve, Differential
 from .linalg import enumerate_span_mod_p, kernel_basis_mod_p, rref_mod_p
-from .pcurvature import ConnectionMatrix, is_flat
 
 # brute lists the flat pairs among |F|^2 candidates by 2 |F| evaluations;
 # at p = 2039 (4.2 * 10^6 candidates) it takes about 1.5 s, nearly all of it
@@ -120,12 +118,14 @@ _BRUTE_CANDIDATE_LIMIT = 1 << 22
 _CARTIER_P_LIMIT = 1 << 22
 
 
-@dataclass(frozen=True)
 class CartierManinMatrix:
-    """2x2 matrix over the curve's field; entries are raw field values."""
+    """2x2 matrix ((a11, a12), (a21, a22)) over the curve's field; entries
+    are raw field values."""
 
-    matrix: tuple  # ((a11, a12), (a21, a22))
-    field: object
+    __slots__ = ("matrix", "field")
+
+    def __init__(self, matrix, field):
+        self.matrix, self.field = matrix, field
 
     def det(self):
         return _det2(self.field, self.matrix)
@@ -169,7 +169,7 @@ def cartier_manin(curve: Curve) -> CartierManinMatrix:
     def matrix():
         n = (p - 1) // 2
         ints = prime_field_ints(f)  # the descent to F_p (module docstring)
-        G, g = (F, f) if ints is None else (PrimeField(p), ints)
+        G, g = (F, f) if ints is None else (F.prime_field, ints)
         # one table of inverses for both F_p runs; the generic run inverts k itself
         inv = None if ints is None else G.inverses()
         v = 1 if G.is_zero(g[0]) else 0
@@ -213,15 +213,18 @@ def _rank2(F, M) -> int:
     return 1 if F.is_zero(_det2(F, M)) else 2
 
 
-@dataclass(frozen=True)
 class TorsionSet:
-    """Global forms (a + b x) dx/y with vanishing p-curvature, as (a, b) pairs.
+    """Global forms (a + b x) dx/y with vanishing p-curvature, as a tuple of
+    (a_raw, b_raw) pairs.
 
     Sorted deterministically; always contains (0, 0); an F_p-subspace, so its
     size is a power of p.
     """
 
-    forms: tuple  # tuple of (a_raw, b_raw) pairs
+    __slots__ = ("forms",)
+
+    def __init__(self, forms):
+        self.forms = forms
 
     def __len__(self):
         return len(self.forms)
@@ -331,6 +334,8 @@ def _torsion_brute(curve: Curve):
     (module docstring).  Refused before any derivation step beyond
     `check_brute_limit`.
     """
+    from .pcurvature import is_flat
+
     F = curve.field
     check_brute_limit(F)
     # e -> e^p u + e v is F_p-linear: it vanishes on F when it vanishes on
@@ -385,7 +390,7 @@ def _flat_kernel(F, A):
     if ints is None:
         return _flat_kernel_generic(F, A)
     k, p, A = F.degree, F.char, (ints[:2], ints[2:])
-    B = _fixed_basis(A, k, p)
+    B = _fixed_basis(F.prime_field, A, k)
     if not B:
         return []
     # A b_j in the basis B, read where b_i is 1: B = I when d = 2, and
@@ -411,9 +416,9 @@ def _flat_kernel_generic(F, A):
     return kernel_basis_mod_p(list(zip(*cols)), len(cols), F.char)
 
 
-def _fixed_basis(A, k: int, p: int):
-    """F_p-basis of W = ker(A^k - I) for an int matrix A over F_p."""
-    Ak = _mat2_pow(PrimeField(p), A, k)
+def _fixed_basis(Fp, A, k: int):
+    """F_p-basis of W = ker(A^k - I) for an int matrix A over Fp = F_p."""
+    p, Ak = Fp.p, _mat2_pow(Fp, A, k)
     return kernel_basis_mod_p([[Ak[0][0] - 1, Ak[0][1]], [Ak[1][0], Ak[1][1] - 1]], 2, p)
 
 
@@ -446,7 +451,7 @@ def rational_flat_dimension(curve: Curve, k: int = 1) -> int:
         raise RangeError("rational_flat_dimension expects a prime-field curve")
     if k < 1:
         raise RangeError("extension degree must be >= 1")
-    return len(_fixed_basis(cartier_manin(curve).matrix, k, curve.p))
+    return len(_fixed_basis(curve.field, cartier_manin(curve).matrix, k))
 
 
 def stabilization_degree(curve: Curve, k_max: int = 20000) -> int:
@@ -489,14 +494,16 @@ def _mat2_pow(F, A, n: int):
 # the canonical split connection attached to a flat form
 # ---------------------------------------------------------------------------
 
-def canonical_connection(omega_L: Differential, chart: str = "omega_L") -> ConnectionMatrix:
-    """diag(d, d + omega_L) as a rank-2 connection matrix.
+def canonical_connection(omega_L: Differential, chart: str = "omega_L"):
+    """diag(d, d + omega_L) as a rank-2 `ConnectionMatrix`.
 
     With chart omega_L itself the matrix is diag(0, 1); with the standard
     chart omega0 = dx/y it is diag(0, <omega_L, theta0>).  Raises NotFlat if
     d + omega_L has nonvanishing p-curvature.  omega_L = 0 gives the zero
     matrix on the standard chart.
     """
+    from .pcurvature import ConnectionMatrix, is_flat
+
     curve = omega_L.curve
     if not is_flat(omega_L):
         raise NotFlat("d + omega_L has nonzero p-curvature")

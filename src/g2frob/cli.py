@@ -11,9 +11,11 @@ and flushes each as soon as it is computed; rerunning with the same --out
 skips curve ids that are already present, so an interrupted scan can be
 resumed.
 
-Each command imports what it runs: `curve` and `torsion` load neither
-`verify` nor `formulas`, which `verify`, `scan --lemmas` and `formulas`
-import inside the functions that call them.
+Each command imports what it runs: `curve` and `torsion --method
+semilinear` load neither `verify`, `formulas` nor the p-curvature engine
+`pcurvature`.  `verify`, `scan --lemmas` and `formulas` import the first two
+inside the functions that call them, and brute torsion, which `scan` runs
+too, and `verify` load `pcurvature` on first use.
 """
 
 from __future__ import annotations

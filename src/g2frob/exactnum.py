@@ -16,7 +16,8 @@ describe the same ring, which lets curves and higher layers check operand
 compatibility cheaply.
 
 Both field contexts share one interface, so callers never branch on the field
-type: `char`, `size`, `degree`, `zero()`, `one()`, `from_int(n)`,
+type: `char`, `size`, `degree`, `prime_field` (the field's F_p context,
+itself on F_p), `zero()`, `one()`, `from_int(n)`,
 `from_coeffs(cs)` (at most `degree` ints in the basis below), `unpack(ints)`
 (the raws whose coordinates in that basis run through ints), `add`, `sub`,
 `neg`, `mul`, `inv`, `div`, `pow` (`poly.power` on F_{p^k}, the builtin on
@@ -129,6 +130,10 @@ class PrimeField:
     @property
     def char(self) -> int:
         return self.p
+
+    @property
+    def prime_field(self):
+        return self
 
     @property
     def size(self) -> int:
@@ -415,11 +420,11 @@ class ExtField:
     `frobenius_matrix`).
     """
 
-    __slots__ = ("p", "k", "modulus", "_red", "_frob")
+    __slots__ = ("p", "k", "modulus", "prime_field", "_red", "_frob")
 
     def __init__(self, p: int, modulus):
-        base = PrimeField(p)
-        self.p = base.p
+        self.prime_field = PrimeField(p)
+        self.p = p
         mod = tuple(c % p for c in modulus)
         while mod and mod[-1] == 0:
             mod = mod[:-1]

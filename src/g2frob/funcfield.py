@@ -94,7 +94,7 @@ class Curve:
             )
         # an F_p-rational f is squarefree over F_p exactly when over F_{p^k}
         ints = prime_field_ints(f)
-        G, g = (field, f) if ints is None else (make_field(field.char), ints)
+        G, g = (field, f) if ints is None else (field.prime_field, ints)
         if not poly.is_squarefree(G, g):
             raise NotSquarefree("gcd(f, f') != 1: the model y^2 = f is singular")
         self.field = field

@@ -77,7 +77,6 @@ sparse, so most entries of a step are zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 
 from .errors import RangeError, ZeroVector
@@ -133,16 +132,17 @@ class ConnectionMatrix:
         return f"ConnectionMatrix(rank={self.rank}, chart={self.chart!r})"
 
 
-@dataclass(frozen=True)
 class PCurvature:
-    """psi as a bare matrix of raw values of the connection's ring.
+    """psi as a bare matrix of raw values of the connection's ring, with the
+    chart (a Differential) it was computed on.
 
     The omega0^(tensor p) twist of the chart is implicit.
     """
 
-    matrix: tuple
-    chart: Differential
-    ring: object
+    __slots__ = ("matrix", "chart", "ring")
+
+    def __init__(self, matrix, chart, ring):
+        self.matrix, self.chart, self.ring = matrix, chart, ring
 
     def is_zero(self) -> bool:
         return all(self.ring.is_zero(e) for row in self.matrix for e in row)
@@ -151,12 +151,14 @@ class PCurvature:
         return self.matrix[ij[0]][ij[1]]
 
 
-@dataclass(frozen=True)
 class CoefficientTable:
-    """The row (T_0^(n), ..., T_n^(n)) of theta0-coefficients of (T+theta0)^n."""
+    """The row (T_0^(n), ..., T_n^(n)) of theta0-coefficients of (T+theta0)^n:
+    rows[k] is the r x r matrix T_k^(n)."""
 
-    n: int
-    rows: tuple  # rows[k] is the r x r matrix T_k^(n)
+    __slots__ = ("n", "rows")
+
+    def __init__(self, n, rows):
+        self.n, self.rows = n, rows
 
     def __getitem__(self, k):
         return self.rows[k]

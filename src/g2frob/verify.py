@@ -157,11 +157,9 @@ listed for the report; `RigiditySolutionSet.solutions` lists them, through
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from math import comb
-from typing import Callable
 
 from . import poly
 from .cartier import fp_kernel, plane_basis
@@ -194,13 +192,13 @@ _LEMMA_WORK_LIMIT = 1 << 21
 _CLOSED_FORM_SAMPLES = 16
 
 
-@dataclass(frozen=True)
 class LemmaReport:
-    curve_id: str
-    lemma_id: str
-    status: str  # "holds" | "violated" | "inapplicable"
-    witness: dict
-    timing: float
+    __slots__ = ("curve_id", "lemma_id", "status", "witness", "timing")
+
+    def __init__(self, curve_id, lemma_id, status, witness, timing):
+        # status is "holds", "violated" or "inapplicable"
+        self.curve_id, self.lemma_id, self.status = curve_id, lemma_id, status
+        self.witness, self.timing = witness, timing
 
     def to_jsonable(self):
         return {
@@ -212,11 +210,10 @@ class LemmaReport:
         }
 
 
-@dataclass(frozen=True)
 class RigiditySolutionSet:
-    count: int
-    is_trivial_family: bool
-    listing: Callable = field(repr=False, compare=False)
+    # no __slots__: `solutions` is cached in the instance __dict__
+    def __init__(self, count, is_trivial_family, listing):
+        self.count, self.is_trivial_family, self.listing = count, is_trivial_family, listing
 
     @cached_property
     def solutions(self):

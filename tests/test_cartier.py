@@ -720,8 +720,9 @@ def test_theta0_step_against_derivation(curve):
 def test_brute_rows_take_no_derivation_step(monkeypatch):
     # the flat line of p = 5, f = x^5 + x^2 + x is that of dx/y: with the
     # weld stubbed brute makes no Derivation or LocalRing step, and unstubbed
-    # the weld's is_flat walks theta0 once, for dx/y's chart constant
-    from g2frob import cartier
+    # the weld's is_flat walks theta0 once, for dx/y's chart constant; brute
+    # imports is_flat from pcurvature when it runs
+    from g2frob import pcurvature
     from g2frob.funcfield import Derivation, LocalRing
 
     runs, derivs = [], []
@@ -732,13 +733,13 @@ def test_brute_rows_take_no_derivation_step(monkeypatch):
                         lambda self, u, theta: derivs.append(u) or real_deriv(self, u, theta))
     curve = make_curve(PrimeField(5), [0, 1, 1, 0, 0, 1])
     with monkeypatch.context() as m:
-        m.setattr(cartier, "is_flat", lambda omega: True)
+        m.setattr(pcurvature, "is_flat", lambda omega: True)
         forms = enumerate_p_torsion(curve, "brute").forms
     assert forms == tuple((a, 0) for a in range(5))
     assert not runs and not derivs
 
-    welds, real_is_flat = [], cartier.is_flat
-    monkeypatch.setattr(cartier, "is_flat", lambda omega: welds.append(omega) or real_is_flat(omega))
+    welds, real_is_flat = [], pcurvature.is_flat
+    monkeypatch.setattr(pcurvature, "is_flat", lambda omega: welds.append(omega) or real_is_flat(omega))
     curve = make_curve(PrimeField(5), [0, 1, 1, 0, 0, 1])
     assert enumerate_p_torsion(curve, "brute").forms == forms
     assert len(welds) == 4 and runs == [5] and len(derivs) == 5
@@ -749,14 +750,14 @@ def test_brute_rows_take_no_derivation_step(monkeypatch):
 def test_brute_welds_the_first_four_flat_pairs(monkeypatch, curve):
     # the weld hands is_flat the first four pairs of the full |F|^2
     # evaluation of the rows' psi, in sort order, (0, 0) first
-    from g2frob import cartier
+    from g2frob import pcurvature
 
     F = curve.field
     rows = _psi_rows(F, *_flat_form_data(curve))
     flat = sorted((a, b) for a in F.elements() for b in F.elements()
                   if all(F.is_zero(c) for c in _psi_coordinates(F, rows, a, b)))
-    welds, real_is_flat = [], cartier.is_flat
-    monkeypatch.setattr(cartier, "is_flat", lambda omega: welds.append(omega.g) or real_is_flat(omega))
+    welds, real_is_flat = [], pcurvature.is_flat
+    monkeypatch.setattr(pcurvature, "is_flat", lambda omega: welds.append(omega.g) or real_is_flat(omega))
     assert enumerate_p_torsion(curve, "brute").forms == tuple(flat)
     assert len(flat) > 4
     assert welds == [curve.global_form(a, b).g for a, b in flat[:4]]

@@ -972,17 +972,19 @@ def call(argv):
     return [code, buf.getvalue()]
 
 out = [call(argv) for argv in sys.argv[1:3]]
-out.append([m for m in ("g2frob.verify", "g2frob.formulas", "fractions") if m in sys.modules])
+out.append([m for m in ("g2frob.verify", "g2frob.formulas", "fractions", "g2frob.pcurvature",
+                        "dataclasses", "inspect") if m in sys.modules])
 out += [call(argv) for argv in sys.argv[3:]]
 print(json.dumps(out))
 """
 
 
 def test_curve_and_torsion_load_neither_verify_nor_formulas(capsys):
-    # in a fresh interpreter, curve and torsion import neither verify nor
-    # formulas (nor fractions); verify, scan --lemmas and formulas, run after
-    # them in the same process, import what they need and print what they
-    # print in this session, `timing` dropped
+    # in a fresh interpreter, curve and semilinear torsion import neither
+    # verify nor formulas nor the p-curvature engine (nor fractions,
+    # dataclasses or inspect); brute torsion, verify, scan --lemmas and
+    # formulas, run after them in the same process, import what they need
+    # and print what the same calls print in the test process, `timing` dropped
     import os
     import subprocess
     import sys
@@ -991,6 +993,7 @@ def test_curve_and_torsion_load_neither_verify_nor_formulas(capsys):
 
     f13 = "11,7,3,9,6,1"  # one flat F_13-line
     argvs = [f"curve --p 13 --f {f13}", f"torsion --p 13 --f {f13} --method semilinear",
+             f"torsion --p 13 --f {f13} --method brute",
              f"verify --p 13 --f {f13} --rigidity linear", "scan --p 5 --count 2 --lemmas",
              "formulas --p 5"]
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(g2frob.__file__))}
