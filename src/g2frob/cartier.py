@@ -33,10 +33,16 @@ both runs read; above (p-1)/2, 1/k = -1/(p-k) is the table read backwards.
 Over F_{p^k} it is `poly.power_top_two_generic`, one field method call per
 operation and one inverse per step, which is also the oracle the tests run
 the F_p kernel against; `poly.pow` stays the oracle of the whole matrix, and
-the point count of `tests/test_arithmetic.py` checks its trace.  Descent:
-when f has F_p coefficients (every CLI `--f`), so does A, and both runs take
-the F_p kernel on those ints (`exactnum.prime_field_ints`), embedded by
-`from_int`; an f with a coefficient outside F_p keeps the generic run.
+the point count of `tests/test_arithmetic.py` checks its trace.
+
+Descent.  When f has F_p coefficients (every CLI `--f`), `Curve` finds them
+as ints once (`Curve.f_ints`, by `exactnum.prime_field_ints`), and these
+steps run on the ints, their results embedded by `from_int`: the squarefree
+test, f' and f'/2 (`Curve`); both recurrence runs, whose int matrix
+`CartierManinMatrix.ints` keeps; det and the p-rank, where A is its own
+A^(p); and A^k of the semilinear kernel, by a 2 x 2 int product in
+`poly.power` (`_mat2_pow`).  An f with a coefficient outside F_p keeps the
+generic F_{p^k} steps, which are also the tests' oracle of the int ones.
 
 A global form omega = (a + b x) dx/y defines the connection d + omega on the
 structure sheaf; its p-curvature against the standard chart (omega0 = dx/y,
@@ -65,8 +71,8 @@ M^k = I.  By Lang's theorem it has exactly p^d solutions over the algebraic
 closure, and each is rational, since sigma^k(c) = M^k c = c.  On the
 F_p-coordinates of c it is the dk x dk system M (x) I_k - I_d (x) Phi, with
 Phi = `frobenius_matrix()`; d = 0 needs no solve, and d is
-`rational_flat_dimension`.  An A with an entry outside F_p takes the
-2k x 2k system over F instead (`_flat_kernel_generic`), the oracle.
+`rational_flat_dimension`.  A curve with no int form (Descent above) takes
+the 2k x 2k system over F instead (`_flat_kernel_generic`), the oracle.
 
 The brute rows.  On the chart dx/y, theta0(x) = y and theta0(y) = f'/2, so
 
@@ -102,7 +108,7 @@ from functools import partial
 
 from . import poly
 from .errors import FieldTooLargeForBrute, G2FrobError, NotFlat, PrimeTooLarge, RangeError
-from .exactnum import coords, prime_divisors, prime_field_ints, raw_to_json
+from .exactnum import coords, prime_divisors, raw_to_json
 from .funcfield import Curve, Differential
 from .linalg import enumerate_span_mod_p, kernel_basis_mod_p, rref_mod_p
 
@@ -120,15 +126,18 @@ _CARTIER_P_LIMIT = 1 << 22
 
 class CartierManinMatrix:
     """2x2 matrix ((a11, a12), (a21, a22)) over the curve's field; entries
-    are raw field values."""
+    are raw field values, and `ints` is the same matrix as F_p ints, or None
+    when an entry lies outside F_p (module docstring, Descent)."""
 
-    __slots__ = ("matrix", "field")
+    __slots__ = ("matrix", "field", "ints")
 
-    def __init__(self, matrix, field):
-        self.matrix, self.field = matrix, field
+    def __init__(self, matrix, field, ints=None):
+        self.matrix, self.field, self.ints = matrix, field, ints
 
     def det(self):
-        return _det2(self.field, self.matrix)
+        if self.ints is None:
+            return _det2(self.field, self.matrix)
+        return self.field.from_int(_det2(self.field.prime_field, self.ints))
 
     def is_invertible(self) -> bool:
         return not self.field.is_zero(self.det())
@@ -143,8 +152,9 @@ class CartierManinMatrix:
         N_2 already has the stable kernel, hence the stable rank.  A with
         F_p entries (every integer f) is its own A^(p)."""
         F, A = self.field, self.matrix
-        Ap = A if prime_field_ints(A[0] + A[1]) else tuple(
-            tuple(F.frobenius(e) for e in row) for row in A)
+        if self.ints is not None:
+            return _rank2(F.prime_field, _int_mat2_mul(F.char, self.ints, self.ints))
+        Ap = tuple(tuple(F.frobenius(e) for e in row) for row in A)
         return _rank2(F, _mat2_mul(F, Ap, A))
 
     def to_jsonable(self):
@@ -168,7 +178,7 @@ def cartier_manin(curve: Curve) -> CartierManinMatrix:
 
     def matrix():
         n = (p - 1) // 2
-        ints = prime_field_ints(f)  # the descent to F_p (module docstring)
+        ints = curve.f_ints  # the descent to F_p (module docstring)
         G, g = (F, f) if ints is None else (F.prime_field, ints)
         # one table of inverses for both F_p runs; the generic run inverts k itself
         inv = None if ints is None else G.inverses()
@@ -177,9 +187,9 @@ def cartier_manin(curve: Curve) -> CartierManinMatrix:
         # x^(2p-1) and x^(2p-2) of f^n sit at (p-3)/2 and (p-1)/2 of the reversal
         top, below = G.poly_power_top_two(g[::-1], n, (p - 1) // 2, inv)
         rows = (row1, (below, top))
-        if ints is not None:
-            rows = tuple(tuple(map(F.from_int, row)) for row in rows)
-        return CartierManinMatrix(matrix=rows, field=F)
+        if ints is None:
+            return CartierManinMatrix(rows, F)
+        return CartierManinMatrix(tuple(tuple(map(F.from_int, row)) for row in rows), F, rows)
 
     return curve.memo(("cartier_manin",), matrix)
 
@@ -201,6 +211,13 @@ def _mat2_mul(F, X, Y):
         )
         for i in range(2)
     )
+
+
+def _int_mat2_mul(p, X, Y):
+    """X Y mod p for 2 x 2 int matrices."""
+    (a, b), (c, d) = X
+    (e, f), (g, h) = Y
+    return ((a * e + b * g) % p, (a * f + b * h) % p), ((c * e + d * g) % p, (c * f + d * h) % p)
 
 
 def _det2(F, M):
@@ -252,10 +269,26 @@ class TorsionSet:
 
     def is_subspace(self, field) -> bool:
         """The forms lie in their own F_p-span, which has p^rank elements, so
-        they are a subspace exactly when there are p^rank of them."""
+        they are a subspace exactly when there are p^rank of them.  Each form
+        v is reduced against a reduced echelon basis of at most two, rows u,
+        w with pivots i, j (zero rows until found): v - v_i u - v_j w
+        vanishes exactly when v lies in their span, and otherwise v joins
+        the basis.  The count decides once p^rank exceeds it; rank 3, which
+        needs p^3 forms and so no torsion set reaches, takes a full row
+        reduction."""
+        p, n, width = field.char, len(set(self.forms)), 2 * field.degree
         rows = [coords(a) + coords(b) for a, b in self.forms]
-        rank = len(rref_mod_p(rows, 2 * field.degree, field.char)[1])
-        return len(set(self.forms)) == field.char ** rank
+        zero, basis = [0] * width, []
+        (i, u), (j, w) = (0, zero), (0, zero)
+        for v in rows:
+            if any([(x - v[i] * y - v[j] * z) % p for x, y, z in zip(v, u, w)]):
+                if p ** (len(basis) + 1) > n:
+                    return False
+                basis, pivots = rref_mod_p(basis + [v], width, p)
+                if len(basis) == 3:
+                    return n == p ** len(rref_mod_p(rows, width, p)[1])
+                (i, u), (j, w) = (list(zip(pivots, basis)) + [(0, zero)] * 2)[:2]
+        return n == p ** len(basis)
 
     def to_jsonable(self):
         return [[raw_to_json(a), raw_to_json(b)] for a, b in self.forms]
@@ -362,8 +395,8 @@ def _torsion_brute(curve: Curve):
 def _torsion_semilinear(curve: Curve):
     """The span of `_flat_kernel`: a vector's coordinates in plane_basis(F)
     are those of a, then those of b."""
-    F, k = curve.field, curve.field.degree
-    basis = _flat_kernel(F, cartier_manin(curve).matrix)
+    F, k, cm = curve.field, curve.field.degree, cartier_manin(curve)
+    basis = _flat_kernel(F, cm.matrix, cm.ints)
     return tuple(sorted(
         (F.from_coeffs(v[:k]), F.from_coeffs(v[k:]))
         for v in enumerate_span_mod_p(basis, 2 * k, curve.p)
@@ -381,15 +414,16 @@ def plane_basis(F):
     return [(e, z) for e in basis] + [(z, e) for e in basis]
 
 
-def _flat_kernel(F, A):
+def _flat_kernel(F, A, ints):
     """F_p-basis, in the coordinates of plane_basis(F), of the v in F^2 with
-    A v = v^(p).  For A over F_p (module docstring): B from the 2 x 2 kernel
-    of A^k - I, the basis vectors v = B c for c in the kernel of the dk x dk
-    int system M (x) I_k - I_d (x) Phi, or none when d = 0."""
-    ints = prime_field_ints([e for row in A for e in row])
+    A v = v^(p), where ints is A as F_p ints or None
+    (`CartierManinMatrix.ints`).  For A over F_p (module docstring): B from
+    the 2 x 2 kernel of A^k - I, the basis vectors v = B c for c in the
+    kernel of the dk x dk int system M (x) I_k - I_d (x) Phi, or none when
+    d = 0."""
     if ints is None:
         return _flat_kernel_generic(F, A)
-    k, p, A = F.degree, F.char, (ints[:2], ints[2:])
+    k, p, A = F.degree, F.char, ints
     B = _fixed_basis(F.prime_field, A, k)
     if not B:
         return []
@@ -485,9 +519,10 @@ def stabilization_degree(curve: Curve, k_max: int = 20000) -> int:
 
 
 def _mat2_pow(F, A, n: int):
-    """A^n for n >= 0 (`poly.power`)."""
+    """A^n for n >= 0 (`poly.power`); over F_p by `_int_mat2_mul`."""
     one = ((F.one(), F.zero()), (F.zero(), F.one()))
-    return poly.power(A, n, one, partial(_mat2_mul, F), None)
+    mul = partial(_int_mat2_mul, F.char) if F is F.prime_field else partial(_mat2_mul, F)
+    return poly.power(A, n, one, mul, None)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,12 @@ semilinear` load neither `verify`, `formulas` nor the p-curvature engine
 `pcurvature`.  `verify`, `scan --lemmas` and `formulas` import the first two
 inside the functions that call them, and brute torsion, which `scan` runs
 too, and `verify` load `pcurvature` on first use.
+
+`main` parses a call whose first argument names a command with that
+command's subparser alone (`_parse`) and sets `command` itself.  Any other
+call, or one that leaves an argument unparsed, is parsed again by the full
+parser, so every error and help text is the full parser's: the subparser's
+own are the same on both routes.
 """
 
 from __future__ import annotations
@@ -321,6 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         "y^2 = f(x) in odd characteristic",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    ap.commands = sub.choices  # each command's subparser, for `_parse`
 
     def common(sp):
         sp.add_argument("--p", type=int, required=True, help="odd prime characteristic")
@@ -379,9 +386,20 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv):
+    """The namespace `_parser().parse_args(argv)` gives (module docstring)."""
+    sub = _parser().commands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, rest = sub.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
         return args.fn(args)
     except ResourceGuardError as exc:
         print(_dump({"error": str(exc), "kind": type(exc).__name__}))

@@ -417,7 +417,9 @@ class ExtField:
     (p, modulus) in a process).  The Frobenius is F_p-linear: with columns
     t^(i p), computed on first use by one `pow` and k - 1 products, a^p is
     sum_i a_i t^(i p), one pass of k x k int multiply-adds (`frobenius`,
-    `frobenius_matrix`).
+    `frobenius_matrix`).  The reduction table of `mul` is built on the first
+    product, which a d = 0 `torsion` call on an F_p-rational curve never
+    takes (`cartier`, Descent).
     """
 
     __slots__ = ("p", "k", "modulus", "prime_field", "_red", "_frob")
@@ -436,16 +438,7 @@ class ExtField:
         self.modulus = mod
         if not _is_irreducible_mod(self.p, mod):
             raise RangeError(f"modulus {mod} is reducible over F_{p}")
-        # _red[i] = t^(k+i) reduced mod the modulus, enough for deg < k products
-        self._red = []
-        cur = [(-c) % p for c in mod[:-1]]  # t^k
-        for _ in range(self.k):
-            self._red.append(tuple(cur))
-            cur = [0] + cur  # multiply by t
-            top = cur.pop()
-            if top:
-                cur = [(cur[i] - top * mod[i]) % p for i in range(self.k)]
-        self._frob = None
+        self._red = self._frob = None
 
     @property
     def char(self) -> int:
@@ -504,11 +497,11 @@ class ExtField:
             if x:
                 for j, y in enumerate(b):
                     prod[i + j] = (prod[i + j] + x * y) % p
-        out = prod[:k]
+        out, red = prod[:k], self._red or self._reduction_table()
         for i in range(k, 2 * k - 1):
             c = prod[i]
             if c:
-                r = self._red[i - k]
+                r = red[i - k]
                 for j in range(k):
                     out[j] = (out[j] + c * r[j]) % p
         return tuple(out)
@@ -532,6 +525,20 @@ class ExtField:
                 out = [o + x * c for o, c in zip(out, col)]
         p = self.p
         return tuple([o % p for o in out])
+
+    def _reduction_table(self):
+        """t^(k+i) reduced mod the modulus for i < k, enough for products of
+        degree < k; stored on first use."""
+        p, k, mod = self.p, self.k, self.modulus
+        red, cur = [], [(-c) % p for c in mod[:-1]]  # t^k
+        for _ in range(k):
+            red.append(tuple(cur))
+            cur = [0] + cur  # multiply by t
+            top = cur.pop()
+            if top:
+                cur = [(cur[i] - top * mod[i]) % p for i in range(k)]
+        self._red = red
+        return red
 
     def _frobenius_columns(self):
         """t^(i p) for i < k, the powers of t^p by `pow`; stored on first use."""
@@ -721,9 +728,9 @@ def coords(raw):
 
 
 def prime_field_ints(raws):
-    """The raws as ints when every one lies in F_p, else None."""
+    """The raws as a tuple of ints when every one lies in F_p, else None."""
     cs = [coords(r) for r in raws]
-    return None if any(any(c[1:]) for c in cs) else [c[0] for c in cs]
+    return None if any(any(c[1:]) for c in cs) else tuple(c[0] for c in cs)
 
 
 # ---------------------------------------------------------------------------

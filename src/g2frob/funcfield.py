@@ -84,7 +84,8 @@ class Curve:
     that built the curve lets it go.
     """
 
-    __slots__ = ("field", "f", "fprime", "degree_cap", "_half_fprime", "_memo", "__weakref__")
+    __slots__ = ("field", "f", "f_ints", "fprime", "degree_cap", "_half_fprime", "_memo",
+                 "__weakref__")
 
     def __init__(self, field, f_coeffs):
         f = poly.normalize(field, tuple(f_coeffs))
@@ -92,16 +93,22 @@ class Curve:
             raise DegreeNotFive(
                 f"f must be monic of degree 5, got degree {poly.degree(f)}"
             )
-        # an F_p-rational f is squarefree over F_p exactly when over F_{p^k}
-        ints = prime_field_ints(f)
+        # f_ints: f as F_p ints, None when a coefficient lies outside F_p; an
+        # F_p-rational f is squarefree over F_p exactly when over F_{p^k}, and
+        # f' and f'/2 are taken on the ints, then embedded
+        self.f_ints = ints = prime_field_ints(f)
         G, g = (field, f) if ints is None else (field.prime_field, ints)
         if not poly.is_squarefree(G, g):
             raise NotSquarefree("gcd(f, f') != 1: the model y^2 = f is singular")
+        dg = poly.derivative(G, g)
+        half = poly.scale(G, dg, G.from_int((field.char + 1) // 2))
+        if ints is not None:
+            dg, half = tuple(map(field.from_int, dg)), tuple(map(field.from_int, half))
         self.field = field
         self.f = f
-        self.fprime = poly.derivative(field, f)
+        self.fprime = dg
         self.degree_cap = 64 * field.char + 400
-        self._half_fprime = poly.scale(field, self.fprime, field.from_int((field.char + 1) // 2))
+        self._half_fprime = half
         self._memo = {}
 
     @property

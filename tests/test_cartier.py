@@ -29,6 +29,8 @@ from g2frob import (
 from g2frob import poly
 from g2frob.cartier import (
     CartierManinMatrix,
+    _det2,
+    _fixed_basis,
     _flat_form_data,
     _flat_kernel,
     _flat_kernel_generic,
@@ -234,6 +236,87 @@ def test_p_rank_of_an_integer_f_builds_no_frobenius_columns():
     assert len(ranks) > 1
 
 
+def _int_route_curves(p, k):
+    """F_p-rational curves over F_{p^k}: every squarefree monic quintic over
+    F_3 at p = 3 (p-ranks 0, 1 and 2, and rank-1 matrices A of p-rank 0),
+    30 seeded random ones otherwise."""
+    import itertools
+
+    F = make_field(p, k)
+    if p == 3:
+        fs = [list(low) + [1] for low in itertools.product(range(3), repeat=5)]
+    else:
+        rng = rng_for(f"int-route-{p}-{k}")
+        fs = [random_curve(PrimeField(p), rng).f for _ in range(30)]
+    for f in fs:
+        try:
+            yield make_curve(F, [F.from_int(c) for c in f])
+        except NotSquarefree:
+            continue
+
+
+@pytest.mark.parametrize("p,k", [(3, 10), (5, 8), (7, 6), (13, 4), (31, 3)])
+def test_int_route_against_the_generic_route(p, k):
+    # f', f'/2, det, invertibility, p-rank and the basis of W = ker(A^k - I),
+    # each from the F_p ints, against the generic F_{p^k} step on the raws
+    from functools import partial
+
+    F = make_field(p, k)
+    one = ((F.one(), F.zero()), (F.zero(), F.one()))
+    seen = set()
+    for cv in _int_route_curves(p, k):
+        dg = poly.derivative_generic(F, cv.f)
+        assert cv.fprime == dg, cv.f
+        assert cv._half_fprime == poly.scale_generic(F, dg, F.inv(F.from_int(2))), cv.f
+        cm = cartier_manin(cv)
+        generic = CartierManinMatrix(cm.matrix, F)
+        assert cm.ints is not None and generic.ints is None
+        assert cm.det() == generic.det() == _det2(F, cm.matrix), cv.f
+        assert cm.is_invertible() == generic.is_invertible(), cv.f
+        assert cm.p_rank() == generic.p_rank() == _p_rank_loop(F, cm.matrix), cv.f
+        Ak = prime_field_ints(sum(poly.power(cm.matrix, k, one, partial(_mat2_mul, F), None), ()))
+        W = kernel_basis_mod_p([[Ak[0] - 1, Ak[1]], [Ak[2], Ak[3] - 1]], 2, p)
+        assert _fixed_basis(F.prime_field, cm.ints, k) == W, cv.f
+        seen.add((_rank2(F, cm.matrix), cm.p_rank(), len(W), cm.is_invertible()))
+    assert len(seen) > 1
+    if p == 3:  # the squaring in p_rank matters: rank A = 1, p-rank 0
+        assert (1, 0, 0, False) in seen
+        assert {r for _, r, _, _ in seen} == {0, 1, 2} and {d for _, _, d, _ in seen} == {0, 1, 2}
+
+
+@pytest.mark.parametrize("p,ext", [(3, [2, 1, 0, 0, 1]), (5, [2, 0, 1]), (13, [2, 0, 1])])
+def test_a_coefficient_outside_f_p_keeps_the_generic_route(monkeypatch, p, ext):
+    # catalog curves with one coefficient outside F_p have no int form: no
+    # int recurrence run or 2 x 2 int product happens, and f', f'/2, the
+    # p-rank and the flat forms equal the generic oracles
+    from g2frob import cartier
+    from g2frob.funcfield import curve_from_spec
+
+    def never(*args):
+        raise AssertionError("the int route ran on a curve with a coefficient outside F_p")
+
+    monkeypatch.setattr(PrimeField, "poly_power_top_two", never)
+    monkeypatch.setattr(cartier, "_int_mat2_mul", never)
+    rng, built = rng_for(f"generic-route-{p}"), 0
+    while built < 4:
+        f = [rng.randrange(p) for _ in range(5)] + [1]
+        f[rng.randrange(5)] = [rng.randrange(p), rng.randrange(1, p)]
+        try:
+            cv = curve_from_spec({"p": p, "ext": ext, "f": f})
+        except NotSquarefree:
+            continue
+        F, built = cv.field, built + 1
+        dg = poly.derivative_generic(F, cv.f)
+        assert cv.f_ints is None and cv.fprime == dg
+        assert cv._half_fprime == poly.scale_generic(F, dg, F.inv(F.from_int(2)))
+        cm = cartier_manin(cv)
+        assert cm.ints is None and cm.matrix == _pow_oracle(cv)
+        assert cm.det() == _det2(F, cm.matrix) and cm.p_rank() == _p_rank_loop(F, cm.matrix)
+        ts = enumerate_p_torsion(cv, "semilinear")
+        assert len(ts) == F.char ** len(_flat_kernel_generic(F, cm.matrix))
+        assert ts.forms == enumerate_p_torsion(cv, "brute").forms
+
+
 def _recurrence_shapes(F, rng):
     """The shapes `cartier_manin` runs the recurrence on, from two random
     monic quintics f, one with f(0) not in {0, 1} and one with f(0) = 0 and
@@ -405,6 +488,18 @@ def test_is_subspace_rejects_non_subspaces(p, k):
     assert not is_subspace(line[:-1] + [(F.one(), z)])
 
 
+def test_is_subspace_past_rank_two():
+    # hand-built sets of p^3 forms over F_9 reach rank 3, past the two-vector
+    # basis of a torsion set: a 3-dimensional span, and the same less one
+    # element plus one outside it
+    F = make_field(3, 2)
+    span = [(F.from_coeffs([a, b]), F.from_coeffs([c])) for a in range(3) for b in range(3)
+            for c in range(3)]
+    assert TorsionSet(forms=tuple(sorted(span))).is_subspace(F)
+    outside = span[:-1] + [(F.zero(), F.gen())]
+    assert not TorsionSet(forms=tuple(sorted(outside))).is_subspace(F)
+
+
 def _full_flat_dimension(cv, k):
     """The flat dimension over F_{p^k} by the 2k x 2k solve over that field."""
     F = make_field(cv.p, k)
@@ -433,7 +528,7 @@ def test_flat_kernel_on_w_against_the_generic_system():
         cases += [(F, [rng.randrange(p) for _ in range(4)]) for _ in range(40)]
     for F, e in cases:
         A = tuple(tuple(F.from_int(c) for c in e[i:i + 2]) for i in (0, 2))
-        fast = _flat_kernel(F, A)
+        fast = _flat_kernel(F, A, (tuple(e[:2]), tuple(e[2:])))
         assert _span(F, fast) == _span(F, _flat_kernel_generic(F, A))
         assert len(fast) == len(_span(F, fast))  # a basis, not just a spanning set
         dims.add(len(fast))
@@ -449,8 +544,8 @@ def test_generic_flat_kernel_solves_the_frobenius_equation():
         A = tuple(tuple(F.random(rng) for _ in range(2)) for _ in range(2))
         if prime_field_ints([e for row in A for e in row]) is not None:
             continue
-        assert _flat_kernel(F, A) == _flat_kernel_generic(F, A)
-        for v in _flat_kernel(F, A):
+        assert _flat_kernel(F, A, None) == _flat_kernel_generic(F, A)
+        for v in _flat_kernel(F, A, None):
             a, b = F.from_coeffs(v[:k]), F.from_coeffs(v[k:])
             for row, w in zip(A, (a, b)):
                 assert F.add(F.mul(row[0], a), F.mul(row[1], b)) == F.frobenius(w)

@@ -1010,3 +1010,54 @@ def test_curve_and_torsion_load_neither_verify_nor_formulas(capsys):
     for argv, (code, text) in zip(argvs, first + later):
         assert code == 0
         assert stripped(text) == stripped(run(capsys, *argv.split())[1])
+
+
+@pytest.mark.parametrize("p,k,f", [(3, 10, "2,2,2,2,1,1"), (13, 4, "12,3,5,7,2,1"),
+                                   (31, 3, "16,13,10,5,12,1")])
+def test_a_d0_torsion_call_over_an_extension_makes_no_extension_product(
+        capsys, monkeypatch, p, k, f):
+    # an F_p-rational curve over F_{p^k} with ker(A^k - I) = 0: f', f'/2,
+    # A, det, p-rank and A^k all run on F_p ints, so no ExtField.mul happens
+    from g2frob import ExtField
+
+    calls = []
+    product = ExtField.mul
+    monkeypatch.setattr(ExtField, "mul", lambda F, a, b: calls.append(a) or product(F, a, b))
+    code, out = run(capsys, "torsion", "--p", str(p), "--ext-k", str(k), "--f", f,
+                    "--method", "semilinear")
+    assert code == 0 and json.loads(out)["torsionDim"] == 0
+    assert calls == []
+
+
+_ARGVS = [
+    "curve --p 13 --f 11,7,3,9,6,1",
+    "torsion --p 13 --ext-k 2 --ext-modulus 2,12,1 --f 11,7,3,9,6,1 --method semilinear "
+    "--crosscheck --out x.json",
+    "verify --p 7 --f 1,2,3,4,5,1 --rigidity off",
+    "scan --p 7 --count 3 --seed 2 --workers 2 --no-lemmas",
+    "formulas --p 5 --g 3",
+]
+
+
+@pytest.mark.parametrize("argv", _ARGVS, ids=lambda a: a.split()[0])
+def test_direct_parse_gives_the_full_parsers_namespace(argv):
+    from g2frob.cli import _parse, build_parser
+
+    assert vars(_parse(argv.split())) == vars(build_parser().parse_args(argv.split()))
+
+
+@pytest.mark.parametrize("argv", [
+    "curve --p 5 --f 1,0,0,0,0,1 --bogus 1",  # an unknown option
+    "torsion --p x --f 1,0,0,0,0,1",  # a bad int
+    "verify --f 1,0,0,0,0,1",  # a missing --p
+    "bogus --p 5",  # an unknown command
+    "",  # an empty argv
+    "formulas --p 5 stray",  # a stray positional
+], ids=["option", "int", "missing-p", "command", "empty", "positional"])
+def test_direct_parse_errors_are_the_full_parsers(capsys, monkeypatch, argv):
+    from g2frob import cli
+
+    direct = run(capsys, *argv.split())
+    monkeypatch.setattr(cli, "_parse", lambda args: cli._parser().parse_args(args))
+    assert direct == run(capsys, *argv.split())
+    assert direct[0] == 2 and json.loads(direct[1])["kind"] == "RangeError"
